@@ -560,9 +560,12 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
     return AbstractBundle(qg, (k,) * qg.order, prod, tuple(invol), funct)
 
 
-def twisted_normal_form(t: TwistedAction, coeff: np.ndarray, s: int) -> tuple[int, np.ndarray]:
-    """Normal form of the class [coeff, s]: the representative at section(sN)."""
-    q = quotient(t.group, t.subgroup)
+def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
+                        s: int) -> tuple[int, np.ndarray]:
+    """Normal form of the class [coeff, s]: the representative at section(sN).
+
+    q is the quotient of t.group by t.subgroup.
+    """
     k = q.coset_of[s]
     n = t.group.mul(s, t.group.inv(q.section[k]))
     return k, coeff @ t.tau[n]

@@ -145,14 +145,14 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
     return action, report
 
 
-def canonical_landstad_family(t: TwistedAction, real: Realization,
-                              q: Quotient | None = None) -> UnitaryMultiplierFamily:
+def canonical_landstad_family(t: TwistedAction, real: Realization) -> UnitaryMultiplierFamily:
     """u(s) = image of the class [1, s] in a concretized twisted semidirect bundle."""
     g = t.group
+    q = quotient(g, t.subgroup)
     unit = unit_element(t.algebra)
     mats = {}
     for s in g.elements():
-        c, coeff = twisted_normal_form(t, unit, s)
+        c, coeff = twisted_normal_form(t, q, unit, s)
         mats[s] = _image(real, c, t.algebra.coords(coeff))
     return UnitaryMultiplierFamily(real.bundle, tuple(g.elements()), mats)
 
@@ -179,7 +179,7 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
     for s in g.elements():
         row = []
         for i in range(t.algebra.dim):
-            c, coeff = twisted_normal_form(t, t.algebra.basis[i], s)
+            c, coeff = twisted_normal_form(t, q, t.algebra.basis[i], s)
             row.append(np.kron(_image(tw_real, c, t.algebra.coords(coeff)), lam[s]))
         images.append(row)
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)

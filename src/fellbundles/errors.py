@@ -95,7 +95,7 @@ class FiberNotPrincipal(FellBundleError):
 # module / section layer
 
 class FiberMismatch(FellBundleError):
-    """A coefficient matrix lies outside the fiber its key requires."""
+    """A key is not a slot of its space, or a coefficient is outside its key's fiber."""
 
 
 class NotInAlgebra(FellBundleError):

@@ -1,17 +1,27 @@
 """The pre-imprimitivity bimodule linking the two crossed products.
 
-Given a bundle D over G/N, the space X0 of fiber-valued functions on
-(G/N) x G carries a left action of B0 (triples (d, s, t), s, t in G,
-d in D_{sN}) and a right action of C0 (pairs (d, kN, lN)), together with
-compatible inner products. All four generator formulas, the translation
-action gamma, and the eight bimodule axioms are implemented and checked
-here; positivity and boundedness are read off faithful realizations of B0
-and C0 inside matrix algebras.
+Given a bundle D over G/N, three spaces of finitely supported fiber-valued
+functions share one `Element` type, told apart by `kind`:
+
+- "x", the bimodule X0: (coset k, t in G) -> D_k;
+- "b", the algebra B0 of triples (d, s, t): (s, t) in G x G -> D_{sN};
+- "c", the algebra C0 of pairs (d, kN, lN): (kN, lN) -> D_k.
+
+The slot table `_slots(q, kind)` lists the keys of each space with the
+fiber of D their values lie in, in coordinate order; it drives the one
+constructor check, the generator bases, the random draws and the coordinate
+vectors. The two products, both actions and both inner products run through
+one pairing kernel, the adjoints and translations through one relabelling
+kernel. The eight bimodule axioms and the gamma equivariance identities are
+checked here; positivity and boundedness are read off faithful realizations
+of B0 and C0 inside matrix algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import matmul
 
 import numpy as np
 
@@ -40,67 +50,35 @@ _ZERO_CUT = 1e-14
 
 
 def _clean(coeffs: dict) -> dict:
-    scale = max((float(hs_norm(m)) for m in coeffs.values()), default=0.0)
-    return {key: m for key, m in coeffs.items()
-            if hs_norm(m) > _ZERO_CUT * max(1.0, scale)}
-
-
-def _merge(a: dict, b: dict, zb=1.0) -> dict:
-    out = {k: np.array(m) for k, m in a.items()}
-    for key, m in b.items():
-        out[key] = out.get(key, 0.0) + zb * m
-    return _clean(out)
+    """Drop coefficients negligible against the largest one; each norm is taken once."""
+    if not coeffs:
+        return coeffs
+    norms = {key: hs_norm(m) for key, m in coeffs.items()}
+    cut = _ZERO_CUT * max(1.0, max(norms.values(), default=0.0))
+    return {key: m for key, m in coeffs.items() if norms[key] > cut}
 
 
 @dataclass(frozen=True, eq=False)
-class BimoduleElement:
-    """Finitely supported map (coset k, t in G) -> matrix in D.fiber(k)."""
+class Element:
+    """Finitely supported map from the slot keys of `kind` to matrices in their fibers."""
 
     q: Quotient
     d: GradedBundle
+    kind: str
     coeffs: dict
 
-    def plus(self, other: "BimoduleElement") -> "BimoduleElement":
+    def plus(self, other: "Element") -> "Element":
         _same_setup(self, other)
-        return BimoduleElement(self.q, self.d, _merge(self.coeffs, other.coeffs))
+        if other.kind != self.kind:
+            raise FiberMismatch(f"cannot add a {other.kind} element to a {self.kind} element")
+        out = {k: np.array(m) for k, m in self.coeffs.items()}
+        for key, m in other.coeffs.items():
+            out[key] = out.get(key, 0.0) + m
+        return Element(self.q, self.d, self.kind, _clean(out))
 
-    def scaled(self, z: complex) -> "BimoduleElement":
-        return BimoduleElement(self.q, self.d,
-                               _clean({k: z * m for k, m in self.coeffs.items()}))
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElementB:
-    """Finitely supported map (s, t) in G x G -> matrix in D.fiber(sN)."""
-
-    q: Quotient
-    d: GradedBundle
-    coeffs: dict
-
-    def plus(self, other: "AlgebraElementB") -> "AlgebraElementB":
-        _same_setup(self, other)
-        return AlgebraElementB(self.q, self.d, _merge(self.coeffs, other.coeffs))
-
-    def scaled(self, z: complex) -> "AlgebraElementB":
-        return AlgebraElementB(self.q, self.d,
-                               _clean({k: z * m for k, m in self.coeffs.items()}))
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElementC:
-    """Finitely supported map (kN, lN) -> matrix in D.fiber(k)."""
-
-    q: Quotient
-    d: GradedBundle
-    coeffs: dict
-
-    def plus(self, other: "AlgebraElementC") -> "AlgebraElementC":
-        _same_setup(self, other)
-        return AlgebraElementC(self.q, self.d, _merge(self.coeffs, other.coeffs))
-
-    def scaled(self, z: complex) -> "AlgebraElementC":
-        return AlgebraElementC(self.q, self.d,
-                               _clean({k: z * m for k, m in self.coeffs.items()}))
+    def scaled(self, z: complex) -> "Element":
+        return Element(self.q, self.d, self.kind,
+                       _clean({k: z * m for k, m in self.coeffs.items()}))
 
 
 def _same_setup(a, b) -> None:
@@ -113,218 +91,212 @@ def _check_base(q: Quotient, d: GradedBundle) -> None:
         raise GroupMismatch("base bundle is not graded by the quotient group")
 
 
-def module_element(q: Quotient, d: GradedBundle, coeffs: dict,
-                   tol: float = DEFAULT_TOL) -> BimoduleElement:
+def _slots(q: Quotient, kind: str) -> list[tuple[tuple[int, int], int]]:
+    """The keys of `kind` in coordinate order, each with the fiber of D it takes values in."""
+    g, qg = q.group.elements(), q.quotient_group.elements()
+    if kind == "x":
+        return [((k, t), k) for k in qg for t in g]
+    if kind == "b":
+        return [((s, t), q.coset_of[s]) for s in g for t in g]
+    return [((k, l), k) for k in qg for l in qg]
+
+
+def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,
+             tol: float = DEFAULT_TOL) -> Element:
     _check_base(q, d)
-    for (k, t), m in coeffs.items():
-        if not d.fiber(k).contains(np.asarray(m, dtype=complex), max(tol, 1e-8)):
-            raise FiberMismatch(f"coefficient at ({k},{t}) is not in fiber {k}")
-    return BimoduleElement(q, d, _clean({k: np.asarray(m, dtype=complex)
-                                         for k, m in coeffs.items()}))
+    fiber_of = dict(_slots(q, kind))
+    for key, m in coeffs.items():
+        if key not in fiber_of:
+            raise FiberMismatch(f"{key} is not a slot of a {kind} element over this quotient")
+        if not d.fiber(fiber_of[key]).contains(np.asarray(m, dtype=complex), max(tol, 1e-8)):
+            raise FiberMismatch(f"coefficient at {key} is not in fiber {fiber_of[key]}")
+    return Element(q, d, kind, _clean({k: np.asarray(m, dtype=complex)
+                                       for k, m in coeffs.items()}))
 
 
-def algebra_element_b(q: Quotient, d: GradedBundle, coeffs: dict,
-                      tol: float = DEFAULT_TOL) -> AlgebraElementB:
-    _check_base(q, d)
-    for (s, t), m in coeffs.items():
-        k = q.coset_of[s]
-        if not d.fiber(k).contains(np.asarray(m, dtype=complex), max(tol, 1e-8)):
-            raise FiberMismatch(f"coefficient at ({s},{t}) is not in fiber {k}")
-    return AlgebraElementB(q, d, _clean({k: np.asarray(m, dtype=complex)
-                                         for k, m in coeffs.items()}))
+module_element = partial(_element, "x")
+algebra_element_b = partial(_element, "b")
+algebra_element_c = partial(_element, "c")
 
 
-def algebra_element_c(q: Quotient, d: GradedBundle, coeffs: dict,
-                      tol: float = DEFAULT_TOL) -> AlgebraElementC:
-    _check_base(q, d)
-    for (k, l), m in coeffs.items():
-        if not d.fiber(k).contains(np.asarray(m, dtype=complex), max(tol, 1e-8)):
-            raise FiberMismatch(f"coefficient at ({k},{l}) is not in fiber {k}")
-    return AlgebraElementC(q, d, _clean({k: np.asarray(m, dtype=complex)
-                                         for k, m in coeffs.items()}))
+# the kernels behind every formula
+
+
+def _pair(kind: str, a: Element, b: Element, product, rule) -> Element:
+    """Sum product(ma, mb) into slot rule(*ka, *kb) over all coefficient pairs.
+
+    rule returns None for pairs whose positions do not match.
+    """
+    _same_setup(a, b)
+    out: dict = {}
+    for ka, ma in a.coeffs.items():
+        for kb, mb in b.coeffs.items():
+            key = rule(*ka, *kb)
+            if key is not None:
+                out[key] = out.get(key, 0.0) + product(ma, mb)
+    return Element(a.q, a.d, kind, _clean(out))
+
+
+def _relabel(e: Element, rule, adjoint: bool = False) -> Element:
+    """Move each coefficient to slot rule(*key), taking its adjoint if asked.
+
+    Every rule used here is a bijection of the slots, so nothing collides.
+    """
+    return Element(e.q, e.d, e.kind, {rule(*key): dagger(m) if adjoint else m
+                                      for key, m in e.coeffs.items()})
 
 
 # algebra operations
 
 
-def b_mul(a: AlgebraElementB, b: AlgebraElementB) -> AlgebraElementB:
-    _same_setup(a, b)
+def b_mul(a: Element, b: Element) -> Element:
     g = a.q.group
-    out: dict = {}
-    for (s, t), m1 in a.coeffs.items():
-        for (u, v), m2 in b.coeffs.items():
-            if t != g.mul(u, v):
-                continue
-            key = (g.mul(s, u), v)
-            out[key] = out.get(key, 0.0) + m1 @ m2
-    return AlgebraElementB(a.q, a.d, _clean(out))
+    return _pair("b", a, b, matmul,
+                 lambda s, t, u, v: (g.mul(s, u), v) if t == g.mul(u, v) else None)
 
 
-def b_star(a: AlgebraElementB) -> AlgebraElementB:
+def b_star(a: Element) -> Element:
     g = a.q.group
-    out: dict = {}
-    for (s, t), m in a.coeffs.items():
-        key = (g.inv(s), g.mul(s, t))
-        out[key] = out.get(key, 0.0) + dagger(m)
-    return AlgebraElementB(a.q, a.d, _clean(out))
+    return _relabel(a, lambda s, t: (g.inv(s), g.mul(s, t)), adjoint=True)
 
 
-def c_mul(a: AlgebraElementC, b: AlgebraElementC) -> AlgebraElementC:
-    _same_setup(a, b)
+def c_mul(a: Element, b: Element) -> Element:
     qg = a.q.quotient_group
-    out: dict = {}
-    for (k, l), m1 in a.coeffs.items():
-        for (u, v), m2 in b.coeffs.items():
-            if l != qg.mul(u, v):
-                continue
-            key = (qg.mul(k, u), v)
-            out[key] = out.get(key, 0.0) + m1 @ m2
-    return AlgebraElementC(a.q, a.d, _clean(out))
+    return _pair("c", a, b, matmul,
+                 lambda k, l, u, v: (qg.mul(k, u), v) if l == qg.mul(u, v) else None)
 
 
-def c_star(a: AlgebraElementC) -> AlgebraElementC:
+def c_star(a: Element) -> Element:
     qg = a.q.quotient_group
-    out: dict = {}
-    for (k, l), m in a.coeffs.items():
-        key = (qg.inv(k), qg.mul(k, l))
-        out[key] = out.get(key, 0.0) + dagger(m)
-    return AlgebraElementC(a.q, a.d, _clean(out))
+    return _relabel(a, lambda k, l: (qg.inv(k), qg.mul(k, l)), adjoint=True)
 
 
 # the four generator formulas
 
 
-def right_action(x: BimoduleElement, c: AlgebraElementC) -> BimoduleElement:
+def right_action(x: Element, c: Element) -> Element:
     """(d_sN, t) . (d_uN, vN) = (d_sN d_uN, t) when s^-1 t N = uvN."""
-    _same_setup(x, c)
     q, qg = x.q, x.q.quotient_group
-    out: dict = {}
-    for (k, t), dx in x.coeffs.items():
-        pos = qg.mul(qg.inv(k), q.coset_of[t])
-        for (u, v), dc in c.coeffs.items():
-            if pos != qg.mul(u, v):
-                continue
-            key = (qg.mul(k, u), t)
-            out[key] = out.get(key, 0.0) + dx @ dc
-    return BimoduleElement(x.q, x.d, _clean(out))
+
+    def rule(k, t, u, v):
+        return (qg.mul(k, u), t) if qg.mul(qg.inv(k), q.coset_of[t]) == qg.mul(u, v) else None
+
+    return _pair("x", x, c, matmul, rule)
 
 
-def left_action(b: AlgebraElementB, x: BimoduleElement) -> BimoduleElement:
+def left_action(b: Element, x: Element) -> Element:
     """(d_qN, q, r) . (d_sN, t) = (d_qN d_sN, qt) when r = t."""
-    _same_setup(b, x)
     q, g, qg = b.q, b.q.group, b.q.quotient_group
-    out: dict = {}
-    for (s, t), db in b.coeffs.items():
-        for (k, r), dx in x.coeffs.items():
-            if t != r:
-                continue
-            key = (qg.mul(q.coset_of[s], k), g.mul(s, r))
-            out[key] = out.get(key, 0.0) + db @ dx
-    return BimoduleElement(x.q, x.d, _clean(out))
+
+    def rule(s, t, k, r):
+        return (qg.mul(q.coset_of[s], k), g.mul(s, r)) if t == r else None
+
+    return _pair("x", b, x, matmul, rule)
 
 
-def rinner(x: BimoduleElement, y: BimoduleElement) -> AlgebraElementC:
+def rinner(x: Element, y: Element) -> Element:
     """<(d_sN, t), (d_uN, v)>_C = (d_sN* d_uN, u^-1 vN) when t = v.
 
     Conjugate-linear in x, linear in y.
     """
-    _same_setup(x, y)
     q, qg = x.q, x.q.quotient_group
-    out: dict = {}
-    for (xk, xt), dx in x.coeffs.items():
-        for (yk, yt), dy in y.coeffs.items():
-            if xt != yt:
-                continue
-            key = (qg.mul(qg.inv(xk), yk), qg.mul(qg.inv(yk), q.coset_of[yt]))
-            out[key] = out.get(key, 0.0) + dagger(dx) @ dy
-    return AlgebraElementC(x.q, x.d, _clean(out))
+
+    def rule(xk, xt, yk, yt):
+        if xt != yt:
+            return None
+        return qg.mul(qg.inv(xk), yk), qg.mul(qg.inv(yk), q.coset_of[yt])
+
+    return _pair("c", x, y, lambda dx, dy: dagger(dx) @ dy, rule)
 
 
-def linner(x: BimoduleElement, y: BimoduleElement) -> AlgebraElementB:
+def linner(x: Element, y: Element) -> Element:
     """<(d_sN, t), (d_uN, v)>_B = (d_sN d_uN*, tv^-1, v) when su^-1 N = tv^-1 N.
 
     Linear in x, conjugate-linear in y.
     """
-    _same_setup(x, y)
     q, g, qg = x.q, x.q.group, x.q.quotient_group
-    out: dict = {}
-    for (xk, xt), dx in x.coeffs.items():
-        for (yk, yt), dy in y.coeffs.items():
-            w = g.mul(xt, g.inv(yt))
-            if qg.mul(xk, qg.inv(yk)) != q.coset_of[w]:
-                continue
-            key = (w, yt)
-            out[key] = out.get(key, 0.0) + dx @ dagger(dy)
-    return AlgebraElementB(x.q, x.d, _clean(out))
+
+    def rule(xk, xt, yk, yt):
+        w = g.mul(xt, g.inv(yt))
+        return (w, yt) if qg.mul(xk, qg.inv(yk)) == q.coset_of[w] else None
+
+    return _pair("b", x, y, lambda dx, dy: dx @ dagger(dy), rule)
 
 
 # translations
 
 
-def gamma(r: int, x: BimoduleElement) -> BimoduleElement:
+def gamma(r: int, x: Element) -> Element:
     """gamma_r(d, t) = (d, t r^-1)."""
     g = x.q.group
-    return BimoduleElement(x.q, x.d,
-                           {(k, g.mul(t, g.inv(r))): m
-                            for (k, t), m in x.coeffs.items()})
+    return _relabel(x, lambda k, t: (k, g.mul(t, g.inv(r))))
 
 
-def dual_b(r: int, b: AlgebraElementB) -> AlgebraElementB:
+def dual_b(r: int, b: Element) -> Element:
     """(d, s, t) -> (d, s, t r^-1): the dual translation on B0."""
     g = b.q.group
-    return AlgebraElementB(b.q, b.d,
-                           {(s, g.mul(t, g.inv(r))): m
-                            for (s, t), m in b.coeffs.items()})
+    return _relabel(b, lambda s, t: (s, g.mul(t, g.inv(r))))
 
 
-def inflated_dual_c(r: int, c: AlgebraElementC) -> AlgebraElementC:
+def inflated_dual_c(r: int, c: Element) -> Element:
     """(d, kN, lN) -> (d, kN, l r^-1 N): the inflated dual translation."""
     q, qg = c.q, c.q.quotient_group
     rbar = q.coset_of[r]
-    return AlgebraElementC(c.q, c.d,
-                           {(k, qg.mul(l, qg.inv(rbar))): m
-                            for (k, l), m in c.coeffs.items()})
+    return _relabel(c, lambda k, l: (k, qg.mul(l, qg.inv(rbar))))
 
 
-# units, generators, coordinates
+# units, generators, random draws, coordinates
 
 
 def unit_elements(q: Quotient, d: GradedBundle,
-                  tol: float = DEFAULT_TOL) -> tuple[AlgebraElementB, AlgebraElementC]:
+                  tol: float = DEFAULT_TOL) -> tuple[Element, Element]:
     """Exact identities of B0 and C0: unit-fiber units summed over a transversal."""
     _check_base(q, d)
     try:
         u = unit_element(d.fiber(0), tol)
     except NotUnital as exc:
         raise NonUnitalUnitFiber(str(exc)) from exc
-    unit_b = AlgebraElementB(q, d, {(0, t): np.array(u) for t in q.group.elements()})
-    unit_c = AlgebraElementC(q, d, {(0, l): np.array(u)
-                                    for l in q.quotient_group.elements()})
+    unit_b = Element(q, d, "b", {(0, t): np.array(u) for t in q.group.elements()})
+    unit_c = Element(q, d, "c", {(0, l): np.array(u) for l in q.quotient_group.elements()})
     return unit_b, unit_c
 
 
-def x_generators(q: Quotient, d: GradedBundle) -> list[BimoduleElement]:
+def _generators(kind: str, q: Quotient, d: GradedBundle) -> list[Element]:
     _check_base(q, d)
-    return [BimoduleElement(q, d, {(k, t): m})
-            for k in q.quotient_group.elements()
-            for t in q.group.elements()
-            for m in d.fiber(k).basis_list()]
+    return [Element(q, d, kind, {key: m})
+            for key, fiber in _slots(q, kind)
+            for m in d.fiber(fiber).basis_list()]
 
 
-def b_generators(q: Quotient, d: GradedBundle) -> list[AlgebraElementB]:
-    _check_base(q, d)
-    return [AlgebraElementB(q, d, {(s, t): m})
-            for s in q.group.elements()
-            for t in q.group.elements()
-            for m in d.fiber(q.coset_of[s]).basis_list()]
+x_generators = partial(_generators, "x")
+b_generators = partial(_generators, "b")
+c_generators = partial(_generators, "c")
 
 
-def c_generators(q: Quotient, d: GradedBundle) -> list[AlgebraElementC]:
-    _check_base(q, d)
-    return [AlgebraElementC(q, d, {(k, l): m})
-            for k in q.quotient_group.elements()
-            for l in q.quotient_group.elements()
-            for m in d.fiber(k).basis_list()]
+def _random(kind: str, q: Quotient, d: GradedBundle, rng) -> Element:
+    coeffs = {}
+    for key, fiber in _slots(q, kind):
+        fk = d.fiber(fiber)
+        c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
+        coeffs[key] = fk.from_coords(c)
+    return Element(q, d, kind, _clean(coeffs))
+
+
+_random_x = partial(_random, "x")
+_random_b = partial(_random, "b")
+_random_c = partial(_random, "c")
+
+
+def _coords(e: Element) -> np.ndarray:
+    """Coordinates in the fiber bases, slot after slot in slot-table order."""
+    fibers = [(key, e.d.fiber(f)) for key, f in _slots(e.q, e.kind)]
+    vec = np.zeros(sum(fiber.dim for _, fiber in fibers), dtype=complex)
+    start = 0
+    for key, fiber in fibers:
+        if key in e.coeffs:
+            vec[start:start + fiber.dim] = fiber.coords(e.coeffs[key])
+        start += fiber.dim
+    return vec
 
 
 def dimensions(q: Quotient, d: GradedBundle) -> dict:
@@ -349,51 +321,10 @@ def _distance(a, b) -> float:
     return out
 
 
-def _coeff_vector(e, slots: dict, total: int, fiber_of) -> np.ndarray:
-    vec = np.zeros(total, dtype=complex)
-    for key, m in e.coeffs.items():
-        start, fiber = slots[key], fiber_of(key)
-        vec[start:start + fiber.dim] = fiber.coords(m)
-    return vec
-
-
-def _slot_table(keys, fiber_of):
-    slots, total = {}, 0
-    for key in keys:
-        slots[key] = total
-        total += fiber_of(key).dim
-    return slots, total
-
-
-def b_coords(b: AlgebraElementB) -> np.ndarray:
-    q, d = b.q, b.d
-    keys = [(s, t) for s in q.group.elements() for t in q.group.elements()]
-    fiber_of = lambda key: d.fiber(q.coset_of[key[0]])
-    slots, total = _slot_table(keys, fiber_of)
-    return _coeff_vector(b, slots, total, fiber_of)
-
-
-def c_coords(c: AlgebraElementC) -> np.ndarray:
-    q, d = c.q, c.d
-    keys = [(k, l) for k in q.quotient_group.elements()
-            for l in q.quotient_group.elements()]
-    fiber_of = lambda key: d.fiber(key[0])
-    slots, total = _slot_table(keys, fiber_of)
-    return _coeff_vector(c, slots, total, fiber_of)
-
-
-def x_coords(x: BimoduleElement) -> np.ndarray:
-    q, d = x.q, x.d
-    keys = [(k, t) for k in q.quotient_group.elements() for t in q.group.elements()]
-    fiber_of = lambda key: d.fiber(key[0])
-    slots, total = _slot_table(keys, fiber_of)
-    return _coeff_vector(x, slots, total, fiber_of)
-
-
 # faithful realizations (positivity and norms live here)
 
 
-def realize_b(b: AlgebraElementB) -> np.ndarray:
+def realize_b(b: Element) -> np.ndarray:
     """(d, s, t) -> d tensor lambda(s) tensor E_{st,t}: a faithful *-homomorphism."""
     g = b.q.group
     lam = left_regular(g)
@@ -406,7 +337,7 @@ def realize_b(b: AlgebraElementB) -> np.ndarray:
     return out
 
 
-def realize_c(c: AlgebraElementC) -> np.ndarray:
+def realize_c(c: Element) -> np.ndarray:
     """(d, kN, lN) -> d tensor E_{klN,lN}: a faithful *-homomorphism."""
     qg = c.q.quotient_group
     n, m = qg.order, c.d.ambient_dim
@@ -416,36 +347,6 @@ def realize_c(c: AlgebraElementC) -> np.ndarray:
         e[qg.mul(k, l), l] = 1.0
         out += np.kron(mat, e)
     return out
-
-
-def _random_x(q, d, rng) -> BimoduleElement:
-    coeffs = {}
-    for k in q.quotient_group.elements():
-        fk = d.fiber(k)
-        for t in q.group.elements():
-            c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
-            coeffs[(k, t)] = fk.from_coords(c)
-    return BimoduleElement(q, d, _clean(coeffs))
-
-
-def _random_b(q, d, rng) -> AlgebraElementB:
-    coeffs = {}
-    for s in q.group.elements():
-        fk = d.fiber(q.coset_of[s])
-        for t in q.group.elements():
-            c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
-            coeffs[(s, t)] = fk.from_coords(c)
-    return AlgebraElementB(q, d, _clean(coeffs))
-
-
-def _random_c(q, d, rng) -> AlgebraElementC:
-    coeffs = {}
-    for k in q.quotient_group.elements():
-        fk = d.fiber(k)
-        for l in q.quotient_group.elements():
-            c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
-            coeffs[(k, l)] = fk.from_coords(c)
-    return AlgebraElementC(q, d, _clean(coeffs))
 
 
 def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
@@ -530,8 +431,8 @@ def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
                 res_v = max(res_v, _distance(right_action(x, rinner(y, z)),
                                              left_action(linner(x, y), z)))
 
-    stack_c = np.stack([c_coords(rinner(x, y)) for x in xs for y in xs])
-    stack_b = np.stack([b_coords(linner(x, y)) for x in xs for y in xs])
+    stack_c = np.stack([_coords(rinner(x, y)) for x in xs for y in xs])
+    stack_b = np.stack([_coords(linner(x, y)) for x in xs for y in xs])
     rank_c = np.linalg.matrix_rank(stack_c, tol=1e-9 * max(1.0, float(np.abs(stack_c).max())))
     rank_b = np.linalg.matrix_rank(stack_b, tol=1e-9 * max(1.0, float(np.abs(stack_b).max())))
     full_ok = (rank_c == dims["dimC"]) and (rank_b == dims["dimB"])

@@ -88,10 +88,6 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
     return SectionAlgebra(bundle, total, stack, solver, offsets)
 
 
-def conditional_expectation(sa: SectionAlgebra, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return sa.expectation(mat, tol)
-
-
 # the ambient crossed-product model
 
 
@@ -174,10 +170,6 @@ def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL,
     basis = np.stack(mats) if mats else np.zeros((0, big, big), dtype=complex)
     total = MatrixSubspace(big, basis)
     return CrossedProductAlgebra(bundle, total, lam, rho)
-
-
-def dual_action(cp: CrossedProductAlgebra, r: int, mat) -> np.ndarray:
-    return cp.dual_apply(r, mat)
 
 
 def verify_covariant_pair(bundle: GradedBundle, pi, projections,

@@ -102,6 +102,18 @@ class TestGeneratorFormulas:
         with pytest.raises(FiberMismatch):
             imp.algebra_element_c(q, d, {(1, 0): I_HAT})
 
+    def test_keys_outside_the_slot_table_rejected(self, pauli_setup):
+        # the values lie in the right fibers; only the keys are out of range
+        q, d = pauli_setup
+        with pytest.raises(FiberMismatch):
+            imp.module_element(q, d, {(1, 99): X_HAT})
+        with pytest.raises(FiberMismatch):
+            imp.algebra_element_c(q, d, {(1, 2): X_HAT})
+        x = imp.module_element(q, d, {(1, 1): X_HAT})
+        c = imp.algebra_element_c(q, d, {(1, 1): X_HAT})
+        with pytest.raises(FiberMismatch):
+            x.plus(c)
+
     def test_quotient_data_mismatch(self, pauli_setup, s3_setup):
         q, d = pauli_setup
         q2, d2 = s3_setup
@@ -109,6 +121,15 @@ class TestGeneratorFormulas:
         y = imp.module_element(q2, d2, {(0, 0): d2.fiber(0).basis[0]})
         with pytest.raises(GroupMismatch):
             imp.rinner(x, y)
+
+
+class TestGeneratorCounts:
+    def test_generator_counts_match_dimension_formulas(self, pauli_setup, s3_setup):
+        for q, d in (pauli_setup, s3_setup):
+            dims = imp.dimensions(q, d)
+            assert len(imp.x_generators(q, d)) == dims["dimX"]
+            assert len(imp.b_generators(q, d)) == dims["dimB"]
+            assert len(imp.c_generators(q, d)) == dims["dimC"]
 
 
 class TestUnits:
