@@ -14,18 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import GradedBundle, pullback
+from .bundles import GradedBundle, pullback, same_bundle, unit_fiber_unit
 from .errors import (
     AxiomViolation,
     GNormExceeded,
     GroupMismatch,
     NonUnitalUnitFiber,
-    NotUnital,
     ShapeMismatch,
     ValueOutsideUnitFiber,
 )
 from .groups import FiniteGroup, Quotient, left_regular
-from .matrices import DEFAULT_TOL, dagger, hs_norm, op_norm, unit_element
+from .matrices import DEFAULT_TOL, dagger, hs_norm, op_norm
 from .sections import section_algebra
 
 _ZERO_CUT = 1e-14
@@ -72,7 +71,7 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
             raise ShapeMismatch(f"witness value at {s} has shape {m.shape}, ambient is {n}")
         if hs_norm(m) <= _ZERO_CUT:
             continue
-        if fe.residual(m) > max(tol, 1e-8) * max(1.0, hs_norm(m)):
+        if not fe.contains(m, max(tol, 1e-8)):
             raise ValueOutsideUnitFiber(f"witness value at {s} escapes the unit fiber")
         kept[s] = m
     gram = np.zeros((n, n), dtype=complex)
@@ -83,31 +82,14 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
 
 def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness:
     """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound exactly 1."""
-    try:
-        u = unit_element(bundle.fiber(0), tol)
-    except NotUnital as exc:
-        raise NonUnitalUnitFiber(str(exc)) from exc
+    u = unit_fiber_unit(bundle, tol)
     scale = 1.0 / np.sqrt(bundle.group.order)
     return ep_witness(bundle, {s: scale * u for s in bundle.group.elements()}, tol)
 
 
 def point_witness(bundle: GradedBundle, s: int = 0, tol: float = DEFAULT_TOL) -> EPWitness:
     """f = delta_s . 1_e, the witness supported at a single group element."""
-    try:
-        u = unit_element(bundle.fiber(0), tol)
-    except NotUnital as exc:
-        raise NonUnitalUnitFiber(str(exc)) from exc
-    return ep_witness(bundle, {int(s): u}, tol)
-
-
-def _same_bundle(w: EPWitness, bundle: GradedBundle) -> bool:
-    a, b = w.bundle, bundle
-    if a is b:
-        return True
-    if a.group.table != b.group.table or a.ambient_dim != b.ambient_dim:
-        return False
-    return all(np.array_equal(fa.basis, fb.basis)
-               for fa, fb in zip(a.fibers, b.fibers))
+    return ep_witness(bundle, {int(s): unit_fiber_unit(bundle, tol)}, tol)
 
 
 def ep_defect(bundle: GradedBundle, w: EPWitness, tol: float = DEFAULT_TOL) -> dict:
@@ -117,7 +99,7 @@ def ep_defect(bundle: GradedBundle, w: EPWitness, tol: float = DEFAULT_TOL) -> d
     ||sum_s f(ts)* a f(s) - a|| / max(1, ||a||), operator norms throughout.
     A defect of zero certifies the approximation property on the nose.
     """
-    if not _same_bundle(w, bundle):
+    if not same_bundle(w.bundle, bundle):
         raise GroupMismatch("witness was built over a different bundle")
     g = bundle.group
     worst = 0.0
@@ -137,7 +119,7 @@ def averaging_map(bundle: GradedBundle, w: EPWitness, a, tol: float = DEFAULT_TO
     supported on a subgroup are simply sections with zero components
     elsewhere, so restricted elements need no separate entry point.
     """
-    if not _same_bundle(w, bundle):
+    if not same_bundle(w.bundle, bundle):
         raise GroupMismatch("witness was built over a different bundle")
     sa = section_algebra(bundle, tol, check=False)
     comps = sa.components(a, max(tol, 1e-8))

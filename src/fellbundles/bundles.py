@@ -37,9 +37,11 @@ from .matrices import (
     MatrixSubspace,
     dagger,
     hs_norm,
+    is_star_closed,
     multiplication_tensor,
     op_norm,
     orthonormalize,
+    product_coords,
     unit_element,
 )
 
@@ -74,6 +76,28 @@ class GradedBundle:
         return tuple(f.dim for f in self.fibers)
 
 
+def same_bundle(a: GradedBundle, b: GradedBundle) -> bool:
+    """One object, or the same group table and identical fiber bases."""
+    if a is b:
+        return True
+    if a.group.table != b.group.table or a.ambient_dim != b.ambient_dim:
+        return False
+    return all(np.array_equal(fa.basis, fb.basis) for fa, fb in zip(a.fibers, b.fibers))
+
+
+def unit_fiber_unit(bundle: GradedBundle, tol: float) -> np.ndarray:
+    """The unit of fiber(e); NonUnitalUnitFiber if it has none."""
+    try:
+        return unit_element(bundle.fiber(0), tol)
+    except NotUnital as exc:
+        raise NonUnitalUnitFiber(str(exc)) from exc
+
+
+def _worst(res: np.ndarray) -> float:
+    """Largest of a stack of residuals, 0.0 for an empty stack."""
+    return float(res.max(initial=0.0))
+
+
 def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     """Check the five grading axiom families and report residuals.
 
@@ -83,20 +107,17 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     g = bundle.group
     violations: list[dict] = []
 
-    prod_res = 0.0
+    # the (e, e) products and the e-adjoints below also give the unit-fiber residual
+    prod_res, unit_res = 0.0, 0.0
     for s in g.elements():
         fs = bundle.fiber(s)
         for t in g.elements():
-            ft, fst = bundle.fiber(t), bundle.fiber(g.mul(s, t))
-            for a in fs.basis_list():
-                for b in ft.basis_list():
-                    p = a @ b
-                    r = fst.residual(p) / max(1.0, hs_norm(p))
-                    prod_res = max(prod_res, r)
-                    if r > tol:
-                        violations.append(
-                            {"axiom": "product_closure", "s": s, "t": t, "residual": r}
-                        )
+            _, res = product_coords(fs.basis, bundle.fiber(t).basis, bundle.fiber(g.mul(s, t)))
+            prod_res = max(prod_res, _worst(res))
+            if s == t == 0:
+                unit_res = _worst(res)
+            for r in res[res > tol]:  # row-major: (a, b) order
+                violations.append({"axiom": "product_closure", "s": s, "t": t, "residual": float(r)})
 
     adj_res = 0.0
     for s in g.elements():
@@ -106,11 +127,12 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
                 {"axiom": "adjoint_symmetry", "s": s, "t": None,
                  "residual": float(abs(fs.dim - fsi.dim))}
             )
-        for a in fs.basis_list():
-            r = fsi.residual(dagger(a))  # basis elements have norm 1
-            adj_res = max(adj_res, r)
-            if r > tol:
-                violations.append({"axiom": "adjoint_symmetry", "s": s, "t": None, "residual": r})
+        _, res = fsi.decompose(dagger(fs.basis))
+        adj_res = max(adj_res, _worst(res))
+        if s == 0:
+            unit_res = max(unit_res, _worst(res))
+        for r in res[res > tol]:
+            violations.append({"axiom": "adjoint_symmetry", "s": s, "t": None, "residual": float(r)})
 
     total = bundle.section_dimension()
     if total:
@@ -122,14 +144,6 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     if min_sv <= tol:
         violations.append({"axiom": "independent_grading", "s": None, "t": None, "residual": min_sv})
 
-    # checked directly even though the (e, e) and adjoint sweeps above cover it
-    fe = bundle.fiber(0)
-    unit_res = 0.0
-    for a in fe.basis_list():
-        unit_res = max(unit_res, fe.residual(dagger(a)))
-        for b in fe.basis_list():
-            p = a @ b
-            unit_res = max(unit_res, fe.residual(p) / max(1.0, hs_norm(p)))
     if unit_res > tol:
         violations.append({"axiom": "unit_fiber_algebra", "s": 0, "t": 0, "residual": unit_res})
 
@@ -171,7 +185,7 @@ def trivial_bundle(g: FiniteGroup, coeff: MatrixSubspace, tol: float = DEFAULT_T
     """
     multiplication_tensor(coeff, tol)
     unit_element(coeff, tol)
-    if not all(coeff.contains(dagger(m), tol) for m in coeff.basis_list()):
+    if not is_star_closed(coeff, tol):
         raise NotAnAlgebra("coefficient algebra is not adjoint-closed")
     lam = left_regular(g)
     scale = 1.0 / np.sqrt(g.order)
@@ -241,10 +255,7 @@ def canonical_multiplier_family(p: GradedBundle, q: Quotient) -> UnitaryMultipli
     g = q.group
     if p.ambient_dim % g.order:
         raise ShapeMismatch("ambient dimension is not a multiple of |G|")
-    try:
-        u_e = unit_element(p.fiber(0))
-    except NotUnital as exc:
-        raise NonUnitalUnitFiber(str(exc)) from exc
+    u_e = unit_fiber_unit(p, DEFAULT_TOL)
     lam = left_regular(g)
     eye = np.eye(p.ambient_dim // g.order)
     mats = {n: u_e @ np.kron(eye, lam[n]) for n in q.subgroup.members}
@@ -291,13 +302,10 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     order_res = 0.0
     for n in dom:
         for t in g.elements():
-            f_nt, f_tn = bundle.fiber(g.mul(n, t)), bundle.fiber(g.mul(t, n))
-            for a in bundle.fiber(t).basis_list():
-                left = u.mat(n) @ a
-                right = a @ u.mat(n)
-                order_res = max(order_res,
-                                f_nt.residual(left) / max(1.0, hs_norm(left)),
-                                f_tn.residual(right) / max(1.0, hs_norm(right)))
+            ft = bundle.fiber(t).basis
+            order_res = max(order_res,
+                            _worst(bundle.fiber(g.mul(n, t)).decompose(u.mat(n) @ ft)[1]),
+                            _worst(bundle.fiber(g.mul(t, n)).decompose(ft @ u.mat(n))[1]))
     if order_res > tol:
         violations.append({"axiom": "order_compatibility", "residual": order_res})
 
@@ -337,8 +345,9 @@ class TwistedAction:
     alpha: np.ndarray
     tau: dict
 
-    def apply(self, s: int, mat: np.ndarray) -> np.ndarray:
-        return self.algebra.from_coords(self.alpha[s] @ self.algebra.coords(mat))
+    def apply(self, s: int, mats: np.ndarray) -> np.ndarray:
+        """alpha_s of a matrix, or of each matrix in a stack (..., n, n)."""
+        return self.algebra.from_coords(self.algebra.decompose(mats)[0] @ self.alpha[s].T)
 
 
 def plain_action(algebra: MatrixSubspace, g: FiniteGroup, alpha: np.ndarray) -> TwistedAction:
@@ -352,8 +361,8 @@ def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np
     k = algebra.dim
     alpha = np.zeros((g.order, k, k), dtype=complex)
     for s in g.elements():
-        for b in range(k):
-            alpha[s, :, b] = algebra.coords(maps[s](algebra.basis[b]))
+        images = np.reshape([maps[s](b) for b in algebra.basis], algebra.basis.shape)
+        alpha[s] = algebra.decompose(images)[0].T
     return alpha
 
 
@@ -385,9 +394,7 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     twist_res = 0.0
     for x in n.members:
         tx = t.tau[x]
-        if not alg.contains(tx, tol):
-            twist_res = max(twist_res, alg.residual(tx))
-        twist_res = max(twist_res,
+        twist_res = max(twist_res, float(alg.decompose(tx)[1]),
                         hs_norm(dagger(tx) @ tx - unit),
                         hs_norm(tx @ dagger(tx) - unit))
         for y in n.members:
@@ -510,7 +517,7 @@ def semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBun
     alg, g = t.algebra, t.group
     k = alg.dim
     mult = multiplication_tensor(alg, tol)
-    star = np.stack([alg.coords(dagger(m)) for m in alg.basis_list()]) if k else np.zeros((0, 0))
+    star = alg.decompose(dagger(alg.basis))[0]
     prod = {}
     invol = []
     for s in g.elements():
@@ -537,25 +544,17 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
     invol = []
     for a_cos in qg.elements():
         ca = q.section[a_cos]
+        moved = t.apply(ca, alg.basis)
         for b_cos in qg.elements():
             cb = q.section[b_cos]
             ab = qg.mul(a_cos, b_cos)
             pos = g.mul(ca, cb)
             n = g.mul(pos, g.inv(q.section[ab]))  # [x, pos] = [x tau(n), section]
-            tensor = np.zeros((k, k, k), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    x = alg.basis[i] @ t.apply(ca, alg.basis[j]) @ t.tau[n]
-                    tensor[i, j, :] = alg.coords(x)
-            prod[(a_cos, b_cos)] = tensor
+            prod[(a_cos, b_cos)] = product_coords(alg.basis, moved @ t.tau[n], alg)[0]
         abar = qg.inv(a_cos)
         pos = g.inv(ca)
         n = g.mul(pos, g.inv(q.section[abar]))
-        mat = np.zeros((k, k), dtype=complex)
-        for i in range(k):
-            x = dagger(t.apply(g.inv(ca), alg.basis[i])) @ t.tau[n]
-            mat[i, :] = alg.coords(x)
-        invol.append(mat)
+        invol.append(alg.decompose(dagger(t.apply(g.inv(ca), alg.basis)) @ t.tau[n])[0])
     funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
     return AbstractBundle(qg, (k,) * qg.order, prod, tuple(invol), funct)
 
@@ -631,31 +630,22 @@ def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
 def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> AbstractBundle:
     """Read structure constants off a concrete grading; functional = trace."""
     g = bundle.group
-    dims = bundle.fiber_dims()
     prod = {}
     invol = []
     for s in g.elements():
         fs = bundle.fiber(s)
         for t in g.elements():
-            ft, fst = bundle.fiber(t), bundle.fiber(g.mul(s, t))
-            tensor = np.zeros((dims[s], dims[t], fst.dim), dtype=complex)
-            for a in range(dims[s]):
-                for b in range(dims[t]):
-                    p = fs.basis[a] @ ft.basis[b]
-                    if not fst.contains(p, max(tol, 1e-8)):
-                        raise AxiomViolation(f"product escapes fiber ({s},{t})")
-                    tensor[a, b, :] = fst.coords(p)
-            prod[(s, t)] = tensor
-        fsi = bundle.fiber(g.inv(s))
-        mat = np.zeros((dims[s], fsi.dim), dtype=complex)
-        for a in range(dims[s]):
-            adj = dagger(fs.basis[a])
-            if not fsi.contains(adj, max(tol, 1e-8)):
-                raise AxiomViolation(f"adjoint escapes fiber {s}")
-            mat[a, :] = fsi.coords(adj)
-        invol.append(mat)
+            coords, res = product_coords(fs.basis, bundle.fiber(t).basis,
+                                         bundle.fiber(g.mul(s, t)))
+            if np.any(res > max(tol, 1e-8)):
+                raise AxiomViolation(f"product escapes fiber ({s},{t})")
+            prod[(s, t)] = coords
+        coords, res = bundle.fiber(g.inv(s)).decompose(dagger(fs.basis))
+        if np.any(res > max(tol, 1e-8)):
+            raise AxiomViolation(f"adjoint escapes fiber {s}")
+        invol.append(coords)
     funct = np.array([np.trace(m) for m in bundle.fiber(0).basis_list()], dtype=complex)
-    return AbstractBundle(g, dims, prod, tuple(invol), funct)
+    return AbstractBundle(g, bundle.fiber_dims(), prod, tuple(invol), funct)
 
 
 def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
@@ -685,31 +675,20 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
         fk = a.fiber(ck)
         for l in qg.elements():
             cl = q.section[l]
-            fl = a.fiber(cl)
             kl = qg.mul(k, l)
-            fkl = a.fiber(q.section[kl])
             m = g.mul(g.inv(q.section[kl]), g.mul(ck, cl))
-            corr = dagger(u.mat(m))
-            tensor = np.zeros((dims[k], dims[l], dims[kl]), dtype=complex)
-            for i in range(dims[k]):
-                for j in range(dims[l]):
-                    x = fk.basis[i] @ fl.basis[j] @ corr
-                    if not fkl.contains(x, max(tol, 1e-8)):
-                        raise InvalidMultiplierFamily(
-                            f"realigned product escapes the section fiber ({k},{l})")
-                    tensor[i, j, :] = fkl.coords(x)
-            prod[(k, l)] = tensor
+            coords, res = product_coords(fk.basis, a.fiber(cl).basis @ dagger(u.mat(m)),
+                                         a.fiber(q.section[kl]))
+            if np.any(res > max(tol, 1e-8)):
+                raise InvalidMultiplierFamily(
+                    f"realigned product escapes the section fiber ({k},{l})")
+            prod[(k, l)] = coords
         kbar = qg.inv(k)
-        fkbar = a.fiber(q.section[kbar])
         m = g.mul(g.inv(ck), g.inv(q.section[kbar]))
-        corr = dagger(u.mat(m))
-        mat = np.zeros((dims[k], dims[kbar]), dtype=complex)
-        for i in range(dims[k]):
-            x = dagger(fk.basis[i]) @ corr
-            if not fkbar.contains(x, max(tol, 1e-8)):
-                raise InvalidMultiplierFamily(f"realigned adjoint escapes fiber {k}")
-            mat[i, :] = fkbar.coords(x)
-        invol.append(mat)
+        coords, res = a.fiber(q.section[kbar]).decompose(dagger(fk.basis) @ dagger(u.mat(m)))
+        if np.any(res > max(tol, 1e-8)):
+            raise InvalidMultiplierFamily(f"realigned adjoint escapes fiber {k}")
+        invol.append(coords)
     funct = np.array([np.trace(m) for m in a.fiber(q.section[0]).basis_list()], dtype=complex)
     return AbstractBundle(qg, dims, prod, tuple(invol), funct)
 
@@ -740,9 +719,9 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
         if fa.dim == 0:
             continue
         imgs = [phi(s, m) for m in fa.basis_list()]
-        for m in imgs:
-            bij_res = max(bij_res, fb.residual(m) / max(1.0, hs_norm(m)))
-        coord_map = np.stack([fb.coords(m) for m in imgs]).T
+        coords, res = zip(*(fb.decompose(m) for m in imgs))
+        bij_res = max(bij_res, *map(float, res))
+        coord_map = np.stack(coords).T
         sv = np.linalg.svd(coord_map, compute_uv=False)
         if sv[-1] <= tol * max(1.0, sv[0]):
             violations.append({"axiom": "bijective", "s": s, "residual": float(sv[-1])})

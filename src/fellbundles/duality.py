@@ -33,6 +33,7 @@ from .bundles import (
     semidirect_bundle,
     twisted_normal_form,
     twisted_semidirect_bundle,
+    unit_fiber_unit,
     verify_multiplier_family,
 )
 from .errors import (
@@ -43,8 +44,6 @@ from .errors import (
     InvalidMultiplierFamily,
     MultiplierNotOrderCompatible,
     NotASubgroup,
-    NotUnital,
-    NonUnitalUnitFiber,
     ShapeMismatch,
     TrivialN,
 )
@@ -63,6 +62,7 @@ from .matrices import (
     hs_norm,
     minimal_central_projections,
     orthonormalize,
+    subspace_leq,
     unit_element,
 )
 from .sections import SectionAlgebra, section_algebra
@@ -92,10 +92,7 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
     if tuple(sorted(u.domain)) != tuple(g.elements()):
         raise GroupMismatch("the family must be defined on all of G")
     b_fib = d.fiber(0)
-    try:
-        unit = unit_element(b_fib)
-    except NotUnital as exc:
-        raise NonUnitalUnitFiber(str(exc)) from exc
+    unit = unit_fiber_unit(d, DEFAULT_TOL)
 
     hom_res = hs_norm(u.mat(0) - unit)
     for s in g.elements():
@@ -106,8 +103,7 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
         raise InvalidMultiplierFamily(
             f"family is not a unitary homomorphism (residual {hom_res:.3g})")
     for s in g.elements():
-        fib = d.fiber(q.coset_of[s])
-        if fib.residual(u.mat(s)) > tol * max(1.0, hs_norm(u.mat(s))):
+        if not d.fiber(q.coset_of[s]).contains(u.mat(s), tol):
             raise MultiplierNotOrderCompatible(
                 f"u({s}) does not lie in the fiber over its coset")
 
@@ -116,19 +112,16 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
         span = orthonormalize([b @ u.mat(s) for b in b_fib.basis_list()],
                               ambient_dim=d.ambient_dim, tol=tol)
         fib = d.fiber(q.coset_of[s])
-        if span.dim != fib.dim or any(
-                fib.residual(m) > tol for m in span.basis_list()):
+        if span.dim != fib.dim or not subspace_leq(span, fib, tol):
             raise FiberNotPrincipal(f"fiber over coset of {s} is not B*u({s})")
 
     k = b_fib.dim
     alpha = np.zeros((g.order, k, k), dtype=complex)
     for s in g.elements():
-        for j in range(k):
-            conj = u.mat(s) @ b_fib.basis[j] @ dagger(u.mat(s))
-            if b_fib.residual(conj) > tol * max(1.0, hs_norm(conj)):
-                raise MultiplierNotOrderCompatible(
-                    f"Ad u({s}) does not preserve the unit fiber")
-            alpha[s, :, j] = b_fib.coords(conj)
+        coords, res = b_fib.decompose(u.mat(s) @ b_fib.basis @ dagger(u.mat(s)))
+        if np.any(res > tol):
+            raise MultiplierNotOrderCompatible(f"Ad u({s}) does not preserve the unit fiber")
+        alpha[s] = coords.T
     tau = {n: u.mat(n) for n in q.subgroup.members}
     action = TwistedAction(b_fib, g, q.subgroup, alpha, tau)
     require_twisted_action(action, tol)

@@ -25,14 +25,8 @@ from operator import matmul
 
 import numpy as np
 
-from .bundles import GradedBundle, pullback
-from .errors import (
-    AxiomViolation,
-    FiberMismatch,
-    GroupMismatch,
-    NonUnitalUnitFiber,
-    NotUnital,
-)
+from .bundles import GradedBundle, pullback, same_bundle, unit_fiber_unit
+from .errors import AxiomViolation, FiberMismatch, GroupMismatch
 from .groups import Quotient, left_regular
 from .matrices import (
     DEFAULT_TOL,
@@ -41,7 +35,6 @@ from .matrices import (
     is_psd,
     op_norm,
     orthonormalize,
-    unit_element,
     wedderburn_block_count,
 )
 from .sections import crossed_product
@@ -84,6 +77,8 @@ class Element:
 def _same_setup(a, b) -> None:
     if a.q.group.table != b.q.group.table or a.q.subgroup.members != b.q.subgroup.members:
         raise GroupMismatch("elements built over different quotient data")
+    if not same_bundle(a.d, b.d):
+        raise GroupMismatch("elements built over different base bundles")
 
 
 def _check_base(q: Quotient, d: GradedBundle) -> None:
@@ -122,11 +117,14 @@ algebra_element_c = partial(_element, "c")
 # the kernels behind every formula
 
 
-def _pair(kind: str, a: Element, b: Element, product, rule) -> Element:
+def _pair(kinds: str, a: Element, b: Element, product, rule) -> Element:
     """Sum product(ma, mb) into slot rule(*ka, *kb) over all coefficient pairs.
 
+    kinds names the kinds of a, b and the result, e.g. "bxx" for b acting on x.
     rule returns None for pairs whose positions do not match.
     """
+    if a.kind != kinds[0] or b.kind != kinds[1]:
+        raise FiberMismatch(f"expected {kinds[:2]} elements, got {a.kind}{b.kind}")
     _same_setup(a, b)
     out: dict = {}
     for ka, ma in a.coeffs.items():
@@ -134,14 +132,16 @@ def _pair(kind: str, a: Element, b: Element, product, rule) -> Element:
             key = rule(*ka, *kb)
             if key is not None:
                 out[key] = out.get(key, 0.0) + product(ma, mb)
-    return Element(a.q, a.d, kind, _clean(out))
+    return Element(a.q, a.d, kinds[2], _clean(out))
 
 
-def _relabel(e: Element, rule, adjoint: bool = False) -> Element:
-    """Move each coefficient to slot rule(*key), taking its adjoint if asked.
+def _relabel(kind: str, e: Element, rule, adjoint: bool = False) -> Element:
+    """Move each coefficient of a `kind` element to slot rule(*key), taking its adjoint if asked.
 
     Every rule used here is a bijection of the slots, so nothing collides.
     """
+    if e.kind != kind:
+        raise FiberMismatch(f"expected a {kind} element, got a {e.kind} element")
     return Element(e.q, e.d, e.kind, {rule(*key): dagger(m) if adjoint else m
                                       for key, m in e.coeffs.items()})
 
@@ -151,24 +151,24 @@ def _relabel(e: Element, rule, adjoint: bool = False) -> Element:
 
 def b_mul(a: Element, b: Element) -> Element:
     g = a.q.group
-    return _pair("b", a, b, matmul,
+    return _pair("bbb", a, b, matmul,
                  lambda s, t, u, v: (g.mul(s, u), v) if t == g.mul(u, v) else None)
 
 
 def b_star(a: Element) -> Element:
     g = a.q.group
-    return _relabel(a, lambda s, t: (g.inv(s), g.mul(s, t)), adjoint=True)
+    return _relabel("b", a, lambda s, t: (g.inv(s), g.mul(s, t)), adjoint=True)
 
 
 def c_mul(a: Element, b: Element) -> Element:
     qg = a.q.quotient_group
-    return _pair("c", a, b, matmul,
+    return _pair("ccc", a, b, matmul,
                  lambda k, l, u, v: (qg.mul(k, u), v) if l == qg.mul(u, v) else None)
 
 
 def c_star(a: Element) -> Element:
     qg = a.q.quotient_group
-    return _relabel(a, lambda k, l: (qg.inv(k), qg.mul(k, l)), adjoint=True)
+    return _relabel("c", a, lambda k, l: (qg.inv(k), qg.mul(k, l)), adjoint=True)
 
 
 # the four generator formulas
@@ -181,7 +181,7 @@ def right_action(x: Element, c: Element) -> Element:
     def rule(k, t, u, v):
         return (qg.mul(k, u), t) if qg.mul(qg.inv(k), q.coset_of[t]) == qg.mul(u, v) else None
 
-    return _pair("x", x, c, matmul, rule)
+    return _pair("xcx", x, c, matmul, rule)
 
 
 def left_action(b: Element, x: Element) -> Element:
@@ -191,7 +191,7 @@ def left_action(b: Element, x: Element) -> Element:
     def rule(s, t, k, r):
         return (qg.mul(q.coset_of[s], k), g.mul(s, r)) if t == r else None
 
-    return _pair("x", b, x, matmul, rule)
+    return _pair("bxx", b, x, matmul, rule)
 
 
 def rinner(x: Element, y: Element) -> Element:
@@ -206,7 +206,7 @@ def rinner(x: Element, y: Element) -> Element:
             return None
         return qg.mul(qg.inv(xk), yk), qg.mul(qg.inv(yk), q.coset_of[yt])
 
-    return _pair("c", x, y, lambda dx, dy: dagger(dx) @ dy, rule)
+    return _pair("xxc", x, y, lambda dx, dy: dagger(dx) @ dy, rule)
 
 
 def linner(x: Element, y: Element) -> Element:
@@ -220,7 +220,7 @@ def linner(x: Element, y: Element) -> Element:
         w = g.mul(xt, g.inv(yt))
         return (w, yt) if qg.mul(xk, qg.inv(yk)) == q.coset_of[w] else None
 
-    return _pair("b", x, y, lambda dx, dy: dx @ dagger(dy), rule)
+    return _pair("xxb", x, y, lambda dx, dy: dx @ dagger(dy), rule)
 
 
 # translations
@@ -229,20 +229,20 @@ def linner(x: Element, y: Element) -> Element:
 def gamma(r: int, x: Element) -> Element:
     """gamma_r(d, t) = (d, t r^-1)."""
     g = x.q.group
-    return _relabel(x, lambda k, t: (k, g.mul(t, g.inv(r))))
+    return _relabel("x", x, lambda k, t: (k, g.mul(t, g.inv(r))))
 
 
 def dual_b(r: int, b: Element) -> Element:
     """(d, s, t) -> (d, s, t r^-1): the dual translation on B0."""
     g = b.q.group
-    return _relabel(b, lambda s, t: (s, g.mul(t, g.inv(r))))
+    return _relabel("b", b, lambda s, t: (s, g.mul(t, g.inv(r))))
 
 
 def inflated_dual_c(r: int, c: Element) -> Element:
     """(d, kN, lN) -> (d, kN, l r^-1 N): the inflated dual translation."""
     q, qg = c.q, c.q.quotient_group
     rbar = q.coset_of[r]
-    return _relabel(c, lambda k, l: (k, qg.mul(l, qg.inv(rbar))))
+    return _relabel("c", c, lambda k, l: (k, qg.mul(l, qg.inv(rbar))))
 
 
 # units, generators, random draws, coordinates
@@ -252,10 +252,7 @@ def unit_elements(q: Quotient, d: GradedBundle,
                   tol: float = DEFAULT_TOL) -> tuple[Element, Element]:
     """Exact identities of B0 and C0: unit-fiber units summed over a transversal."""
     _check_base(q, d)
-    try:
-        u = unit_element(d.fiber(0), tol)
-    except NotUnital as exc:
-        raise NonUnitalUnitFiber(str(exc)) from exc
+    u = unit_fiber_unit(d, tol)
     unit_b = Element(q, d, "b", {(0, t): np.array(u) for t in q.group.elements()})
     unit_c = Element(q, d, "c", {(0, l): np.array(u) for l in q.quotient_group.elements()})
     return unit_b, unit_c

@@ -4,6 +4,13 @@ A MatrixSubspace is a linear subspace of M_n(C) carried by a Hilbert-Schmidt
 orthonormal basis, so membership, projection, and span arithmetic reduce to
 flat numpy linear algebra. The algebra helpers (multiplication tensor, unit,
 center) power the Wedderburn block count used all over the test surface.
+
+One kernel reads structure constants and closure residuals off the matrix
+models: `MatrixSubspace.decompose` takes a stack (..., n, n) to its
+coordinates (..., dim) and the relative residuals |m - Pm| / max(1, |m|),
+and `product_coords(left, right, target)` decomposes every product
+left[i] @ right[j] in target. That relative residual is the one closure rule:
+a matrix lies in a subspace within tol when its residual is at most tol.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ DEFAULT_TOL = 1e-9
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Adjoint of a matrix, or of each matrix in a stack (..., n, n)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -49,6 +57,12 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(w[0] >= -tol * max(op_norm(m), 1.0))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """hs_norm of each row, summed as hs_norm sums: real and imaginary dot products."""
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class MatrixSubspace:
     """A subspace of M_n(C) with an HS-orthonormal basis, stacked (k, n, n)."""
@@ -76,10 +90,8 @@ class MatrixSubspace:
         return self.flat.conj() @ np.asarray(m, dtype=complex).ravel()
 
     def from_coords(self, c) -> np.ndarray:
-        n = self.ambient_dim
-        if self.dim == 0:
-            return np.zeros((n, n), dtype=complex)
-        return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(0, 0))
+        """The matrix with coordinates c, or a stack for coordinates (..., dim)."""
+        return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(-1, 0))
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(m))
@@ -87,8 +99,21 @@ class MatrixSubspace:
     def residual(self, m: np.ndarray) -> float:
         return hs_norm(np.asarray(m, dtype=complex) - self.project(m))
 
+    def decompose(self, mats) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (..., dim) and relative residuals (...) of a stack (..., n, n).
+
+        For a single matrix the sums run as in coords, project and hs_norm,
+        so a one-matrix stack gives residual(m) / max(1, |m|) to the bit.
+        """
+        mats = np.asarray(mats, dtype=complex)
+        lead = mats.shape[:-2]
+        flat = mats.reshape(-1, self.ambient_dim * self.ambient_dim)
+        coords = flat @ self.flat.conj().T
+        res = _row_norms(flat - np.dot(coords, self.flat)) / np.maximum(1.0, _row_norms(flat))
+        return coords.reshape(*lead, self.dim), res.reshape(lead)
+
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(m) <= tol * max(1.0, hs_norm(m))
+        return bool(self.decompose(m)[1] <= tol)
 
     def basis_list(self) -> list[np.ndarray]:
         return [self.basis[i] for i in range(self.dim)]
@@ -132,10 +157,6 @@ def product_span(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL)
     return orthonormalize(list(prods), ambient_dim=s.ambient_dim, tol=tol)
 
 
-def adjoint_span(s: MatrixSubspace) -> MatrixSubspace:
-    return MatrixSubspace(s.ambient_dim, np.conj(np.swapaxes(s.basis, 1, 2)))
-
-
 def span_union(subspaces, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     mats: list[np.ndarray] = []
     for s in subspaces:
@@ -144,8 +165,14 @@ def span_union(subspaces, ambient_dim: int | None = None, tol: float = DEFAULT_T
     return orthonormalize(mats, ambient_dim=ambient_dim, tol=tol)
 
 
+def product_coords(left, right, target: MatrixSubspace) -> tuple[np.ndarray, np.ndarray]:
+    """target.decompose of every product left[i] @ right[j]: shapes (i, j, dim) and (i, j)."""
+    left, right = np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)
+    return target.decompose(left[:, None] @ right[None, :])
+
+
 def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
-    return all(t.contains(m, tol) for m in s.basis_list())
+    return bool(np.all(t.decompose(s.basis)[1] <= tol))
 
 
 def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
@@ -155,26 +182,16 @@ def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TO
 # algebra structure on a subspace
 
 def multiplication_tensor(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Structure constants m[i, j, :] = coords(b_i @ b_j); NotAnAlgebra if open.
-
-    Closure is judged against tol * max(1, |product|) per pair.
-    """
-    k, n = a.dim, a.ambient_dim
-    if k == 0:
-        return np.zeros((0, 0, 0), dtype=complex)
-    prods = np.einsum("aij,bjk->abik", a.basis, a.basis).reshape(k * k, n * n)
-    coords = prods @ a.flat.conj().T
-    recon = coords @ a.flat
-    res = np.linalg.norm(prods - recon, axis=1)
-    bound = tol * np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    if np.any(res > bound):
-        i = int(np.argmax(res - bound))
-        raise NotAnAlgebra(f"basis product {divmod(i, k)} escapes the span")
-    return coords.reshape(k, k, k)
+    """Structure constants m[i, j, :] = coords(b_i @ b_j); NotAnAlgebra if open."""
+    coords, res = product_coords(a.basis, a.basis, a)
+    if np.any(res > tol):
+        i, j = np.unravel_index(np.argmax(res), res.shape)
+        raise NotAnAlgebra(f"basis product {(int(i), int(j))} escapes the span")
+    return coords
 
 
 def is_star_closed(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
-    return all(a.contains(dagger(m), tol) for m in a.basis_list())
+    return bool(np.all(a.decompose(dagger(a.basis))[1] <= tol))
 
 
 def unit_coords(a: MatrixSubspace, mult: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:

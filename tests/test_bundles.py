@@ -260,3 +260,26 @@ class TestIsomorphismChecker:
             pauli_bundle, shrunken, lambda s, m: m)
         assert not report["pass"]
         assert any(v["axiom"] == "bijective" for v in report["violations"])
+
+
+class TestStructureConstantKernel:
+    @pytest.mark.parametrize("name", ["trivial_s3", "pauli_pullback"])
+    def test_unit_fiber_constants_by_two_routes(self, name, request):
+        b = request.getfixturevalue(name)
+        via_bundle = bundles.abstract_from_graded(b).prod[(0, 0)]
+        via_algebra = matrices.multiplication_tensor(b.fiber(0))
+        assert via_bundle.shape == via_algebra.shape
+        assert np.allclose(via_bundle, via_algebra, rtol=0, atol=1e-12)
+
+    def test_product_closure_violation_layout(self, z2):
+        # fiber(1) = span{X, Z}: its cross products are multiples of Y, off span{I}
+        b = bundles.GradedBundle(z2, (matrices.orthonormalize([I2]),
+                                      matrices.orthonormalize([PAULI_X, PAULI_Z])))
+        report = bundles.verify_fell_axioms(b)
+        violations = report["violations"]
+        assert [(v["axiom"], v["s"], v["t"]) for v in violations] == [
+            ("product_closure", 1, 1), ("product_closure", 1, 1)]
+        for v in violations:
+            assert abs(v["residual"] - 1 / SQ2) <= 1e-12
+        failed = [name for name, c in report["checks"].items() if not c["pass"]]
+        assert failed == ["product_closure"]

@@ -278,3 +278,44 @@ class TestMorita:
     def test_dimension_cross_check(self, pauli_setup, s3_setup):
         for q, d in (pauli_setup, s3_setup):
             assert imp.pullback_crossed_dimension(q, d) == imp.dimensions(q, d)["dimB"]
+
+
+class TestArgumentChecks:
+    def test_formulas_reject_arguments_of_the_wrong_kind(self, pauli_setup):
+        q, d = pauli_setup
+        x = imp.x_generators(q, d)[1]
+        b = imp.b_generators(q, d)[0]
+        c = imp.c_generators(q, d)[0]
+        with pytest.raises(FiberMismatch):
+            imp.left_action(x, b)
+        with pytest.raises(FiberMismatch):
+            imp.right_action(c, x)
+        with pytest.raises(FiberMismatch):
+            imp.b_mul(b, x)
+        with pytest.raises(FiberMismatch):
+            imp.c_mul(c, b)
+        with pytest.raises(FiberMismatch):
+            imp.rinner(x, b)
+        with pytest.raises(FiberMismatch):
+            imp.linner(c, x)
+        with pytest.raises(FiberMismatch):
+            imp.gamma(1, b)
+        with pytest.raises(FiberMismatch):
+            imp.b_star(x)
+        with pytest.raises(FiberMismatch):
+            imp.c_star(b)
+        with pytest.raises(FiberMismatch):
+            imp.dual_b(1, c)
+        with pytest.raises(FiberMismatch):
+            imp.inflated_dual_c(1, x)
+
+    def test_elements_over_different_base_bundles_rejected(self, pauli_setup):
+        # the 4x4 amplification of the Pauli bundle, over the same quotient
+        q, d = pauli_setup
+        big = bundles.GradedBundle(d.group, tuple(
+            matrices.MatrixSubspace(4, np.stack([np.kron(m, I2) / SQ2 for m in f.basis]))
+            for f in d.fibers))
+        b = imp.algebra_element_b(q, d, {(0, 1): I_HAT})
+        x = imp.module_element(q, big, {(1, 1): np.kron(PAULI_X, I2) / 2})
+        with pytest.raises(GroupMismatch):
+            imp.left_action(b, x)

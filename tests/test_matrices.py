@@ -8,6 +8,7 @@ library's einsum/SVD path.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import example
 from hypothesis import strategies as st
 
 from fellbundles import groups, matrices
@@ -189,3 +190,24 @@ def test_orthonormalize_spans_inputs(mats):
     if s.dim:
         gram = s.flat @ s.flat.conj().T
         assert np.allclose(gram, np.eye(s.dim), atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(0, 9), scale=st.floats(0.01, 10.0),
+       seed=st.integers(0, 2**16))
+@example(n=2, k=0, scale=3.0, seed=0)
+def test_decompose_matches_per_matrix_coords_and_residual(n, k, scale, seed):
+    # a (2, 3, n, n) stack, one entry of it taken from inside the subspace
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(min(k, n * n), n, n)) + 1j * rng.normal(size=(min(k, n * n), n, n))
+    sub = matrices.orthonormalize(list(raw), ambient_dim=n)
+    mats = scale * (rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n)))
+    mats[1, 2] = sub.project(mats[1, 2])
+    coords, res = sub.decompose(mats)
+    assert coords.shape == (2, 3, sub.dim) and res.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            m = mats[i, j]
+            assert np.allclose(coords[i, j], sub.coords(m), rtol=0, atol=1e-12)
+            expected = sub.residual(m) / max(1.0, matrices.hs_norm(m))
+            assert abs(res[i, j] - expected) <= 1e-12
