@@ -123,6 +123,14 @@ class TestMultiplierFamilies:
         with pytest.raises(InvalidMultiplierFamily):
             bundles.quotient_bundle(pauli_pullback, bad, q_z4)
 
+    def test_invalid_family_message_is_the_first_violation(self, pauli_pullback, q_z4):
+        fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+        bad = bundles.UnitaryMultiplierFamily(
+            pauli_pullback, fam.domain, {0: fam.mat(0), 2: 2.0 * fam.mat(2)})
+        with pytest.raises(InvalidMultiplierFamily) as info:
+            bundles.quotient_bundle(pauli_pullback, bad, q_z4)
+        assert str(info.value) == "{'axiom': 'homomorphism', 'residual': 8.48528137423857}"
+
     def test_order_compatibility_detected(self, pauli_pullback, q_z4):
         eye = np.eye(8, dtype=complex)
         bad = bundles.UnitaryMultiplierFamily(pauli_pullback, q_z4.subgroup.members,
@@ -260,6 +268,22 @@ class TestIsomorphismChecker:
             pauli_bundle, shrunken, lambda s, m: m)
         assert not report["pass"]
         assert any(v["axiom"] == "bijective" for v in report["violations"])
+
+    def test_violation_order(self, pauli_bundle, z2):
+        # every check fails: per-s bijectivity first, then the global residuals
+        shrunken = bundles.GradedBundle(
+            z2, (pauli_bundle.fiber(0),
+                 matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))))
+
+        def phi(s, mat):
+            return 1j * (mat @ mat) + PAULI_Z * abs(np.trace(mat))
+
+        report = bundles.bundle_isomorphism_report(pauli_bundle, shrunken, phi)
+        assert [(v["axiom"], v["s"]) for v in report["violations"]] == [
+            ("bijective", 1), ("into_fibers", None), ("multiplicative", None),
+            ("star", None), ("isometric", None), ("linear", None)]
+        assert list(report["checks"]) == [
+            "into_fibers", "bijective", "linear", "multiplicative", "star", "isometric"]
 
 
 class TestStructureConstantKernel:

@@ -238,6 +238,13 @@ class TestCrossedCommand:
         report = json.loads(out)
         assert report["pass"] is False and report["error"] == "AxiomViolation"
 
+    def test_broken_bundle_detail_is_the_first_violation(self, capsys, broken_spec):
+        # the detail is the repr of the first entry of verify_fell_axioms' violations
+        _, out, _ = run(capsys, "crossed", broken_spec)
+        assert json.loads(out)["detail"] == (
+            "grading axiom failed: "
+            "{'axiom': 'adjoint_symmetry', 's': 1, 't': None, 'residual': 1.0}")
+
 
 class TestImprimitivityCommand:
 
