@@ -81,7 +81,12 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
 
 
 def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness:
-    """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound exactly 1."""
+    """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound 1 up to rounding.
+
+    The unit 1_e comes from the least-squares solve in matrices.unit_coords,
+    so the bound is 1 up to rounding in that solve; the tests hold it within
+    1e-12 of 1.
+    """
     u = unit_fiber_unit(bundle, tol)
     scale = 1.0 / np.sqrt(bundle.group.order)
     return ep_witness(bundle, {s: scale * u for s in bundle.group.elements()}, tol)

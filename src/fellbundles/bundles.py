@@ -35,6 +35,7 @@ from .groups import FiniteGroup, NormalSubgroup, Quotient, left_regular, quotien
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
+    ResidualReport,
     dagger,
     hs_norm,
     is_star_closed,
@@ -42,6 +43,7 @@ from .matrices import (
     op_norm,
     orthonormalize,
     product_coords,
+    require,
     unit_element,
 )
 
@@ -105,34 +107,27 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     records the axiom, the group indices involved, and the residual.
     """
     g = bundle.group
-    violations: list[dict] = []
+    rep = ResidualReport(tol, "product_closure", "adjoint_symmetry", "independent_grading",
+                         "unit_fiber_algebra", "cstar_identity")
 
     # the (e, e) products and the e-adjoints below also give the unit-fiber residual
-    prod_res, unit_res = 0.0, 0.0
+    unit_res = 0.0
     for s in g.elements():
         fs = bundle.fiber(s)
         for t in g.elements():
             _, res = product_coords(fs.basis, bundle.fiber(t).basis, bundle.fiber(g.mul(s, t)))
-            prod_res = max(prod_res, _worst(res))
+            rep.residuals("product_closure", res, s=s, t=t)
             if s == t == 0:
                 unit_res = _worst(res)
-            for r in res[res > tol]:  # row-major: (a, b) order
-                violations.append({"axiom": "product_closure", "s": s, "t": t, "residual": float(r)})
 
-    adj_res = 0.0
     for s in g.elements():
         fs, fsi = bundle.fiber(s), bundle.fiber(g.inv(s))
         if fs.dim != fsi.dim:
-            violations.append(
-                {"axiom": "adjoint_symmetry", "s": s, "t": None,
-                 "residual": float(abs(fs.dim - fsi.dim))}
-            )
+            rep.fail("adjoint_symmetry", float(abs(fs.dim - fsi.dim)), s=s, t=None)
         _, res = fsi.decompose(dagger(fs.basis))
-        adj_res = max(adj_res, _worst(res))
+        rep.residuals("adjoint_symmetry", res, s=s, t=None)
         if s == 0:
             unit_res = max(unit_res, _worst(res))
-        for r in res[res > tol]:
-            violations.append({"axiom": "adjoint_symmetry", "s": s, "t": None, "residual": float(r)})
 
     total = bundle.section_dimension()
     if total:
@@ -141,37 +136,23 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
         min_sv = float(sv[-1])
     else:
         min_sv = 1.0
+    rep.entry("independent_grading", min_singular_value=min_sv)
     if min_sv <= tol:
-        violations.append({"axiom": "independent_grading", "s": None, "t": None, "residual": min_sv})
+        rep.fail("independent_grading", min_sv, s=None, t=None)
 
-    if unit_res > tol:
-        violations.append({"axiom": "unit_fiber_algebra", "s": 0, "t": 0, "residual": unit_res})
+    rep.residuals("unit_fiber_algebra", unit_res, s=0, t=0)
 
-    cstar_res = 0.0
     for s in g.elements():
+        res = []
         for a in bundle.fiber(s).basis_list():
             na = op_norm(a)
-            r = abs(op_norm(dagger(a) @ a) - na * na) / max(1.0, na * na)
-            cstar_res = max(cstar_res, r)
-            if r > tol:
-                violations.append({"axiom": "cstar_identity", "s": s, "t": None, "residual": r})
-
-    checks = {
-        "product_closure": {"pass": prod_res <= tol, "max_residual": prod_res},
-        "adjoint_symmetry": {"pass": not any(v["axiom"] == "adjoint_symmetry" for v in violations),
-                             "max_residual": adj_res},
-        "independent_grading": {"pass": min_sv > tol, "min_singular_value": min_sv},
-        "unit_fiber_algebra": {"pass": unit_res <= tol, "max_residual": unit_res},
-        "cstar_identity": {"pass": cstar_res <= tol, "max_residual": cstar_res},
-    }
-    return {"pass": not violations, "checks": checks, "violations": violations}
+            res.append(abs(op_norm(dagger(a) @ a) - na * na) / max(1.0, na * na))
+        rep.residuals("cstar_identity", res, s=s, t=None)
+    return rep.build()
 
 
 def require_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> None:
-    report = verify_fell_axioms(bundle, tol)
-    if not report["pass"]:
-        first = report["violations"][0]
-        raise AxiomViolation(f"grading axiom failed: {first}")
+    require(verify_fell_axioms(bundle, tol), AxiomViolation, "grading axiom failed: ")
 
 
 # basic constructions
@@ -188,14 +169,12 @@ def trivial_bundle(g: FiniteGroup, coeff: MatrixSubspace, tol: float = DEFAULT_T
     if not is_star_closed(coeff, tol):
         raise NotAnAlgebra("coefficient algebra is not adjoint-closed")
     lam = left_regular(g)
+    n = coeff.ambient_dim * g.order
     scale = 1.0 / np.sqrt(g.order)
     fibers = []
     for s in g.elements():
         mats = [np.kron(d, lam[s]) * scale for d in coeff.basis_list()]
-        fibers.append(MatrixSubspace(coeff.ambient_dim * g.order,
-                                     np.stack(mats) if mats else
-                                     np.zeros((0, coeff.ambient_dim * g.order,
-                                               coeff.ambient_dim * g.order), dtype=complex)))
+        fibers.append(MatrixSubspace(n, np.array(mats, dtype=complex).reshape(-1, n, n)))
     return GradedBundle(g, tuple(fibers))
 
 
@@ -209,15 +188,13 @@ def pullback(d: GradedBundle, q: Quotient) -> GradedBundle:
         raise GroupMismatch("bundle is not graded by the quotient group of q")
     g = q.group
     lam = left_regular(g)
-    nd = d.ambient_dim
+    n = d.ambient_dim * g.order
     scale = 1.0 / np.sqrt(g.order)
     fibers = []
     for s in g.elements():
         base = d.fiber(q.coset_of[s])
         mats = [np.kron(m, lam[s]) * scale for m in base.basis_list()]
-        fibers.append(MatrixSubspace(nd * g.order,
-                                     np.stack(mats) if mats else
-                                     np.zeros((0, nd * g.order, nd * g.order), dtype=complex)))
+        fibers.append(MatrixSubspace(n, np.array(mats, dtype=complex).reshape(-1, n, n)))
     return GradedBundle(g, tuple(fibers))
 
 
@@ -272,7 +249,8 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     """
     bundle, g = u.bundle, u.bundle.group
     dom = set(u.domain)
-    violations: list[dict] = []
+    rep = ResidualReport(tol, "homomorphism", "unit_acts_trivially", "order_compatibility",
+                         "covariance")
 
     def close(x, y):
         return float(hs_norm(x - y))
@@ -288,16 +266,14 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
         for m in dom:
             hom_res = max(hom_res, close(u.mat(n) @ u.mat(m), u.mat(g.mul(n, m))))
         hom_res = max(hom_res, close(dagger(u.mat(n)), u.mat(g.inv(n))))
-    if hom_res > tol:
-        violations.append({"axiom": "homomorphism", "residual": hom_res})
+    rep.residuals("homomorphism", hom_res)
 
     unit_res = 0.0
     ue = u.mat(0)
     for s in g.elements():
         for a in bundle.fiber(s).basis_list():
             unit_res = max(unit_res, close(ue @ a, a), close(a @ ue, a))
-    if unit_res > tol:
-        violations.append({"axiom": "unit_acts_trivially", "residual": unit_res})
+    rep.residuals("unit_acts_trivially", unit_res)
 
     order_res = 0.0
     for n in dom:
@@ -306,8 +282,7 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
             order_res = max(order_res,
                             _worst(bundle.fiber(g.mul(n, t)).decompose(u.mat(n) @ ft)[1]),
                             _worst(bundle.fiber(g.mul(t, n)).decompose(ft @ u.mat(n))[1]))
-    if order_res > tol:
-        violations.append({"axiom": "order_compatibility", "residual": order_res})
+    rep.residuals("order_compatibility", order_res)
 
     cov_res = 0.0
     for s in g.elements():
@@ -315,16 +290,8 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
             un_conj = u.mat(g.conjugate(s, n))
             for a in bundle.fiber(s).basis_list():
                 cov_res = max(cov_res, close(a @ u.mat(n), un_conj @ a))
-    if cov_res > tol:
-        violations.append({"axiom": "covariance", "residual": cov_res})
-
-    checks = {
-        "homomorphism": {"pass": hom_res <= tol, "max_residual": hom_res},
-        "unit_acts_trivially": {"pass": unit_res <= tol, "max_residual": unit_res},
-        "order_compatibility": {"pass": order_res <= tol, "max_residual": order_res},
-        "covariance": {"pass": cov_res <= tol, "max_residual": cov_res},
-    }
-    return {"pass": not violations, "checks": checks, "violations": violations}
+    rep.residuals("covariance", cov_res)
+    return rep.build()
 
 
 # twisted actions
@@ -370,11 +337,7 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     """Residual report for the action and twist identities."""
     alg, g, n = t.algebra, t.group, t.subgroup
     unit = unit_element(alg, tol)
-    violations: list[dict] = []
-
-    def record(axiom, residual):
-        if residual > tol:
-            violations.append({"axiom": axiom, "residual": residual})
+    rep = ResidualReport(tol, "action", "twist")
 
     act_res = 0.0
     for s in g.elements():
@@ -389,7 +352,7 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
             act_res = max(act_res, float(np.linalg.norm(
                 t.alpha[s] @ t.alpha[u] - t.alpha[g.mul(s, u)])))
     act_res = max(act_res, float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
-    record("action", act_res)
+    rep.residuals("action", act_res)
 
     twist_res = 0.0
     for x in n.members:
@@ -403,13 +366,8 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
             twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
         for b in alg.basis_list():
             twist_res = max(twist_res, hs_norm(t.apply(x, b) - tx @ b @ dagger(tx)))
-    record("twist", twist_res)
-
-    checks = {
-        "action": {"pass": act_res <= tol, "max_residual": act_res},
-        "twist": {"pass": twist_res <= tol, "max_residual": twist_res},
-    }
-    return {"pass": not violations, "checks": checks, "violations": violations}
+    rep.residuals("twist", twist_res)
+    return rep.build()
 
 
 def require_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> None:
@@ -452,7 +410,7 @@ class AbstractBundle:
 def verify_abstract_bundle(b: AbstractBundle, tol: float = DEFAULT_TOL) -> dict:
     """Associativity, involution coherence, and Gram positivity report."""
     g = b.group
-    violations: list[dict] = []
+    rep = ResidualReport(tol, "associativity", "involution", "gram_positive_definite")
 
     assoc = 0.0
     for s in g.elements():
@@ -463,8 +421,7 @@ def verify_abstract_bundle(b: AbstractBundle, tol: float = DEFAULT_TOL) -> dict:
                 lhs = np.einsum("abm,mcd->abcd", b.prod[(s, t)], b.prod[(st, u)])
                 rhs = np.einsum("bcm,amd->abcd", b.prod[(t, u)], b.prod[(s, tu)])
                 assoc = max(assoc, float(np.linalg.norm(lhs - rhs)))
-    if assoc > tol:
-        violations.append({"axiom": "associativity", "residual": assoc})
+    rep.residuals("associativity", assoc)
 
     inv_res = 0.0
     for s in g.elements():
@@ -477,8 +434,7 @@ def verify_abstract_bundle(b: AbstractBundle, tol: float = DEFAULT_TOL) -> dict:
             rhs = np.einsum("bq,ap,qpc->abc", b.invol[t].conj(), b.invol[s].conj(),
                             b.prod[(ti, si)])
             inv_res = max(inv_res, float(np.linalg.norm(lhs - rhs)))
-    if inv_res > tol:
-        violations.append({"axiom": "involution", "residual": inv_res})
+    rep.residuals("involution", inv_res)
 
     gram_min = np.inf
     for s in g.elements():
@@ -486,17 +442,11 @@ def verify_abstract_bundle(b: AbstractBundle, tol: float = DEFAULT_TOL) -> dict:
         if gram.shape[0]:
             w = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
             gram_min = min(gram_min, float(w[0]))
-    gram_ok = bool(np.isinf(gram_min) or gram_min > 0)
-    if not gram_ok:
-        violations.append({"axiom": "gram_positive_definite", "residual": float(gram_min)})
-
-    checks = {
-        "associativity": {"pass": assoc <= tol, "max_residual": assoc},
-        "involution": {"pass": inv_res <= tol, "max_residual": inv_res},
-        "gram_positive_definite": {"pass": gram_ok,
-                                   "min_eigenvalue": None if np.isinf(gram_min) else float(gram_min)},
-    }
-    return {"pass": not violations, "checks": checks, "violations": violations}
+    rep.entry("gram_positive_definite",
+              min_eigenvalue=None if np.isinf(gram_min) else float(gram_min))
+    if not (np.isinf(gram_min) or gram_min > 0):
+        rep.fail("gram_positive_definite", float(gram_min))
+    return rep.build()
 
 
 def _gram_block(b: AbstractBundle, s: int) -> np.ndarray:
@@ -617,10 +567,7 @@ def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
         images.append(tuple(fiber_imgs))
     fibers = []
     for s in g.elements():
-        if images[s]:
-            fibers.append(orthonormalize(list(images[s]), ambient_dim=d, tol=tol))
-        else:
-            fibers.append(MatrixSubspace(d, np.zeros((0, d, d), dtype=complex)))
+        fibers.append(orthonormalize(list(images[s]), ambient_dim=d, tol=tol))
         if fibers[-1].dim != dims[s]:
             raise DegenerateFunctional(
                 f"fiber {s} collapsed from {dims[s]} to {fibers[-1].dim} dimensions")
@@ -659,9 +606,7 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     if u.bundle.group.table != g.table or u.bundle.ambient_dim != a.ambient_dim:
         raise GroupMismatch("multiplier family was built for a different bundle")
     fam = u if u.bundle is a else UnitaryMultiplierFamily(a, u.domain, u.mats)
-    report = verify_multiplier_family(fam, max(tol, 1e-8))
-    if not report["pass"]:
-        raise InvalidMultiplierFamily(str(report["violations"][0]))
+    require(verify_multiplier_family(fam, max(tol, 1e-8)), InvalidMultiplierFamily)
     if q is None:
         q = quotient(g, NormalSubgroup(g, u.domain))
     if tuple(sorted(u.domain)) != q.subgroup.members:
@@ -707,14 +652,14 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
         raise GroupMismatch("isomorphism between bundles over different groups")
     g = a.group
     rng = np.random.default_rng(11)
-    violations: list[dict] = []
+    rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
+                         "isometric")
 
     bij_res, lin_res = 0.0, 0.0
     for s in g.elements():
         fa, fb = a.fiber(s), b.fiber(s)
         if fa.dim != fb.dim:
-            violations.append({"axiom": "bijective", "s": s,
-                               "residual": float(abs(fa.dim - fb.dim))})
+            rep.fail("bijective", float(abs(fa.dim - fb.dim)), s=s)
             continue
         if fa.dim == 0:
             continue
@@ -724,14 +669,13 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
         coord_map = np.stack(coords).T
         sv = np.linalg.svd(coord_map, compute_uv=False)
         if sv[-1] <= tol * max(1.0, sv[0]):
-            violations.append({"axiom": "bijective", "s": s, "residual": float(sv[-1])})
+            rep.fail("bijective", float(sv[-1]), s=s)
         for _ in range(samples):
             c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
             lin = phi(s, fa.from_coords(c))
             lin_res = max(lin_res, hs_norm(lin - np.tensordot(c, np.stack(imgs), axes=(0, 0)))
                           / max(1.0, hs_norm(lin)))
-    if bij_res > tol:
-        violations.append({"axiom": "into_fibers", "s": None, "residual": bij_res})
+    rep.residuals("into_fibers", bij_res, s=None)
 
     mult_res, star_res, norm_res = 0.0, 0.0, 0.0
     for s in g.elements():
@@ -752,18 +696,8 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
                 norm_res = max(norm_res, abs(op_norm(phi(s, x)) - op_norm(x)) / max(1.0, op_norm(x)))
     for name, res in [("multiplicative", mult_res), ("star", star_res),
                       ("isometric", norm_res), ("linear", lin_res)]:
-        if res > tol:
-            violations.append({"axiom": name, "s": None, "residual": res})
-
-    checks = {
-        "into_fibers": {"pass": bij_res <= tol, "max_residual": bij_res},
-        "bijective": {"pass": not any(v["axiom"] == "bijective" for v in violations)},
-        "linear": {"pass": lin_res <= tol, "max_residual": lin_res},
-        "multiplicative": {"pass": mult_res <= tol, "max_residual": mult_res},
-        "star": {"pass": star_res <= tol, "max_residual": star_res},
-        "isometric": {"pass": norm_res <= tol, "max_residual": norm_res},
-    }
-    return {"pass": not violations, "checks": checks, "violations": violations}
+        rep.residuals(name, res, s=None)
+    return rep.build()
 
 
 def verify_bundle_isomorphism(a: GradedBundle, b: GradedBundle, phi,

@@ -324,8 +324,7 @@ def _tol(args, options) -> float:
 def cmd_verify(args) -> tuple[dict, int, str | None]:
     _, bundle, options = parse_spec(args.spec)
     rep = bundles.verify_fell_axioms(bundle, _tol(args, options))
-    report = {"command": "verify", "pass": rep["pass"], "checks": rep["checks"],
-              "violations": rep["violations"]}
+    report = {"command": "verify", **rep}
     return report, 0 if rep["pass"] else 1, None
 
 
@@ -372,8 +371,7 @@ def cmd_imprimitivity(args) -> tuple[dict, int, str | None]:
     _, q, _ = _quotient_setup(args, d)
     tol = _tol(args, options)
     rep = imprimitivity.verify_imprimitivity(q, d, max(tol, 1e-8))
-    report = {"command": "imprimitivity", "pass": rep["pass"], "items": rep["items"],
-              "violations": rep["violations"]}
+    report = {"command": "imprimitivity", **rep}
     if rep["pass"]:
         report["morita"] = imprimitivity.morita_report(q, d, max(tol, 1e-8))
         report["gamma"] = imprimitivity.gamma_equivariance_report(q, d)["pass"]

@@ -62,6 +62,7 @@ from .matrices import (
     hs_norm,
     minimal_central_projections,
     orthonormalize,
+    require,
     subspace_leq,
     unit_element,
 )
@@ -131,8 +132,7 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
     images = [[b_fib.basis[j] @ u.mat(q.section[c]) for j in range(k)]
               for c in qg.elements()]
     iso = realization_isomorphism_report(abstract, real, d, images, tol)
-    if not iso["pass"]:
-        raise AxiomViolation(f"reconstruction map failed: {iso['violations'][0]}")
+    require(iso, AxiomViolation, "reconstruction map failed: ")
     report = {"pass": True, "iso": iso, "coefficient_dim": k,
               "twist": {n: tau[n] for n in q.subgroup.members}}
     return action, report
@@ -209,9 +209,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
     over a normal subgroup of G living on real.bundle. The extracted family is
     checked to satisfy the full twisted-action identities before returning.
     """
-    report = verify_multiplier_family(u, max(tol, 1e-8))
-    if not report["pass"]:
-        raise InvalidMultiplierFamily(str(report["violations"][0]))
+    require(verify_multiplier_family(u, max(tol, 1e-8)), InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
     unit_c = alg.coords(unit_element(alg))
     stack0 = np.stack([m.ravel() for m in real.images[0]]).T
@@ -297,9 +295,7 @@ def graded_ideals(sa: SectionAlgebra, tol: float = 1e-8) -> list[MatrixSubspace]
     found = []
     for mask in range(1 << len(projs)):
         if mask == 0:
-            found.append(MatrixSubspace(
-                total.ambient_dim,
-                np.zeros((0, total.ambient_dim, total.ambient_dim), dtype=complex)))
+            found.append(orthonormalize([], ambient_dim=total.ambient_dim))
             continue
         p = sum(projs[i] for i in range(len(projs)) if mask >> i & 1)
         ideal = orthonormalize([p @ m for m in total.basis_list()],

@@ -30,11 +30,13 @@ from .errors import AxiomViolation, FiberMismatch, GroupMismatch
 from .groups import Quotient, left_regular
 from .matrices import (
     DEFAULT_TOL,
+    ResidualReport,
     dagger,
     hs_norm,
     is_psd,
     op_norm,
     orthonormalize,
+    require,
     wedderburn_block_count,
 )
 from .sections import crossed_product
@@ -463,21 +465,24 @@ def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
             w = np.linalg.eigvalsh(gap)
             res_viii = max(res_viii, max(0.0, -float(w[0])))
 
-    items = {
-        "i_bimodule": {"pass": res_i <= tol, "max_residual": res_i},
-        "ii_action_compatibility": {"pass": res_ii <= tol, "max_residual": res_ii},
-        "iii_adjoint_symmetry": {"pass": res_iii <= tol, "max_residual": res_iii},
-        "iv_linearity": {"pass": res_iv <= tol, "max_residual": res_iv},
-        "v_inner_product_link": {"pass": res_v <= tol, "max_residual": res_v},
-        "vi_fullness": {"pass": bool(full_ok), "rank_b": int(rank_b),
-                        "rank_c": int(rank_c), "dim_b": dims["dimB"],
-                        "dim_c": dims["dimC"]},
-        "vii_positivity": {"pass": bool(pos_ok), "min_relative_eigenvalue": min_eig},
-        "viii_boundedness": {"pass": res_viii <= tol, "max_defect": res_viii},
-    }
-    violations = [{"item": name, "detail": data} for name, data in items.items()
-                  if not data["pass"]]
-    return {"pass": not violations, "items": items, "violations": violations}
+    rep = ResidualReport(tol, "i_bimodule", "ii_action_compatibility", "iii_adjoint_symmetry",
+                         "iv_linearity", "v_inner_product_link", "vi_fullness",
+                         "vii_positivity", "viii_boundedness", section="items")
+    for name, res in [("i_bimodule", res_i), ("ii_action_compatibility", res_ii),
+                      ("iii_adjoint_symmetry", res_iii), ("iv_linearity", res_iv),
+                      ("v_inner_product_link", res_v)]:
+        rep.residuals(name, res)
+    rep.entry("vi_fullness", rank_b=int(rank_b), rank_c=int(rank_c),
+              dim_b=dims["dimB"], dim_c=dims["dimC"])
+    if not full_ok:
+        rep.fail("vi_fullness")
+    rep.entry("vii_positivity", min_relative_eigenvalue=min_eig)
+    if not pos_ok:
+        rep.fail("vii_positivity")
+    rep.entry("viii_boundedness", max_defect=res_viii)
+    if rep.exceeds(res_viii):
+        rep.fail("viii_boundedness")
+    return rep.build()
 
 
 def gamma_equivariance_report(q: Quotient, d: GradedBundle,
@@ -486,6 +491,7 @@ def gamma_equivariance_report(q: Quotient, d: GradedBundle,
     _check_base(q, d)
     xs = x_generators(q, d)
     cs = c_generators(q, d)
+    rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
     res_b, res_c, res_act = 0.0, 0.0, 0.0
     g = q.group
     for r in g.elements():
@@ -501,12 +507,10 @@ def gamma_equivariance_report(q: Quotient, d: GradedBundle,
             for x in xs[:2]:
                 res_c = max(res_c, _distance(gamma(r, gamma(r2, x)),
                                              gamma(g.mul(r, r2), x)))
-    checks = {
-        "linner_equivariance": {"pass": res_b <= tol, "max_residual": res_b},
-        "right_action_equivariance": {"pass": res_act <= tol, "max_residual": res_act},
-        "group_action": {"pass": res_c <= tol, "max_residual": res_c},
-    }
-    return {"pass": all(c["pass"] for c in checks.values()), "checks": checks}
+    rep.residuals("linner_equivariance", res_b)
+    rep.residuals("right_action_equivariance", res_act)
+    rep.residuals("group_action", res_c)
+    return rep.build()
 
 
 def morita_report(q: Quotient, d: GradedBundle, tol: float = 1e-8) -> dict:
@@ -516,9 +520,7 @@ def morita_report(q: Quotient, d: GradedBundle, tol: float = 1e-8) -> dict:
     the finite-dimensional shadow of the Morita equivalence. AxiomViolation
     if the bimodule axioms do not hold.
     """
-    report = verify_imprimitivity(q, d, tol)
-    if not report["pass"]:
-        raise AxiomViolation(f"imprimitivity axioms failed: {report['violations'][0]}")
+    require(verify_imprimitivity(q, d, tol), AxiomViolation, "imprimitivity axioms failed: ")
     dims = dimensions(q, d)
     span_b = orthonormalize([realize_b(b) for b in b_generators(q, d)])
     blocks_b = wedderburn_block_count(span_b)

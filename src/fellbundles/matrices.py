@@ -11,6 +11,14 @@ coordinates (..., dim) and the relative residuals |m - Pm| / max(1, |m|),
 and `product_coords(left, right, target)` decomposes every product
 left[i] @ right[j] in target. That relative residual is the one closure rule:
 a matrix lies in a subspace within tol when its residual is at most tol.
+
+Every check in the package reports through `ResidualReport`, so this module
+also decides whether a residual passes. A report is {"pass", "checks",
+"violations"} ("items" for the bimodule axioms); each check entry holds
+"pass" and its figures, e.g. "max_residual". A residual fails when it is not
+within tol, and each failure is a violation with its location. A check
+passes iff no violation carries its name; the report passes iff it has no
+violations. `require` raises a named error from the first violation.
 """
 
 from __future__ import annotations
@@ -22,6 +30,58 @@ import numpy as np
 from .errors import DimensionMismatch, NotAnAlgebra, NotUnital
 
 DEFAULT_TOL = 1e-9
+
+
+class ResidualReport:
+    """Builder of the one report layout {"pass", "checks" | "items", "violations"}.
+
+    The checks are named up front and listed in that order. A check passes
+    iff no violation is recorded under its name; the report passes iff none
+    is recorded at all. A residual fails when it is not within tol.
+    """
+
+    def __init__(self, tol: float, *names: str, section: str = "checks"):
+        self.tol, self.section = tol, section
+        self.fields: dict[str, dict] = {name: {} for name in names}
+        self.failed: list[tuple[str, dict, float | None]] = []
+
+    def exceeds(self, r):
+        """The residual rule, elementwise: not r <= tol, so a NaN fails too."""
+        return ~(np.asarray(r) <= self.tol)
+
+    def fail(self, name: str, residual: float | None = None, **where) -> None:
+        """Record a violation of check `name` at `where` (group indices, say)."""
+        self.failed.append((name, where, residual))
+
+    def residuals(self, name: str, values, **where) -> None:
+        """Fold values into the check's max_residual; each one over tol fails at `where`."""
+        values = np.asarray(values, dtype=float).ravel()
+        entry = self.fields[name]
+        entry["max_residual"] = float(values.max(initial=entry.get("max_residual", 0.0)))
+        for r in values[self.exceeds(values)]:  # in order: row-major for a stack
+            self.fail(name, float(r), **where)
+
+    def entry(self, name: str, **fields) -> None:
+        """The fields of a check that is not a max-residual check."""
+        self.fields[name].update(fields)
+
+    def build(self) -> dict:
+        """Check reports list each violation with its location and residual; item
+        reports (the bimodule axioms) list each failing item with its entry as detail."""
+        failed = {name for name, _, _ in self.failed}
+        checks = {name: {"pass": name not in failed, **fields}
+                  for name, fields in self.fields.items()}
+        if self.section == "items":
+            violations = [{"item": name, "detail": checks[name]} for name, _, _ in self.failed]
+        else:
+            violations = [{"axiom": name, **where, "residual": r} for name, where, r in self.failed]
+        return {"pass": not self.failed, self.section: checks, "violations": violations}
+
+
+def require(report: dict, error: type[Exception], prefix: str = "") -> None:
+    """Raise error(prefix + the first violation) unless the report passes."""
+    if not report["pass"]:
+        raise error(f"{prefix}{report['violations'][0]}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -135,24 +195,17 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
             raise DimensionMismatch(f"matrix shape {m.shape} in ambient dim {ambient_dim}")
         if not np.all(np.isfinite(m)):
             raise DimensionMismatch("non-finite entries")
-    if not mats:
-        return MatrixSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
-    stack = np.stack(mats).reshape(len(mats), -1)
-    scale = max(np.linalg.norm(stack, axis=1).max(), 0.0)
-    if scale == 0.0:
-        return MatrixSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
+    stack = np.array(mats, dtype=complex).reshape(-1, ambient_dim * ambient_dim)
+    scale = np.linalg.norm(stack, axis=1).max(initial=0.0)
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
     keep = sv > tol * scale
-    basis = vh[keep].reshape(-1, ambient_dim, ambient_dim)
-    return MatrixSubspace(ambient_dim, basis)
+    return MatrixSubspace(ambient_dim, vh[keep].reshape(-1, ambient_dim, ambient_dim))
 
 
 def product_span(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     """Span of all pairwise products of basis elements."""
     if s.ambient_dim != t.ambient_dim:
         raise DimensionMismatch("product of subspaces in different ambients")
-    if s.dim == 0 or t.dim == 0:
-        return MatrixSubspace(s.ambient_dim, np.zeros((0, s.ambient_dim, s.ambient_dim), dtype=complex))
     prods = np.einsum("aij,bjk->abik", s.basis, t.basis).reshape(-1, s.ambient_dim, s.ambient_dim)
     return orthonormalize(list(prods), ambient_dim=s.ambient_dim, tol=tol)
 

@@ -24,6 +24,7 @@ from .groups import left_regular, right_regular
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
+    ResidualReport,
     dagger,
     hs_norm,
     span_union,
@@ -80,8 +81,7 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
     if check:
         require_fell_axioms(bundle, max(tol, 1e-8))
     n = bundle.ambient_dim
-    flats = [f.flat for f in bundle.fibers]
-    stack = np.concatenate(flats, axis=0) if flats else np.zeros((0, n * n))
+    stack = np.concatenate([f.flat for f in bundle.fibers])
     solver = np.linalg.pinv(stack.T)
     offsets = tuple(np.concatenate([[0], np.cumsum(bundle.fiber_dims())]).astype(int))
     total = span_union(bundle.fibers, ambient_dim=n, tol=tol)
@@ -134,11 +134,8 @@ class CrossedProductAlgebra:
         e_unit = np.zeros((g.order, g.order), dtype=complex)
         e_unit[st, t] = 1.0
         basis = [np.kron(b, e_unit) for b in self.bundle.fiber(s).basis_list()]
-        if not basis:
-            return MatrixSubspace(self.ambient_dim,
-                                  np.zeros((0, self.ambient_dim, self.ambient_dim),
-                                           dtype=complex))
-        return MatrixSubspace(self.ambient_dim, np.stack(basis))
+        n = self.ambient_dim
+        return MatrixSubspace(n, np.array(basis, dtype=complex).reshape(-1, n, n))
 
     def dual_unitary(self, r: int) -> np.ndarray:
         return np.kron(np.eye(self.bundle.ambient_dim), self.rho[r])
@@ -167,8 +164,7 @@ def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL,
                 mats.append(np.kron(b, e_unit))
     # distinct (s, t) slots use HS-orthogonal matrix units, so the stack is
     # orthonormal as it stands
-    basis = np.stack(mats) if mats else np.zeros((0, big, big), dtype=complex)
-    total = MatrixSubspace(big, basis)
+    total = MatrixSubspace(big, np.array(mats, dtype=complex).reshape(-1, big, big))
     return CrossedProductAlgebra(bundle, total, lam, rho)
 
 
@@ -247,12 +243,10 @@ def verify_covariant_pair(bundle: GradedBundle, pi, projections,
                                         if t == g.mul(u, v) else 0.0)
                             int_res = max(int_res, hs_norm(x @ y - expected))
 
-    checks = {
-        "projections_resolve": {"pass": True, "max_residual": proj_res},
-        "homomorphism": {"pass": True, "max_residual": max(hom_res, unit_res)},
-        "covariance": {"pass": cov_res <= tol, "max_residual": cov_res},
-        "integrated_form": {"pass": int_res <= tol, "max_residual": int_res},
-    }
-    violations = [{"axiom": k, "residual": v["max_residual"]}
-                  for k, v in checks.items() if not v["pass"]]
-    return {"pass": not violations, "checks": checks, "violations": violations}
+    rep = ResidualReport(tol, "projections_resolve", "homomorphism", "covariance",
+                         "integrated_form")
+    rep.residuals("projections_resolve", proj_res)
+    rep.residuals("homomorphism", max(hom_res, unit_res))
+    rep.residuals("covariance", cov_res)
+    rep.residuals("integrated_form", int_res)
+    return rep.build()

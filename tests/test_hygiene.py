@@ -1,8 +1,12 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: every name a library module imports is used in it, and
+residual reports are built in one place.
 
 A stdlib-`ast` stand-in for an unused-import lint. `__init__.py` is skipped
 because its imports are the package's re-exports, and `from __future__`
 imports are compiler directives, not names.
+
+Reports are built by `matrices.ResidualReport`, so no other module writes a
+dict literal with a "max_residual" key or calls `violations.append`.
 """
 
 import ast
@@ -38,3 +42,32 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def hand_built_reports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "max_residual" for k in node.keys):
+            found.append(f"max_residual dict (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if node.func.attr == "append" and name == "violations":
+                found.append(f"violations.append (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_a_hand_built_report():
+    source = ('checks = {"pass": r <= tol, "max_residual": r}\n'
+              'violations.append({"axiom": "a"})\n'
+              'self.violations.append(v)\n'
+              'rows.append(1)\n'
+              'entry = {**fields, "min_eigenvalue": w}\n')
+    assert hand_built_reports(source) == [
+        "max_residual dict (line 1)", "violations.append (line 2)", "violations.append (line 3)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "matrices.py"])
+def test_reports_are_built_by_the_builder(module):
+    assert hand_built_reports((SRC / module).read_text(encoding="utf-8")) == []

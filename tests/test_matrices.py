@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import example
 from hypothesis import strategies as st
 
-from fellbundles import groups, matrices
+from fellbundles import bundles, groups, matrices, sections
+from fellbundles import imprimitivity as imp
 from fellbundles.errors import DimensionMismatch, NotAnAlgebra, NotUnital
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z
@@ -211,3 +212,99 @@ def test_decompose_matches_per_matrix_coords_and_residual(n, k, scale, seed):
             assert np.allclose(coords[i, j], sub.coords(m), rtol=0, atol=1e-12)
             expected = sub.residual(m) / max(1.0, matrices.hs_norm(m))
             assert abs(res[i, j] - expected) <= 1e-12
+
+
+class TestResidualReport:
+    def test_layout_and_pass_rule(self):
+        rep = matrices.ResidualReport(0.5, "located", "single", "other", "unfed")
+        rep.residuals("located", np.array([[0.1, 0.7], [0.9, 0.2]]), s=1, t=2)
+        rep.residuals("single", 0.25)
+        rep.entry("other", min_value=-3.0)
+        rep.fail("other", -3.0, s=None)
+        report = rep.build()
+        assert report == {
+            "pass": False,
+            "checks": {"located": {"pass": False, "max_residual": 0.9},
+                       "single": {"pass": True, "max_residual": 0.25},
+                       "other": {"pass": False, "min_value": -3.0},
+                       "unfed": {"pass": True}},
+            "violations": [{"axiom": "located", "s": 1, "t": 2, "residual": 0.7},
+                           {"axiom": "located", "s": 1, "t": 2, "residual": 0.9},
+                           {"axiom": "other", "s": None, "residual": -3.0}]}
+        assert all(type(v["residual"]) is float for v in report["violations"])
+
+    def test_nan_residual_fails(self):
+        rep = matrices.ResidualReport(1e-9, "check")
+        rep.residuals("check", [0.0, np.nan])
+        report = rep.build()
+        assert not report["pass"] and not report["checks"]["check"]["pass"]
+
+    def test_item_violations_carry_the_entry(self):
+        rep = matrices.ResidualReport(1e-9, "i", "ii", section="items")
+        rep.residuals("i", 0.0)
+        rep.residuals("ii", 1.0)
+        report = rep.build()
+        assert set(report) == {"pass", "items", "violations"}
+        assert report["violations"] == [{"item": "ii", "detail": report["items"]["ii"]}]
+        assert report["violations"][0]["detail"] is report["items"]["ii"]
+
+    def test_require_raises_on_the_first_violation(self):
+        rep = matrices.ResidualReport(0.0, "a", "b")
+        rep.residuals("b", 2.0)
+        rep.residuals("a", 1.0)
+        with pytest.raises(NotAnAlgebra, match=r"^pre: \{'axiom': 'b', 'residual': 2\.0\}$"):
+            matrices.require(rep.build(), NotAnAlgebra, "pre: ")
+        assert matrices.require(matrices.ResidualReport(0.0, "a").build(), NotAnAlgebra) is None
+
+
+def _pass_and_fail_reports(name, request):
+    """One passing and one failing report of the named report function, on test fixtures."""
+    fx = request.getfixturevalue
+    if name == "verify_fell_axioms":
+        bad = bundles.GradedBundle(fx("z2"), (matrices.orthonormalize([I2]),
+                                              matrices.orthonormalize([I2 + PAULI_X])))
+        return [bundles.verify_fell_axioms(fx("pauli_bundle")), bundles.verify_fell_axioms(bad)]
+    if name == "verify_multiplier_family":
+        p, q = fx("pauli_pullback"), fx("q_z4")
+        fam = bundles.canonical_multiplier_family(p, q)
+        bad = bundles.UnitaryMultiplierFamily(p, fam.domain, {0: fam.mat(0), 2: 2.0 * fam.mat(2)})
+        return [bundles.verify_multiplier_family(fam), bundles.verify_multiplier_family(bad)]
+    if name == "verify_twisted_action":
+        t = fx("twisted_z4_action")
+        bad = bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha,
+                                    {0: t.tau[0], 2: 2.0 * t.tau[0]})
+        return [bundles.verify_twisted_action(t), bundles.verify_twisted_action(bad)]
+    if name == "verify_abstract_bundle":
+        ab = bundles.semidirect_bundle(fx("swap_action"))
+        dead = bundles.AbstractBundle(ab.group, ab.dims, ab.prod, ab.invol, np.zeros_like(ab.funct))
+        return [bundles.verify_abstract_bundle(ab), bundles.verify_abstract_bundle(dead)]
+    if name == "bundle_isomorphism_report":
+        b = fx("pauli_bundle")
+        return [bundles.bundle_isomorphism_report(b, b, lambda s, m: m),
+                bundles.bundle_isomorphism_report(b, b, lambda s, m: 2.0 * m if s == 1 else m)]
+    if name == "verify_covariant_pair":
+        cp = sections.crossed_product(fx("trivial_z4"))
+        p = [cp.j_group(t) for t in cp.group.elements()]
+        return [sections.verify_covariant_pair(cp.bundle, cp.j_fiber, p),
+                sections.verify_covariant_pair(cp.bundle, cp.j_fiber, [p[0], p[2], p[1], p[3]])]
+    q, d = fx("q_z4"), fx("pauli_bundle")
+    # a negative tolerance fails every residual of these structurally exact identities
+    if name == "verify_imprimitivity":
+        return [imp.verify_imprimitivity(q, d), imp.verify_imprimitivity(q, d, tol=-1.0)]
+    return [imp.gamma_equivariance_report(q, d), imp.gamma_equivariance_report(q, d, tol=-1.0)]
+
+
+@pytest.mark.parametrize("name", [
+    "verify_fell_axioms", "verify_multiplier_family", "verify_twisted_action",
+    "verify_abstract_bundle", "bundle_isomorphism_report", "verify_covariant_pair",
+    "verify_imprimitivity", "gamma_equivariance_report"])
+def test_every_report_follows_the_pass_rule(name, request):
+    passing, failing = _pass_and_fail_reports(name, request)
+    assert passing["pass"] and not failing["pass"]
+    for report in (passing, failing):
+        section, label = ("items", "item") if "items" in report else ("checks", "axiom")
+        assert set(report) == {"pass", section, "violations"}
+        assert report["pass"] == (not report["violations"])
+        failed = {v[label] for v in report["violations"]}
+        for check, entry in report[section].items():
+            assert entry["pass"] == (check not in failed), check
