@@ -222,6 +222,18 @@ class TestVerification:
         assert item["rank_b"] == item["dim_b"] == 16
         assert item["rank_c"] == item["dim_c"] == 4
 
+    def test_a_wrong_right_action_fails_the_items_it_enters(self, pauli_setup, monkeypatch):
+        # bilinear but wrong: the true right action followed by the translation gamma_1
+        q, d = pauli_setup
+        true_right = imp.right_action
+        monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
+        report = imp.verify_imprimitivity(q, d)
+        assert not report["pass"]
+        failed = {name for name, item in report["items"].items() if not item["pass"]}
+        assert failed == {"i_bimodule", "ii_action_compatibility", "v_inner_product_link",
+                          "viii_boundedness"}
+        assert {v["item"] for v in report["violations"]} == failed
+
     def test_corrupted_base_bundle_is_caught_at_construction(self, q_z4):
         # a base whose odd fiber is not adjoint-symmetric: the inner products
         # then step outside their declared fibers and membership fails
