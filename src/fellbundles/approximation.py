@@ -24,10 +24,8 @@ from .errors import (
     ValueOutsideUnitFiber,
 )
 from .groups import FiniteGroup, Quotient, left_regular
-from .matrices import DEFAULT_TOL, dagger, hs_norm, op_norm
+from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, op_norm
 from .sections import section_algebra
-
-_ZERO_CUT = 1e-14
 
 
 @dataclass(frozen=True)

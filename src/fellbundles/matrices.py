@@ -30,6 +30,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotAnAlgebra, NotUnital
 
 DEFAULT_TOL = 1e-9
+# the size at or below which a coefficient or a norm counts as an exact zero
+_ZERO_CUT = 1e-14
 
 
 class ResidualReport:
@@ -300,7 +302,7 @@ def center_subspace(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspa
     k = a.dim
     mult = multiplication_tensor(a, tol)
     comm = (np.swapaxes(mult, 0, 1) - mult).reshape(k, k * k).T
-    u, sv, vh = np.linalg.svd(comm)
+    _, sv, vh = np.linalg.svd(comm, full_matrices=False)
     scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
     rank = int(np.sum(sv > tol * scale))
     null = vh[rank:].conj()  # rows span the nullspace in coordinate space

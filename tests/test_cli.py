@@ -260,6 +260,14 @@ class TestImprimitivityCommand:
         assert morita["blocksC"] == 1 and morita["blocksB"] == 1
         assert morita["equivalent"] is True
 
+    def test_broken_base_bundle_exits_1_on_its_axioms(self, capsys, broken_spec):
+        rc, out, _ = run(capsys, "imprimitivity", broken_spec,
+                         "--group", "cyclic:4", "--normal", "0,2")
+        assert rc == 1
+        report = json.loads(out)
+        assert report["pass"] is False and report["error"] == "AxiomViolation"
+        assert report["detail"].startswith("grading axiom failed: ")
+
 
 @pytest.fixture()
 def landstad_inputs(tmp_path):

@@ -1,9 +1,14 @@
-"""Source hygiene: every name a library module imports is used in it, and
-residual reports are built in one place.
+"""Source hygiene: every name a library module imports is used in it, no
+module-level name is defined in two modules, and residual reports are built
+in one place.
 
 A stdlib-`ast` stand-in for an unused-import lint. `__init__.py` is skipped
 because its imports are the package's re-exports, and `from __future__`
 imports are compiler directives, not names.
+
+A shared constant or helper lives in one module and is imported by the
+others, so two library modules never both assign, def or class the same
+module-level name (`__init__.py` again excepted).
 
 Reports are built by `matrices.ResidualReport`, so no other module writes a
 dict literal with a "max_residual" key or calls `violations.append`.
@@ -42,6 +47,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def module_level_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def names_defined_twice(sources: dict[str, str]) -> list[str]:
+    owners: dict[str, list[str]] = {}
+    for module, source in sorted(sources.items()):
+        for name in module_level_names(source):
+            owners.setdefault(name, []).append(module)
+    return sorted(f"{name}: {', '.join(mods)}" for name, mods in owners.items() if len(mods) > 1)
+
+
+def test_checker_flags_a_name_defined_twice():
+    sources = {
+        "a.py": "import os\nX = 1\ndef f():\n    y = 2\nclass C:\n    z = 3\np, (q, r) = 1, (2, 3)\n",
+        "b.py": "import os\nX: int = 2\ndef g():\n    return f\nclass C:\n    pass\nr = 4\ny = z = 5\n",
+        "c.py": "from a import X\nf = 6\n",
+    }
+    assert names_defined_twice(sources) == [
+        "C: a.py, b.py", "X: a.py, b.py", "f: a.py, c.py", "r: a.py, b.py"]
+
+
+def test_no_module_level_name_is_defined_twice():
+    assert names_defined_twice(
+        {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}) == []
 
 
 def hand_built_reports(source: str) -> list[str]:

@@ -245,6 +245,14 @@ class TestVerification:
         with pytest.raises(FiberMismatch):
             imp.algebra_element_c(q_z4, bad, dict(out.coeffs))
 
+    def test_corrupted_base_bundle_fails_the_axiom_check(self, q_z4):
+        # the same base: the coordinate tables are only faithful on a Fell
+        # bundle, so D's grading axioms are checked before any item
+        e12 = matrices.orthonormalize([np.array([[0, 1], [0, 0]], dtype=complex)])
+        bad = bundles.GradedBundle(q_z4.quotient_group, (matrices.orthonormalize([I2]), e12))
+        with pytest.raises(AxiomViolation, match="^grading axiom failed: "):
+            imp.verify_imprimitivity(q_z4, bad)
+
     def test_gamma_equivariance(self, pauli_setup, s3_setup):
         for q, d in (pauli_setup, s3_setup):
             report = imp.gamma_equivariance_report(q, d, tol=1e-10)
