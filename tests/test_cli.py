@@ -41,6 +41,14 @@ def pauli_spec(tmp_path):
 
 
 @pytest.fixture()
+def zero_spec(tmp_path):
+    # every fiber is zero-dimensional: a Fell bundle, but the zero one
+    spec = pauli_spec_dict()
+    spec["fibers"] = {}
+    return write_json(tmp_path / "zero.json", spec)
+
+
+@pytest.fixture()
 def broken_spec(tmp_path):
     # fiber(1) = span{E12} is not closed under the adjoint
     spec = pauli_spec_dict()
@@ -392,6 +400,15 @@ class TestGsimpleCommand:
         assert report["section_dimension"] == 2
         assert report["ideal_dims"] == [0, 2]
         assert report["is_g_simple"] is True
+
+    def test_zero_bundle_has_no_unit(self, capsys, zero_spec):
+        # the section algebra is the zero algebra, so neither command has a unit to
+        # start from; both name the error in a report rather than raising
+        for command in ("gsimple", "report"):
+            rc, out, _ = run(capsys, command, zero_spec)
+            assert rc == 1
+            assert json.loads(out) == {"command": command, "pass": False, "error": "NotUnital",
+                                       "detail": "the zero algebra has no unit"}
 
 
 @pytest.fixture()
