@@ -20,11 +20,12 @@ from .errors import (
     GNormExceeded,
     GroupMismatch,
     NonUnitalUnitFiber,
+    NotInAlgebra,
     ShapeMismatch,
     ValueOutsideUnitFiber,
 )
-from .groups import FiniteGroup, Quotient, left_regular
-from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, op_norm
+from .groups import FiniteGroup, Quotient
+from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, numerical_rank, op_norm
 from .sections import section_algebra
 
 
@@ -178,19 +179,20 @@ def ep_pullback_witness(fd: EPWitness, gvals: dict, q: Quotient,
 
 
 def regular_representation_kernel(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> int:
-    """dim ker of sections -> sections tensor lambda; zero iff the grading is faithful."""
+    """dim ker of sections -> sections tensor lambda; zero iff the grading is faithful.
+
+    As <a tensor lambda(s), b tensor lambda(t)>_HS = |G| delta_{s,t} <a, b>_HS, the
+    map's singular values are sqrt|G| times those of C, the fiber coordinates of
+    the components of the section basis (NotInAlgebra if they do not rebuild it).
+    """
     sa = section_algebra(bundle, tol, check=False)
-    if sa.total.dim == 0:
-        return 0
-    lam = left_regular(bundle.group)
-    rows = []
-    for b in sa.total.basis_list():
-        comps = sa.components(b, max(tol, 1e-8))
-        img = sum(np.kron(c, lam[h]) for h, c in enumerate(comps))
-        rows.append(np.asarray(img).ravel())
-    sv = np.linalg.svd(np.stack(rows), compute_uv=False)
-    rank = int(np.sum(sv > max(tol, 1e-10) * max(1.0, float(sv[0]))))
-    return sa.total.dim - rank
+    flat = sa.total.flat
+    coeffs = flat @ sa.solver.T
+    miss = np.linalg.norm(coeffs @ sa.stack - flat, axis=1)
+    if np.any(miss > max(tol, 1e-8) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
+        raise NotInAlgebra("matrix is not a section of the grading")
+    sv = np.sqrt(bundle.group.order) * np.linalg.svd(coeffs, compute_uv=False)
+    return sa.total.dim - numerical_rank(sv, max(tol, 1e-10))
 
 
 def least_squares_witness(bundle: GradedBundle, iters: int = 25,

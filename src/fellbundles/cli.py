@@ -370,10 +370,10 @@ def cmd_imprimitivity(args) -> tuple[dict, int, str | None]:
     _, d, options = parse_spec(args.spec)
     _, q, _ = _quotient_setup(args, d)
     tol = _tol(args, options)
-    rep = imprimitivity.verify_imprimitivity(q, d, max(tol, 1e-8))
+    rep, morita = imprimitivity.bimodule_check(q, d, max(tol, 1e-8))
     report = {"command": "imprimitivity", **rep}
     if rep["pass"]:
-        report["morita"] = imprimitivity.morita_report(q, d, max(tol, 1e-8))
+        report["morita"] = morita
         report["gamma"] = imprimitivity.gamma_equivariance_report(q, d)["pass"]
     return report, 0 if rep["pass"] else 1, None
 
@@ -430,7 +430,7 @@ def cmd_gsimple(args) -> tuple[dict, int, str | None]:
         "section_dimension": sa.total.dim,
         "ideal_dims": [i.dim for i in ideals],
         "ideal_count": len(ideals),
-        "is_g_simple": duality.is_g_simple(sa, tol),
+        "is_g_simple": duality.is_g_simple(sa, tol, ideals),
     }
     return report, 0, None
 
@@ -488,7 +488,7 @@ def cmd_report(args) -> tuple[dict, int, str | None]:
     sa = sections.section_algebra(bundle, max(tol, 1e-8), check=False)
     ideals = duality.graded_ideals(sa, max(tol, 1e-8))
     report["ideal_dims"] = [i.dim for i in ideals]
-    report["is_g_simple"] = duality.is_g_simple(sa, max(tol, 1e-8))
+    report["is_g_simple"] = duality.is_g_simple(sa, max(tol, 1e-8), ideals)
     report["amenability"] = approx.amenability_report(bundle, max(tol, 1e-8))
     ok = report["crossed_dimension"] == report["expected_crossed_dimension"]
     report["pass"] = bool(ok)

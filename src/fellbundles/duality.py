@@ -61,6 +61,7 @@ from .matrices import (
     dagger,
     hs_norm,
     minimal_central_projections,
+    numerical_rank,
     orthonormalize,
     require,
     subspace_leq,
@@ -283,40 +284,31 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 
 
 def graded_ideals(sa: SectionAlgebra, tol: float = 1e-8) -> list[MatrixSubspace]:
-    """All grading-invariant two-sided ideals of the section algebra.
+    """All grading-invariant two-sided ideals of the section algebra A, by dimension.
 
-    Ideals of a finite-dimensional C*-algebra are sums of minimal central
-    summands, so only 2^blocks candidates exist; a candidate is graded exactly
-    when every fiber component of each of its elements stays inside it. The
-    zero ideal and the whole algebra are always included.
+    Ideals of a finite-dimensional C*-algebra are pA for central projections p.
+    A graded pA has unit p, and the unit of a graded unital algebra has degree
+    e; conversely pA is graded when p lies in A_e. So the graded ideals are pA
+    for the projections p of Z(A) ∩ A_e (the null space, in A_e's coordinates,
+    of the commutators with every fiber basis element): 2^k of them for its k
+    minimal projections, each a direct sum of their HS-orthogonal ideals.
     """
-    total = sa.total
-    projs = minimal_central_projections(total, tol)
-    found = []
-    for mask in range(1 << len(projs)):
-        if mask == 0:
-            found.append(orthonormalize([], ambient_dim=total.ambient_dim))
-            continue
-        p = sum(projs[i] for i in range(len(projs)) if mask >> i & 1)
-        ideal = orthonormalize([p @ m for m in total.basis_list()],
-                               ambient_dim=total.ambient_dim, tol=tol)
-        graded = True
-        for m in ideal.basis_list():
-            for comp in sa.components(m, tol):
-                if hs_norm(comp) > tol and not ideal.contains(comp, tol):
-                    graded = False
-                    break
-            if not graded:
-                break
-        if graded:
-            found.append(ideal)
-    found.sort(key=lambda i: i.dim)
-    return found
+    fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
+    others = sa.stack.reshape(-1, n, n)
+    comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
+    _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
+    center_e = MatrixSubspace(n, fe.from_coords(vh[numerical_rank(sv, tol):].conj()))
+    minimal = [orthonormalize(p @ sa.total.basis, ambient_dim=n, tol=tol).basis
+               for p in minimal_central_projections(center_e, tol)]
+    ideals = [MatrixSubspace(n, np.concatenate(
+        [np.zeros((0, n, n))] + [b for i, b in enumerate(minimal) if mask >> i & 1]))
+        for mask in range(1 << len(minimal))]
+    return sorted(ideals, key=lambda i: i.dim)
 
 
-def is_g_simple(sa: SectionAlgebra, tol: float = 1e-8) -> bool:
-    """True when the only graded ideals are 0 and the whole algebra."""
-    ideals = graded_ideals(sa, tol)
+def is_g_simple(sa: SectionAlgebra, tol: float = 1e-8, ideals: list | None = None) -> bool:
+    """True when the only graded ideals (`ideals`, if already computed) are 0 and A."""
+    ideals = graded_ideals(sa, tol) if ideals is None else ideals
     return len(ideals) == 2 and ideals[0].dim == 0 and ideals[-1].dim == sa.total.dim
 
 

@@ -42,15 +42,13 @@ from .matrices import (
     _ZERO_CUT,
     DEFAULT_TOL,
     ResidualReport,
+    center_dimension,
     dagger,
     hs_norm,
     is_psd,
     op_norm,
-    orthonormalize,
     require,
-    wedderburn_block_count,
 )
-from .sections import crossed_product
 
 
 def _clean(coeffs: dict) -> dict:
@@ -368,9 +366,10 @@ def realize_c(c: Element) -> np.ndarray:
 _einsum = partial(np.einsum, optimize=True)
 
 
-def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
-                         samples: int = 4) -> dict:
-    """The eight bimodule axioms, as whole-basis identities plus random elements.
+def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
+                   samples: int = 4) -> tuple[dict, dict]:
+    """The items report of `verify_imprimitivity` and the summary of `morita_report`
+    (meaningful when the items pass), from one build of the formula tables.
 
     Items: (i) action associativity and commutation, (ii) module maps respect
     the inner products, (iii) adjoint symmetry, (iv) linearity sides,
@@ -381,11 +380,15 @@ def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     (vi) takes its ranks off the inner-product tables; a residual is the
     largest slot norm of a difference. The tables are exact as every formula
     is (sesqui)linear, and faithful only on a Fell bundle, so D's grading
-    axioms are required first (AxiomViolation). (iv) checks that linearity on
-    random elements, and the random triples of (i) reach non-generators.
+    axioms are required first (AxiomViolation), and so is a unit of D, which
+    only the zero bundle lacks (NonUnitalUnitFiber). (iv) checks that
+    linearity on random elements, and the random triples of (i) reach
+    non-generators. The block counts are the centre dimensions of the b_mul
+    and c_mul tables, which are the structure constants of B0 and C0.
     """
     _check_base(q, d)
     require_fell_axioms(d, max(tol, 1e-8))
+    unit_fiber_unit(d, max(tol, 1e-8))
     rng = np.random.default_rng(29)
     xs, bs, cs = x_generators(q, d), b_generators(q, d), c_generators(q, d)
     dims = dimensions(q, d)
@@ -480,7 +483,15 @@ def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     rep.entry("viii_boundedness", max_defect=res_viii)
     if rep.exceeds(res_viii):
         rep.fail("viii_boundedness")
-    return rep.build()
+    blocks_b, blocks_c = center_dimension(bb), center_dimension(cc)
+    return rep.build(), dict(dims, blocksB=blocks_b, blocksC=blocks_c,
+                             equivalent=blocks_b == blocks_c)
+
+
+def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
+                         samples: int = 4) -> dict:
+    """The eight bimodule axioms; see `bimodule_check`."""
+    return bimodule_check(q, d, tol, samples)[0]
 
 
 def gamma_equivariance_report(q: Quotient, d: GradedBundle,
@@ -514,20 +525,14 @@ def gamma_equivariance_report(q: Quotient, d: GradedBundle,
 def morita_report(q: Quotient, d: GradedBundle, tol: float = 1e-8) -> dict:
     """Dimensions and Wedderburn block counts of the two crossed products.
 
-    The block counts are computed from the concrete realizations; equality is
-    the finite-dimensional shadow of the Morita equivalence. AxiomViolation
-    if the bimodule axioms do not hold.
+    B0 and C0 have faithful realizations, so each block count is the centre
+    dimension of their structure constants, the b_mul and c_mul tables of
+    `bimodule_check`. Equal counts are the finite-dimensional shadow of the
+    Morita equivalence. AxiomViolation if the bimodule axioms do not hold.
     """
-    require(verify_imprimitivity(q, d, tol), AxiomViolation, "imprimitivity axioms failed: ")
-    dims = dimensions(q, d)
-    span_b = orthonormalize([realize_b(b) for b in b_generators(q, d)])
-    blocks_b = wedderburn_block_count(span_b)
-    blocks_c = wedderburn_block_count(crossed_product(d).total)
-    return {
-        "dimB": dims["dimB"], "dimC": dims["dimC"], "dimX": dims["dimX"],
-        "blocksB": blocks_b, "blocksC": blocks_c,
-        "equivalent": bool(blocks_b == blocks_c),
-    }
+    items, morita = bimodule_check(q, d, tol)
+    require(items, AxiomViolation, "imprimitivity axioms failed: ")
+    return morita
 
 
 def pullback_crossed_dimension(q: Quotient, d: GradedBundle) -> int:

@@ -271,18 +271,24 @@ def unit_element(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     return a.from_coords(unit_coords(a, tol=tol))
 
 
-def center_dimension(a: MatrixSubspace, mult: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> int:
-    """dim of {z in A : zb = bz for all b}, via the structure constants."""
-    k = a.dim
-    if k == 0:
+def numerical_rank(sv: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """How many singular values exceed tol times the largest one (times 1 if that is below 1)."""
+    return int(np.sum(sv > tol * max(float(sv[0]) if sv.size else 0.0, 1.0)))
+
+
+def _commutator_map(mult: np.ndarray) -> np.ndarray:
+    """z -> (z b_j - b_j z)_j on coordinates: rows (j, c), columns i, entries m[i, j, c] - m[j, i, c]."""
+    k = mult.shape[0]
+    return (np.swapaxes(mult, 0, 1) - mult).reshape(k, k * k).T
+
+
+def center_dimension(mult: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """dim of the centre {z : zb = bz for all b} of the algebra whose structure
+    constants are mult[i, j, :] = coords(b_i @ b_j)."""
+    if mult.shape[0] == 0:
         return 0
-    m = multiplication_tensor(a, tol) if mult is None else mult
-    # rows indexed by (j, c), columns by i: m[i, j, c] - m[j, i, c]
-    comm = (np.swapaxes(m, 0, 1) - m).reshape(k, k * k).T
-    sv = np.linalg.svd(comm, compute_uv=False) if comm.size else np.array([])
-    scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > tol * scale))
-    return k - rank
+    sv = np.linalg.svd(_commutator_map(mult), compute_uv=False)
+    return mult.shape[0] - numerical_rank(sv, tol)
 
 
 def wedderburn_block_count(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> int:
@@ -295,19 +301,13 @@ def wedderburn_block_count(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> int:
         raise NotAnAlgebra("not closed under adjoints")
     mult = multiplication_tensor(a, tol)
     unit_coords(a, mult, tol)
-    return center_dimension(a, mult, tol)
+    return center_dimension(mult, tol)
 
 
 def center_subspace(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:
-    k = a.dim
-    mult = multiplication_tensor(a, tol)
-    comm = (np.swapaxes(mult, 0, 1) - mult).reshape(k, k * k).T
-    _, sv, vh = np.linalg.svd(comm, full_matrices=False)
-    scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > tol * scale))
-    null = vh[rank:].conj()  # rows span the nullspace in coordinate space
-    mats = [a.from_coords(c) for c in null]
-    return orthonormalize(mats, ambient_dim=a.ambient_dim, tol=tol)
+    _, sv, vh = np.linalg.svd(_commutator_map(multiplication_tensor(a, tol)), full_matrices=False)
+    null = vh[numerical_rank(sv, tol):].conj()  # rows span the nullspace in coordinate space
+    return orthonormalize(a.from_coords(null), ambient_dim=a.ambient_dim, tol=tol)
 
 
 def minimal_central_projections(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -318,7 +318,6 @@ def minimal_central_projections(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> 
     """
     mult = multiplication_tensor(a, tol)
     unit = a.from_coords(unit_coords(a, mult, tol))
-    blocks = center_dimension(a, mult, tol)
     z_space = center_subspace(a, tol)
     rng = np.random.default_rng(7)
     for _ in range(8):
@@ -340,7 +339,7 @@ def minimal_central_projections(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> 
             if hs_norm(p) > tol * 10:
                 projs.append(p)
         ok = (
-            len(projs) == blocks
+            len(projs) == z_space.dim
             and all(hs_norm(p @ p - p) <= 1e-7 * max(1.0, hs_norm(p)) for p in projs)
             and all(a.contains(p, 1e-7) for p in projs)
         )

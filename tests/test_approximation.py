@@ -336,6 +336,34 @@ class TestPullbackWitness:
                                    + matrices.op_norm(d) * c_t * eps + 1e-10)
 
 
+def dense_regular_kernel(bundle, tol=matrices.DEFAULT_TOL):
+    """The dense route: the rank of the images sum_h a_h tensor lambda(h), and their
+    singular values."""
+    sa = sections.section_algebra(bundle, tol, check=False)
+    lam = groups.left_regular(bundle.group)
+    rows = [sum(np.kron(c, lam[h]) for h, c in enumerate(sa.components(b, max(tol, 1e-8))))
+            .ravel() for b in sa.total.basis_list()]
+    sv = np.linalg.svd(np.stack(rows), compute_uv=False)
+    return sa.total.dim - int(np.sum(sv > max(tol, 1e-10) * max(1.0, float(sv[0])))), sv
+
+
+class TestRegularKernelAgainstTheKron:
+    @pytest.mark.parametrize("name", ["pauli_bundle", "pauli_pullback", "trivial_z4",
+                                      "trivial_s3", "twisted_z4_realized",
+                                      "swap_semidirect_realized", "s3_quotient_bundle"])
+    def test_same_kernel_and_singular_values(self, name, request):
+        bundle = request.getfixturevalue(name)
+        bundle = getattr(bundle, "bundle", bundle)
+        kernel, sv = dense_regular_kernel(bundle)
+        assert ap.regular_representation_kernel(bundle) == kernel == 0
+        # the HS identity: the map's singular values are sqrt|G| times those of
+        # the component coefficients of the section basis
+        sa = sections.section_algebra(bundle)
+        coeffs = sa.total.flat @ sa.solver.T
+        scaled = np.sqrt(bundle.group.order) * np.linalg.svd(coeffs, compute_uv=False)
+        np.testing.assert_allclose(scaled, sv, rtol=0, atol=1e-12)
+
+
 class TestReports:
     def test_regular_representation_faithful(
             self, pauli_bundle, twisted_z4_realized, s3_quotient_bundle):

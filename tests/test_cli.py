@@ -276,6 +276,14 @@ class TestImprimitivityCommand:
         assert report["pass"] is False and report["error"] == "AxiomViolation"
         assert report["detail"].startswith("grading axiom failed: ")
 
+    def test_zero_base_bundle_exits_1_without_a_unit(self, capsys, zero_spec):
+        rc, out, _ = run(capsys, "imprimitivity", zero_spec,
+                         "--group", "cyclic:4", "--normal", "0,2")
+        assert rc == 1
+        assert json.loads(out) == {"command": "imprimitivity", "pass": False,
+                                   "error": "NonUnitalUnitFiber",
+                                   "detail": "the zero algebra has no unit"}
+
 
 @pytest.fixture()
 def landstad_inputs(tmp_path):

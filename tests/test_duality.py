@@ -264,6 +264,59 @@ class TestGradedIdeals:
                 assert any(c.dim == meet_dim for c in ideals)
 
 
+def sweep_graded_ideals(sa, tol=1e-8):
+    """The dense route: all 2^blocks sums of minimal central summands of the whole
+    section algebra, kept when every fiber component of every element stays inside."""
+    total = sa.total
+    projs = matrices.minimal_central_projections(total, tol)
+    found = []
+    for mask in range(1 << len(projs)):
+        p = sum((projs[i] for i in range(len(projs)) if mask >> i & 1),
+                np.zeros((total.ambient_dim, total.ambient_dim), dtype=complex))
+        ideal = matrices.orthonormalize([p @ m for m in total.basis_list()],
+                                        ambient_dim=total.ambient_dim, tol=tol)
+        if all(matrices.hs_norm(comp) <= tol or ideal.contains(comp, tol)
+               for m in ideal.basis_list() for comp in sa.components(m, tol)):
+            found.append(ideal)
+    return sorted(found, key=lambda i: i.dim)
+
+
+def center_meets_unit_fiber(sa):
+    """dim of Z(A) ∩ A_e from the centre and the unit fiber: dim Z + dim A_e - dim(Z + A_e)."""
+    z, fe = matrices.center_subspace(sa.total), sa.bundle.fiber(0)
+    return z.dim + fe.dim - matrices.span_union([z, fe]).dim
+
+
+IDEAL_CASES = [("pauli_bundle", 2), ("pauli_pullback", 2), ("trivial_z4", 2), ("trivial_s3", 2),
+               ("twisted_z4_realized", 2), ("swap_semidirect_realized", 2),
+               ("s3_quotient_bundle", 2), ("diag_z4", 4), ("diag_s3", 4)]
+
+
+class TestGradedIdealsAgainstTheSweep:
+    """graded_ideals builds pA for the projections of Z(A) ∩ A_e; the sweep tries
+    every central summand of A and tests its grading."""
+
+    @pytest.fixture()
+    def section(self, request, diag2):
+        name = request.param
+        if name.startswith("diag_"):
+            bundle = bundles.trivial_bundle(groups.cyclic(4) if name == "diag_z4"
+                                            else groups.symmetric(3), diag2)
+        else:
+            bundle = request.getfixturevalue(name)
+        return sections.section_algebra(getattr(bundle, "bundle", bundle))
+
+    @pytest.mark.parametrize("section, count", IDEAL_CASES, indirect=["section"])
+    def test_same_ideals_as_the_sweep(self, section, count):
+        ideals, swept = duality.graded_ideals(section), sweep_graded_ideals(section)
+        assert [i.dim for i in ideals] == [i.dim for i in swept]
+        assert all(any(matrices.subspace_equal(a, b) for b in swept) for a in ideals)
+        assert len(ideals) == count == 2 ** center_meets_unit_fiber(section)
+        assert ideals[0].dim == 0 and ideals[-1].dim == section.total.dim
+        assert (duality.is_g_simple(section, ideals=ideals) == duality.is_g_simple(section)
+                == (count == 2))
+
+
 class TestTransformationSystems:
     def test_coset_action_shape(self, s3):
         act = duality.coset_action(s3, SWAP_SUBGROUP)

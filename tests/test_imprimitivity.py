@@ -339,3 +339,46 @@ class TestArgumentChecks:
         x = imp.module_element(q, big, {(1, 1): np.kron(PAULI_X, I2) / 2})
         with pytest.raises(GroupMismatch):
             imp.left_action(b, x)
+
+
+@pytest.fixture(scope="module")
+def morita_cases(q_z4, q_s3, pauli_bundle, s3_quotient_bundle, z2, diag2, m2_full):
+    return {"pauli": (q_z4, pauli_bundle), "s3": (q_s3, s3_quotient_bundle),
+            "diag": (q_z4, bundles.trivial_bundle(z2, diag2)),
+            "m2": (q_z4, bundles.trivial_bundle(z2, m2_full))}
+
+
+class TestMoritaFromStructureConstants:
+    """The block counts read off the b_mul and c_mul tables against the dense routes:
+    the commutator oracle on the realized spans of B0 and C0, and the Wedderburn
+    count of the ambient crossed product of D."""
+
+    @pytest.mark.parametrize("case, blocks", [("pauli", 1), ("s3", 1), ("diag", 2), ("m2", 1)])
+    def test_counts_match_the_dense_routes(self, morita_cases, case, blocks):
+        q, d = morita_cases[case]
+        report = imp.morita_report(q, d)
+        dense_b = oracle_block_count([imp.realize_b(b) for b in imp.b_generators(q, d)])
+        dense_c = oracle_block_count([imp.realize_c(c) for c in imp.c_generators(q, d)])
+        crossed_c = matrices.wedderburn_block_count(sections.crossed_product(d).total)
+        assert (report["blocksB"], report["blocksC"]) == (dense_b, dense_c) == (blocks, blocks)
+        assert crossed_c == blocks
+        assert report["equivalent"] is True
+
+    def test_one_check_feeds_both_reports(self, morita_cases):
+        q, d = morita_cases["s3"]
+        items, morita = imp.bimodule_check(q, d)
+        assert items == imp.verify_imprimitivity(q, d)
+        assert morita == imp.morita_report(q, d)
+
+    def test_failing_items_raise_before_any_count(self, pauli_setup, monkeypatch):
+        q, d = pauli_setup
+        true_right = imp.right_action
+        monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
+        with pytest.raises(AxiomViolation, match="^imprimitivity axioms failed: "):
+            imp.morita_report(q, d)
+
+    def test_zero_base_bundle_has_no_unit(self, q_z4):
+        empty = matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))
+        zero = bundles.GradedBundle(q_z4.quotient_group, (empty, empty))
+        with pytest.raises(NonUnitalUnitFiber):
+            imp.verify_imprimitivity(q_z4, zero)

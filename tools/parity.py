@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Compare the CLI behaviour of two source trees on the benchmark ladder.
+
+    python3 tools/parity.py BASE_SRC NEW_SRC [--workload W]... [--seed N]
+
+BASE_SRC and NEW_SRC are directories holding a `fellbundles` package, e.g.
+the `src/` of a clean export of the parent commit and `src/` of the working
+tree. The inputs of each workload are built once by `perfbench.ladder.build`,
+importing `fellbundles` from BASE_SRC. Each tree then runs every rung in
+order through `cli.run_command`, in one child process per tree and workload
+whose address space is capped at 3 GiB, the benchmark's budget, in its own
+copy of the inputs. A rung that raises (over the cap, say) records the
+exception's name in place of an exit code.
+
+Every rung whose exit code, stdout or written file (`pullback -o`) differs
+between the trees is printed with a short diff. The exit code is 1 if any
+rung differs, else 0. Uses the standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("bimodule", "report", "duality", "frontier")
+FIELDS = ("code", "stdout", "written")
+CAP_BYTES = 3 * 2**30
+
+
+def run_rungs(src: str, workdir: str, rungs: list) -> list[dict]:
+    """Run each (argv, writes) rung in workdir with the `fellbundles` under src."""
+    sys.path.insert(0, src)
+    from fellbundles import cli
+
+    os.chdir(workdir)
+    out = []
+    for argv, writes in rungs:
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run_command(argv)
+        except Exception as exc:  # noqa: BLE001 - the outcome is the exception's name
+            code = f"raised {type(exc).__name__}"
+        written = None
+        if writes and os.path.exists(writes):
+            with open(writes, encoding="utf-8") as fh:
+                written = fh.read()
+        out.append({"code": code, "stdout": buf.getvalue(), "written": written})
+    return out
+
+
+def tree_results(src: str, inputs: str, rungs) -> list[dict]:
+    """The rung records of one tree, from a capped child working in a copy of inputs."""
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(inputs, work, dirs_exist_ok=True)
+        payload = json.dumps({"src": src, "workdir": work,
+                              "rungs": [[list(r.argv), r.writes] for r in rungs]})
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                              input=payload, capture_output=True, text=True,
+                              preexec_fn=limit, env=env, check=False)
+    if proc.returncode:
+        raise SystemExit(f"{src}: the child failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def describe(a: dict, b: dict) -> list[str]:
+    """Lines naming what differs between two rung records."""
+    lines = []
+    if a["code"] != b["code"]:
+        lines.append(f"  code: {a['code']} -> {b['code']}")
+    for field in FIELDS[1:]:
+        if a[field] != b[field]:
+            diff = difflib.unified_diff((a[field] or "").splitlines(),
+                                        (b[field] or "").splitlines(), "base", "new", lineterm="")
+            lines.append(f"  {field}:")
+            lines.extend(f"    {line}" for line in list(diff)[:12])
+    return lines
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:] == ["--child"]:
+        job = json.load(sys.stdin)
+        json.dump(run_rungs(job["src"], job["workdir"], job["rungs"]), sys.stdout)
+        return 0
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("base", help="source directory holding the reference fellbundles")
+    p.add_argument("new", help="source directory holding the fellbundles to compare")
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="a workload to compare (repeatable; default all four)")
+    p.add_argument("--seed", type=int, default=101, help="ladder seed (default 101)")
+    args = p.parse_args(argv)
+    base, new = os.path.abspath(args.base), os.path.abspath(args.new)
+    sys.path[:0] = [base, ROOT]
+    from perfbench import ladder
+
+    differing = total = 0
+    for workload in args.workload or WORKLOADS:
+        with tempfile.TemporaryDirectory() as inputs:
+            rungs = ladder.build(workload, inputs, args.seed)
+            before, after = (tree_results(src, inputs, rungs) for src in (base, new))
+        for rung, a, b in zip(rungs, before, after):
+            total += 1
+            if any(a[f] != b[f] for f in FIELDS):
+                differing += 1
+                print(f"{workload}/{rung.id}: differs")
+                print("\n".join(describe(a, b)))
+    print(f"seed {args.seed}: {differing} of {total} rungs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
