@@ -145,11 +145,10 @@ class CrossedProductAlgebra:
         return u @ np.asarray(mat, dtype=complex) @ dagger(u)
 
 
-def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL,
-                    check: bool = True) -> CrossedProductAlgebra:
-    """The bundle's ambient crossed product on C^n tensor l^2(G)."""
-    if check:
-        require_fell_axioms(bundle, max(tol, 1e-8))
+def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedProductAlgebra:
+    """The bundle's dense crossed product on C^n tensor l^2(G): the reference
+    model that tests hold the commands' bundle-read crossed-product fields to."""
+    require_fell_axioms(bundle, max(tol, 1e-8))
     g = bundle.group
     lam = left_regular(g)
     rho = right_regular(g)
