@@ -89,6 +89,18 @@ def render_report(report: dict) -> str:
 # input files
 
 
+def _cast(cast, value, path: str, field: str):
+    """cast(value), with a malformed value reported as a ParseError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {field}: {exc}") from exc
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(x) for x in values)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -152,12 +164,9 @@ def parse_spec(path: str):
     if "group" not in data:
         raise ParseError(f"{path}: missing group field")
     g = decode_group(data["group"])
-    try:
-        n = int(data["ambient_dim"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing ambient_dim field") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: ambient_dim: {exc}") from exc
+    if "ambient_dim" not in data:
+        raise ParseError(f"{path}: missing ambient_dim field")
+    n = _cast(int, data["ambient_dim"], path, "ambient_dim")
     if n <= 0:
         raise ParseError(f"{path}: ambient_dim must be positive")
     raw = data.get("fibers", {})
@@ -178,9 +187,10 @@ def parse_spec(path: str):
     bundle = bundles.GradedBundle(g, fibers)
     options: dict = {}
     if "normal_subgroup" in data:
-        options["normal_subgroup"] = tuple(int(x) for x in data["normal_subgroup"])
+        options["normal_subgroup"] = _cast(_int_tuple, data["normal_subgroup"], path,
+                                           "normal_subgroup")
     if "tolerance" in data:
-        options["tolerance"] = float(data["tolerance"])
+        options["tolerance"] = _cast(float, data["tolerance"], path, "tolerance")
     return g, bundle, options
 
 
@@ -253,7 +263,7 @@ def parse_action_spec(path: str):
     k = first.shape[0]
     algebra = orthonormalize([_decode_square(m, k, f"algebra[{i}]")
                               for i, m in enumerate(mats)])
-    members = tuple(int(x) for x in data.get("normal_subgroup", [0]))
+    members = _cast(_int_tuple, data.get("normal_subgroup", [0]), path, "normal_subgroup")
     try:
         nsub = groups.NormalSubgroup(g, members)
     except FellBundleError as exc:
@@ -266,9 +276,12 @@ def parse_action_spec(path: str):
         if str(s) not in raw_alpha:
             raise ParseError(f"{path}: alpha is missing element {s}")
         alpha[s] = _decode_square(raw_alpha[str(s)], algebra.dim, f"alpha[{s}]")
+    raw_tau = data.get("tau", {})
+    if not isinstance(raw_tau, dict):
+        raise ParseError(f"{path}: tau must map normal-subgroup elements to matrices")
     tau = {}
-    for raw_n, m in data.get("tau", {}).items():
-        nn = int(raw_n)
+    for raw_n, m in raw_tau.items():
+        nn = _cast(int, raw_n, path, "tau key")
         if nn not in members:
             raise ParseError(f"{path}: tau[{nn}] is not indexed by the normal subgroup")
         tau[nn] = _decode_square(m, k, f"tau[{raw_n}]")
@@ -295,7 +308,7 @@ def parse_gset_spec(path: str):
         if field not in data:
             raise ParseError(f"{path}: missing {field} field")
     g = decode_group(data["group"])
-    size = int(data["size"])
+    size = _cast(int, data["size"], path, "size")
     raw = data["perm"]
     if isinstance(raw, dict):
         try:
@@ -306,8 +319,9 @@ def parse_gset_spec(path: str):
         rows = raw
     else:
         raise ParseError(f"{path}: perm must be a list of rows or an element map")
+    perm = tuple(_cast(_int_tuple, r, path, f"perm[{s}]") for s, r in enumerate(rows))
     try:
-        return duality.GSetAction(g, size, tuple(tuple(int(x) for x in r) for r in rows))
+        return duality.GSetAction(g, size, perm)
     except FellBundleError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import I2, PAULI_X, SQ2, SWAP_SUBGROUP
-from fellbundles import bundles, cli, duality, groups, matrices
+from fellbundles import bundles, cli, duality, groups, matrices, sections
 from fellbundles.errors import ParseError
 
 
@@ -519,6 +524,92 @@ class TestReportCommand:
         _, out1, _ = run(capsys, "report", pauli_spec)
         _, out2, _ = run(capsys, "report", pauli_spec)
         assert out1 == out2
+
+
+def table_spec(bundle) -> dict:
+    desc = {"kind": "table", "table": [list(r) for r in bundle.group.table]}
+    return cli.bundle_to_spec(bundle, desc)
+
+
+class TestCrossedFieldsAgainstTheDenseModel:
+    """crossed and report read the crossed product off the bundle; the dense
+    span{a_s (x) E_{st,t}} of `sections.crossed_product` is the oracle."""
+
+    @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_z4", "trivial_s3",
+                                      "pauli_pullback", "twisted_z4_realized",
+                                      "swap_semidirect_realized"])
+    def test_dimension_and_isometry(self, capsys, tmp_path, request, name):
+        bundle = request.getfixturevalue(name)
+        bundle = bundle.bundle if name.endswith("_realized") else bundle
+        spec = write_json(tmp_path / "spec.json", table_spec(bundle))
+        cp = sections.crossed_product(bundle)
+        rc, out, _ = run(capsys, "crossed", spec)
+        crossed = json.loads(out)
+        assert rc == 0 and crossed["pass"] is True
+        assert crossed["crossed_dimension"] == crossed["expected_dimension"] == cp.total.dim
+        assert crossed["ambient_dim"] == cp.ambient_dim
+        assert crossed["isometry_residual"] <= 1e-10
+        gap = max(abs(matrices.op_norm(cp.j_fiber(s, a)) - matrices.op_norm(a))
+                  for s in bundle.group.elements() for a in bundle.fiber(s).basis_list())
+        assert gap <= 1e-10
+        rc, out, _ = run(capsys, "report", spec)
+        assert rc == 0 and json.loads(out)["crossed_dimension"] == cp.total.dim
+
+
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at 3 GiB."""
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", "from fellbundles.cli import main; main()", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=300, check=False)
+
+
+def test_s4_crossed_and_report_fit_three_gib(tmp_path, m2_full):
+    # the dense crossed product of this bundle would stack 2304 matrices of
+    # size 1152 x 1152, about 49 GB
+    bundle = bundles.trivial_bundle(groups.symmetric(4), m2_full)
+    spec = write_json(tmp_path / "m2_s4.json",
+                      cli.bundle_to_spec(bundle, {"kind": "symmetric", "n": 4}))
+    crossed = run_capped("crossed", spec)
+    assert crossed.returncode == 0, crossed.stderr
+    report = json.loads(crossed.stdout)
+    assert report["crossed_dimension"] == report["expected_dimension"] == 2304
+    assert report["ambient_dim"] == 1152
+    combined = run_capped("report", spec)
+    assert combined.returncode == 0, combined.stderr
+    report = json.loads(combined.stdout)
+    assert report["crossed_dimension"] == 2304
+    assert report["ideal_dims"] == [0, 96]
+
+
+class TestMalformedFieldsExit2:
+    """A field of the wrong type is an input problem: exit 2 naming file and field."""
+
+    @pytest.mark.parametrize("command,fixture,mutate,field", [
+        ("olesen-pedersen", "action_spec", lambda d: d["tau"].update(x=mat([[1.0]])), "tau key"),
+        ("olesen-pedersen", "action_spec", lambda d: d.update(normal_subgroup=[0, "two"]),
+         "normal_subgroup"),
+        ("olesen-pedersen", "action_spec", lambda d: d.update(tau=[mat([[1.0]])]), "tau"),
+        ("obstruction", "gset_spec", lambda d: d.update(size="three"), "size"),
+        ("obstruction", "gset_spec", lambda d: d["perm"][1].__setitem__(0, "a"), "perm[1]"),
+        ("verify", "pauli_spec", lambda d: d.update(tolerance="tight"), "tolerance"),
+        ("verify", "pauli_spec", lambda d: d.update(normal_subgroup=[0, "x"]),
+         "normal_subgroup"),
+    ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
+            "gset-perm-entry", "spec-tolerance", "spec-normal-subgroup"])
+    def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
+        data = json.loads(open(request.getfixturevalue(fixture)).read())
+        mutate(data)
+        bad = write_json(tmp_path / "bad.json", data)
+        rc, out, err = run(capsys, command, bad, "--normal", "0,3,4")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {bad}: {field}")
 
 
 class TestOutputAndExitCodes:

@@ -12,6 +12,10 @@ module-level name (`__init__.py` again excepted).
 
 Reports are built by `matrices.ResidualReport`, so no other module writes a
 dict literal with a "max_residual" key or calls `violations.append`.
+
+The commands read the crossed product off the bundle, so `cli.py` never
+calls `crossed_product`, `j_fiber` or `np.kron`: the dense model is the
+tests' reference, not a command path.
 """
 
 import ast
@@ -110,3 +114,32 @@ def test_checker_flags_a_hand_built_report():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "matrices.py"])
 def test_reports_are_built_by_the_builder(module):
     assert hand_built_reports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+DENSE_CROSSED = {"crossed_product", "j_fiber", "kron"}
+
+
+def dense_crossed_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in DENSE_CROSSED:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_dense_crossed_call():
+    source = ("cp = sections.crossed_product(b)\n"
+              "x = cp.j_fiber(s, a)\n"
+              "y = np.kron(a, lam)\n"
+              "z = crossed_product(b, tol)\n"
+              "w = cp.total.dim + kronecker(a)\n")
+    assert dense_crossed_calls(source) == [
+        "crossed_product (line 1)", "j_fiber (line 2)", "kron (line 3)",
+        "crossed_product (line 4)"]
+
+
+def test_cli_builds_no_dense_crossed_product():
+    assert dense_crossed_calls((SRC / "cli.py").read_text(encoding="utf-8")) == []
