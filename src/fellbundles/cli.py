@@ -203,7 +203,7 @@ def bundle_to_spec(bundle: bundles.GradedBundle, group_desc: dict) -> dict:
 
 def _parse_members(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return _int_tuple(text.split(","))
     except ValueError as exc:
         raise ParseError(f"--normal: expected a comma list of integers, got '{text}'") from exc
 
