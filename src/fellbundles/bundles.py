@@ -9,6 +9,12 @@ faithful positive functional on the unit fiber; concretize() turns it back
 into matrices through the left regular representation. The constructions in
 between (trivial, pullback, semidirect, twisted semidirect, quotient by a
 multiplier family) are the substance of the toolkit.
+
+A map between gradings (a bundle isomorphism, or a realization matched with
+prescribed images) is evaluated once per basis element of its source, plus
+random combinations that witness its linearity. `homomorphism_residuals`
+then compares the images of products and adjoints, read off the source's
+structure constants, with the products and adjoints of the images.
 """
 
 from __future__ import annotations
@@ -397,12 +403,6 @@ class AbstractBundle:
     invol: tuple
     funct: np.ndarray
 
-    def mul_coords(self, s: int, t: int, x, y) -> np.ndarray:
-        return np.einsum("a,b,abc->c", np.asarray(x), np.asarray(y), self.prod[(s, t)])
-
-    def star_coords(self, s: int, x) -> np.ndarray:
-        return np.conj(np.asarray(x)) @ self.invol[s]
-
     def section_dimension(self) -> int:
         return sum(self.dims)
 
@@ -461,9 +461,7 @@ def semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBun
     The twist of t is ignored; only the action enters. Coefficients live in
     t.algebra and the functional is the ambient trace on the e-fiber.
     """
-    require_twisted_action(
-        TwistedAction(t.algebra, t.group, NormalSubgroup(t.group, (0,)), t.alpha,
-                      {0: unit_element(t.algebra)}), tol)
+    require_twisted_action(plain_action(t.algebra, t.group, t.alpha), tol)
     alg, g = t.algebra, t.group
     k = alg.dim
     mult = multiplication_tensor(alg, tol)
@@ -511,7 +509,8 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
 
 def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
                         s: int) -> tuple[int, np.ndarray]:
-    """Normal form of the class [coeff, s]: the representative at section(sN).
+    """Normal form of the class [coeff, s] (of each class, for a stack of
+    coeffs): the representative at section(sN).
 
     q is the quotient of t.group by t.subgroup.
     """
@@ -638,7 +637,71 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     return AbstractBundle(qg, dims, prod, tuple(invol), funct)
 
 
-# bundle isomorphisms
+# maps between gradings, evaluated once per basis element
+
+
+def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
+    """Worst multiplicative and adjoint residuals of the linear map sending
+    basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n)):
+    |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
+    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|, one pair (i, j) at a time."""
+    g = src.group
+    mult, star = [0.0], [0.0]
+    for s in g.elements():
+        for t in g.elements():
+            p, yst = src.prod[(s, t)], y[g.mul(s, t)]
+            mult.extend(hs_norm(np.tensordot(p[i, j], yst, axes=(0, 0)) - y[s][i] @ y[t][j])
+                        for i in range(src.dims[s]) for j in range(src.dims[t]))
+        adj = np.tensordot(src.invol[s], y[g.inv(s)], axes=(1, 0))
+        star.extend(hs_norm(adj[i] - dagger(y[s][i])) for i in range(src.dims[s]))
+    return float(np.max(mult)), float(np.max(star))
+
+
+def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float):
+    """a's structure constants (AxiomViolation unless a is a grading), phi(s, .) on
+    each fiber's basis, stacked (dim_s, n, n), and `samples` linearity probes per
+    nonempty fiber: (x, phi(s, x), the same random combination of the images)."""
+    src = abstract_from_graded(a, tol)
+    rng = np.random.default_rng(seed)
+    images, probes = [], []
+    for s in a.group.elements():
+        fa = a.fiber(s)
+        ys = np.array([phi(s, m) for m in fa.basis_list()], dtype=complex).reshape(-1, n, n)
+        images.append(ys)
+        for _ in range(samples if fa.dim else 0):
+            c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
+            x = fa.from_coords(c)
+            probes.append((x, phi(s, x), np.tensordot(c, ys, axes=(0, 0))))
+    return src, images, probes
+
+
+def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle, tol: float,
+                        probes=()) -> dict:
+    """Report on sources[s][i] -> images[s][i], linear, with src the sources'
+    structure constants; the probes give `linear` and more isometry samples."""
+    rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
+                         "isometric")
+    into = 0.0
+    for s in src.group.elements():
+        fb = b.fiber(s)
+        if src.dims[s] != fb.dim:
+            rep.fail("bijective", float(abs(src.dims[s] - fb.dim)), s=s)
+        elif fb.dim:
+            coords, res = fb.decompose(images[s])
+            into = max(into, _worst(res))
+            sv = np.linalg.svd(coords, compute_uv=False)
+            if sv[-1] <= tol * max(1.0, sv[0]):
+                rep.fail("bijective", float(sv[-1]), s=s)
+    rep.residuals("into_fibers", into, s=None)
+    mult, star = homomorphism_residuals(src, images)
+    pairs = [(x, y) for xs, ys in zip(sources, images) for x, y in zip(xs, ys)]
+    norm = [abs(op_norm(y) - op_norm(x)) / max(1.0, op_norm(x))
+            for x, y in pairs + [(x, y) for x, y, _ in probes]]
+    lin = [hs_norm(y - via_basis) / max(1.0, hs_norm(y)) for _, y, via_basis in probes]
+    for name, res in [("multiplicative", mult), ("star", star),
+                      ("isometric", _worst(np.array(norm))), ("linear", _worst(np.array(lin)))]:
+        rep.residuals(name, res, s=None)
+    return rep.build()
 
 
 def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
@@ -646,58 +709,15 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
     """Residuals for phi: A -> B as a fiberwise linear, multiplicative,
     adjoint-preserving, isometric bijection. phi(s, mat) -> mat.
 
-    Ambients may differ; only the group must match.
+    phi is called once per basis element of A and on `samples` random
+    combinations per nonempty fiber (the `linear` check); the rest reads that
+    table and A's structure constants, so A must be a grading (AxiomViolation
+    otherwise). Ambients may differ; only the group must match.
     """
     if a.group.table != b.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
-    g = a.group
-    rng = np.random.default_rng(11)
-    rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
-                         "isometric")
-
-    bij_res, lin_res = 0.0, 0.0
-    for s in g.elements():
-        fa, fb = a.fiber(s), b.fiber(s)
-        if fa.dim != fb.dim:
-            rep.fail("bijective", float(abs(fa.dim - fb.dim)), s=s)
-            continue
-        if fa.dim == 0:
-            continue
-        imgs = [phi(s, m) for m in fa.basis_list()]
-        coords, res = zip(*(fb.decompose(m) for m in imgs))
-        bij_res = max(bij_res, *map(float, res))
-        coord_map = np.stack(coords).T
-        sv = np.linalg.svd(coord_map, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            rep.fail("bijective", float(sv[-1]), s=s)
-        for _ in range(samples):
-            c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
-            lin = phi(s, fa.from_coords(c))
-            lin_res = max(lin_res, hs_norm(lin - np.tensordot(c, np.stack(imgs), axes=(0, 0)))
-                          / max(1.0, hs_norm(lin)))
-    rep.residuals("into_fibers", bij_res, s=None)
-
-    mult_res, star_res, norm_res = 0.0, 0.0, 0.0
-    for s in g.elements():
-        fa = a.fiber(s)
-        for m in fa.basis_list():
-            star_res = max(star_res, hs_norm(phi(g.inv(s), dagger(m)) - dagger(phi(s, m))))
-            norm_res = max(norm_res, abs(op_norm(phi(s, m)) - op_norm(m)) / max(1.0, op_norm(m)))
-        for t in g.elements():
-            ft = a.fiber(t)
-            for m in fa.basis_list():
-                for w in ft.basis_list():
-                    mult_res = max(mult_res,
-                                   hs_norm(phi(g.mul(s, t), m @ w) - phi(s, m) @ phi(t, w)))
-        for _ in range(samples):
-            c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
-            if fa.dim:
-                x = fa.from_coords(c)
-                norm_res = max(norm_res, abs(op_norm(phi(s, x)) - op_norm(x)) / max(1.0, op_norm(x)))
-    for name, res in [("multiplicative", mult_res), ("star", star_res),
-                      ("isometric", norm_res), ("linear", lin_res)]:
-        rep.residuals(name, res, s=None)
-    return rep.build()
+    src, images, probes = map_table(a, phi, b.ambient_dim, samples, 11, tol)
+    return _isomorphism_report(src, [f.basis for f in a.fibers], images, b, tol, probes)
 
 
 def verify_bundle_isomorphism(a: GradedBundle, b: GradedBundle, phi,
@@ -710,24 +730,13 @@ def realization_isomorphism_report(abstract: AbstractBundle, real: Realization,
                                    tol: float = DEFAULT_TOL) -> dict:
     """Compare a concretized abstract bundle with prescribed images in a target.
 
-    images_in_target[s][a] is where the abstract basis element a of fiber s
-    should land inside target; the induced map from the concretized bundle is
-    checked as a bundle isomorphism.
+    images_in_target[s][a] (a list, or a stack per fiber) is where the
+    abstract basis element a of fiber s should land inside target; the map
+    real.images[s][a] -> images_in_target[s][a] is checked as a bundle
+    isomorphism. It is linear by construction: `linear` reads 0.0.
     """
-    stacks = []
-    for s in abstract.group.elements():
-        if abstract.dims[s]:
-            stacks.append(np.stack([m.ravel() for m in real.images[s]]).T)
-        else:
-            stacks.append(None)
-
-    def phi(s, mat):
-        if abstract.dims[s] == 0:
-            return np.zeros((target.ambient_dim, target.ambient_dim), dtype=complex)
-        c, *_ = np.linalg.lstsq(stacks[s], mat.ravel(), rcond=None)
-        out = np.zeros((target.ambient_dim, target.ambient_dim), dtype=complex)
-        for a, img in enumerate(images_in_target[s]):
-            out = out + c[a] * img
-        return out
-
-    return bundle_isomorphism_report(real.bundle, target, phi, tol)
+    if abstract.group.table != target.group.table:
+        raise GroupMismatch("isomorphism between bundles over different groups")
+    n = target.ambient_dim
+    images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
+    return _isomorphism_report(abstract, real.images, images, target, tol)

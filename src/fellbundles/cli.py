@@ -147,6 +147,8 @@ def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
         return decode_group(desc), desc
     if kind == "table":
         data = _load_json(rest)
+        if isinstance(data, dict) and "table" not in data:
+            raise ParseError(f"{rest}: expected a 'table' field")
         table = data["table"] if isinstance(data, dict) else data
         g = decode_group({"kind": "table", "table": table})
         return g, {"kind": "table", "table": [list(row) for row in g.table]}
@@ -418,9 +420,8 @@ def cmd_olesen_pedersen(args) -> tuple[dict, int, str | None]:
     action = parse_action_spec(args.spec)
     tol = max(_tol(args, {}), 1e-8)
     fwd = duality.olesen_pedersen_forward(action, tol)
-    real = bundles.concretize(bundles.semidirect_bundle(action, tol), tol)
-    fam = duality.induced_multiplier_family(action, real)
-    extracted = duality.extract_twist(action, real, fam, tol)
+    fam = duality.induced_multiplier_family(action, fwd["semidirect"])
+    extracted = duality.extract_twist(action, fwd["semidirect"], fam, tol)
     residual = max(
         (float(np.linalg.norm(extracted[n] - action.tau[n])) for n in extracted),
         default=0.0)

@@ -71,9 +71,10 @@ from .sections import SectionAlgebra, section_algebra
 
 
 def _image(real: Realization, k: int, coords: np.ndarray) -> np.ndarray:
-    """Concrete image of the abstract fiber-k element with the given coords."""
+    """Concrete image of the abstract fiber-k element with the given coords
+    (a stack of images for a stack of coords (..., dim_k))."""
     return np.tensordot(np.asarray(coords, dtype=complex),
-                        np.stack(real.images[k]), axes=(0, 0))
+                        np.stack(real.images[k]), axes=(-1, 0))
 
 
 # reconstruction of a twisted action from a bundle over G/N
@@ -126,12 +127,9 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
         alpha[s] = coords.T
     tau = {n: u.mat(n) for n in q.subgroup.members}
     action = TwistedAction(b_fib, g, q.subgroup, alpha, tau)
-    require_twisted_action(action, tol)
-
-    abstract = twisted_semidirect_bundle(action, tol)
+    abstract = twisted_semidirect_bundle(action, tol)  # requires the twisted action
     real = concretize(abstract, tol)
-    images = [[b_fib.basis[j] @ u.mat(q.section[c]) for j in range(k)]
-              for c in qg.elements()]
+    images = [b_fib.basis @ u.mat(q.section[c]) for c in qg.elements()]
     iso = realization_isomorphism_report(abstract, real, d, images, tol)
     require(iso, AxiomViolation, "reconstruction map failed: ")
     report = {"pass": True, "iso": iso, "coefficient_dim": k,
@@ -159,23 +157,21 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
 
     The untwisted semidirect bundle of the action is isomorphic to the
     pull-back along G -> G/N of the twisted semidirect bundle; both section
-    algebras have dimension |G| * dim B.
+    algebras have dimension |G| * dim B. The concretized semidirect bundle is
+    returned under "semidirect".
     """
-    require_twisted_action(t, tol)
+    # checks the whole twisted action first, so an invalid one raises here
+    tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
     g = t.group
     q = quotient(g, t.subgroup)
     semi = semidirect_bundle(t, tol)
     semi_real = concretize(semi, tol)
-    tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
     pb = pullback(tw_real.bundle, q)
     lam = left_regular(g)
-    images = []
+    images = []  # one stack per fiber: the classes [b_i, s] of the basis of B
     for s in g.elements():
-        row = []
-        for i in range(t.algebra.dim):
-            c, coeff = twisted_normal_form(t, q, t.algebra.basis[i], s)
-            row.append(np.kron(_image(tw_real, c, t.algebra.coords(coeff)), lam[s]))
-        images.append(row)
+        c, coeffs = twisted_normal_form(t, q, t.algebra.basis, s)
+        images.append(np.kron(_image(tw_real, c, t.algebra.decompose(coeffs)[0]), lam[s]))
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)
     dim_semi = semi_real.bundle.section_dimension()
     dim_pb = pb.section_dimension()
@@ -184,6 +180,7 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
         "iso": iso,
         "dim_semidirect": dim_semi,
         "dim_pullback": dim_pb,
+        "semidirect": semi_real,
     }
 
 
@@ -243,9 +240,7 @@ def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient,
     u = canonical_multiplier_family(p, q)
     quo = quotient_bundle(p, u, q, tol)
     real = concretize(quo, tol)
-    scale = 1.0 / np.sqrt(q.group.order)
-    images = [[scale * m for m in d.fiber(c).basis_list()]
-              for c in q.quotient_group.elements()]
+    images = [d.fiber(c).basis / np.sqrt(q.group.order) for c in q.quotient_group.elements()]
     iso = realization_isomorphism_report(quo, real, d, images, tol)
     return {"pass": iso["pass"], "iso": iso,
             "fiber_dims": {"original": list(d.fiber_dims()),

@@ -4,7 +4,10 @@ The total span of a grading is a *-subalgebra of the ambient matrix algebra;
 its fiber components give the grading projections and the conditional
 expectation onto the unit fiber. The crossed product realizes the bundle on
 C^n tensor l^2(G) as the span of a_s tensor E_{st,t}, carrying the dual
-translation action and the canonical covariant pair.
+translation action and the canonical covariant pair. verify_covariant_pair
+evaluates pi once per basis element and reads its homomorphism and
+integrated-form residuals off the structure constants of the bundle and of
+the crossed product (`crossed_structure`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import GradedBundle, require_fell_axioms
+from .bundles import (
+    AbstractBundle,
+    GradedBundle,
+    homomorphism_residuals,
+    map_table,
+    require_fell_axioms,
+)
 from .errors import (
     FiberMismatch,
     NotAHomomorphism,
@@ -167,6 +176,21 @@ def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedPr
     return CrossedProductAlgebra(bundle, total, lam, rho)
 
 
+def crossed_structure(src: AbstractBundle) -> AbstractBundle:
+    """Structure constants of span{a (x) E_{st,t} : a in A_s}, graded by s, with
+    basis element (a, t) of fiber s at index a * |G| + t:
+    (a (x) E_{st,t})(b (x) E_{uv,v}) = delta_{t,uv} ab (x) E_{suv,v} and
+    (a (x) E_{st,t})* = a* (x) E_{t,st}, where delta_{t,uv} = lam[u][t, v]."""
+    g, dims, k = src.group, src.dims, src.group.order
+    lam, eye = left_regular(g), np.eye(k)
+    prod = {(s, u): np.einsum("abc,tv,vw->atbvcw", src.prod[(s, u)], lam[u], eye).reshape(
+                dims[s] * k, dims[u] * k, dims[g.mul(s, u)] * k)
+            for s in g.elements() for u in g.elements()}
+    invol = tuple(np.einsum("ac,wt->atcw", src.invol[s], lam[s]).reshape(
+        dims[s] * k, dims[g.inv(s)] * k) for s in g.elements())
+    return AbstractBundle(g, tuple(d * k for d in dims), prod, invol, np.repeat(src.funct, k))
+
+
 def verify_covariant_pair(bundle: GradedBundle, pi, projections,
                           tol: float = DEFAULT_TOL, samples: int = 3) -> dict:
     """Check (pi, p) as a covariant pair for the grading.
@@ -177,70 +201,42 @@ def verify_covariant_pair(bundle: GradedBundle, pi, projections,
     (ProjectionsNotResolving / NotAHomomorphism otherwise). The covariance
     relation pi(a_s) p_t = p_{st} pi(a_s) and its integrated form are
     reported as residuals.
+
+    pi is called once per basis element, plus `samples` random combinations
+    per nonempty fiber and once on the unit; all residuals read that table.
+    The bundle must be a grading (AxiomViolation otherwise).
     """
     g = bundle.group
-    projections = [np.asarray(p, dtype=complex) for p in projections]
-    if len(projections) != g.order:
-        raise ProjectionsNotResolving(
-            f"{len(projections)} projections for a group of order {g.order}")
-    hdim = projections[0].shape[0]
+    p = np.array(projections, dtype=complex)
+    if len(p) != g.order:
+        raise ProjectionsNotResolving(f"{len(p)} projections for a group of order {g.order}")
+    hdim = p[0].shape[0]
     eye = np.eye(hdim)
 
-    proj_res = float(hs_norm(sum(projections) - eye))
-    for t, p in enumerate(projections):
-        proj_res = max(proj_res, hs_norm(p - dagger(p)), hs_norm(p @ p - p))
-        for u in range(t + 1, g.order):
-            proj_res = max(proj_res, hs_norm(p @ projections[u]))
+    # sum_t p_t = 1, p_t* = p_t and p_t p_u = delta_{t,u} p_t
+    gaps = (p.sum(axis=0) - eye, p - dagger(p),
+            p[:, None] @ p[None] - np.eye(g.order)[..., None, None] * p)
+    proj_res = max(float(np.linalg.norm(x, axis=(-2, -1)).max()) for x in gaps)
     if proj_res > tol:
         raise ProjectionsNotResolving(
             f"projection family residual {proj_res:.3g}")
 
-    rng = np.random.default_rng(23)
-    hom_res = 0.0
-    for s in g.elements():
-        fs = bundle.fiber(s)
-        for a in fs.basis_list():
-            hom_res = max(hom_res, hs_norm(pi(g.inv(s), dagger(a)) - dagger(pi(s, a))))
-            for t in g.elements():
-                for b in bundle.fiber(t).basis_list():
-                    hom_res = max(hom_res,
-                                  hs_norm(pi(g.mul(s, t), a @ b) - pi(s, a) @ pi(t, b)))
-        imgs = [pi(s, a) for a in fs.basis_list()]
-        for _ in range(samples if fs.dim else 0):
-            c = rng.normal(size=fs.dim) + 1j * rng.normal(size=fs.dim)
-            lin = pi(s, fs.from_coords(c))
-            hom_res = max(hom_res,
-                          hs_norm(lin - np.tensordot(c, np.stack(imgs), axes=(0, 0))))
+    src, images, probes = map_table(bundle, pi, hdim, samples, 23, tol)
+    hom_res = max(*homomorphism_residuals(src, images),
+                  *(hs_norm(y - via_basis) for _, y, via_basis in probes))
     unit_res = float(hs_norm(pi(0, unit_element(bundle.fiber(0))) - eye))
     if hom_res > tol or unit_res > tol:
         raise NotAHomomorphism(
             f"representation residual {max(hom_res, unit_res):.3g}")
 
+    # integrated[s][a * |G| + t] = pi(a) p_t for basis element a of fiber s
+    integrated = [(y[:, None] @ p[None]).reshape(-1, hdim, hdim) for y in images]
     cov_res = 0.0
     for s in g.elements():
-        for a in bundle.fiber(s).basis_list():
-            img = pi(s, a)
-            for t in g.elements():
-                cov_res = max(cov_res, hs_norm(
-                    img @ projections[t] - projections[g.mul(s, t)] @ img))
-
-    # integrated form Lambda(s, t, a) = pi(a) p_t: a *-homomorphism of the
-    # ambient crossed product when covariance holds
-    int_res = 0.0
-    for s in g.elements():
-        for a in bundle.fiber(s).basis_list():
-            lam_sa = pi(s, a)
-            for t in g.elements():
-                x = lam_sa @ projections[t]
-                int_res = max(int_res, hs_norm(
-                    dagger(x) - pi(g.inv(s), dagger(a)) @ projections[g.mul(s, t)]))
-                for u in g.elements():
-                    for b in bundle.fiber(u).basis_list():
-                        for v in g.elements():
-                            y = pi(u, b) @ projections[v]
-                            expected = (pi(g.mul(s, u), a @ b) @ projections[v]
-                                        if t == g.mul(u, v) else 0.0)
-                            int_res = max(int_res, hs_norm(x @ y - expected))
+        moved = p[[g.mul(s, t) for t in g.elements()]]
+        gap = integrated[s].reshape(-1, g.order, hdim, hdim) - moved[None] @ images[s][:, None]
+        cov_res = max(cov_res, float(np.linalg.norm(gap, axis=(-2, -1)).max(initial=0.0)))
+    int_res = max(homomorphism_residuals(crossed_structure(src), integrated))
 
     rep = ResidualReport(tol, "projections_resolve", "homomorphism", "covariance",
                          "integrated_form")

@@ -307,3 +307,219 @@ class TestStructureConstantKernel:
             assert abs(v["residual"] - 1 / SQ2) <= 1e-12
         failed = [name for name, c in report["checks"].items() if not c["pass"]]
         assert failed == ["product_closure"]
+
+
+# The per-pair route that the structure-constant kernel replaced: phi is called
+# again inside every product pair, for every adjoint and for every norm. It stays
+# here as the second route to every isomorphism verdict.
+
+
+def reference_isomorphism_report(a, b, phi, tol=matrices.DEFAULT_TOL, samples=4):
+    if a.group.table != b.group.table:
+        raise GroupMismatch("isomorphism between bundles over different groups")
+    g = a.group
+    rng = np.random.default_rng(11)
+    rep = matrices.ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative",
+                                  "star", "isometric")
+    dagger, hs_norm, op_norm = matrices.dagger, matrices.hs_norm, matrices.op_norm
+
+    bij_res, lin_res = 0.0, 0.0
+    for s in g.elements():
+        fa, fb = a.fiber(s), b.fiber(s)
+        if fa.dim != fb.dim:
+            rep.fail("bijective", float(abs(fa.dim - fb.dim)), s=s)
+            continue
+        if fa.dim == 0:
+            continue
+        imgs = [phi(s, m) for m in fa.basis_list()]
+        coords, res = zip(*(fb.decompose(m) for m in imgs))
+        bij_res = max(bij_res, *map(float, res))
+        sv = np.linalg.svd(np.stack(coords).T, compute_uv=False)
+        if sv[-1] <= tol * max(1.0, sv[0]):
+            rep.fail("bijective", float(sv[-1]), s=s)
+        for _ in range(samples):
+            c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
+            lin = phi(s, fa.from_coords(c))
+            lin_res = max(lin_res, hs_norm(lin - np.tensordot(c, np.stack(imgs), axes=(0, 0)))
+                          / max(1.0, hs_norm(lin)))
+    rep.residuals("into_fibers", bij_res, s=None)
+
+    mult_res, star_res, norm_res = 0.0, 0.0, 0.0
+    for s in g.elements():
+        fa = a.fiber(s)
+        for m in fa.basis_list():
+            star_res = max(star_res, hs_norm(phi(g.inv(s), dagger(m)) - dagger(phi(s, m))))
+            norm_res = max(norm_res, abs(op_norm(phi(s, m)) - op_norm(m)) / max(1.0, op_norm(m)))
+        for t in g.elements():
+            for m in fa.basis_list():
+                for w in a.fiber(t).basis_list():
+                    mult_res = max(mult_res,
+                                   hs_norm(phi(g.mul(s, t), m @ w) - phi(s, m) @ phi(t, w)))
+        for _ in range(samples):
+            c = rng.normal(size=fa.dim) + 1j * rng.normal(size=fa.dim)
+            if fa.dim:
+                x = fa.from_coords(c)
+                norm_res = max(norm_res,
+                               abs(op_norm(phi(s, x)) - op_norm(x)) / max(1.0, op_norm(x)))
+    for name, res in [("multiplicative", mult_res), ("star", star_res),
+                      ("isometric", norm_res), ("linear", lin_res)]:
+        rep.residuals(name, res, s=None)
+    return rep.build()
+
+
+def reference_realization_report(abstract, real, target, images_in_target,
+                                 tol=matrices.DEFAULT_TOL):
+    """The induced map on real.bundle, found by least squares on every call."""
+    n = target.ambient_dim
+    stacks = [np.stack([m.ravel() for m in real.images[s]]).T if abstract.dims[s] else None
+              for s in abstract.group.elements()]
+
+    def phi(s, mat):
+        out = np.zeros((n, n), dtype=complex)
+        if abstract.dims[s] == 0:
+            return out
+        c, *_ = np.linalg.lstsq(stacks[s], mat.ravel(), rcond=None)
+        for a, img in enumerate(images_in_target[s]):
+            out = out + c[a] * img
+        return out
+
+    return reference_isomorphism_report(real.bundle, target, phi, tol)
+
+
+def assert_same_verdict(new, ref, linear=True):
+    """Same pass and failing checks; for a linear map also the same residuals.
+    A failing `isometric` maximum may come from the random probes, which the two
+    routes draw in a different order, so it is compared only when it passes."""
+    assert new["pass"] == ref["pass"]
+    assert list(new["checks"]) == list(ref["checks"])
+    failing = {name for name, c in new["checks"].items() if not c["pass"]}
+    assert failing == {name for name, c in ref["checks"].items() if not c["pass"]}
+    if not linear:
+        return
+    for name, c in ref["checks"].items():
+        if "max_residual" in c and (name != "isometric" or c["pass"]):
+            assert abs(new["checks"][name]["max_residual"] - c["max_residual"]) <= 1e-12, name
+
+
+def _shrunken(pauli_bundle, z2):
+    return bundles.GradedBundle(
+        z2, (pauli_bundle.fiber(0), matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))))
+
+
+class TestIsomorphismRoutesAgree:
+    MAPS = {"identity": lambda s, m: m,
+            "sign_flip": lambda s, m: -m if s == 1 else m,
+            "doubling": lambda s, m: 2.0 * m if s == 1 else m}
+
+    @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_s3"])
+    @pytest.mark.parametrize("map_name", list(MAPS))
+    def test_fiber_maps(self, name, map_name, request):
+        b, phi = request.getfixturevalue(name), self.MAPS[map_name]
+        assert_same_verdict(bundles.bundle_isomorphism_report(b, b, phi),
+                            reference_isomorphism_report(b, b, phi))
+
+    def test_restriction_to_the_trivial_bundle(self, pauli_pullback, q_z4, pauli_bundle):
+        rest = bundles.restrict(pauli_pullback, q_z4.subgroup.members)
+        triv = bundles.trivial_bundle(rest.group, pauli_bundle.fiber(0))
+
+        def phi(s, mat):
+            return triv.fiber(s).from_coords(np.sqrt(0.5) * rest.fiber(s).coords(mat))
+
+        new = bundles.bundle_isomorphism_report(rest, triv, phi, tol=1e-9)
+        assert new["pass"]
+        assert_same_verdict(new, reference_isomorphism_report(rest, triv, phi, tol=1e-9))
+
+    def test_nonlinear_map_into_a_smaller_bundle(self, pauli_bundle, z2):
+        def phi(s, mat):
+            return 1j * (mat @ mat) + PAULI_Z * abs(np.trace(mat))
+
+        shrunken = _shrunken(pauli_bundle, z2)
+        assert_same_verdict(bundles.bundle_isomorphism_report(pauli_bundle, shrunken, phi),
+                            reference_isomorphism_report(pauli_bundle, shrunken, phi),
+                            linear=False)
+
+    def test_duality_maps(self, monkeypatch, twisted_z4_action, twisted_z4_realized, swap_action,
+                          q_z4, q_s3, pauli_bundle, pauli_pullback, s3_quotient_bundle):
+        from fellbundles import duality
+
+        seen = []
+
+        def spy(check, reference):
+            def wrapped(*args):
+                report = check(*args)
+                seen.append((report, reference(*args)))
+                return report
+            return wrapped
+
+        monkeypatch.setattr(duality, "realization_isomorphism_report",
+                            spy(bundles.realization_isomorphism_report,
+                                reference_realization_report))
+        monkeypatch.setattr(duality, "bundle_isomorphism_report",
+                            spy(bundles.bundle_isomorphism_report, reference_isomorphism_report))
+
+        u = duality.canonical_landstad_family(twisted_z4_action, twisted_z4_realized)
+        duality.landstad_reconstruct(twisted_z4_realized.bundle, q_z4, u)
+        for action in (twisted_z4_action, swap_action):
+            duality.olesen_pedersen_forward(action)
+        duality.pullback_quotient_roundtrip(pauli_bundle, q_z4)
+        duality.pullback_quotient_roundtrip(s3_quotient_bundle, q_s3)
+        fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+        duality.quotient_pullback_roundtrip(pauli_pullback, fam, q_z4)
+        real = bundles.concretize(bundles.semidirect_bundle(twisted_z4_action))
+        induced = duality.induced_multiplier_family(twisted_z4_action, real)
+        duality.quotient_pullback_roundtrip(real.bundle, induced, q_z4)
+
+        assert len(seen) == 7
+        for new, ref in seen:
+            assert new["pass"]
+            assert_same_verdict(new, ref)
+
+
+class TestMapCallCounts:
+    """The map is evaluated once per basis element, plus the linearity samples."""
+
+    @staticmethod
+    def counted(phi, calls):
+        def wrapped(s, m):
+            calls.append(s)
+            return phi(s, m)
+        return wrapped
+
+    @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_s3", "pauli_pullback"])
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_phi_calls(self, name, samples, request):
+        b = request.getfixturevalue(name)
+        calls = []
+        bundles.bundle_isomorphism_report(b, b, self.counted(lambda s, m: m, calls),
+                                          samples=samples)
+        nonempty = sum(1 for d in b.fiber_dims() if d)
+        assert len(calls) == b.section_dimension() + samples * nonempty
+
+    def test_phi_calls_with_an_empty_fiber(self, pauli_bundle, z2):
+        shrunken = _shrunken(pauli_bundle, z2)
+        calls = []
+        report = bundles.bundle_isomorphism_report(
+            shrunken, pauli_bundle, self.counted(lambda s, m: m, calls))
+        assert calls == [0] * (1 + 4)
+        assert [v["axiom"] for v in report["violations"]] == ["bijective"]
+
+
+class TestHomomorphismResiduals:
+    def test_exact_on_the_defining_realization(self, swap_action):
+        semi = bundles.semidirect_bundle(swap_action)
+        real = bundles.concretize(semi)
+        images = [np.stack(real.images[s]) for s in semi.group.elements()]
+        mult, star = bundles.homomorphism_residuals(semi, images)
+        assert mult <= 1e-12 and star <= 1e-12
+
+    def test_reads_the_worst_pair(self, pauli_bundle):
+        src = bundles.abstract_from_graded(pauli_bundle)
+        # doubling the odd fiber: (2X)(2X) - image of X X = 4 X X - X X, |3 I / 2| = 3 / sqrt 2
+        images = [pauli_bundle.fiber(0).basis, 2.0 * pauli_bundle.fiber(1).basis]
+        mult, star = bundles.homomorphism_residuals(src, images)
+        assert abs(mult - 3 / SQ2) <= 1e-12 and star <= 1e-15
+
+    def test_non_grading_source_raises(self, z2, pauli_bundle):
+        bad = graded(z2, [I2, I2 + PAULI_X])
+        with pytest.raises(AxiomViolation):
+            bundles.bundle_isomorphism_report(bad, pauli_bundle, lambda s, m: m)

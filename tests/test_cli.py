@@ -658,3 +658,29 @@ class TestOutputAndExitCodes:
             cli.main()
         assert exc.value.code == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_table_file_without_a_table_field_exits_2(capsys, tmp_path):
+    spec = pauli_spec_dict()
+    spec.update(group={"kind": "cyclic", "n": 1}, fibers={"0": [mat(I2)]})
+    one = write_json(tmp_path / "one.json", spec)
+    table = write_json(tmp_path / "t.json", {"tab": [[0]]})
+    rc, out, err = run(capsys, "pullback", one, "--group", f"table:{table}", "--normal", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {table}: ") and "'table'" in err
+
+
+def test_olesen_pedersen_checks_the_action_three_times(capsys, monkeypatch, action_spec):
+    # once for the twisted semidirect bundle, once for the semidirect one and
+    # once for the extracted twist: the semidirect bundle is built once
+    calls = []
+    check = bundles.verify_twisted_action
+
+    def counted(t, tol=matrices.DEFAULT_TOL):
+        calls.append(t)
+        return check(t, tol)
+
+    monkeypatch.setattr(bundles, "verify_twisted_action", counted)
+    rc, out, _ = run(capsys, "olesen-pedersen", action_spec)
+    assert rc == 0 and json.loads(out)["isomorphism"] is True
+    assert len(calls) == 3

@@ -1,5 +1,7 @@
 """Reconstruction dualities, twist extraction, graded ideals, obstructions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from fellbundles.errors import (
     GroupMismatch,
     InvalidAction,
     InvalidMultiplierFamily,
+    InvalidTwist,
     FiberNotPrincipal,
     MultiplierNotOrderCompatible,
     NonUnitalUnitFiber,
@@ -379,3 +382,40 @@ class TestTransformationSystems:
         stabs = [set(act.stabilizer(x)) for x in range(act.size)]
         kernel = tuple(sorted(set.intersection(*stabs)))
         groups.NormalSubgroup(g, kernel)  # must not raise
+
+
+class TestOlesenPedersenInvalidActions:
+    """An invalid action or twist fails with the error the action check raises."""
+
+    @staticmethod
+    def expected_error(t):
+        with pytest.raises((InvalidAction, InvalidTwist)) as exc:
+            bundles.require_twisted_action(t, 1e-8)
+        return exc.type, str(exc.value)
+
+    def test_broken_twist(self, twisted_z4_action):
+        t = twisted_z4_action
+        bad = bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha,
+                                    {0: t.tau[0], 2: 2.0 * t.tau[2]})
+        kind, message = self.expected_error(bad)
+        assert kind is InvalidTwist
+        with pytest.raises(InvalidTwist, match=re.escape(message)):
+            duality.olesen_pedersen_forward(bad)
+
+    def test_broken_action(self, twisted_z4_action):
+        t = twisted_z4_action
+        alpha = t.alpha.copy()
+        alpha[1] = 2.0 * alpha[1]
+        bad = bundles.TwistedAction(t.algebra, t.group, t.subgroup, alpha, t.tau)
+        kind, message = self.expected_error(bad)
+        assert kind is InvalidAction
+        with pytest.raises(InvalidAction, match=re.escape(message)):
+            duality.olesen_pedersen_forward(bad)
+
+    def test_semidirect_bundle_is_returned(self, swap_action):
+        report = duality.olesen_pedersen_forward(swap_action)
+        real = bundles.concretize(bundles.semidirect_bundle(swap_action))
+        assert report["semidirect"].bundle.fiber_dims() == real.bundle.fiber_dims()
+        for s in swap_action.group.elements():
+            assert np.allclose(np.stack(report["semidirect"].images[s]),
+                               np.stack(real.images[s]), rtol=0, atol=1e-12)

@@ -16,6 +16,10 @@ dict literal with a "max_residual" key or calls `violations.append`.
 The commands read the crossed product off the bundle, so `cli.py` never
 calls `crossed_product`, `j_fiber` or `np.kron`: the dense model is the
 tests' reference, not a command path.
+
+Maps between gradings are evaluated once per basis element and checked on
+structure constants, so no function nested inside a library function (a map
+handed to a check, say) solves `np.linalg.lstsq` on every call.
 """
 
 import ast
@@ -143,3 +147,36 @@ def test_checker_flags_a_dense_crossed_call():
 
 def test_cli_builds_no_dense_crossed_product():
     assert dense_crossed_calls((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def nested_lstsq_calls(source: str) -> list[str]:
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(
+                    inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(inner):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "lstsq":
+                        found.add(f"{getattr(inner, 'name', 'lambda')} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_a_nested_lstsq():
+    source = ("def top(a, b):\n"
+              "    x = np.linalg.lstsq(a, b)\n"
+              "    def phi(s, m):\n"
+              "        return np.linalg.lstsq(a, m)[0]\n"
+              "    f = lambda m: lstsq(a, m)\n"
+              "    return phi, f\n")
+    assert nested_lstsq_calls(source) == ["lambda (line 5)", "phi (line 4)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_nested_function_solves_lstsq(module):
+    assert nested_lstsq_calls((SRC / module).read_text(encoding="utf-8")) == []

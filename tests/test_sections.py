@@ -239,3 +239,48 @@ class TestCovariantPairs:
         report = sections.verify_covariant_pair(cp_trivial_z4.bundle, pi, shuffled)
         assert not report["pass"]
         assert any(v["axiom"] == "covariance" for v in report["violations"])
+
+
+class TestCovariantPairTable:
+    def test_pi_once_per_basis_element(self, cp_pauli, cp_trivial_z4):
+        for cp in (cp_pauli, cp_trivial_z4):
+            calls = []
+
+            def pi(s, m, cp=cp):
+                calls.append(s)
+                return cp.j_fiber(s, m)
+
+            projections = [cp.j_group(t) for t in cp.group.elements()]
+            assert sections.verify_covariant_pair(cp.bundle, pi, projections, samples=3)["pass"]
+            nonempty = sum(1 for d in cp.bundle.fiber_dims() if d)
+            assert len(calls) == cp.bundle.section_dimension() + 3 * nonempty + 1
+
+    @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_z4", "trivial_s3"])
+    def test_crossed_structure_matches_the_dense_model(self, name, request):
+        # span{a (x) E_{st,t}} graded by s, basis (a, t) in the order a * |G| + t
+        b = request.getfixturevalue(name)
+        g, k = b.group, b.group.order
+        fibers = []
+        for s in g.elements():
+            mats = []
+            for a in b.fiber(s).basis_list():
+                for t in g.elements():
+                    e = np.zeros((k, k), dtype=complex)
+                    e[g.mul(s, t), t] = 1.0
+                    mats.append(np.kron(a, e))
+            n = b.ambient_dim * k
+            fibers.append(matrices.MatrixSubspace(n, np.array(mats).reshape(-1, n, n)))
+        dense = bundles.abstract_from_graded(bundles.GradedBundle(g, tuple(fibers)))
+        read = sections.crossed_structure(bundles.abstract_from_graded(b))
+        assert read.dims == dense.dims
+        for key, p in dense.prod.items():
+            assert np.abs(read.prod[key] - p).max(initial=0.0) <= 1e-12, key
+        for s in g.elements():
+            assert np.abs(read.invol[s] - dense.invol[s]).max(initial=0.0) <= 1e-12
+
+    def test_non_grading_raises(self, cp_pauli, z2):
+        bad = bundles.GradedBundle(z2, (matrices.orthonormalize([I2]),
+                                        matrices.orthonormalize([I2 + PAULI_X])))
+        projections = [cp_pauli.j_group(t) for t in cp_pauli.group.elements()]
+        with pytest.raises(AxiomViolation):
+            sections.verify_covariant_pair(bad, lambda s, m: np.kron(m, np.eye(2)), projections)
