@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Quotient
 from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, numerical_rank, op_norm
-from .sections import section_algebra
+from .sections import SectionAlgebra, section_algebra
 
 
 @dataclass(frozen=True)
@@ -178,20 +178,29 @@ def ep_pullback_witness(fd: EPWitness, gvals: dict, q: Quotient,
     return ep_witness(pb, hvals, tol)
 
 
-def regular_representation_kernel(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> int:
+def _sections(bundle: GradedBundle | SectionAlgebra, tol: float) -> SectionAlgebra:
+    """The bundle's section algebra, unless it is one already built."""
+    if isinstance(bundle, SectionAlgebra):
+        return bundle
+    return section_algebra(bundle, tol, check=False)
+
+
+def regular_representation_kernel(bundle: GradedBundle | SectionAlgebra,
+                                  tol: float = DEFAULT_TOL) -> int:
     """dim ker of sections -> sections tensor lambda; zero iff the grading is faithful.
 
     As <a tensor lambda(s), b tensor lambda(t)>_HS = |G| delta_{s,t} <a, b>_HS, the
     map's singular values are sqrt|G| times those of C, the fiber coordinates of
     the components of the section basis (NotInAlgebra if they do not rebuild it).
+    The bundle's section algebra may be passed in its place if already built.
     """
-    sa = section_algebra(bundle, tol, check=False)
+    sa = _sections(bundle, tol)
     flat = sa.total.flat
     coeffs = flat @ sa.solver.T
     miss = np.linalg.norm(coeffs @ sa.stack - flat, axis=1)
     if np.any(miss > max(tol, 1e-8) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
         raise NotInAlgebra("matrix is not a section of the grading")
-    sv = np.sqrt(bundle.group.order) * np.linalg.svd(coeffs, compute_uv=False)
+    sv = np.sqrt(sa.group.order) * np.linalg.svd(coeffs, compute_uv=False)
     return sa.total.dim - numerical_rank(sv, max(tol, 1e-10))
 
 
@@ -244,15 +253,18 @@ def least_squares_witness(bundle: GradedBundle, iters: int = 25,
     return best
 
 
-def amenability_report(bundle: GradedBundle, tol: float = 1e-8) -> dict:
+def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = 1e-8) -> dict:
     """Faithfulness of the regular representation plus an exact-witness search.
 
     The kernel dimension is always zero here: fibers are honest subspaces of
     one matrix algebra, so the section map is injective and tensoring with
     the regular representation stays injective.  It is recomputed and
-    checked rather than assumed.
+    checked rather than assumed. The bundle's section algebra may be passed
+    in its place if already built.
     """
-    kern = regular_representation_kernel(bundle, tol)
+    sa = _sections(bundle, tol)
+    kern = regular_representation_kernel(sa, tol)
+    bundle = sa.bundle
     if kern:
         raise AxiomViolation(
             f"regular representation has a {kern}-dimensional kernel; "

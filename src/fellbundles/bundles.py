@@ -14,7 +14,10 @@ A map between gradings (a bundle isomorphism, or a realization matched with
 prescribed images) is evaluated once per basis element of its source, plus
 random combinations that witness its linearity. `homomorphism_residuals`
 then compares the images of products and adjoints, read off the source's
-structure constants, with the products and adjoints of the images.
+structure constants, with the products and adjoints of the images. A map
+into a pull-back lands in a PulledBack, whose elements a stand for
+a (x) lambda(s): it is checked on the small factor a, and `pullback` builds
+the dense grading only when asked.
 """
 
 from __future__ import annotations
@@ -82,6 +85,65 @@ class GradedBundle:
 
     def fiber_dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.fibers)
+
+    @property
+    def hs_factor(self) -> float:
+        """HS norm of the element a fiber matrix stands for, over the matrix's own:
+        1, as a grading's matrices are its elements (a PulledBack's is sqrt|G|)."""
+        return 1.0
+
+
+@dataclass(frozen=True)
+class PulledBack:
+    """The pull-back of a bundle over G/N along G -> G/N, kept on its small factor.
+
+    Its fiber over s is base.fiber(sN), and an element a of it stands for
+    a (x) lambda(s) in M_{n|G|}. The lambda identities hold exactly there:
+    (a (x) lambda_s)(b (x) lambda_t) = ab (x) lambda_st,
+    (a (x) lambda_s)* = a* (x) lambda_{s^-1}, |a (x) lambda_s|_op = |a|_op and
+    |a (x) lambda_s|_HS = sqrt|G| |a|_HS. So a map into the pull-back is
+    checked on its small images, with HS residuals scaled by hs_factor.
+    dense() builds the grading itself.
+    """
+
+    base: GradedBundle
+    q: Quotient
+
+    def __post_init__(self) -> None:
+        if self.base.group.table != self.q.quotient_group.table:
+            raise GroupMismatch("bundle is not graded by the quotient group of q")
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.q.group
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.base.ambient_dim
+
+    @property
+    def hs_factor(self) -> float:
+        return float(np.sqrt(self.group.order))
+
+    def fiber(self, s: int) -> MatrixSubspace:
+        return self.base.fiber(self.q.coset_of[s])
+
+    def fiber_dims(self) -> tuple[int, ...]:
+        return tuple(self.fiber(s).dim for s in self.group.elements())
+
+    def section_dimension(self) -> int:
+        return sum(self.fiber_dims())
+
+    def dense(self) -> GradedBundle:
+        """fiber(s) = base.fiber(sN) (x) lambda(s) / sqrt|G| in M_{n|G|}, an
+        orthonormal basis in the base's index order, so generator maps between
+        the base and the pull-back are index-aligned."""
+        g = self.group
+        lam = left_regular(g)
+        n = self.ambient_dim * g.order
+        scale = 1.0 / self.hs_factor
+        return GradedBundle(g, tuple(MatrixSubspace(n, np.kron(self.fiber(s).basis, lam[s]) * scale)
+                                     for s in g.elements()))
 
 
 def same_bundle(a: GradedBundle, b: GradedBundle) -> bool:
@@ -165,7 +227,8 @@ def require_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> None:
 
 
 def trivial_bundle(g: FiniteGroup, coeff: MatrixSubspace, tol: float = DEFAULT_TOL) -> GradedBundle:
-    """Constant-fiber bundle: fiber(s) = coeff tensor lambda(s) in M_{n|G|}.
+    """Constant-fiber bundle: fiber(s) = coeff tensor lambda(s) / sqrt|G| in
+    M_{n|G|}, the pull-back of coeff along G -> G/G.
 
     coeff must be a unital *-subalgebra of its ambient (NotAnAlgebra/NotUnital
     otherwise); its unit need not be the ambient identity.
@@ -174,34 +237,13 @@ def trivial_bundle(g: FiniteGroup, coeff: MatrixSubspace, tol: float = DEFAULT_T
     unit_element(coeff, tol)
     if not is_star_closed(coeff, tol):
         raise NotAnAlgebra("coefficient algebra is not adjoint-closed")
-    lam = left_regular(g)
-    n = coeff.ambient_dim * g.order
-    scale = 1.0 / np.sqrt(g.order)
-    fibers = []
-    for s in g.elements():
-        mats = [np.kron(d, lam[s]) * scale for d in coeff.basis_list()]
-        fibers.append(MatrixSubspace(n, np.array(mats, dtype=complex).reshape(-1, n, n)))
-    return GradedBundle(g, tuple(fibers))
+    q = quotient(g, g.elements())
+    return pullback(GradedBundle(q.quotient_group, (coeff,)), q)
 
 
 def pullback(d: GradedBundle, q: Quotient) -> GradedBundle:
-    """Pull a bundle over G/N back to G: fiber(s) = fiber_D(sN) tensor lambda(s).
-
-    The fiber basis keeps the index order of d's fibers, so generator maps
-    between d and the pull-back are index-aligned.
-    """
-    if d.group.table != q.quotient_group.table:
-        raise GroupMismatch("bundle is not graded by the quotient group of q")
-    g = q.group
-    lam = left_regular(g)
-    n = d.ambient_dim * g.order
-    scale = 1.0 / np.sqrt(g.order)
-    fibers = []
-    for s in g.elements():
-        base = d.fiber(q.coset_of[s])
-        mats = [np.kron(m, lam[s]) * scale for m in base.basis_list()]
-        fibers.append(MatrixSubspace(n, np.array(mats, dtype=complex).reshape(-1, n, n)))
-    return GradedBundle(g, tuple(fibers))
+    """Pull a bundle over G/N back to G: the dense grading of PulledBack(d, q)."""
+    return PulledBack(d, q).dense()
 
 
 def restrict(bundle: GradedBundle, members) -> GradedBundle:
@@ -345,15 +387,20 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     unit = unit_element(alg, tol)
     rep = ResidualReport(tol, "action", "twist")
 
+    # alpha_s of the basis, of its adjoints and of all basis products, each
+    # stack decomposed once: alpha_s(x) has coordinates coords(x) alpha_s^T
+    own, stars = alg.decompose(alg.basis)[0], alg.decompose(dagger(alg.basis))[0]
+    prods = product_coords(alg.basis, alg.basis, alg)[0]
     act_res = 0.0
     for s in g.elements():
         sv = np.linalg.svd(t.alpha[s], compute_uv=False)
         if sv.size and sv[-1] <= tol:
             act_res = max(act_res, 1.0)
-        for a in alg.basis_list():
-            act_res = max(act_res, hs_norm(dagger(t.apply(s, a)) - t.apply(s, dagger(a))))
-            for b in alg.basis_list():
-                act_res = max(act_res, hs_norm(t.apply(s, a @ b) - t.apply(s, a) @ t.apply(s, b)))
+        a_s = t.alpha[s].T
+        moved = alg.from_coords(own @ a_s)
+        gaps = (alg.from_coords(stars @ a_s) - dagger(moved),
+                alg.from_coords(prods @ a_s) - moved[:, None] @ moved[None])
+        act_res = max(act_res, *(_worst(np.linalg.norm(x, axis=(-2, -1))) for x in gaps))
         for u in g.elements():
             act_res = max(act_res, float(np.linalg.norm(
                 t.alpha[s] @ t.alpha[u] - t.alpha[g.mul(s, u)])))
@@ -370,8 +417,8 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
             twist_res = max(twist_res, hs_norm(t.tau[x] @ t.tau[y] - t.tau[g.mul(x, y)]))
         for s in g.elements():
             twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
-        for b in alg.basis_list():
-            twist_res = max(twist_res, hs_norm(t.apply(x, b) - tx @ b @ dagger(tx)))
+        inner = t.apply(x, alg.basis) - tx @ alg.basis @ dagger(tx)
+        twist_res = max(twist_res, _worst(np.linalg.norm(inner, axis=(-2, -1))))
     rep.residuals("twist", twist_res)
     return rep.build()
 
@@ -644,17 +691,19 @@ def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     """Worst multiplicative and adjoint residuals of the linear map sending
     basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n)):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
-    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|, one pair (i, j) at a time."""
+    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|; the products for all j, and the
+    adjoints for all i, as one stack."""
     g = src.group
-    mult, star = [0.0], [0.0]
+    mult, star = 0.0, 0.0
     for s in g.elements():
         for t in g.elements():
             p, yst = src.prod[(s, t)], y[g.mul(s, t)]
-            mult.extend(hs_norm(np.tensordot(p[i, j], yst, axes=(0, 0)) - y[s][i] @ y[t][j])
-                        for i in range(src.dims[s]) for j in range(src.dims[t]))
+            for i in range(src.dims[s]):
+                gap = np.tensordot(p[i], yst, axes=(1, 0)) - y[s][i] @ y[t]
+                mult = max(mult, _worst(np.linalg.norm(gap, axis=(-2, -1))))
         adj = np.tensordot(src.invol[s], y[g.inv(s)], axes=(1, 0))
-        star.extend(hs_norm(adj[i] - dagger(y[s][i])) for i in range(src.dims[s]))
-    return float(np.max(mult)), float(np.max(star))
+        star = max(star, _worst(np.linalg.norm(adj - dagger(y[s]), axis=(-2, -1))))
+    return float(mult), float(star)
 
 
 def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float):
@@ -675,10 +724,15 @@ def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float)
     return src, images, probes
 
 
-def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle, tol: float,
-                        probes=()) -> dict:
+def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle | PulledBack,
+                        tol: float, probes=()) -> dict:
     """Report on sources[s][i] -> images[s][i], linear, with src the sources'
-    structure constants; the probes give `linear` and more isometry samples."""
+    structure constants; the probes give `linear` and more isometry samples.
+
+    An image in b stands for an element whose HS norm is b.hs_factor times its
+    own (a (x) lambda(s) in a PulledBack, the image itself in a grading), so the
+    HS figures are scaled to that element's; operator norms need no factor."""
+    f = b.hs_factor
     rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
                          "isometric")
     into = 0.0
@@ -688,23 +742,28 @@ def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle, t
             rep.fail("bijective", float(abs(src.dims[s] - fb.dim)), s=s)
         elif fb.dim:
             coords, res = fb.decompose(images[s])
-            into = max(into, _worst(res))
-            sv = np.linalg.svd(coords, compute_uv=False)
+            # decompose's |a - Pa| / max(1, |a|), rescaled to the element m that a
+            # stands for: |m - Pm| = f |a - Pa| and |m| = f |a|
+            norms = np.linalg.norm(images[s], axis=(-2, -1))
+            into = max(into, _worst(res * (f * np.maximum(1.0, norms) / np.maximum(1.0, f * norms))))
+            sv = f * np.linalg.svd(coords, compute_uv=False)
             if sv[-1] <= tol * max(1.0, sv[0]):
                 rep.fail("bijective", float(sv[-1]), s=s)
     rep.residuals("into_fibers", into, s=None)
     mult, star = homomorphism_residuals(src, images)
     pairs = [(x, y) for xs, ys in zip(sources, images) for x, y in zip(xs, ys)]
-    norm = [abs(op_norm(y) - op_norm(x)) / max(1.0, op_norm(x))
-            for x, y in pairs + [(x, y) for x, y, _ in probes]]
-    lin = [hs_norm(y - via_basis) / max(1.0, hs_norm(y)) for _, y, via_basis in probes]
-    for name, res in [("multiplicative", mult), ("star", star),
-                      ("isometric", _worst(np.array(norm))), ("linear", _worst(np.array(lin)))]:
+    pairs += [(x, y) for x, y, _ in probes]
+    nx = np.array([op_norm(x) for x, _ in pairs])
+    ny = np.array([op_norm(y) for _, y in pairs])
+    norm = np.abs(ny - nx) / np.maximum(1.0, nx)
+    lin = [f * hs_norm(y - via_basis) / max(1.0, f * hs_norm(y)) for _, y, via_basis in probes]
+    for name, res in [("multiplicative", f * mult), ("star", f * star),
+                      ("isometric", _worst(norm)), ("linear", _worst(np.array(lin)))]:
         rep.residuals(name, res, s=None)
     return rep.build()
 
 
-def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
+def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle | PulledBack, phi,
                               tol: float = DEFAULT_TOL, samples: int = 4) -> dict:
     """Residuals for phi: A -> B as a fiberwise linear, multiplicative,
     adjoint-preserving, isometric bijection. phi(s, mat) -> mat.
@@ -712,7 +771,8 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle, phi,
     phi is called once per basis element of A and on `samples` random
     combinations per nonempty fiber (the `linear` check); the rest reads that
     table and A's structure constants, so A must be a grading (AxiomViolation
-    otherwise). Ambients may differ; only the group must match.
+    otherwise). Ambients may differ; only the group must match. Into a
+    PulledBack, phi(s, x) is the small factor a of the image a (x) lambda(s).
     """
     if a.group.table != b.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
@@ -726,14 +786,15 @@ def verify_bundle_isomorphism(a: GradedBundle, b: GradedBundle, phi,
 
 
 def realization_isomorphism_report(abstract: AbstractBundle, real: Realization,
-                                   target: GradedBundle, images_in_target,
+                                   target: GradedBundle | PulledBack, images_in_target,
                                    tol: float = DEFAULT_TOL) -> dict:
     """Compare a concretized abstract bundle with prescribed images in a target.
 
     images_in_target[s][a] (a list, or a stack per fiber) is where the
-    abstract basis element a of fiber s should land inside target; the map
-    real.images[s][a] -> images_in_target[s][a] is checked as a bundle
-    isomorphism. It is linear by construction: `linear` reads 0.0.
+    abstract basis element a of fiber s should land inside target (its small
+    factor, for a PulledBack); the map real.images[s][a] -> images_in_target[s][a]
+    is checked as a bundle isomorphism. It is linear by construction: `linear`
+    reads 0.0.
     """
     if abstract.group.table != target.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")

@@ -505,7 +505,7 @@ def cmd_report(args) -> tuple[dict, int, str | None]:
     ideals = duality.graded_ideals(sa, tol)
     report["ideal_dims"] = [i.dim for i in ideals]
     report["is_g_simple"] = duality.is_g_simple(sa, tol, ideals)
-    report["amenability"] = approx.amenability_report(bundle, tol)
+    report["amenability"] = approx.amenability_report(sa, tol)
     return report, 0, None
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bundles import (
     GradedBundle,
+    PulledBack,
     Realization,
     TwistedAction,
     UnitaryMultiplierFamily,
@@ -52,7 +53,6 @@ from .groups import (
     NormalSubgroup,
     Quotient,
     is_subgroup,
-    left_regular,
     quotient,
 )
 from .matrices import (
@@ -157,8 +157,9 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
 
     The untwisted semidirect bundle of the action is isomorphic to the
     pull-back along G -> G/N of the twisted semidirect bundle; both section
-    algebras have dimension |G| * dim B. The concretized semidirect bundle is
-    returned under "semidirect".
+    algebras have dimension |G| * dim B. The pull-back is a PulledBack, so no
+    a (x) lambda(s) is formed. The concretized semidirect bundle is returned
+    under "semidirect".
     """
     # checks the whole twisted action first, so an invalid one raises here
     tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
@@ -166,12 +167,13 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
     q = quotient(g, t.subgroup)
     semi = semidirect_bundle(t, tol)
     semi_real = concretize(semi, tol)
-    pb = pullback(tw_real.bundle, q)
-    lam = left_regular(g)
-    images = []  # one stack per fiber: the classes [b_i, s] of the basis of B
+    pb = PulledBack(tw_real.bundle, q)
+    # one stack per fiber: the classes [b_i, s] of the basis of B, as the small
+    # factors of their images [b_i, s] (x) lambda(s) in the pull-back
+    images = []
     for s in g.elements():
         c, coeffs = twisted_normal_form(t, q, t.algebra.basis, s)
-        images.append(np.kron(_image(tw_real, c, t.algebra.decompose(coeffs)[0]), lam[s]))
+        images.append(_image(tw_real, c, t.algebra.decompose(coeffs)[0]))
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)
     dim_semi = semi_real.bundle.section_dimension()
     dim_pb = pb.section_dimension()
@@ -254,21 +256,21 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 
     The comparison map sends a_s to (class of a_s u(n_s)*, s) where n_s moves s
     to the coset section; it is exactly multiplicative because the collapsed
-    structure constants were read off the very same representatives.
+    structure constants were read off the very same representatives. It lands
+    in a PulledBack, so phi returns the small factor of each image.
     """
     g = a.group
     if q is None:
         q = quotient(g, NormalSubgroup(g, tuple(sorted(u.domain))))
     quo = quotient_bundle(a, u, q, tol)
     real = concretize(quo, tol)
-    pb = pullback(real.bundle, q)
-    lam = left_regular(g)
+    pb = PulledBack(real.bundle, q)
 
     def phi(s, mat):
         c = q.coset_of[s]
         rep = mat @ dagger(u.mat(q.n_part(s)))
         coords = a.fiber(q.section[c]).coords(rep)
-        return np.kron(_image(real, c, coords), lam[s])
+        return _image(real, c, coords)
 
     iso = bundle_isomorphism_report(a, pb, phi, tol)
     return {"pass": iso["pass"], "iso": iso,

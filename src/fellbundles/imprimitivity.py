@@ -35,7 +35,7 @@ from operator import matmul
 
 import numpy as np
 
-from .bundles import GradedBundle, pullback, require_fell_axioms, same_bundle, unit_fiber_unit
+from .bundles import GradedBundle, PulledBack, require_fell_axioms, same_bundle, unit_fiber_unit
 from .errors import AxiomViolation, FiberMismatch, GroupMismatch
 from .groups import Quotient, left_regular
 from .matrices import (
@@ -537,5 +537,4 @@ def morita_report(q: Quotient, d: GradedBundle, tol: float = 1e-8) -> dict:
 
 def pullback_crossed_dimension(q: Quotient, d: GradedBundle) -> int:
     """dim B0 recomputed through the pull-back bundle, as a cross-check."""
-    p = pullback(d, q)
-    return q.group.order * p.section_dimension()
+    return q.group.order * PulledBack(d, q).section_dimension()

@@ -390,3 +390,14 @@ class TestReports:
     def test_least_squares_search_recovers_exact_witness(self, pauli_bundle):
         w = ap.least_squares_witness(pauli_bundle)
         assert ap.ep_defect(pauli_bundle, w)["defect"] <= 1e-8
+
+
+class TestSectionAlgebraPassedIn:
+    """The report command hands its section algebra on instead of the bundle."""
+
+    @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_s3", "s3_quotient_bundle"])
+    def test_same_kernel_and_report(self, name, request):
+        bundle = request.getfixturevalue(name)
+        sa = sections.section_algebra(bundle, 1e-8, check=False)
+        assert ap.regular_representation_kernel(sa) == ap.regular_representation_kernel(bundle)
+        assert ap.amenability_report(sa) == ap.amenability_report(bundle)

@@ -523,3 +523,129 @@ class TestHomomorphismResiduals:
         bad = graded(z2, [I2, I2 + PAULI_X])
         with pytest.raises(AxiomViolation):
             bundles.bundle_isomorphism_report(bad, pauli_bundle, lambda s, m: m)
+
+
+class TestPulledBack:
+    """The labelled pull-back: fibers of the base over G, and the dense grading on request."""
+
+    def test_fibers_dims_and_ambient(self, pauli_bundle, q_z4):
+        pb = bundles.PulledBack(pauli_bundle, q_z4)
+        assert pb.group is q_z4.group and pb.ambient_dim == pauli_bundle.ambient_dim
+        for s in q_z4.group.elements():
+            assert pb.fiber(s) is pauli_bundle.fiber(q_z4.coset_of[s])
+        dense = pb.dense()
+        assert pb.fiber_dims() == dense.fiber_dims()
+        assert pb.section_dimension() == dense.section_dimension() == 4
+        assert pb.hs_factor == 2.0 and pauli_bundle.hs_factor == 1.0
+
+    def test_dense_is_the_kron_pullback(self, pauli_bundle, q_z4):
+        lam = groups.left_regular(q_z4.group)
+        dense = bundles.pullback(pauli_bundle, q_z4)
+        assert dense.ambient_dim == 8
+        for s in q_z4.group.elements():
+            base = pauli_bundle.fiber(q_z4.coset_of[s])
+            want = [np.kron(m, lam[s]) * (1.0 / np.sqrt(4)) for m in base.basis_list()]
+            assert np.array_equal(dense.fiber(s).basis, np.array(want))
+
+    def test_group_mismatch(self, q_z4, trivial_z4):
+        with pytest.raises(GroupMismatch):
+            bundles.PulledBack(trivial_z4, q_z4)
+
+    def test_lambda_identities_on_the_small_factor(self, pauli_bundle, q_z4):
+        # (a (x) l_s)(b (x) l_t) = ab (x) l_st, (a (x) l_s)* = a* (x) l_s^-1, and the
+        # norms that the isomorphism report scales by hs_factor
+        g, lam = q_z4.group, groups.left_regular(q_z4.group)
+        pb = bundles.PulledBack(pauli_bundle, q_z4)
+        for s in g.elements():
+            a = pb.fiber(s).basis[0] * (1 + 2j)
+            big = np.kron(a, lam[s])
+            assert matrices.hs_norm(big) == pytest.approx(pb.hs_factor * matrices.hs_norm(a))
+            assert matrices.op_norm(big) == pytest.approx(matrices.op_norm(a))
+            assert np.array_equal(matrices.dagger(big), np.kron(matrices.dagger(a), lam[g.inv(s)]))
+            for t in g.elements():
+                b = pb.fiber(t).basis[-1]
+                assert np.allclose(big @ np.kron(b, lam[t]), np.kron(a @ b, lam[g.mul(s, t)]),
+                                   rtol=0, atol=1e-15)
+
+
+# The per-pair route of verify_twisted_action, which now checks each alpha_s on
+# stacks: one t.apply for every basis element, adjoint and pair of basis elements.
+
+
+def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
+    dagger, hs_norm = matrices.dagger, matrices.hs_norm
+    alg, g, n = t.algebra, t.group, t.subgroup
+    unit = matrices.unit_element(alg, tol)
+    rep = matrices.ResidualReport(tol, "action", "twist")
+    act_res = 0.0
+    for s in g.elements():
+        sv = np.linalg.svd(t.alpha[s], compute_uv=False)
+        if sv.size and sv[-1] <= tol:
+            act_res = max(act_res, 1.0)
+        for a in alg.basis_list():
+            act_res = max(act_res, hs_norm(dagger(t.apply(s, a)) - t.apply(s, dagger(a))))
+            for b in alg.basis_list():
+                act_res = max(act_res, hs_norm(t.apply(s, a @ b) - t.apply(s, a) @ t.apply(s, b)))
+        for u in g.elements():
+            act_res = max(act_res, float(np.linalg.norm(
+                t.alpha[s] @ t.alpha[u] - t.alpha[g.mul(s, u)])))
+    act_res = max(act_res, float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
+    rep.residuals("action", act_res)
+    twist_res = 0.0
+    for x in n.members:
+        tx = t.tau[x]
+        twist_res = max(twist_res, float(alg.decompose(tx)[1]),
+                        hs_norm(dagger(tx) @ tx - unit), hs_norm(tx @ dagger(tx) - unit))
+        for y in n.members:
+            twist_res = max(twist_res, hs_norm(t.tau[x] @ t.tau[y] - t.tau[g.mul(x, y)]))
+        for s in g.elements():
+            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
+        for b in alg.basis_list():
+            twist_res = max(twist_res, hs_norm(t.apply(x, b) - tx @ b @ dagger(tx)))
+    rep.residuals("twist", twist_res)
+    return rep.build()
+
+
+def _broken_actions(t):
+    """The action with alpha_1 doubled, with a non-multiplicative alpha_1, and with
+    tau doubled off the unit."""
+    doubled = t.alpha.copy()
+    doubled[1] = 2.0 * doubled[1]
+    k = t.algebra.dim
+    mixed = t.alpha.copy()
+    mixed[1] = mixed[1] + 0.5 * np.ones((k, k))
+    tau = {n: (m if n == 0 else 2.0 * m) for n, m in t.tau.items()}
+    return [bundles.TwistedAction(t.algebra, t.group, t.subgroup, doubled, t.tau),
+            bundles.TwistedAction(t.algebra, t.group, t.subgroup, mixed, t.tau),
+            bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha, tau)]
+
+
+def _s3_translation():
+    from fellbundles import duality
+    return duality.transformation_system(duality.translation_action(groups.symmetric(3)))
+
+
+class TestTwistedActionOnStacks:
+    @pytest.mark.parametrize("name", ["twisted_z4_action", "swap_action", "s3_translation"])
+    def test_same_report_as_the_per_pair_route(self, name, request):
+        t = _s3_translation() if name == "s3_translation" else request.getfixturevalue(name)
+        reports = [bundles.verify_twisted_action(a)["pass"] for a in _broken_actions(t)]
+        assert reports[:2] == [False, False]
+        for action in [t, *_broken_actions(t)]:
+            new, ref = bundles.verify_twisted_action(action), reference_verify_twisted_action(action)
+            assert new["pass"] == ref["pass"]
+            assert [v["axiom"] for v in new["violations"]] == [v["axiom"] for v in ref["violations"]]
+            for check, c in ref["checks"].items():
+                got = new["checks"][check]["max_residual"]
+                assert abs(got - c["max_residual"]) <= 1e-12 * max(1.0, c["max_residual"]), check
+
+    def test_same_errors_as_the_per_pair_route(self, twisted_z4_action, swap_action):
+        actions = [twisted_z4_action, swap_action, _s3_translation()]
+        for action in [b for t in actions for b in _broken_actions(t)]:
+            ref = reference_verify_twisted_action(action)
+            if ref["pass"]:
+                continue
+            first = ref["violations"][0]
+            kind = InvalidAction if first["axiom"] == "action" else InvalidTwist
+            with pytest.raises(kind, match=f"{first['axiom']} residual {first['residual']:.3g}$"):
+                bundles.require_twisted_action(action)

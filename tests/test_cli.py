@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import I2, PAULI_X, SQ2, SWAP_SUBGROUP
+from fellbundles import approximation as approx
 from fellbundles import bundles, cli, duality, groups, matrices, sections
 from fellbundles.errors import ParseError
 
@@ -684,3 +685,44 @@ def test_olesen_pedersen_checks_the_action_three_times(capsys, monkeypatch, acti
     rc, out, _ = run(capsys, "olesen-pedersen", action_spec)
     assert rc == 0 and json.loads(out)["isomorphism"] is True
     assert len(calls) == 3
+
+
+def transformation_system_spec(path, kind, n, normal):
+    """Action spec of G on G/N with tau = 1 on N, in the parser's orthonormalized basis."""
+    g = getattr(groups, kind)(n)
+    act = duality.transformation_system(duality.coset_action(g, normal))
+    alg = matrices.orthonormalize(act.algebra.basis_list())
+    alpha = {str(s): mat(np.stack([alg.coords(act.apply(s, b)) for b in alg.basis_list()], axis=1))
+             for s in g.elements()}
+    unit = mat(matrices.unit_element(alg))
+    spec = {"schema": "fellbundle/1", "kind": "twisted_action",
+            "group": {"kind": kind, "n": n}, "normal_subgroup": list(normal),
+            "algebra": [mat(b) for b in alg.basis_list()],
+            "alpha": alpha, "tau": {str(m): unit for m in normal}}
+    return write_json(path, spec)
+
+
+def test_s4_olesen_pedersen_fits_three_gib(tmp_path):
+    # S4 acting on S4/V4: the dense pull-back and the dense images of the forward
+    # map would be 144 + 144 complex matrices of size 864 x 864
+    spec = transformation_system_spec(tmp_path / "ts_s4_v4.json", "symmetric", 4, (0, 7, 16, 23))
+    done = run_capped("olesen-pedersen", spec)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["dim_pullback"] == report["dim_semidirect"] == 144
+    assert report["isomorphism"] is True and report["twist_residual"] <= 1e-9
+
+
+def test_report_builds_the_section_algebra_once(capsys, monkeypatch, pauli_spec):
+    calls = []
+    build = sections.section_algebra
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sections, "section_algebra", counted)
+    monkeypatch.setattr(approx, "section_algebra", counted)
+    rc, out, _ = run(capsys, "report", pauli_spec)
+    assert rc == 0 and json.loads(out)["amenability"]["regular_rep_kernel_dim"] == 0
+    assert len(calls) == 1

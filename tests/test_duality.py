@@ -419,3 +419,149 @@ class TestOlesenPedersenInvalidActions:
         for s in swap_action.group.elements():
             assert np.allclose(np.stack(report["semidirect"].images[s]),
                                np.stack(real.images[s]), rtol=0, atol=1e-12)
+
+
+# The forward check as first written: the pull-back and every image dense, as
+# a (x) lambda(s) in M_{n|G|}. It stays here as the second route to the verdict
+# that `olesen_pedersen_forward` now reaches on the small factor (PulledBack).
+
+
+def forward_images(t, tol=1e-8):
+    """The semidirect bundle, its realization, the twisted semidirect grading,
+    the quotient, and the small factors of the forward map's images."""
+    tw_real = bundles.concretize(bundles.twisted_semidirect_bundle(t, tol), tol)
+    q = groups.quotient(t.group, t.subgroup)
+    semi = bundles.semidirect_bundle(t, tol)
+    images = []
+    for s in t.group.elements():
+        c, coeffs = bundles.twisted_normal_form(t, q, t.algebra.basis, s)
+        images.append(duality._image(tw_real, c, t.algebra.decompose(coeffs)[0]))
+    return semi, bundles.concretize(semi, tol), tw_real.bundle, q, images
+
+
+def dense_images(q, images):
+    lam = groups.left_regular(q.group)
+    return [np.kron(y, lam[s]) for s, y in enumerate(images)]
+
+
+def reference_olesen_pedersen_forward(t, tol=1e-8):
+    semi, semi_real, tw, q, images = forward_images(t, tol)
+    pb = bundles.pullback(tw, q)
+    iso = bundles.realization_isomorphism_report(semi, semi_real, pb, dense_images(q, images), tol)
+    dim_semi, dim_pb = semi_real.bundle.section_dimension(), pb.section_dimension()
+    return {"pass": iso["pass"] and dim_semi == dim_pb == t.group.order * t.algebra.dim,
+            "iso": iso, "dim_semidirect": dim_semi, "dim_pullback": dim_pb}
+
+
+def ladder_action(g, normal):
+    """G acting on G/N by translation, with tau = 1 on N (the benchmark's systems)."""
+    act = duality.transformation_system(duality.coset_action(g, normal))
+    unit = matrices.unit_element(act.algebra)
+    return bundles.TwistedAction(act.algebra, g, groups.NormalSubgroup(g, normal), act.alpha,
+                                 {m: unit for m in normal})
+
+
+LADDER = {"s3.free": (groups.symmetric, 3, (0,)), "d4.center": (groups.dihedral, 4, (0, 2)),
+          "s3.a3": (groups.symmetric, 3, A3)}
+
+
+def named_action(name, request):
+    """A ladder system by its rung name, or an action fixture."""
+    if name in LADDER:
+        make, n, normal = LADDER[name]
+        return ladder_action(make(n), normal)
+    return request.getfixturevalue(name)
+
+
+def failing_checks(report):
+    return [name for name, c in report["checks"].items() if not c["pass"]]
+
+
+def assert_routes_agree(new, ref, into_tol=1e-14, tol=1e-12):
+    """Same verdict and failing checks; each max residual within tol of the
+    reference's (relative once it exceeds 1), into_fibers within into_tol."""
+    assert new["pass"] == ref["pass"]
+    assert failing_checks(new) == failing_checks(ref)
+    assert [(v["axiom"], v.get("s")) for v in new["violations"]] == [
+        (v["axiom"], v.get("s")) for v in ref["violations"]]
+    for name, c in ref["checks"].items():
+        if "max_residual" in c:
+            bound = into_tol if name == "into_fibers" else tol
+            got = new["checks"][name]["max_residual"]
+            assert abs(got - c["max_residual"]) <= bound * max(1.0, abs(c["max_residual"])), name
+
+
+class TestForwardOnTheSmallFactor:
+    @pytest.fixture(params=["twisted_z4_action", "swap_action", "s3_signed_action",
+                            *LADDER])
+    def action(self, request):
+        return named_action(request.param, request)
+
+    def test_same_report_as_the_dense_forward(self, action):
+        new, ref = duality.olesen_pedersen_forward(action), reference_olesen_pedersen_forward(action)
+        assert new["pass"] and ref["pass"]
+        assert new["dim_semidirect"] == ref["dim_semidirect"]
+        assert new["dim_pullback"] == ref["dim_pullback"]
+        assert_routes_agree(new["iso"], ref["iso"])
+
+    @pytest.mark.parametrize("name", ["s3_signed_action", "d4.center"])
+    def test_doubled_images_fail_the_same_checks(self, name, request):
+        # hs residuals of the dense images are sqrt|G| times those of the small
+        # factors, so the two routes agree only if the factor is applied
+        semi, semi_real, tw, q, images = forward_images(named_action(name, request))
+        doubled = [2.0 * y for y in images]
+        new = bundles.realization_isomorphism_report(semi, semi_real, bundles.PulledBack(tw, q),
+                                                     doubled)
+        ref = bundles.realization_isomorphism_report(semi, semi_real, bundles.pullback(tw, q),
+                                                     dense_images(q, doubled))
+        assert failing_checks(ref) == ["multiplicative", "isometric"]
+        assert_routes_agree(new, ref)
+        for v, w in zip(new["violations"], ref["violations"]):
+            assert abs(v["residual"] - w["residual"]) <= 1e-12 * abs(w["residual"])
+
+    def test_the_factor_is_the_square_root_of_the_order(self, s3_signed_action):
+        semi, semi_real, tw, q, images = forward_images(s3_signed_action)
+        doubled = [2.0 * y for y in images]
+        unscaled = bundles.GradedBundle(q.group, tuple(tw.fiber(c) for c in q.coset_of))
+        small = bundles.realization_isomorphism_report(semi, semi_real, unscaled, doubled)
+        new = bundles.realization_isomorphism_report(semi, semi_real, bundles.PulledBack(tw, q),
+                                                     doubled)
+        for name in ("multiplicative", "star"):
+            assert new["checks"][name]["max_residual"] == pytest.approx(
+                np.sqrt(6) * small["checks"][name]["max_residual"], rel=1e-15, abs=0)
+
+
+class TestQuotientPullbackOnTheSmallFactor:
+    """quotient_pullback_roundtrip's map against the same map into the dense pull-back,
+    `linear` probes included."""
+
+    @staticmethod
+    def both_routes(a, u, q, scale=1.0):
+        quo = bundles.quotient_bundle(a, u, q)
+        real = bundles.concretize(quo)
+        lam = groups.left_regular(q.group)
+
+        def small(s, mat):
+            c = q.coset_of[s]
+            coords = a.fiber(q.section[c]).coords(mat @ matrices.dagger(u.mat(q.n_part(s))))
+            return scale * duality._image(real, c, coords)
+
+        def dense(s, mat):
+            return np.kron(small(s, mat), lam[s])
+
+        return (bundles.bundle_isomorphism_report(a, bundles.PulledBack(real.bundle, q), small),
+                bundles.bundle_isomorphism_report(a, bundles.pullback(real.bundle, q), dense))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_canonical_family(self, pauli_pullback, q_z4, scale):
+        fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+        new, ref = self.both_routes(pauli_pullback, fam, q_z4, scale)
+        assert new["pass"] == (scale == 1.0)
+        assert_routes_agree(new, ref)
+
+    def test_roundtrip_report_matches(self, pauli_pullback, q_z4):
+        fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+        _, ref = self.both_routes(pauli_pullback, fam, q_z4)
+        report = duality.quotient_pullback_roundtrip(pauli_pullback, fam, q_z4)
+        assert report["pass"]
+        assert_routes_agree(report["iso"], ref)

@@ -20,6 +20,10 @@ tests' reference, not a command path.
 Maps between gradings are evaluated once per basis element and checked on
 structure constants, so no function nested inside a library function (a map
 handed to a check, say) solves `np.linalg.lstsq` on every call.
+
+The dualities check maps into a pull-back on its small factor (a
+`bundles.PulledBack`), so `duality.py` calls no `np.kron` and imports no
+`left_regular`: no a (x) lambda(s) is formed there.
 """
 
 import ast
@@ -180,3 +184,34 @@ def test_checker_flags_a_nested_lstsq():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_nested_function_solves_lstsq(module):
     assert nested_lstsq_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def dense_lambda_uses(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "kron":
+                found.append(f"kron (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "left_regular" for alias in node.names):
+                found.append(f"left_regular import (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "left_regular":
+            found.append(f"left_regular (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_dense_lambda_factor():
+    source = ("from .groups import left_regular, quotient\n"
+              "x = np.kron(a, lam[s])\n"
+              "lam = groups.left_regular(g)\n"
+              "y = kron(a, b) + kronecker(a)\n"
+              "from .groups import right_regular\n")
+    assert dense_lambda_uses(source) == [
+        "left_regular import (line 1)", "kron (line 2)", "left_regular (line 3)",
+        "kron (line 4)"]
+
+
+def test_duality_forms_no_lambda_factor():
+    assert dense_lambda_uses((SRC / "duality.py").read_text(encoding="utf-8")) == []
