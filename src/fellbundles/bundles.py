@@ -7,8 +7,9 @@ unit-fiber algebra, C*-identity) are machine-checked by verify_fell_axioms.
 An AbstractBundle carries the same data as structure constants plus a
 faithful positive functional on the unit fiber; concretize() turns it back
 into matrices through the left regular representation. The constructions in
-between (trivial, pullback, semidirect, twisted semidirect, quotient by a
-multiplier family) are the substance of the toolkit.
+between (trivial, pullback, twisted semidirect, quotient by a multiplier
+family) are the substance of the toolkit; the semidirect bundle of an action
+is its twisted semidirect bundle over N = {e}.
 
 A map between gradings (a bundle isomorphism, or a realization matched with
 prescribed images) is evaluated once per basis element of its source, plus
@@ -40,7 +41,7 @@ from .errors import (
     NotUnital,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, NormalSubgroup, Quotient, left_regular, quotient
+from .groups import FiniteGroup, NormalSubgroup, Quotient, cyclic, left_regular, quotient
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -168,6 +169,21 @@ def _worst(res: np.ndarray) -> float:
     return float(res.max(initial=0.0))
 
 
+def _hom_residual(g: FiniteGroup, members, m) -> float:
+    """max |m(x) m(y) - m(xy)|_HS over x, y in members, a subgroup of g."""
+    return max((hs_norm(m(x) @ m(y) - m(g.mul(x, y))) for x in members for y in members),
+               default=0.0)
+
+
+def _fiber_sweep(bundle: GradedBundle) -> tuple[dict, list]:
+    """(coords, residuals) of each fiber product A_s A_t in A_st, keyed (s, t) row-major,
+    and of each adjoint A_s* in A_{s^-1}, listed by s; no product stack is kept."""
+    g, f = bundle.group, bundle.fiber
+    prods = {(s, t): product_coords(f(s).basis, f(t).basis, f(g.mul(s, t)))
+             for s in g.elements() for t in g.elements()}
+    return prods, [f(g.inv(s)).decompose(dagger(f(s).basis)) for s in g.elements()]
+
+
 def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     """Check the five grading axiom families and report residuals.
 
@@ -177,38 +193,24 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     g = bundle.group
     rep = ResidualReport(tol, "product_closure", "adjoint_symmetry", "independent_grading",
                          "unit_fiber_algebra", "cstar_identity")
-
-    # the (e, e) products and the e-adjoints below also give the unit-fiber residual
-    unit_res = 0.0
-    for s in g.elements():
-        fs = bundle.fiber(s)
-        for t in g.elements():
-            _, res = product_coords(fs.basis, bundle.fiber(t).basis, bundle.fiber(g.mul(s, t)))
-            rep.residuals("product_closure", res, s=s, t=t)
-            if s == t == 0:
-                unit_res = _worst(res)
-
-    for s in g.elements():
+    prods, adjoints = _fiber_sweep(bundle)
+    for (s, t), (_, res) in prods.items():
+        rep.residuals("product_closure", res, s=s, t=t)
+    for s, (_, res) in enumerate(adjoints):
         fs, fsi = bundle.fiber(s), bundle.fiber(g.inv(s))
         if fs.dim != fsi.dim:
             rep.fail("adjoint_symmetry", float(abs(fs.dim - fsi.dim)), s=s, t=None)
-        _, res = fsi.decompose(dagger(fs.basis))
         rep.residuals("adjoint_symmetry", res, s=s, t=None)
-        if s == 0:
-            unit_res = max(unit_res, _worst(res))
 
-    total = bundle.section_dimension()
-    if total:
-        stack = np.concatenate([f.flat for f in bundle.fibers if f.dim], axis=0)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        min_sv = float(sv[-1])
-    else:
-        min_sv = 1.0
+    flats = [f.flat for f in bundle.fibers if f.dim]
+    min_sv = float(np.linalg.svd(np.concatenate(flats), compute_uv=False)[-1]) if flats else 1.0
     rep.entry("independent_grading", min_singular_value=min_sv)
     if min_sv <= tol:
         rep.fail("independent_grading", min_sv, s=None, t=None)
 
-    rep.residuals("unit_fiber_algebra", unit_res, s=0, t=0)
+    # fiber(e) is a *-algebra: its (e, e) products and adjoints stay in it
+    rep.residuals("unit_fiber_algebra", max(_worst(prods[(0, 0)][1]), _worst(adjoints[0][1])),
+                  s=0, t=0)
 
     for s in g.elements():
         res = []
@@ -300,27 +302,21 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     rep = ResidualReport(tol, "homomorphism", "unit_acts_trivially", "order_compatibility",
                          "covariance")
 
-    def close(x, y):
-        return float(hs_norm(x - y))
-
     if not dom or any(g.mul(a, b) not in dom for a in dom for b in dom):
         raise NotASubgroup("multiplier domain is not a subgroup")
     for s in g.elements():
         if any(g.conjugate(s, n) not in dom for n in dom):
             raise NotNormal(f"conjugation by {s} leaves the multiplier domain")
 
-    hom_res = 0.0
-    for n in dom:
-        for m in dom:
-            hom_res = max(hom_res, close(u.mat(n) @ u.mat(m), u.mat(g.mul(n, m))))
-        hom_res = max(hom_res, close(dagger(u.mat(n)), u.mat(g.inv(n))))
+    hom_res = max(_hom_residual(g, dom, u.mat),
+                  *(hs_norm(dagger(u.mat(n)) - u.mat(g.inv(n))) for n in dom))
     rep.residuals("homomorphism", hom_res)
 
     unit_res = 0.0
     ue = u.mat(0)
     for s in g.elements():
         for a in bundle.fiber(s).basis_list():
-            unit_res = max(unit_res, close(ue @ a, a), close(a @ ue, a))
+            unit_res = max(unit_res, hs_norm(ue @ a - a), hs_norm(a @ ue - a))
     rep.residuals("unit_acts_trivially", unit_res)
 
     order_res = 0.0
@@ -337,7 +333,7 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
         for n in dom:
             un_conj = u.mat(g.conjugate(s, n))
             for a in bundle.fiber(s).basis_list():
-                cov_res = max(cov_res, close(a @ u.mat(n), un_conj @ a))
+                cov_res = max(cov_res, hs_norm(a @ u.mat(n) - un_conj @ a))
     rep.residuals("covariance", cov_res)
     return rep.build()
 
@@ -360,9 +356,11 @@ class TwistedAction:
     alpha: np.ndarray
     tau: dict
 
-    def apply(self, s: int, mats: np.ndarray) -> np.ndarray:
-        """alpha_s of a matrix, or of each matrix in a stack (..., n, n)."""
-        return self.algebra.from_coords(self.algebra.decompose(mats)[0] @ self.alpha[s].T)
+    def apply(self, s, mats: np.ndarray) -> np.ndarray:
+        """alpha_s of a matrix, or of each matrix in a stack (p, n, n); for a list
+        of elements s, one such result per element, stacked on a new first axis."""
+        coords = self.algebra.decompose(mats)[0]
+        return self.algebra.from_coords(coords @ self.alpha[s].swapaxes(-1, -2))
 
 
 def plain_action(algebra: MatrixSubspace, g: FiniteGroup, alpha: np.ndarray) -> TwistedAction:
@@ -387,34 +385,27 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     unit = unit_element(alg, tol)
     rep = ResidualReport(tol, "action", "twist")
 
-    # alpha_s of the basis, of its adjoints and of all basis products, each
-    # stack decomposed once: alpha_s(x) has coordinates coords(x) alpha_s^T
-    own, stars = alg.decompose(alg.basis)[0], alg.decompose(dagger(alg.basis))[0]
-    prods = product_coords(alg.basis, alg.basis, alg)[0]
+    # every alpha_s, moved[i, s] = alpha_s(b_i), as a map of the algebra over the
+    # trivial group; tol = inf reads its structure constants unchecked, since a
+    # product or adjoint outside the algebra shows as a residual at s = e
+    src = abstract_from_graded(GradedBundle(cyclic(1), (alg,)), np.inf)
     act_res = 0.0
     for s in g.elements():
         sv = np.linalg.svd(t.alpha[s], compute_uv=False)
         if sv.size and sv[-1] <= tol:
             act_res = max(act_res, 1.0)
-        a_s = t.alpha[s].T
-        moved = alg.from_coords(own @ a_s)
-        gaps = (alg.from_coords(stars @ a_s) - dagger(moved),
-                alg.from_coords(prods @ a_s) - moved[:, None] @ moved[None])
-        act_res = max(act_res, *(_worst(np.linalg.norm(x, axis=(-2, -1))) for x in gaps))
-        for u in g.elements():
-            act_res = max(act_res, float(np.linalg.norm(
-                t.alpha[s] @ t.alpha[u] - t.alpha[g.mul(s, u)])))
-    act_res = max(act_res, float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
+    moved = t.apply(list(g.elements()), alg.basis).swapaxes(0, 1)
+    act_res = max(act_res, *homomorphism_residuals(src, [moved]),
+                  _hom_residual(g, g.elements(), t.alpha.__getitem__),
+                  float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
     rep.residuals("action", act_res)
 
-    twist_res = 0.0
+    twist_res = _hom_residual(g, n.members, t.tau.__getitem__)
     for x in n.members:
         tx = t.tau[x]
         twist_res = max(twist_res, float(alg.decompose(tx)[1]),
                         hs_norm(dagger(tx) @ tx - unit),
                         hs_norm(tx @ dagger(tx) - unit))
-        for y in n.members:
-            twist_res = max(twist_res, hs_norm(t.tau[x] @ t.tau[y] - t.tau[g.mul(x, y)]))
         for s in g.elements():
             twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
         inner = t.apply(x, alg.basis) - tx @ alg.basis @ dagger(tx)
@@ -506,22 +497,11 @@ def semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBun
     """Product (b, s)(c, t) = (b alpha_s(c), st), adjoint (b, s)* = (alpha_{s^-1}(b)*, s^-1).
 
     The twist of t is ignored; only the action enters. Coefficients live in
-    t.algebra and the functional is the ambient trace on the e-fiber.
+    t.algebra and the functional is the ambient trace on the e-fiber. This is
+    the twisted semidirect bundle of the plain action (N = {e}), graded by
+    G/{e}, which has G's table.
     """
-    require_twisted_action(plain_action(t.algebra, t.group, t.alpha), tol)
-    alg, g = t.algebra, t.group
-    k = alg.dim
-    mult = multiplication_tensor(alg, tol)
-    star = alg.decompose(dagger(alg.basis))[0]
-    prod = {}
-    invol = []
-    for s in g.elements():
-        for u in g.elements():
-            prod[(s, u)] = np.einsum("apc,pb->abc", mult, t.alpha[s])
-        w = t.alpha[g.inv(s)]
-        invol.append(np.einsum("pa,pc->ac", np.conj(w), star))
-    funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
-    return AbstractBundle(g, (k,) * g.order, prod, tuple(invol), funct)
+    return twisted_semidirect_bundle(plain_action(t.algebra, t.group, t.alpha), tol)
 
 
 def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBundle:
@@ -535,23 +515,20 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
     q = quotient(t.group, t.subgroup)
     alg, g, qg = t.algebra, t.group, q.quotient_group
     k = alg.dim
+    moved = t.apply(list(q.section), alg.basis)
     prod = {}
-    invol = []
-    for a_cos in qg.elements():
-        ca = q.section[a_cos]
-        moved = t.apply(ca, alg.basis)
-        for b_cos in qg.elements():
-            cb = q.section[b_cos]
-            ab = qg.mul(a_cos, b_cos)
-            pos = g.mul(ca, cb)
-            n = g.mul(pos, g.inv(q.section[ab]))  # [x, pos] = [x tau(n), section]
-            prod[(a_cos, b_cos)] = product_coords(alg.basis, moved @ t.tau[n], alg)[0]
-        abar = qg.inv(a_cos)
-        pos = g.inv(ca)
-        n = g.mul(pos, g.inv(q.section[abar]))
-        invol.append(alg.decompose(dagger(t.apply(g.inv(ca), alg.basis)) @ t.tau[n])[0])
+    for a in qg.elements():
+        # b alpha_ca(c) at ca cb, realigned to its coset's section, for every cb
+        right = np.concatenate([twisted_normal_form(t, q, moved[a], g.mul(q.section[a], cb))[1]
+                                for cb in q.section])
+        coords = product_coords(alg.basis, right, alg)[0].reshape(k, qg.order, k, k)
+        prod.update({(a, b): coords[:, b] for b in qg.elements()})
+    inverses = [g.inv(c) for c in q.section]
+    adjoints = [twisted_normal_form(t, q, dagger(m), s)[1]
+                for m, s in zip(t.apply(inverses, alg.basis), inverses)]
     funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
-    return AbstractBundle(qg, (k,) * qg.order, prod, tuple(invol), funct)
+    return AbstractBundle(qg, (k,) * qg.order, prod,
+                          tuple(alg.decompose(np.stack(adjoints))[0]), funct)
 
 
 def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
@@ -623,22 +600,17 @@ def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
 def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> AbstractBundle:
     """Read structure constants off a concrete grading; functional = trace."""
     g = bundle.group
-    prod = {}
-    invol = []
+    prods, adjoints = _fiber_sweep(bundle)
+    limit = max(tol, 1e-8)
     for s in g.elements():
-        fs = bundle.fiber(s)
         for t in g.elements():
-            coords, res = product_coords(fs.basis, bundle.fiber(t).basis,
-                                         bundle.fiber(g.mul(s, t)))
-            if np.any(res > max(tol, 1e-8)):
+            if np.any(prods[(s, t)][1] > limit):
                 raise AxiomViolation(f"product escapes fiber ({s},{t})")
-            prod[(s, t)] = coords
-        coords, res = bundle.fiber(g.inv(s)).decompose(dagger(fs.basis))
-        if np.any(res > max(tol, 1e-8)):
+        if np.any(adjoints[s][1] > limit):
             raise AxiomViolation(f"adjoint escapes fiber {s}")
-        invol.append(coords)
     funct = np.array([np.trace(m) for m in bundle.fiber(0).basis_list()], dtype=complex)
-    return AbstractBundle(g, bundle.fiber_dims(), prod, tuple(invol), funct)
+    return AbstractBundle(g, bundle.fiber_dims(), {st: c for st, (c, _) in prods.items()},
+                          tuple(c for c, _ in adjoints), funct)
 
 
 def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
@@ -689,7 +661,8 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
 
 def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     """Worst multiplicative and adjoint residuals of the linear map sending
-    basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n)):
+    basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n), or
+    (dim_s, m, n, n) for m maps at once):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
     |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|; the products for all j, and the
     adjoints for all i, as one stack."""

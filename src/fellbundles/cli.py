@@ -182,6 +182,8 @@ def parse_spec(path: str):
             raise ParseError(f"{path}: fiber key '{key}' is not an element index") from exc
         if not 0 <= s < g.order:
             raise ParseError(f"{path}: fiber index {s} outside a group of order {g.order}")
+        if not isinstance(mats, list):
+            raise ParseError(f"{path}: fibers[{key}]: expected a list of matrices")
         spans[s] = [_decode_square(m, n, f"fibers[{key}][{i}]")
                     for i, m in enumerate(mats)]
     fibers = tuple(orthonormalize(spans.get(s, []), ambient_dim=n)
@@ -332,9 +334,13 @@ def parse_gset_spec(path: str):
 
 
 def _tol(args, options) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    return float(options.get("tolerance", DEFAULT_CLI_TOL))
+    """--tol, else the spec's tolerance, else the default; a ParseError naming
+    its source unless it is a finite number >= 0."""
+    source, tol = (("--tol", args.tol) if args.tol is not None else
+                   (f"{args.spec}: tolerance", options.get("tolerance", DEFAULT_CLI_TOL)))
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParseError(f"{source}: expected a finite number >= 0, got {tol}")
+    return float(tol)
 
 
 def cmd_verify(args) -> tuple[dict, int, str | None]:

@@ -23,6 +23,7 @@ from .bundles import (
     Realization,
     TwistedAction,
     UnitaryMultiplierFamily,
+    _hom_residual,
     bundle_isomorphism_report,
     canonical_multiplier_family,
     concretize,
@@ -97,11 +98,8 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
     b_fib = d.fiber(0)
     unit = unit_fiber_unit(d, DEFAULT_TOL)
 
-    hom_res = hs_norm(u.mat(0) - unit)
-    for s in g.elements():
-        hom_res = max(hom_res, hs_norm(dagger(u.mat(s)) - u.mat(g.inv(s))))
-        for t in g.elements():
-            hom_res = max(hom_res, hs_norm(u.mat(s) @ u.mat(t) - u.mat(g.mul(s, t))))
+    hom_res = max(hs_norm(u.mat(0) - unit), _hom_residual(g, g.elements(), u.mat),
+                  *(hs_norm(dagger(u.mat(s)) - u.mat(g.inv(s))) for s in g.elements()))
     if hom_res > tol:
         raise InvalidMultiplierFamily(
             f"family is not a unitary homomorphism (residual {hom_res:.3g})")

@@ -649,3 +649,74 @@ class TestTwistedActionOnStacks:
             kind = InvalidAction if first["axiom"] == "action" else InvalidTwist
             with pytest.raises(kind, match=f"{first['axiom']} residual {first['residual']:.3g}$"):
                 bundles.require_twisted_action(action)
+
+
+# The einsum route of semidirect_bundle, which is now the twisted semidirect
+# bundle of the plain action: product (b, s)(c, t) = (b alpha_s(c), st) and
+# adjoint (b, s)* = (alpha_{s^-1}(b)*, s^-1), read off the multiplication tensor.
+
+
+def reference_semidirect_bundle(t, tol=matrices.DEFAULT_TOL):
+    bundles.require_twisted_action(bundles.plain_action(t.algebra, t.group, t.alpha), tol)
+    alg, g = t.algebra, t.group
+    mult = matrices.multiplication_tensor(alg, tol)
+    star = alg.decompose(matrices.dagger(alg.basis))[0]
+    prod = {(s, u): np.einsum("apc,pb->abc", mult, t.alpha[s])
+            for s in g.elements() for u in g.elements()}
+    invol = tuple(np.einsum("pa,pc->ac", np.conj(t.alpha[g.inv(s)]), star) for s in g.elements())
+    funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
+    return bundles.AbstractBundle(g, (alg.dim,) * g.order, prod, invol, funct)
+
+
+def _ladder_system(name):
+    """The transformation systems of the duality benchmark: G on G/N by translation."""
+    from fellbundles import duality
+    make, n, normal = {"s3.free": (groups.symmetric, 3, (0,)),
+                       "d4.center": (groups.dihedral, 4, (0, 2)),
+                       "s3.a3": (groups.symmetric, 3, (0, 3, 4))}[name]
+    return duality.transformation_system(duality.coset_action(make(n), normal))
+
+
+class TestSemidirectAgainstTheEinsumRoute:
+    @pytest.mark.parametrize("name", ["twisted_z4_action", "swap_action", "s3.free",
+                                      "d4.center", "s3.a3"])
+    def test_same_structure_constants(self, name, request):
+        t = request.getfixturevalue(name) if name.endswith("action") else _ladder_system(name)
+        new, ref = bundles.semidirect_bundle(t), reference_semidirect_bundle(t)
+        assert new.group.table == ref.group.table == t.group.table
+        assert new.dims == ref.dims
+        assert new.prod.keys() == ref.prod.keys()
+        for key, p in ref.prod.items():
+            np.testing.assert_allclose(new.prod[key], p, rtol=0, atol=1e-12)
+        for s, w in enumerate(ref.invol):
+            np.testing.assert_allclose(new.invol[s], w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.funct, ref.funct, rtol=0, atol=1e-12)
+
+    def test_same_error_on_a_broken_action(self, swap_action):
+        for broken in _broken_actions(swap_action)[:2]:
+            with pytest.raises(InvalidAction) as ref:
+                reference_semidirect_bundle(broken)
+            with pytest.raises(InvalidAction) as new:
+                bundles.semidirect_bundle(broken)
+            assert str(new.value) == str(ref.value)
+
+
+class TestOneFiberSweep:
+    def test_abstract_from_graded_raises_at_the_first_escape(self, z2):
+        # products of fiber s come before its adjoint, fiber 0 before fiber 1
+        e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+        for fibers, message in [([I2, I2 + PAULI_X], r"product escapes fiber \(1,1\)$"),
+                                ([I2, e12], "adjoint escapes fiber 1$"),
+                                ([e12, PAULI_Z], r"product escapes fiber \(0,1\)$"),
+                                ([e12, np.diag([1.0, 0.0])], "adjoint escapes fiber 0$")]:
+            with pytest.raises(AxiomViolation, match=message):
+                bundles.abstract_from_graded(graded(z2, fibers))
+
+
+def test_apply_takes_a_list_of_elements(swap_action):
+    t, basis = swap_action, swap_action.algebra.basis
+    stacked = t.apply([1, 0, 1], basis)
+    assert stacked.shape == (3, *basis.shape)
+    for got, s in zip(stacked, [1, 0, 1]):
+        np.testing.assert_allclose(got, t.apply(s, basis), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(t.apply([0, 1], basis[1]), basis[::-1], rtol=0, atol=1e-15)

@@ -726,3 +726,40 @@ def test_report_builds_the_section_algebra_once(capsys, monkeypatch, pauli_spec)
     rc, out, _ = run(capsys, "report", pauli_spec)
     assert rc == 0 and json.loads(out)["amenability"]["regular_rep_kernel_dim"] == 0
     assert len(calls) == 1
+
+
+class TestMalformedFiberAndToleranceExit2:
+    """Beside TestMalformedFieldsExit2: a fiber that is not a list of matrices,
+    and a tolerance that is not a finite number >= 0, from either source."""
+
+    @pytest.mark.parametrize("entry", [5, "I", {"0": mat(I2)}, None])
+    def test_fiber_not_a_list(self, capsys, tmp_path, entry):
+        spec = pauli_spec_dict()
+        spec["fibers"]["0"] = entry
+        bad = write_json(tmp_path / "bad.json", spec)
+        rc, out, err = run(capsys, "verify", bad)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {bad}: fibers[0]: expected a list of matrices")
+
+    @pytest.mark.parametrize("command", ["verify", "crossed", "report"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_tol_flag(self, capsys, pauli_spec, command, value):
+        rc, out, err = run(capsys, command, pauli_spec, f"--tol={value}")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --tol: expected a finite number >= 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", -1, -1e-300])
+    def test_spec_tolerance(self, capsys, tmp_path, value):
+        spec = pauli_spec_dict()
+        spec["tolerance"] = value
+        bad = write_json(tmp_path / "bad.json", spec)
+        rc, out, err = run(capsys, "verify", bad)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {bad}: tolerance: expected a finite number >= 0")
+
+    def test_zero_and_an_overridden_bad_spec_tolerance_are_accepted(self, capsys, tmp_path):
+        spec = pauli_spec_dict()
+        spec["tolerance"] = "nan"
+        path = write_json(tmp_path / "s.json", spec)
+        assert run(capsys, "verify", path, "--tol", "1e-9")[0] == 0
+        assert run(capsys, "verify", path, "--tol", "0")[0] != 2

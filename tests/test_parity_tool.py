@@ -1,0 +1,55 @@
+"""tools/parity.py: a rung whose outputs differ only in float values is
+summarised in one line rather than a text diff."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+_spec = importlib.util.spec_from_file_location("parity", TOOL)
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
+
+
+def record(code, report, written=None):
+    return {"code": code, "stdout": json.dumps(report, sort_keys=True, indent=2) + "\n",
+            "written": written}
+
+
+def test_float_drift_finds_the_largest_change_and_its_path():
+    a = {"pass": True, "iso": {"res": [1e-16, 2.0]}, "twist_residual": 3e-16}
+    b = {"pass": True, "iso": {"res": [2e-16, 2.0]}, "twist_residual": 1.4e-15}
+    drift, path = parity.float_drift(json.dumps(a), json.dumps(b))
+    assert math.isclose(drift, 1.1e-15, rel_tol=1e-9) and path == "$.twist_residual"
+
+
+def test_float_drift_is_none_for_any_other_difference():
+    base = {"pass": True, "dims": [1, 2], "res": 0.5}
+    for other in [{"pass": False, "dims": [1, 2], "res": 0.5},  # a bool
+                  {"pass": True, "dims": [1, 3], "res": 0.5},  # an int
+                  {"pass": True, "dims": [1, 2, 3], "res": 0.5},  # a length
+                  {"pass": True, "dims": [1, 2], "res": "0.5"},  # a type
+                  {"pass": True, "dims": [1, 2], "r": 0.5}]:  # a key
+        assert parity.float_drift(json.dumps(base), json.dumps(other)) is None
+    assert parity.float_drift("not json", "{}") is None
+    assert parity.float_drift(None, "{}") is None
+
+
+def test_float_drift_reads_nan_against_a_number_as_infinite():
+    drift, path = parity.float_drift('{"a": NaN, "b": 1.0}', '{"a": 0.0, "b": 2.0}')
+    assert drift == math.inf and path == "$.a"
+    assert parity.float_drift('{"a": NaN, "b": 1.0}', '{"a": NaN, "b": 1.5}') == (0.5, "$.b")
+
+
+def test_describe_prints_one_line_for_a_floats_only_change():
+    a = record(0, {"pass": True, "twist": [[0.5, 1e-16]]})
+    b = record(0, {"pass": True, "twist": [[0.5, -2e-16]]})
+    assert parity.describe(a, b) == ["  stdout: floats only, largest |Δ| = 3e-16 at $.twist[0][1]"]
+
+
+def test_describe_keeps_the_text_diff_otherwise():
+    a, b = record(0, {"pass": True}), record(1, {"pass": False})
+    lines = parity.describe(a, b)
+    assert lines[:2] == ["  code: 0 -> 1", "  stdout:"]
+    assert '-  "pass": true' in [line.strip() for line in lines]

@@ -13,8 +13,10 @@ copy of the inputs. A rung that raises (over the cap, say) records the
 exception's name in place of an exit code.
 
 Every rung whose exit code, stdout or written file (`pullback -o`) differs
-between the trees is printed with a short diff. The exit code is 1 if any
-rung differs, else 0. Uses the standard library and numpy only.
+between the trees is printed with a short diff. When the two texts parse to
+the same JSON apart from float values, the diff is one line instead:
+`floats only, largest |Δ| = x at <path>`. The exit code is 1 if any rung
+differs, else 0. Uses the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import contextlib
 import difflib
 import io
 import json
+import math
 import os
 import resource
 import shutil
@@ -78,13 +81,47 @@ def tree_results(src: str, inputs: str, rungs) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def float_drift(a: str | None, b: str | None) -> tuple[float, str] | None:
+    """(largest |Δ|, its path) when a and b parse to the same JSON apart from
+    float values, else None."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except (TypeError, ValueError):
+        return None
+    worst = [0.0, "$"]
+
+    def same(x, y, path: str) -> bool:
+        if isinstance(x, float) and isinstance(y, float):
+            if x == y or x != x and y != y:  # equal, or both NaN
+                return True
+            drift = abs(x - y)
+            if not drift <= worst[0]:  # larger, or NaN against a number
+                worst[:] = [drift if drift == drift else math.inf, path]
+            return True
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k], f"{path}.{k}") for k in x)
+        if isinstance(x, list):
+            return len(x) == len(y) and all(same(u, v, f"{path}[{i}]")
+                                            for i, (u, v) in enumerate(zip(x, y)))
+        return x == y
+
+    return (worst[0], worst[1]) if same(x, y, "$") else None
+
+
 def describe(a: dict, b: dict) -> list[str]:
     """Lines naming what differs between two rung records."""
     lines = []
     if a["code"] != b["code"]:
         lines.append(f"  code: {a['code']} -> {b['code']}")
     for field in FIELDS[1:]:
-        if a[field] != b[field]:
+        if a[field] == b[field]:
+            continue
+        drift = float_drift(a[field], b[field])
+        if drift:
+            lines.append(f"  {field}: floats only, largest |Δ| = {drift[0]:.3g} at {drift[1]}")
+        else:
             diff = difflib.unified_diff((a[field] or "").splitlines(),
                                         (b[field] or "").splitlines(), "base", "new", lineterm="")
             lines.append(f"  {field}:")
