@@ -49,11 +49,12 @@ class EPWitness:
         return tuple(sorted(self.values))
 
     def gram(self) -> np.ndarray:
-        n = self.bundle.ambient_dim
-        out = np.zeros((n, n), dtype=complex)
-        for m in self.values.values():
-            out = out + dagger(m) @ m
-        return out
+        return _gram(self.values, self.bundle.ambient_dim)
+
+
+def _gram(values: dict, n: int) -> np.ndarray:
+    """sum_s f(s)* f(s), summed in the order of the values."""
+    return sum((dagger(m) @ m for m in values.values()), np.zeros((n, n), dtype=complex))
 
 
 def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitness:
@@ -73,10 +74,7 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
         if not fe.contains(m, max(tol, 1e-8)):
             raise ValueOutsideUnitFiber(f"witness value at {s} escapes the unit fiber")
         kept[s] = m
-    gram = np.zeros((n, n), dtype=complex)
-    for m in kept.values():
-        gram = gram + dagger(m) @ m
-    return EPWitness(bundle, kept, op_norm(gram))
+    return EPWitness(bundle, kept, op_norm(_gram(kept, n)))
 
 
 def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness:

@@ -91,6 +91,8 @@ def render_report(report: dict) -> str:
 
 def _cast(cast, value, path: str, field: str):
     """cast(value), with a malformed value reported as a ParseError naming the field."""
+    if cast in (int, float) and isinstance(value, bool):  # int(true) and float(true) are 1
+        raise ParseError(f"{path}: {field}: expected a number, got {json.dumps(value)}")
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:

@@ -7,24 +7,23 @@ functions share one `Element` type, told apart by `kind`:
 - "b", the algebra B0 of triples (d, s, t): (s, t) in G x G -> D_{sN};
 - "c", the algebra C0 of pairs (d, kN, lN): (kN, lN) -> D_k.
 
-The slot table `_slots(q, kind)` lists the keys of each space with the
-fiber of D their values lie in, in coordinate order; it drives the one
-constructor check, the generator bases, the random draws and the coordinate
-vectors. The two products, both actions and both inner products run through
-one pairing kernel, the adjoints and translations through one relabelling
-kernel. The eight bimodule axioms and the gamma equivariance identities are
-checked here; positivity and boundedness are read off faithful realizations
-of B0 and C0 inside matrix algebras.
+The slot table `_slots(q, kind)` lists the keys of each space with the fiber
+of D their values lie in, in coordinate order; it drives the one constructor
+check, the generator bases, the random draws and the coordinate vectors. The
+two products, both actions and both inner products run through one pairing
+kernel, the adjoints and translations through one relabelling kernel.
 
-The axiom check evaluates each formula once on every pair of generators and
-stacks the coordinates of the results into a table: the actions, products
-and inner products become 3-tensors, the adjoints coordinate matrices. The
-tables are exact because every formula is (sesqui)linear by construction of
-the pairing kernel, and they are faithful when each coefficient lies in its
-slot's fiber, which D's grading axioms guarantee; so D must pass them first.
-The axioms on whole bases are then einsum identities, and a residual is the
-largest 2-norm of a slot's block of coordinates in a difference: its HS
-norm, since fiber bases are HS-orthonormal.
+Every identity is read off formula tables: each formula is evaluated once on
+every pair of generators, and the coordinates of the results are stacked
+into 3-tensors (the adjoints and translations into coordinate matrices). The
+tables are exact as every formula is (sesqui)linear, and faithful when each
+coefficient lies in its slot's fiber, which D's grading axioms guarantee; so
+D must pass them first. The bimodule axioms and the gamma identities are
+then einsum identities, and a residual is the largest 2-norm of a slot's
+block of coordinates in a difference: its HS norm, since fiber bases are
+HS-orthonormal. Positivity and norms are read on one faithful realization,
+`_realize`, of C0 over G/N and of B0 over G with no lambda(s) factor;
+`realize_b` and `realize_c` are the tests' dense models.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .bundles import GradedBundle, PulledBack, require_fell_axioms, same_bundle, unit_fiber_unit
 from .errors import AxiomViolation, FiberMismatch, GroupMismatch
-from .groups import Quotient, left_regular
+from .groups import FiniteGroup, Quotient, left_regular
 from .matrices import (
     _ZERO_CUT,
     DEFAULT_TOL,
@@ -45,7 +44,6 @@ from .matrices import (
     center_dimension,
     dagger,
     hs_norm,
-    is_psd,
     op_norm,
     require,
 )
@@ -338,29 +336,38 @@ def _slot_residual(q: Quotient, d: GradedBundle, kind: str, lhs, rhs) -> float:
 # faithful realizations (positivity and norms live here)
 
 
+def _realize(g: FiniteGroup, coeffs: dict, size: int) -> np.ndarray:
+    """The sum of a tensor E_{kl,l} over the slots (k, l) of g holding size x size a.
+
+    Faithful *-homomorphism of C0 over G/N, and of B0 over G as d tensor E_{st,t}:
+    (k, l) -> (kl, l) is a bijection, so distinct slots go to HS-orthogonal
+    matrix units; E_{st,t} E_{uv,v} = delta_{t,uv} E_{st,v} is the b_mul and c_mul
+    rule, and (d tensor E_{st,t})* = d* tensor E_{t,st} the b_star and c_star rule.
+    """
+    n = g.order
+    out = np.zeros((size, n, size, n), dtype=complex)
+    for (k, l), a in coeffs.items():
+        out[:, g.mul(k, l), :, l] += a
+    return out.reshape(size * n, size * n)
+
+
 def realize_b(b: Element) -> np.ndarray:
-    """(d, s, t) -> d tensor lambda(s) tensor E_{st,t}: a faithful *-homomorphism."""
+    """(d, s, t) -> d tensor lambda(s) tensor E_{st,t}: `_realize` on d tensor lambda(s).
+
+    The tests' dense model, of size m|G|^2, in the crossed product of the
+    pull-back. The unitary delta_r (x) delta_w -> delta_{w^-1 r} (x) delta_w
+    conjugates lambda(s) tensor E_{st,t} to 1 tensor E_{st,t}, so this is the
+    lambda-free realization taken |G| times: same spectra, same norms.
+    """
     g = b.q.group
     lam = left_regular(g)
-    n, m = g.order, b.d.ambient_dim
-    out = np.zeros((m * n * n, m * n * n), dtype=complex)
-    for (s, t), mat in b.coeffs.items():
-        e = np.zeros((n, n), dtype=complex)
-        e[g.mul(s, t), t] = 1.0
-        out += np.kron(np.kron(mat, lam[s]), e)
-    return out
+    return _realize(g, {(s, t): np.kron(m, lam[s]) for (s, t), m in b.coeffs.items()},
+                    b.d.ambient_dim * g.order)
 
 
 def realize_c(c: Element) -> np.ndarray:
-    """(d, kN, lN) -> d tensor E_{klN,lN}: a faithful *-homomorphism."""
-    qg = c.q.quotient_group
-    n, m = qg.order, c.d.ambient_dim
-    out = np.zeros((m * n, m * n), dtype=complex)
-    for (k, l), mat in c.coeffs.items():
-        e = np.zeros((n, n), dtype=complex)
-        e[qg.mul(k, l), l] = 1.0
-        out += np.kron(mat, e)
-    return out
+    """(d, kN, lN) -> d tensor E_{klN,lN}: `_realize` over G/N."""
+    return _realize(c.q.quotient_group, c.coeffs, c.d.ambient_dim)
 
 
 _einsum = partial(np.einsum, optimize=True)
@@ -373,18 +380,18 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
 
     Items: (i) action associativity and commutation, (ii) module maps respect
     the inner products, (iii) adjoint symmetry, (iv) linearity sides,
-    (v) x<y,z>_C = <x,y>_B z, (vi) fullness by rank, (vii) positivity in the
-    realizations, (viii) bounded action inequalities.
+    (v) x<y,z>_C = <x,y>_B z, (vi) fullness by rank, (vii) positivity,
+    (viii) bounded action inequalities.
 
-    (i), (ii), (iii) and (v) are einsum identities on the formula tables, and
-    (vi) takes its ranks off the inner-product tables; a residual is the
-    largest slot norm of a difference. The tables are exact as every formula
-    is (sesqui)linear, and faithful only on a Fell bundle, so D's grading
-    axioms are required first (AxiomViolation), and so is a unit of D, which
-    only the zero bundle lacks (NonUnitalUnitFiber). (iv) checks that
-    linearity on random elements, and the random triples of (i) reach
-    non-generators. The block counts are the centre dimensions of the b_mul
-    and c_mul tables, which are the structure constants of B0 and C0.
+    The tables are faithful only on a Fell bundle, so D's grading axioms are
+    required first (AxiomViolation), and so is a unit of D, which only the
+    zero bundle lacks (NonUnitalUnitFiber). (i), (ii), (iii) and (v) are
+    einsum identities on the tables, (vi) takes ranks off the inner-product
+    tables, and (vii) and (viii) read the spectra of <x,x>, <bx,bx> and
+    <xc,xc>, and the norms of the generators, on `_realize`. (iv) checks
+    linearity on random elements; random elements also enter (i) and (vii).
+    The block counts are the centre dimensions of the b_mul and c_mul tables,
+    the structure constants of B0 and C0.
     """
     _check_base(q, d)
     require_fell_axioms(d, max(tol, 1e-8))
@@ -437,34 +444,26 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     rank_b, rank_c = (np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(np.abs(m).max())))
                       for m in (lin.reshape(-1, dims["dimB"]), rin.reshape(-1, dims["dimC"])))
 
-    min_eig = 0.0
-    pos_ok = True
-    for x in xs + [_random_x(q, d, rng) for _ in range(samples)]:
-        for mat in (realize_c(rinner(x, x)), realize_b(linner(x, x))):
-            mat = (mat + dagger(mat)) / 2
-            w = np.linalg.eigvalsh(mat) if mat.size else np.zeros(1)
-            low = float(w[0]) / max(1.0, float(np.abs(w).max()))
-            min_eig = min(min_eig, low)
-            pos_ok = pos_ok and is_psd(mat, tol)
-
-    res_viii = 0.0
-    norm_b = {id(b): op_norm(realize_b(b)) for b in bs}
-    for b1 in bs:
-        nb = norm_b[id(b1)]
-        for x in xs:
-            lhs = realize_c(rinner(left_action(b1, x), left_action(b1, x)))
-            rhs = nb * nb * realize_c(rinner(x, x))
-            gap = (rhs - lhs + dagger(rhs - lhs)) / 2
-            w = np.linalg.eigvalsh(gap)
-            res_viii = max(res_viii, max(0.0, -float(w[0])))
-    for c1 in cs:
-        nc = op_norm(realize_c(c1))
-        for x in xs:
-            lhs = realize_b(linner(right_action(x, c1), right_action(x, c1)))
-            rhs = nc * nc * realize_b(linner(x, x))
-            gap = (rhs - lhs + dagger(rhs - lhs)) / 2
-            w = np.linalg.eigvalsh(gap)
-            res_viii = max(res_viii, max(0.0, -float(w[0])))
+    v = _coords(xs + [_random_x(q, d, rng) for _ in range(samples)])
+    own_c = _einsum("pi,pj,ijk->pk", v.conj(), v, rin)  # <x, x>_C, generators first
+    own_b = _einsum("pi,pj,ijk->pk", v, v.conj(), lin)
+    real_b = np.stack([_realize(q.group, b.coeffs, d.ambient_dim) for b in bs])
+    real_c = np.stack([_realize(q.quotient_group, c.coeffs, d.ambient_dim) for c in cs])
+    sq_b, sq_c = (np.array([op_norm(r) ** 2 for r in real])[:, None, None]
+                  for real in (real_b, real_c))
+    gap_c = sq_b * own_c[:len(xs)] - _einsum("bxi,bxj,ijk->bxk", left.conj(), left, rin)
+    gap_b = sq_c * own_b[:len(xs)] - _einsum("xci,xcj,ijk->cxk", right, right.conj(), lin)
+    min_eig, pos_ok, res_viii = 0.0, True, 0.0
+    for own, gap, real in ((own_c, gap_c, real_c), (own_b, gap_b, real_b)):
+        # one batched spectrum: (vii) on the <x, x>, (viii) on the gaps
+        # ||b||^2 <x, x>_C - <bx, bx>_C, and ||c||^2 <x, x>_B - <xc, xc>_B
+        mats = (np.concatenate([own, gap.reshape(-1, len(real))])
+                @ real.reshape(len(real), -1)).reshape(-1, *real.shape[1:])
+        w = np.linalg.eigvalsh((mats + dagger(mats)) / 2)
+        low, top = w[:len(own), 0], np.maximum(np.abs(w[:len(own)]).max(axis=1), 1.0)
+        min_eig = min(min_eig, float((low / top).min()))
+        pos_ok = pos_ok and bool((low >= -tol * top).all())  # is_psd's rule, ||m|| = max |w|
+        res_viii = max(res_viii, -float(w[len(own):, 0].min()))
 
     rep = ResidualReport(tol, "i_bimodule", "ii_action_compatibility", "iii_adjoint_symmetry",
                          "iv_linearity", "v_inner_product_link", "vi_fullness",
@@ -496,29 +495,25 @@ def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
 
 def gamma_equivariance_report(q: Quotient, d: GradedBundle,
                               tol: float = 1e-10) -> dict:
-    """The two displayed identities for gamma, on all generators and all r."""
-    _check_base(q, d)
-    xs = x_generators(q, d)
-    cs = c_generators(q, d)
-    rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
-    res_b, res_c, res_act = 0.0, 0.0, 0.0
+    """The two displayed identities for gamma, and gamma being an action, on all
+    generators and all r: einsum identities on the linner and right_action
+    tables, with gamma_r, dual_b(r) and inflated_dual_c(r) as the coordinate
+    permutation matrices of the moved generators. A violation names its r.
+    """
+    xs, bs, cs = x_generators(q, d), b_generators(q, d), c_generators(q, d)
+    lin, right = _table(linner, xs, xs), _table(right_action, xs, cs)
+    residual = partial(_slot_residual, q, d)
     g = q.group
-    for r in g.elements():
-        for x in xs:
-            for y in xs:
-                res_b = max(res_b, _distance(linner(gamma(r, x), gamma(r, y)),
-                                             dual_b(r, linner(x, y))))
-            for c in cs:
-                res_act = max(res_act, _distance(gamma(r, right_action(x, c)),
-                                                 right_action(gamma(r, x),
-                                                              inflated_dual_c(r, c))))
-        for r2 in g.elements():
-            for x in xs[:2]:
-                res_c = max(res_c, _distance(gamma(r, gamma(r2, x)),
-                                             gamma(g.mul(r, r2), x)))
-    rep.residuals("linner_equivariance", res_b)
-    rep.residuals("right_action_equivariance", res_act)
-    rep.residuals("group_action", res_c)
+    gam = np.stack([_coords([gamma(r, x) for x in xs]) for r in g.elements()])
+    rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
+    for r, p in enumerate(gam):
+        dual = _coords([dual_b(r, b) for b in bs])
+        inflated = _coords([inflated_dual_c(r, c) for c in cs])
+        rep.residuals("linner_equivariance", residual(
+            "b", _einsum("xa,yb,abk->xyk", p, p.conj(), lin), lin @ dual), r=r)
+        rep.residuals("right_action_equivariance", residual(
+            "x", right @ p, _einsum("xa,cb,abk->xck", p, inflated, right)), r=r)
+    rep.residuals("group_action", residual("x", gam[None] @ gam[:, None], gam[np.array(g.table)]))
     return rep.build()
 
 

@@ -763,3 +763,32 @@ class TestMalformedFiberAndToleranceExit2:
         path = write_json(tmp_path / "s.json", spec)
         assert run(capsys, "verify", path, "--tol", "1e-9")[0] == 0
         assert run(capsys, "verify", path, "--tol", "0")[0] != 2
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["tolerance", "ambient_dim"])
+    def test_spec_boolean_is_not_a_number(self, capsys, tmp_path, field, value):
+        # int(true) and float(true) are 1: a tolerance of 1.0 would pass every check
+        spec = pauli_spec_dict()
+        spec[field] = value
+        bad = write_json(tmp_path / "bad.json", spec)
+        rc, out, err = run(capsys, "verify", bad)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {bad}: {field}: expected a number, got {json.dumps(value)}")
+
+    def test_gset_boolean_size_is_not_a_number(self, capsys, tmp_path, gset_spec):
+        data = json.loads(open(gset_spec).read())
+        data["size"] = True
+        bad = write_json(tmp_path / "bad.json", data)
+        rc, out, err = run(capsys, "obstruction", bad, "--normal", "0,3,4")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {bad}: size: expected a number, got true")
+
+    def test_boolean_tolerance_is_rejected_before_a_run(self, capsys, tmp_path):
+        # a tolerance of 1.0 let a broken grading pass; the boolean now stops it first
+        spec = pauli_spec_dict()
+        spec["fibers"]["1"] = [mat([[0, 1], [0, 0]])]
+        spec["tolerance"] = True
+        bad = write_json(tmp_path / "bad.json", spec)
+        assert run(capsys, "verify", bad)[0] == 2
+        del spec["tolerance"]
+        assert run(capsys, "verify", write_json(tmp_path / "plain.json", spec))[0] == 1

@@ -24,6 +24,10 @@ handed to a check, say) solves `np.linalg.lstsq` on every call.
 The dualities check maps into a pull-back on its small factor (a
 `bundles.PulledBack`), so `duality.py` calls no `np.kron` and imports no
 `left_regular`: no a (x) lambda(s) is formed there.
+
+The bimodule checks realize B0 as d (x) E_{st,t}, with no lambda(s) factor,
+so in `imprimitivity.py` only `realize_b`, the tests' dense model of B0,
+calls `kron` or names `left_regular`, and no function calls `realize_b`.
 """
 
 import ast
@@ -215,3 +219,42 @@ def test_checker_flags_a_dense_lambda_factor():
 
 def test_duality_forms_no_lambda_factor():
     assert dense_lambda_uses((SRC / "duality.py").read_text(encoding="utf-8")) == []
+
+
+def lambda_factor_outside(source: str, allowed: str) -> list[str]:
+    """Calls of `kron` and names `left_regular` outside the module-level function
+    `allowed`, and every call of `allowed` itself."""
+    found = []
+    for top in ast.parse(source).body:
+        inside = isinstance(top, ast.FunctionDef) and top.name == allowed
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == allowed or (name == "kron" and not inside):
+                    found.append(f"{name} call (line {node.lineno})")
+            elif not inside and "left_regular" in (getattr(node, "id", None),
+                                                   getattr(node, "attr", None)):
+                found.append(f"left_regular (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_lambda_factor_outside_its_function():
+    source = ("from .groups import left_regular\n"
+              "def realize_b(b):\n"
+              "    return np.kron(b, left_regular(g)[0])\n"
+              "def check(b):\n"
+              "    lam = groups.left_regular(g)\n"
+              "    return realize_b(b) + np.kron(b, lam[1])\n"
+              "def norms(bs):\n"
+              "    return [op_norm(imp.realize_b(b)) for b in bs]\n"
+              "def inner(b):\n"
+              "    return realize(b, lam) + kronecker(b)\n")
+    assert lambda_factor_outside(source, "realize_b") == [
+        "left_regular (line 5)", "realize_b call (line 6)", "kron call (line 6)",
+        "realize_b call (line 8)"]
+
+
+def test_imprimitivity_forms_lambda_only_in_the_dense_model():
+    source = (SRC / "imprimitivity.py").read_text(encoding="utf-8")
+    assert lambda_factor_outside(source, "realize_b") == []

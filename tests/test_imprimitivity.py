@@ -382,3 +382,195 @@ class TestMoritaFromStructureConstants:
         zero = bundles.GradedBundle(q_z4.quotient_group, (empty, empty))
         with pytest.raises(NonUnitalUnitFiber):
             imp.verify_imprimitivity(q_z4, zero)
+
+
+# the element-loop routes that items (vii), (viii) and the gamma report took
+# before they were read off the formula tables: each identity is evaluated
+# formula by formula on Elements and realized densely, lambda(s) included
+
+
+def reference_realize_b(b):
+    g = b.q.group
+    lam = groups.left_regular(g)
+    n, m = g.order, b.d.ambient_dim
+    out = np.zeros((m * n * n, m * n * n), dtype=complex)
+    for (s, t), mat in b.coeffs.items():
+        e = np.zeros((n, n), dtype=complex)
+        e[g.mul(s, t), t] = 1.0
+        out += np.kron(np.kron(mat, lam[s]), e)
+    return out
+
+
+def reference_positivity_and_boundedness(q, d, tol=1e-8, samples=4):
+    """Items (vii) and (viii) of `verify_imprimitivity`, on the same random x."""
+    rng = np.random.default_rng(29)
+    for _ in range(samples):  # the draws of item (i)
+        imp._random_b(q, d, rng), imp._random_x(q, d, rng), imp._random_c(q, d, rng)
+    for _ in range(samples):  # the draws of item (iv): x1, x2, y, then z1 and z2
+        for _ in range(3):
+            imp._random_x(q, d, rng)
+        rng.normal(size=4)
+    xs, bs, cs = imp.x_generators(q, d), imp.b_generators(q, d), imp.c_generators(q, d)
+
+    min_eig, pos_ok = 0.0, True
+    for x in xs + [imp._random_x(q, d, rng) for _ in range(samples)]:
+        for mat in (imp.realize_c(imp.rinner(x, x)), reference_realize_b(imp.linner(x, x))):
+            mat = (mat + matrices.dagger(mat)) / 2
+            w = np.linalg.eigvalsh(mat)
+            min_eig = min(min_eig, float(w[0]) / max(1.0, float(np.abs(w).max())))
+            pos_ok = pos_ok and matrices.is_psd(mat, tol)
+
+    res_viii = 0.0
+    for b1 in bs:
+        nb = matrices.op_norm(reference_realize_b(b1))
+        for x in xs:
+            bx = imp.left_action(b1, x)
+            gap = nb * nb * imp.realize_c(imp.rinner(x, x)) - imp.realize_c(imp.rinner(bx, bx))
+            res_viii = max(res_viii, -float(np.linalg.eigvalsh((gap + matrices.dagger(gap)) / 2)[0]))
+    for c1 in cs:
+        nc = matrices.op_norm(imp.realize_c(c1))
+        for x in xs:
+            xc = imp.right_action(x, c1)
+            gap = (nc * nc * reference_realize_b(imp.linner(x, x))
+                   - reference_realize_b(imp.linner(xc, xc)))
+            res_viii = max(res_viii, -float(np.linalg.eigvalsh((gap + matrices.dagger(gap)) / 2)[0]))
+    return {"vii_positivity": {"pass": pos_ok, "min_relative_eigenvalue": min_eig},
+            "viii_boundedness": {"pass": res_viii <= tol, "max_defect": res_viii}}
+
+
+def reference_gamma_equivariance(q, d, tol=1e-10):
+    """The checks of `gamma_equivariance_report`, group_action on every generator."""
+    xs, cs, g = imp.x_generators(q, d), imp.c_generators(q, d), q.group
+    res = dict.fromkeys(["linner_equivariance", "right_action_equivariance", "group_action"], 0.0)
+    for r in g.elements():
+        for x in xs:
+            for y in xs:
+                res["linner_equivariance"] = max(res["linner_equivariance"], imp._distance(
+                    imp.linner(imp.gamma(r, x), imp.gamma(r, y)), imp.dual_b(r, imp.linner(x, y))))
+            for c in cs:
+                res["right_action_equivariance"] = max(
+                    res["right_action_equivariance"],
+                    imp._distance(imp.gamma(r, imp.right_action(x, c)),
+                                  imp.right_action(imp.gamma(r, x), imp.inflated_dual_c(r, c))))
+            for r2 in g.elements():
+                res["group_action"] = max(res["group_action"], imp._distance(
+                    imp.gamma(r, imp.gamma(r2, x)), imp.gamma(g.mul(r, r2), x)))
+    return {name: {"pass": value <= tol, "max_residual": value} for name, value in res.items()}
+
+
+def assert_same_items(items, reference):
+    for name, ref in reference.items():
+        assert items[name]["pass"] == ref["pass"], name
+        for key, value in ref.items():
+            if key != "pass":
+                assert abs(items[name][key] - value) <= 1e-12, (name, key)
+
+
+MORITA_CASES = ["pauli", "s3", "diag", "m2"]
+
+
+class TestTablesAgainstTheElementLoops:
+    """Items (vii), (viii) and the gamma report, read off the formula tables on the
+    lambda-free realization, against the element loops on realize_b and realize_c."""
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_positivity_and_boundedness(self, morita_cases, case):
+        q, d = morita_cases[case]
+        assert_same_items(imp.verify_imprimitivity(q, d)["items"],
+                          reference_positivity_and_boundedness(q, d))
+
+    def test_without_random_samples(self, pauli_setup):
+        q, d = pauli_setup
+        assert_same_items(imp.verify_imprimitivity(q, d, samples=0)["items"],
+                          reference_positivity_and_boundedness(q, d, samples=0))
+
+    def test_positivity_reads_the_same_random_elements(self, pauli_setup, monkeypatch):
+        # default_rng(29) is drawn in the same order, so (vii) sees the same random x
+        q, d = pauli_setup
+        drawn, true_random_x = [], imp._random_x
+
+        def recording(*args):
+            x = true_random_x(*args)
+            drawn.append(imp._coords([x])[0])
+            return x
+
+        monkeypatch.setattr(imp, "_random_x", recording)
+        imp.verify_imprimitivity(q, d)
+        ours = np.array(drawn)
+        drawn.clear()
+        reference_positivity_and_boundedness(q, d)
+        assert ours.shape == (5 * 4, 8) and np.array_equal(ours, np.array(drawn))
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_gamma_equivariance(self, morita_cases, case):
+        q, d = morita_cases[case]
+        report = imp.gamma_equivariance_report(q, d)
+        assert report["pass"]
+        assert_same_items(report["checks"], reference_gamma_equivariance(q, d))
+
+    def test_a_wrong_right_action_fails_boundedness_on_both_routes(self, pauli_setup,
+                                                                   monkeypatch):
+        q, d = pauli_setup
+        true_right = imp.right_action
+        monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
+        reference = reference_positivity_and_boundedness(q, d)
+        assert not reference["viii_boundedness"]["pass"]
+        assert_same_items(imp.verify_imprimitivity(q, d)["items"], reference)
+        assert_same_items(imp.gamma_equivariance_report(q, d)["checks"],
+                          reference_gamma_equivariance(q, d))
+
+    @pytest.mark.parametrize("case", ["pauli", "s3"])
+    def test_a_dual_translation_ignoring_r_fails_on_both_routes(self, morita_cases, case,
+                                                               monkeypatch):
+        q, d = morita_cases[case]
+        monkeypatch.setattr(imp, "dual_b", lambda r, b: b)
+        report = imp.gamma_equivariance_report(q, d)
+        reference = reference_gamma_equivariance(q, d)
+        assert not report["checks"]["linner_equivariance"]["pass"]
+        assert not reference["linner_equivariance"]["pass"]
+        assert {v["axiom"] for v in report["violations"]} == {"linner_equivariance"}
+        assert_same_items(report["checks"], reference)
+
+
+class TestLambdaFreeRealization:
+    """B0 as d (x) E_{st,t} on C^m (x) l^2(G), the realization the checks read."""
+
+    @staticmethod
+    def realize(q, d, b):
+        return imp._realize(q.group, b.coeffs, d.ambient_dim)
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_is_a_star_homomorphism(self, morita_cases, case):
+        q, d = morita_cases[case]
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            b1, b2 = imp._random_b(q, d, rng), imp._random_b(q, d, rng)
+            r1, r2 = self.realize(q, d, b1), self.realize(q, d, b2)
+            assert np.abs(self.realize(q, d, imp.b_mul(b1, b2)) - r1 @ r2).max() <= 1e-12
+            assert np.abs(self.realize(q, d, imp.b_star(b1)) - matrices.dagger(r1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_is_faithful(self, morita_cases, case):
+        q, d = morita_cases[case]
+        span = matrices.orthonormalize([self.realize(q, d, b) for b in imp.b_generators(q, d)])
+        assert span.dim == imp.dimensions(q, d)["dimB"]
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_realize_b_has_its_spectrum_taken_g_times(self, morita_cases, case):
+        q, d = morita_cases[case]
+        rng = np.random.default_rng(43)
+        xs = imp.x_generators(q, d)[:3] + [imp._random_x(q, d, rng) for _ in range(3)]
+        for x in xs:
+            inner = imp.linner(x, x)
+            small, dense = self.realize(q, d, inner), imp.realize_b(inner)
+            w_small = np.linalg.eigvalsh((small + matrices.dagger(small)) / 2)
+            w_dense = np.linalg.eigvalsh((dense + matrices.dagger(dense)) / 2)
+            scale = max(1.0, float(np.abs(w_dense).max()))
+            assert np.abs(np.repeat(w_small, q.group.order) - w_dense).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", MORITA_CASES)
+    def test_realize_b_is_the_kron_loop_bit_for_bit(self, morita_cases, case):
+        q, d = morita_cases[case]
+        rng = np.random.default_rng(47)
+        for b in imp.b_generators(q, d)[:4] + [imp._random_b(q, d, rng)]:
+            assert np.array_equal(imp.realize_b(b), reference_realize_b(b))
