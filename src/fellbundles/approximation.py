@@ -106,11 +106,12 @@ def ep_defect(bundle: GradedBundle, w: EPWitness, tol: float = DEFAULT_TOL) -> d
     g = bundle.group
     worst = 0.0
     for t in g.elements():
-        for a in bundle.fiber(t).basis_list():
-            acc = -a.astype(complex)
-            for s, fs in w.values.items():
-                acc = acc + dagger(w.value(g.mul(t, s))) @ a @ fs
-            worst = max(worst, op_norm(acc) / max(1.0, op_norm(a)))
+        basis = bundle.fiber(t).basis
+        acc = -basis.astype(complex)
+        for s, fs in w.values.items():
+            acc = acc + dagger(w.value(g.mul(t, s))) @ basis @ fs
+        defect = op_norm(acc) / np.maximum(1.0, op_norm(basis))
+        worst = max(worst, float(defect.max(initial=0.0)))
     return {"bound": w.bound, "defect": worst}
 
 

@@ -2,8 +2,9 @@
 
 Bundle specs, multiplier families, witnesses, and actions are read from
 JSON files; every command emits a key-sorted JSON report, so repeated runs
-produce byte-identical output.  Exit codes separate mathematical failures
-(1, report still written) from input problems (2).
+produce byte-identical output.  A command exits 0 iff its report passes, 1
+if not (the report is still written) and 2 on bad input.  One reader,
+`_load_object`, checks schema, kind and fields of all but group-table files.
 
 A bundle spec looks like
 
@@ -32,9 +33,6 @@ from .matrices import op_norm, orthonormalize, unit_element
 
 SCHEMA = "fellbundle/1"
 DEFAULT_CLI_TOL = 1e-9
-
-COMMANDS = ("verify", "pullback", "crossed", "imprimitivity", "landstad",
-            "olesen-pedersen", "gsimple", "obstruction", "ep", "report")
 
 
 # serialization
@@ -113,6 +111,34 @@ def _load_json(path: str):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _load_object(path: str, kind: str | None, *fields: str) -> dict:
+    """The JSON object in path: a ParseError unless its schema is SCHEMA (the
+    default), its kind is `kind` (the default) and it has every field."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    schema = data.get("schema", SCHEMA)
+    if schema != SCHEMA:
+        raise ParseError(f"{path}: unsupported schema '{schema}'")
+    if kind is not None and data.get("kind", kind) != kind:
+        raise ParseError(f"{path}: expected kind '{kind}'")
+    for field in fields:
+        if field not in data:
+            raise ParseError(f"{path}: missing {field} field")
+    return data
+
+
+def _element_key(path: str, key: str, g: groups.FiniteGroup, key_name: str, name: str) -> int:
+    """The element of g a map key names; errors call it key_name, or name when out of range."""
+    try:
+        s = int(key)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {key_name} '{key}' is not an element index") from exc
+    if not 0 <= s < g.order:
+        raise ParseError(f"{path}: {name} {s} outside a group of order {g.order}")
+    return s
+
+
 def decode_group(obj, field: str = "group") -> groups.FiniteGroup:
     if isinstance(obj, str):
         return group_from_descriptor(obj)[0]
@@ -159,17 +185,8 @@ def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
 
 def parse_spec(path: str):
     """Read a bundle spec file; returns (group, bundle, options)."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    schema = data.get("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise ParseError(f"{path}: unsupported schema '{schema}'")
-    if "group" not in data:
-        raise ParseError(f"{path}: missing group field")
+    data = _load_object(path, None, "group", "ambient_dim")
     g = decode_group(data["group"])
-    if "ambient_dim" not in data:
-        raise ParseError(f"{path}: missing ambient_dim field")
     n = _cast(int, data["ambient_dim"], path, "ambient_dim")
     if n <= 0:
         raise ParseError(f"{path}: ambient_dim must be positive")
@@ -178,12 +195,7 @@ def parse_spec(path: str):
         raise ParseError(f"{path}: fibers must map element indices to matrix lists")
     spans: dict[int, list] = {}
     for key, mats in raw.items():
-        try:
-            s = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{path}: fiber key '{key}' is not an element index") from exc
-        if not 0 <= s < g.order:
-            raise ParseError(f"{path}: fiber index {s} outside a group of order {g.order}")
+        s = _element_key(path, key, g, "fiber key", "fiber index")
         if not isinstance(mats, list):
             raise ParseError(f"{path}: fibers[{key}]: expected a list of matrices")
         spans[s] = [_decode_square(m, n, f"fibers[{key}][{i}]")
@@ -191,12 +203,8 @@ def parse_spec(path: str):
     fibers = tuple(orthonormalize(spans.get(s, []), ambient_dim=n)
                    for s in g.elements())
     bundle = bundles.GradedBundle(g, fibers)
-    options: dict = {}
-    if "normal_subgroup" in data:
-        options["normal_subgroup"] = _cast(_int_tuple, data["normal_subgroup"], path,
-                                           "normal_subgroup")
-    if "tolerance" in data:
-        options["tolerance"] = _cast(float, data["tolerance"], path, "tolerance")
+    options = {field: _cast(cast, data[field], path, field) for field, cast in
+               (("normal_subgroup", _int_tuple), ("tolerance", float)) if field in data}
     return g, bundle, options
 
 
@@ -207,28 +215,26 @@ def bundle_to_spec(bundle: bundles.GradedBundle, group_desc: dict) -> dict:
             "ambient_dim": bundle.ambient_dim, "fibers": fibers}
 
 
-def _parse_members(text: str) -> tuple[int, ...]:
-    try:
-        return _int_tuple(text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--normal: expected a comma list of integers, got '{text}'") from exc
-
-
 def _matrix_map(path: str, key: str, g: groups.FiniteGroup, n: int) -> dict:
     """Files like {"f": {"0": matrix, ...}} for witnesses and families."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or key not in data or not isinstance(data[key], dict):
+    data = _load_object(path, None)
+    if not isinstance(data.get(key), dict):
         raise ParseError(f"{path}: expected an object with a '{key}' map")
-    out = {}
-    for raw_s, m in data[key].items():
-        try:
-            s = int(raw_s)
-        except ValueError as exc:
-            raise ParseError(f"{path}: key '{raw_s}' is not an element index") from exc
-        if not 0 <= s < g.order:
-            raise ParseError(f"{path}: element {s} outside a group of order {g.order}")
-        out[s] = _decode_square(m, n, f"{key}[{raw_s}]")
-    return out
+    return {_element_key(path, raw_s, g, "key", "element"): _decode_square(m, n, f"{key}[{raw_s}]")
+            for raw_s, m in data[key].items()}
+
+
+def _normal(args, g: groups.FiniteGroup) -> groups.NormalSubgroup:
+    """--normal as a normal subgroup of g."""
+    try:
+        members = _int_tuple(args.normal.split(","))
+    except ValueError as exc:
+        raise ParseError(
+            f"--normal: expected a comma list of integers, got '{args.normal}'") from exc
+    try:
+        return groups.NormalSubgroup(g, members)
+    except FellBundleError as exc:
+        raise ParseError(f"--normal: {exc}") from exc
 
 
 def _quotient_setup(args, d: bundles.GradedBundle):
@@ -236,10 +242,7 @@ def _quotient_setup(args, d: bundles.GradedBundle):
     if not args.group or not args.normal:
         raise ParseError("this command needs --group and --normal")
     g, desc = group_from_descriptor(args.group)
-    try:
-        q = groups.quotient(g, _parse_members(args.normal))
-    except FellBundleError as exc:
-        raise ParseError(f"--normal: {exc}") from exc
+    q = groups.quotient(g, _normal(args, g))
     if q.quotient_group.table != d.group.table:
         raise ParseError(
             "bundle group does not match the quotient of --group by --normal "
@@ -249,16 +252,7 @@ def _quotient_setup(args, d: bundles.GradedBundle):
 
 def parse_action_spec(path: str):
     """Twisted-action files for the olesen-pedersen command."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    if data.get("schema", SCHEMA) != SCHEMA:
-        raise ParseError(f"{path}: unsupported schema '{data.get('schema')}'")
-    if data.get("kind", "twisted_action") != "twisted_action":
-        raise ParseError(f"{path}: expected kind 'twisted_action'")
-    for field in ("group", "algebra", "alpha"):
-        if field not in data:
-            raise ParseError(f"{path}: missing {field} field")
+    data = _load_object(path, "twisted_action", "group", "algebra", "alpha")
     g = decode_group(data["group"])
     mats = data["algebra"]
     if not isinstance(mats, list) or not mats:
@@ -305,14 +299,7 @@ def parse_action_spec(path: str):
 
 def parse_gset_spec(path: str):
     """G-set action files for the obstruction command."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    if data.get("kind", "gset_action") != "gset_action":
-        raise ParseError(f"{path}: expected kind 'gset_action'")
-    for field in ("group", "size", "perm"):
-        if field not in data:
-            raise ParseError(f"{path}: missing {field} field")
+    data = _load_object(path, "gset_action", "group", "size", "perm")
     g = decode_group(data["group"])
     size = _cast(int, data["size"], path, "size")
     raw = data["perm"]
@@ -345,17 +332,22 @@ def _tol(args, options) -> float:
     return float(tol)
 
 
-def cmd_verify(args) -> tuple[dict, int, str | None]:
+def _spec(args) -> tuple[bundles.GradedBundle, float]:
+    """The bundle of the spec file and the run's tolerance."""
     _, bundle, options = parse_spec(args.spec)
-    rep = bundles.verify_fell_axioms(bundle, _tol(args, options))
-    report = {"command": "verify", **rep}
-    return report, 0 if rep["pass"] else 1, None
+    return bundle, _tol(args, options)
 
 
-def cmd_pullback(args) -> tuple[dict, int, str | None]:
-    _, d, options = parse_spec(args.spec)
+def cmd_verify(args) -> dict:
+    """run the grading axiom battery on a bundle spec"""
+    bundle, tol = _spec(args)
+    return {"command": "verify", **bundles.verify_fell_axioms(bundle, tol)}
+
+
+def cmd_pullback(args) -> dict:
+    """pull a bundle over G/N back to G (-o writes the bundle spec)"""
+    d, tol = _spec(args)
     g, q, desc = _quotient_setup(args, d)
-    tol = _tol(args, options)
     pb = bundles.pullback(d, q)
     rep = bundles.verify_fell_axioms(pb, max(tol, 1e-8))
     report = {
@@ -365,47 +357,49 @@ def cmd_pullback(args) -> tuple[dict, int, str | None]:
         "section_dimension": pb.section_dimension(),
         "axioms": rep["checks"],
     }
-    out = render_report(bundle_to_spec(pb, desc)) if args.output else None
-    return report, 0 if rep["pass"] else 1, out
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(render_report(bundle_to_spec(pb, desc)))
+    return report
 
 
-def cmd_crossed(args) -> tuple[dict, int, str | None]:
-    _, bundle, options = parse_spec(args.spec)
-    tol = _tol(args, options)
+def cmd_crossed(args) -> dict:
+    """crossed-product dimension law and fiberwise isometry"""
+    bundle, tol = _spec(args)
     bundles.require_fell_axioms(bundle, max(tol, 1e-8))
     g = bundle.group
     lam = groups.left_regular(g)
     # read off span{a_s (x) E_{st,t}}: its (s, t) slots are HS-orthogonal, so
     # dim = |G| * sum_s dim A_s, and ||a (x) lambda_s|| = ||a|| * ||lambda_s||
-    residual = max((op_norm(a) * abs(op_norm(lam[s]) - 1.0)
-                    for s in g.elements() for a in bundle.fiber(s).basis_list()), default=0.0)
-    ok = residual <= max(tol, 1e-10)
+    residual = float(np.concatenate(
+        [op_norm(bundle.fiber(s).basis) * abs(op_norm(lam[s]) - 1.0)
+         for s in g.elements()]).max(initial=0.0))
     dimension = g.order * bundle.section_dimension()
-    report = {
-        "command": "crossed", "pass": ok,
+    return {
+        "command": "crossed", "pass": residual <= max(tol, 1e-10),
         "ambient_dim": bundle.ambient_dim * g.order,
         "crossed_dimension": dimension,
         "expected_dimension": dimension,
         "fiber_dims": list(bundle.fiber_dims()),
         "isometry_residual": residual,
     }
-    return report, 0 if ok else 1, None
 
 
-def cmd_imprimitivity(args) -> tuple[dict, int, str | None]:
-    _, d, options = parse_spec(args.spec)
+def cmd_imprimitivity(args) -> dict:
+    """bimodule axioms and Morita report for a bundle over G/N"""
+    d, tol = _spec(args)
     _, q, _ = _quotient_setup(args, d)
-    tol = _tol(args, options)
     rep, morita = imprimitivity.bimodule_check(q, d, max(tol, 1e-8))
     report = {"command": "imprimitivity", **rep}
     if rep["pass"]:
         report["morita"] = morita
         report["gamma"] = imprimitivity.gamma_equivariance_report(q, d)["pass"]
-    return report, 0 if rep["pass"] else 1, None
+    return report
 
 
-def cmd_landstad(args) -> tuple[dict, int, str | None]:
-    _, d, options = parse_spec(args.spec)
+def cmd_landstad(args) -> dict:
+    """reconstruct a twisted action from a bundle plus --family"""
+    d, tol = _spec(args)
     g, q, _ = _quotient_setup(args, d)
     if not args.family:
         raise ParseError("landstad needs --family FILE with a 'u' matrix map")
@@ -414,17 +408,17 @@ def cmd_landstad(args) -> tuple[dict, int, str | None]:
     if missing:
         raise ParseError(f"--family: u is missing elements {missing}")
     u = bundles.UnitaryMultiplierFamily(d, tuple(g.elements()), mats)
-    _, rep = duality.landstad_reconstruct(d, q, u, max(_tol(args, options), 1e-8))
-    report = {
+    _, rep = duality.landstad_reconstruct(d, q, u, max(tol, 1e-8))
+    return {
         "command": "landstad", "pass": rep["pass"],
         "coefficient_dim": rep["coefficient_dim"],
         "twist": {str(n): encode_matrix(m) for n, m in rep["twist"].items()},
         "isomorphism": rep["iso"]["pass"],
     }
-    return report, 0 if rep["pass"] else 1, None
 
 
-def cmd_olesen_pedersen(args) -> tuple[dict, int, str | None]:
+def cmd_olesen_pedersen(args) -> dict:
+    """semidirect vs pull-back comparison for a twisted action"""
     action = parse_action_spec(args.spec)
     tol = max(_tol(args, {}), 1e-8)
     fwd = duality.olesen_pedersen_forward(action, tol)
@@ -433,69 +427,63 @@ def cmd_olesen_pedersen(args) -> tuple[dict, int, str | None]:
     residual = max(
         (float(np.linalg.norm(extracted[n] - action.tau[n])) for n in extracted),
         default=0.0)
-    ok = fwd["pass"] and residual <= tol
-    report = {
-        "command": "olesen-pedersen", "pass": ok,
+    return {
+        "command": "olesen-pedersen", "pass": fwd["pass"] and residual <= tol,
         "dim_semidirect": fwd["dim_semidirect"],
         "dim_pullback": fwd["dim_pullback"],
         "isomorphism": fwd["iso"]["pass"],
         "extracted_twist": {str(n): encode_matrix(m) for n, m in extracted.items()},
         "twist_residual": residual,
     }
-    return report, 0 if ok else 1, None
 
 
-def cmd_gsimple(args) -> tuple[dict, int, str | None]:
-    _, bundle, options = parse_spec(args.spec)
-    tol = max(_tol(args, options), 1e-8)
+def cmd_gsimple(args) -> dict:
+    """graded ideals of the section algebra"""
+    bundle, tol = _spec(args)
+    tol = max(tol, 1e-8)
     sa = sections.section_algebra(bundle, tol)
     ideals = duality.graded_ideals(sa, tol)
-    report = {
+    return {
         "command": "gsimple", "pass": True,
         "section_dimension": sa.total.dim,
         "ideal_dims": [i.dim for i in ideals],
         "ideal_count": len(ideals),
         "is_g_simple": duality.is_g_simple(sa, tol, ideals),
     }
-    return report, 0, None
 
 
-def cmd_obstruction(args) -> tuple[dict, int, str | None]:
+def cmd_obstruction(args) -> dict:
+    """stabilizer obstruction for a G-set action spec"""
     act = parse_gset_spec(args.spec)
     if not args.normal:
         raise ParseError("obstruction needs --normal with the subgroup members")
-    members = _parse_members(args.normal)
-    if set(members) == {0}:
+    nsub = _normal(args, act.group)
+    if nsub.is_trivial():
         raise ParseError("--normal must name a nontrivial subgroup")
-    try:
-        nsub = groups.NormalSubgroup(act.group, members)
-    except FellBundleError as exc:
-        raise ParseError(f"--normal: {exc}") from exc
-    rep = duality.stabilizer_obstruction(act, nsub)
-    report = {"command": "obstruction", "pass": True, **rep}
-    return report, 0, None
+    return {"command": "obstruction", "pass": True,
+            **duality.stabilizer_obstruction(act, nsub)}
 
 
-def cmd_ep(args) -> tuple[dict, int, str | None]:
-    _, bundle, options = parse_spec(args.spec)
-    tol = _tol(args, options)
+def cmd_ep(args) -> dict:
+    """approximation-property bound and defect (--witness optional)"""
+    bundle, tol = _spec(args)
     if args.witness:
         vals = _matrix_map(args.witness, "f", bundle.group, bundle.ambient_dim)
         w = approx.ep_witness(bundle, vals, tol)
     else:
         w = approx.uniform_witness(bundle, tol)
     rep = approx.ep_defect(bundle, w, tol)
-    report = {
+    return {
         "command": "ep", "pass": True,
         "bound": rep["bound"], "defect": rep["defect"],
         "support": list(w.support),
     }
-    return report, 0, None
 
 
-def cmd_report(args) -> tuple[dict, int, str | None]:
-    _, bundle, options = parse_spec(args.spec)
-    tol = max(_tol(args, options), 1e-8)
+def cmd_report(args) -> dict:
+    """combined report: axioms, dimensions, ideals, amenability"""
+    bundle, tol = _spec(args)
+    tol = max(tol, 1e-8)
     axioms = bundles.verify_fell_axioms(bundle, tol)
     report = {
         "command": "report", "pass": axioms["pass"],
@@ -506,7 +494,7 @@ def cmd_report(args) -> tuple[dict, int, str | None]:
     }
     if not axioms["pass"]:
         report["violations"] = axioms["violations"]
-        return report, 1, None
+        return report
     dimension = bundle.group.order * bundle.section_dimension()
     report["crossed_dimension"] = report["expected_crossed_dimension"] = dimension
     sa = sections.section_algebra(bundle, tol, check=False)
@@ -514,10 +502,12 @@ def cmd_report(args) -> tuple[dict, int, str | None]:
     report["ideal_dims"] = [i.dim for i in ideals]
     report["is_g_simple"] = duality.is_g_simple(sa, tol, ideals)
     report["amenability"] = approx.amenability_report(sa, tol)
-    return report, 0, None
+    return report
 
 
-_HANDLERS = {
+# name -> handler; a handler's docstring is its --help line, and the values
+# stay plain functions so that perfbench/tracer.py can swap in its wrappers
+COMMANDS = {
     "verify": cmd_verify,
     "pullback": cmd_pullback,
     "crossed": cmd_crossed,
@@ -536,20 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fellbundles",
         description="Verification toolkit for gradings of matrix algebras by finite groups.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "verify": "run the grading axiom battery on a bundle spec",
-        "pullback": "pull a bundle over G/N back to G (-o writes the bundle spec)",
-        "crossed": "crossed-product dimension law and fiberwise isometry",
-        "imprimitivity": "bimodule axioms and Morita report for a bundle over G/N",
-        "landstad": "reconstruct a twisted action from a bundle plus --family",
-        "olesen-pedersen": "semidirect vs pull-back comparison for a twisted action",
-        "gsimple": "graded ideals of the section algebra",
-        "obstruction": "stabilizer obstruction for a G-set action spec",
-        "ep": "approximation-property bound and defect (--witness optional)",
-        "report": "combined report: axioms, dimensions, ideals, amenability",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, handler in COMMANDS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("spec", help="input JSON file")
         sp.add_argument("--tol", type=float, default=None,
                         help=f"numeric tolerance (default {DEFAULT_CLI_TOL})")
@@ -582,7 +560,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report, code, side_output = _HANDLERS[args.command](args)
+        report = COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -590,13 +568,8 @@ def run_command(argv) -> int:
         # a well-formed input failed a mathematical check
         report = {"command": args.command, "pass": False,
                   "error": type(exc).__name__, "detail": str(exc)}
-        _emit(render_report(report), args)
-        return 1
-    if side_output is not None and args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(side_output)
     _emit(render_report(report), args)
-    return code
+    return 0 if report["pass"] else 1
 
 
 def main() -> None:

@@ -100,13 +100,15 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def op_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the Hermitian spectrum of m* m."""
+def op_norm(m: np.ndarray):
+    """Largest singular value, via the Hermitian spectrum of m* m: a float for
+    one matrix, an array of one norm per matrix for a stack (..., n, n)."""
     m = np.asarray(m, dtype=complex)
+    lead = m.shape[:-2]
     if m.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(dagger(m) @ m)
-    return float(np.sqrt(max(w[-1], 0.0)))
+        return np.zeros(lead) if lead else 0.0
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(dagger(m) @ m)[..., -1], 0.0))
+    return norms if lead else float(norms)
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import resource
@@ -792,3 +793,108 @@ class TestMalformedFiberAndToleranceExit2:
         assert run(capsys, "verify", bad)[0] == 2
         del spec["tolerance"]
         assert run(capsys, "verify", write_json(tmp_path / "plain.json", spec))[0] == 1
+
+
+class TestEveryInputFileChecksItsSchema:
+    """G-set, witness and family files go through the same object reader as
+    bundle and action specs, so an unknown schema exits 2 for each kind."""
+
+    def test_gset_file(self, capsys, tmp_path, gset_spec):
+        data = json.loads(open(gset_spec).read())
+        data["schema"] = "fellbundle/99"
+        bad = write_json(tmp_path / "bad.json", data)
+        rc, out, err = run(capsys, "obstruction", bad, "--normal", "0,3,4")
+        assert rc == 2 and out == ""
+        assert err == f"error: {bad}: unsupported schema 'fellbundle/99'\n"
+
+    def test_witness_file(self, capsys, tmp_path, pauli_spec):
+        wit = write_json(tmp_path / "wit.json",
+                         {"schema": "fellbundle/99", "f": {"0": mat(I2 / SQ2)}})
+        rc, out, err = run(capsys, "ep", pauli_spec, "--witness", wit)
+        assert rc == 2 and out == ""
+        assert err == f"error: {wit}: unsupported schema 'fellbundle/99'\n"
+
+    def test_family_file(self, capsys, tmp_path, landstad_inputs):
+        spec, family, _ = landstad_inputs
+        data = json.loads(open(family).read())
+        data["schema"] = "fellbundle/99"
+        bad = write_json(tmp_path / "badfam.json", data)
+        rc, out, err = run(capsys, "landstad", spec, "--family", bad,
+                           "--group", "cyclic:4", "--normal", "0,2")
+        assert rc == 2 and out == ""
+        assert err == f"error: {bad}: unsupported schema 'fellbundle/99'\n"
+
+    def test_the_current_schema_is_accepted(self, capsys, tmp_path, gset_spec, pauli_spec):
+        data = json.loads(open(gset_spec).read())
+        data["schema"] = cli.SCHEMA
+        gset = write_json(tmp_path / "gset.json", data)
+        assert run(capsys, "obstruction", gset, "--normal", "0,3,4")[0] == 0
+        wit = write_json(tmp_path / "wit.json", {"schema": cli.SCHEMA, "f": {"0": mat(I2 / SQ2)}})
+        assert run(capsys, "ep", pauli_spec, "--witness", wit)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["pullback", "imprimitivity", "landstad"])
+def test_a_malformed_normal_is_reported_with_one_prefix(capsys, pauli_spec, command):
+    rc, out, err = run(capsys, command, pauli_spec, "--group", "cyclic:4", "--normal", "0,x")
+    assert rc == 2 and out == ""
+    assert err == "error: --normal: expected a comma list of integers, got '0,x'\n"
+
+
+class TestPullbackOutputFile:
+
+    def test_written_when_the_pulled_back_axioms_fail(self, capsys, tmp_path, broken_spec):
+        out_path = tmp_path / "pb.json"
+        rc, out, _ = run(capsys, "pullback", broken_spec,
+                         "--group", "cyclic:4", "--normal", "0,2", "-o", str(out_path))
+        assert rc == 1 and json.loads(out)["pass"] is False
+        g, pb, _ = cli.parse_spec(str(out_path))
+        assert g.order == 4 and pb.fiber_dims() == (1, 1, 1, 1)
+        assert run(capsys, "verify", str(out_path))[0] == 1
+
+    @pytest.mark.parametrize("extra", [["--normal", "0,x"], ["--normal", "0,1,2,3"],
+                                       ["--normal", "0,2", "--tol", "nan"]])
+    def test_nothing_written_on_bad_input(self, capsys, tmp_path, pauli_spec, extra):
+        out_path = tmp_path / "pb.json"
+        rc, out, _ = run(capsys, "pullback", pauli_spec, "--group", "cyclic:4",
+                         *extra, "-o", str(out_path))
+        assert rc == 2 and out == "" and not out_path.exists()
+
+
+class TestCommandTable:
+
+    HELP = [
+        ("verify", "run the grading axiom battery on a bundle spec"),
+        ("pullback", "pull a bundle over G/N back to G (-o writes the bundle spec)"),
+        ("crossed", "crossed-product dimension law and fiberwise isometry"),
+        ("imprimitivity", "bimodule axioms and Morita report for a bundle over G/N"),
+        ("landstad", "reconstruct a twisted action from a bundle plus --family"),
+        ("olesen-pedersen", "semidirect vs pull-back comparison for a twisted action"),
+        ("gsimple", "graded ideals of the section algebra"),
+        ("obstruction", "stabilizer obstruction for a G-set action spec"),
+        ("ep", "approximation-property bound and defect (--witness optional)"),
+        ("report", "combined report: axioms, dimensions, ideals, amenability"),
+    ]
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        rc, out, _ = run(capsys, "--help")
+        flat = " ".join(out.split())  # argparse wraps the help lines
+        where = [flat.find(f" {name} {line} ") for name, line in self.HELP]
+        assert rc == 0 and -1 not in where and where == sorted(where)
+
+    @pytest.mark.parametrize("option,owner", [("--witness", "ep"), ("--family", "landstad")])
+    def test_only_one_command_takes_each_file_option(self, option, owner):
+        parser = cli._build_parser()
+        for name, _ in self.HELP:
+            argv = [name, "in.json", option, "f.json"]
+            if name == owner:
+                assert getattr(parser.parse_args(argv), option[2:]) == "f.json"
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+    def test_values_are_the_module_level_handlers(self):
+        # perfbench/tracer.py swaps its wrappers into the table by the identity of its values
+        assert list(cli.COMMANDS) == [name for name, _ in self.HELP]
+        for name, handler in cli.COMMANDS.items():
+            assert inspect.isfunction(handler)
+            assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))

@@ -308,3 +308,15 @@ def test_every_report_follows_the_pass_rule(name, request):
         failed = {v[label] for v in report["violations"]}
         for check, entry in report[section].items():
             assert entry["pass"] == (check not in failed), check
+
+
+@pytest.mark.parametrize("shape", [(7, 48, 48), (3, 144, 144), (20, 8, 8), (2, 3, 4, 4),
+                                   (5, 1, 1), (0, 6, 6), (4, 0, 0)])
+def test_op_norm_of_a_stack_is_the_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = matrices.op_norm(stack)
+    assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+    flat = stack.reshape((int(np.prod(shape[:-2])),) + shape[-2:])
+    loop = np.array([matrices.op_norm(m) for m in flat], dtype=float)
+    assert norms.ravel().tobytes() == loop.tobytes()
