@@ -25,7 +25,7 @@ from .errors import (
     ValueOutsideUnitFiber,
 )
 from .groups import FiniteGroup, Quotient
-from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, numerical_rank, op_norm
+from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, numerical_rank, op_norm, precondition_tol
 from .sections import SectionAlgebra, section_algebra
 
 
@@ -71,19 +71,15 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
             raise ShapeMismatch(f"witness value at {s} has shape {m.shape}, ambient is {n}")
         if hs_norm(m) <= _ZERO_CUT:
             continue
-        if not fe.contains(m, max(tol, 1e-8)):
+        if not fe.contains(m, precondition_tol(tol)):
             raise ValueOutsideUnitFiber(f"witness value at {s} escapes the unit fiber")
         kept[s] = m
     return EPWitness(bundle, kept, op_norm(_gram(kept, n)))
 
 
 def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness:
-    """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound 1 up to rounding.
-
-    The unit 1_e comes from the least-squares solve in matrices.unit_coords,
-    so the bound is 1 up to rounding in that solve; the tests hold it within
-    1e-12 of 1.
-    """
+    """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound 1 up to the rounding
+    of the least-squares solve for 1_e in matrices.unit_coords."""
     u = unit_fiber_unit(bundle, tol)
     scale = 1.0 / np.sqrt(bundle.group.order)
     return ep_witness(bundle, {s: scale * u for s in bundle.group.elements()}, tol)
@@ -125,7 +121,7 @@ def averaging_map(bundle: GradedBundle, w: EPWitness, a, tol: float = DEFAULT_TO
     if not same_bundle(w.bundle, bundle):
         raise GroupMismatch("witness was built over a different bundle")
     sa = section_algebra(bundle, tol, check=False)
-    comps = sa.components(a, max(tol, 1e-8))
+    comps = sa.components(a, precondition_tol(tol))
     g = bundle.group
     out = np.zeros((bundle.ambient_dim, bundle.ambient_dim), dtype=complex)
     for h, ah in enumerate(comps):
@@ -161,7 +157,7 @@ def ep_pullback_witness(fd: EPWitness, gvals: dict, q: Quotient,
         if int(m) not in members:
             raise GroupMismatch(f"g({m}) is set but {m} is not in the kernel subgroup")
     gsum = sum(abs(complex(v)) ** 2 for v in gvals.values())
-    if gsum > 1.0 + 1e-12:
+    if gsum > 1.0 + tol:
         raise GNormExceeded(f"sum |g|^2 = {gsum:.6g} exceeds 1")
     pb = pullback(fd.bundle, q)
     eye = np.eye(q.group.order)
@@ -197,10 +193,10 @@ def regular_representation_kernel(bundle: GradedBundle | SectionAlgebra,
     flat = sa.total.flat
     coeffs = flat @ sa.solver.T
     miss = np.linalg.norm(coeffs @ sa.stack - flat, axis=1)
-    if np.any(miss > max(tol, 1e-8) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
+    if np.any(miss > precondition_tol(tol) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
         raise NotInAlgebra("matrix is not a section of the grading")
     sv = np.sqrt(sa.group.order) * np.linalg.svd(coeffs, compute_uv=False)
-    return sa.total.dim - numerical_rank(sv, max(tol, 1e-10))
+    return sa.total.dim - numerical_rank(sv, tol)
 
 
 def least_squares_witness(bundle: GradedBundle, iters: int = 25,
@@ -247,12 +243,12 @@ def least_squares_witness(bundle: GradedBundle, iters: int = 25,
         d = ep_defect(bundle, cand, tol)["defect"]
         if d < best_defect:
             best, best_defect = cand, d
-        if best_defect <= max(tol, 1e-10):
+        if best_defect <= tol:
             break
     return best
 
 
-def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = 1e-8) -> dict:
+def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = DEFAULT_TOL) -> dict:
     """Faithfulness of the regular representation plus an exact-witness search.
 
     The kernel dimension is always zero here: fibers are honest subspaces of
@@ -275,7 +271,7 @@ def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = 1e-8)
     rep = ep_defect(bundle, w, tol)
     return {
         "regular_rep_kernel_dim": kern,
-        "ep_exact_witness_found": bool(rep["defect"] <= max(tol, 1e-8)),
+        "ep_exact_witness_found": bool(rep["defect"] <= tol),
         "witness_bound": rep["bound"],
         "witness_defect": rep["defect"],
     }

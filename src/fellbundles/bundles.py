@@ -49,9 +49,9 @@ from .matrices import (
     dagger,
     hs_norm,
     is_star_closed,
-    multiplication_tensor,
     op_norm,
     orthonormalize,
+    precondition_tol,
     product_coords,
     require,
     unit_element,
@@ -157,9 +157,9 @@ def same_bundle(a: GradedBundle, b: GradedBundle) -> bool:
 
 
 def unit_fiber_unit(bundle: GradedBundle, tol: float) -> np.ndarray:
-    """The unit of fiber(e); NonUnitalUnitFiber if it has none."""
+    """The unit of fiber(e), a precondition; NonUnitalUnitFiber if it has none."""
     try:
-        return unit_element(bundle.fiber(0), tol)
+        return unit_element(bundle.fiber(0), precondition_tol(tol))
     except NotUnital as exc:
         raise NonUnitalUnitFiber(str(exc)) from exc
 
@@ -184,7 +184,7 @@ def _fiber_sweep(bundle: GradedBundle) -> tuple[dict, list]:
     return prods, [f(g.inv(s)).decompose(dagger(f(s).basis)) for s in g.elements()]
 
 
-def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
+def verify_fell_axioms(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
     """Check the five grading axiom families and report residuals.
 
     Returns {"pass": bool, "checks": {...}, "violations": [...]}; a violation
@@ -220,8 +220,8 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> dict:
     return rep.build()
 
 
-def require_fell_axioms(bundle: GradedBundle, tol: float = 1e-8) -> None:
-    require(verify_fell_axioms(bundle, tol), AxiomViolation, "grading axiom failed: ")
+def require_fell_axioms(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> None:
+    require(verify_fell_axioms(bundle, precondition_tol(tol)), AxiomViolation, "grading axiom failed: ")
 
 
 # basic constructions
@@ -234,8 +234,7 @@ def trivial_bundle(g: FiniteGroup, coeff: MatrixSubspace, tol: float = DEFAULT_T
     coeff must be a unital *-subalgebra of its ambient (NotAnAlgebra/NotUnital
     otherwise); its unit need not be the ambient identity.
     """
-    multiplication_tensor(coeff, tol)
-    unit_element(coeff, tol)
+    unit_element(coeff, tol)  # NotAnAlgebra unless closed under products
     if not is_star_closed(coeff, tol):
         raise NotAnAlgebra("coefficient algebra is not adjoint-closed")
     q = quotient(g, g.elements())
@@ -414,7 +413,7 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
 
 
 def require_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> None:
-    report = verify_twisted_action(t, tol)
+    report = verify_twisted_action(t, precondition_tol(tol))
     for v in report["violations"]:
         if v["axiom"] == "action":
             raise InvalidAction(f"action residual {v['residual']:.3g}")
@@ -600,7 +599,7 @@ def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> Abst
     """Read structure constants off a concrete grading; functional = trace."""
     g = bundle.group
     prods, adjoints = _fiber_sweep(bundle)
-    limit = max(tol, 1e-8)
+    limit = precondition_tol(tol)
     for s in g.elements():
         for t in g.elements():
             if np.any(prods[(s, t)][1] > limit):
@@ -623,7 +622,7 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     if u.bundle.group.table != g.table or u.bundle.ambient_dim != a.ambient_dim:
         raise GroupMismatch("multiplier family was built for a different bundle")
     fam = u if u.bundle is a else UnitaryMultiplierFamily(a, u.domain, u.mats)
-    require(verify_multiplier_family(fam, max(tol, 1e-8)), InvalidMultiplierFamily)
+    require(verify_multiplier_family(fam, precondition_tol(tol)), InvalidMultiplierFamily)
     if q is None:
         q = quotient(g, NormalSubgroup(g, u.domain))
     if tuple(sorted(u.domain)) != q.subgroup.members:
@@ -641,14 +640,14 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
             m = g.mul(g.inv(q.section[kl]), g.mul(ck, cl))
             coords, res = product_coords(fk.basis, a.fiber(cl).basis @ dagger(u.mat(m)),
                                          a.fiber(q.section[kl]))
-            if np.any(res > max(tol, 1e-8)):
+            if np.any(res > precondition_tol(tol)):
                 raise InvalidMultiplierFamily(
                     f"realigned product escapes the section fiber ({k},{l})")
             prod[(k, l)] = coords
         kbar = qg.inv(k)
         m = g.mul(g.inv(ck), g.inv(q.section[kbar]))
         coords, res = a.fiber(q.section[kbar]).decompose(dagger(fk.basis) @ dagger(u.mat(m)))
-        if np.any(res > max(tol, 1e-8)):
+        if np.any(res > precondition_tol(tol)):
             raise InvalidMultiplierFamily(f"realigned adjoint escapes fiber {k}")
         invol.append(coords)
     funct = np.array([np.trace(m) for m in a.fiber(q.section[0]).basis_list()], dtype=complex)
@@ -723,14 +722,13 @@ def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle | 
                 rep.fail("bijective", float(sv[-1]), s=s)
     rep.residuals("into_fibers", into, s=None)
     mult, star = homomorphism_residuals(src, images)
-    pairs = [(x, y) for xs, ys in zip(sources, images) for x, y in zip(xs, ys)]
-    pairs += [(x, y) for x, y, _ in probes]
-    nx = np.array([op_norm(x) for x, _ in pairs])
-    ny = np.array([op_norm(y) for _, y in pairs])
-    norm = np.abs(ny - nx) / np.maximum(1.0, nx)
+    # one stack per fiber, not of all pairs, so no stack outgrows a fiber's basis
+    stacks = [*zip(sources, images), ([x for x, _, _ in probes], [y for _, y, _ in probes])]
+    op_norms = [(op_norm(np.asarray(xs)), op_norm(np.asarray(ys))) for xs, ys in stacks]
+    norm = max(_worst(np.abs(ny - nx) / np.maximum(1.0, nx)) for nx, ny in op_norms)
     lin = [f * hs_norm(y - via_basis) / max(1.0, f * hs_norm(y)) for _, y, via_basis in probes]
     for name, res in [("multiplicative", f * mult), ("star", f * star),
-                      ("isometric", _worst(norm)), ("linear", _worst(np.array(lin)))]:
+                      ("isometric", norm), ("linear", _worst(np.array(lin)))]:
         rep.residuals(name, res, s=None)
     return rep.build()
 

@@ -29,10 +29,9 @@ import numpy as np
 from . import approximation as approx
 from . import bundles, duality, groups, imprimitivity, sections
 from .errors import FellBundleError, ParseError
-from .matrices import op_norm, orthonormalize, unit_element
+from .matrices import DEFAULT_TOL, op_norm, orthonormalize, unit_element
 
 SCHEMA = "fellbundle/1"
-DEFAULT_CLI_TOL = 1e-9
 
 
 # serialization
@@ -326,7 +325,7 @@ def _tol(args, options) -> float:
     """--tol, else the spec's tolerance, else the default; a ParseError naming
     its source unless it is a finite number >= 0."""
     source, tol = (("--tol", args.tol) if args.tol is not None else
-                   (f"{args.spec}: tolerance", options.get("tolerance", DEFAULT_CLI_TOL)))
+                   (f"{args.spec}: tolerance", options.get("tolerance", DEFAULT_TOL)))
     if not (np.isfinite(tol) and tol >= 0):
         raise ParseError(f"{source}: expected a finite number >= 0, got {tol}")
     return float(tol)
@@ -349,7 +348,7 @@ def cmd_pullback(args) -> dict:
     d, tol = _spec(args)
     g, q, desc = _quotient_setup(args, d)
     pb = bundles.pullback(d, q)
-    rep = bundles.verify_fell_axioms(pb, max(tol, 1e-8))
+    rep = bundles.verify_fell_axioms(pb, tol)
     report = {
         "command": "pullback", "pass": rep["pass"],
         "group_order": g.order, "ambient_dim": pb.ambient_dim,
@@ -366,7 +365,7 @@ def cmd_pullback(args) -> dict:
 def cmd_crossed(args) -> dict:
     """crossed-product dimension law and fiberwise isometry"""
     bundle, tol = _spec(args)
-    bundles.require_fell_axioms(bundle, max(tol, 1e-8))
+    bundles.require_fell_axioms(bundle, tol)
     g = bundle.group
     lam = groups.left_regular(g)
     # read off span{a_s (x) E_{st,t}}: its (s, t) slots are HS-orthogonal, so
@@ -376,7 +375,7 @@ def cmd_crossed(args) -> dict:
          for s in g.elements()]).max(initial=0.0))
     dimension = g.order * bundle.section_dimension()
     return {
-        "command": "crossed", "pass": residual <= max(tol, 1e-10),
+        "command": "crossed", "pass": residual <= tol,
         "ambient_dim": bundle.ambient_dim * g.order,
         "crossed_dimension": dimension,
         "expected_dimension": dimension,
@@ -389,11 +388,11 @@ def cmd_imprimitivity(args) -> dict:
     """bimodule axioms and Morita report for a bundle over G/N"""
     d, tol = _spec(args)
     _, q, _ = _quotient_setup(args, d)
-    rep, morita = imprimitivity.bimodule_check(q, d, max(tol, 1e-8))
+    rep, morita = imprimitivity.bimodule_check(q, d, tol)
     report = {"command": "imprimitivity", **rep}
     if rep["pass"]:
         report["morita"] = morita
-        report["gamma"] = imprimitivity.gamma_equivariance_report(q, d)["pass"]
+        report["gamma"] = imprimitivity.gamma_equivariance_report(q, d, tol)["pass"]
     return report
 
 
@@ -408,7 +407,7 @@ def cmd_landstad(args) -> dict:
     if missing:
         raise ParseError(f"--family: u is missing elements {missing}")
     u = bundles.UnitaryMultiplierFamily(d, tuple(g.elements()), mats)
-    _, rep = duality.landstad_reconstruct(d, q, u, max(tol, 1e-8))
+    _, rep = duality.landstad_reconstruct(d, q, u, tol)
     return {
         "command": "landstad", "pass": rep["pass"],
         "coefficient_dim": rep["coefficient_dim"],
@@ -420,7 +419,7 @@ def cmd_landstad(args) -> dict:
 def cmd_olesen_pedersen(args) -> dict:
     """semidirect vs pull-back comparison for a twisted action"""
     action = parse_action_spec(args.spec)
-    tol = max(_tol(args, {}), 1e-8)
+    tol = _tol(args, {})
     fwd = duality.olesen_pedersen_forward(action, tol)
     fam = duality.induced_multiplier_family(action, fwd["semidirect"])
     extracted = duality.extract_twist(action, fwd["semidirect"], fam, tol)
@@ -440,7 +439,6 @@ def cmd_olesen_pedersen(args) -> dict:
 def cmd_gsimple(args) -> dict:
     """graded ideals of the section algebra"""
     bundle, tol = _spec(args)
-    tol = max(tol, 1e-8)
     sa = sections.section_algebra(bundle, tol)
     ideals = duality.graded_ideals(sa, tol)
     return {
@@ -483,7 +481,6 @@ def cmd_ep(args) -> dict:
 def cmd_report(args) -> dict:
     """combined report: axioms, dimensions, ideals, amenability"""
     bundle, tol = _spec(args)
-    tol = max(tol, 1e-8)
     axioms = bundles.verify_fell_axioms(bundle, tol)
     report = {
         "command": "report", "pass": axioms["pass"],
@@ -530,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("spec", help="input JSON file")
         sp.add_argument("--tol", type=float, default=None,
-                        help=f"numeric tolerance (default {DEFAULT_CLI_TOL})")
+                        help=f"numeric tolerance (default {DEFAULT_TOL})")
         sp.add_argument("--normal", default=None,
                         help="comma-separated members of the normal subgroup")
         sp.add_argument("--group", default=None,

@@ -64,6 +64,7 @@ from .matrices import (
     minimal_central_projections,
     numerical_rank,
     orthonormalize,
+    precondition_tol,
     require,
     subspace_leq,
     unit_element,
@@ -82,7 +83,7 @@ def _image(real: Realization, k: int, coords: np.ndarray) -> np.ndarray:
 
 
 def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamily,
-                         tol: float = 1e-8) -> tuple[TwistedAction, dict]:
+                         tol: float = DEFAULT_TOL) -> tuple[TwistedAction, dict]:
     """Recover (B, G, N, alpha, tau) from a bundle over G/N and a unitary family.
 
     u assigns to every s in G a unitary multiplier of d lying in the fiber over
@@ -104,7 +105,7 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
         raise InvalidMultiplierFamily(
             f"family is not a unitary homomorphism (residual {hom_res:.3g})")
     for s in g.elements():
-        if not d.fiber(q.coset_of[s]).contains(u.mat(s), tol):
+        if not d.fiber(q.coset_of[s]).contains(u.mat(s), precondition_tol(tol)):
             raise MultiplierNotOrderCompatible(
                 f"u({s}) does not lie in the fiber over its coset")
 
@@ -150,7 +151,7 @@ def canonical_landstad_family(t: TwistedAction, real: Realization) -> UnitaryMul
 # the semidirect bundle as a pull-back of the twisted semidirect bundle
 
 
-def olesen_pedersen_forward(t: TwistedAction, tol: float = 1e-8) -> dict:
+def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     """Verify (b, s) -> ([b, s], s) against the pulled-back collapsed bundle.
 
     The untwisted semidirect bundle of the action is isomorphic to the
@@ -199,7 +200,7 @@ def induced_multiplier_family(t: TwistedAction, real: Realization) -> UnitaryMul
 
 
 def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamily,
-                  tol: float = 1e-8) -> dict:
+                  tol: float = DEFAULT_TOL) -> dict:
     """tau(n) = (1, n) u(n^-1), pulled back to coefficients of the algebra.
 
     t supplies the action (any twist it carries is ignored), real is the
@@ -207,7 +208,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
     over a normal subgroup of G living on real.bundle. The extracted family is
     checked to satisfy the full twisted-action identities before returning.
     """
-    require(verify_multiplier_family(u, max(tol, 1e-8)), InvalidMultiplierFamily)
+    require(verify_multiplier_family(u, precondition_tol(tol)), InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
     unit_c = alg.coords(unit_element(alg))
     stack0 = np.stack([m.ravel() for m in real.images[0]]).T
@@ -228,8 +229,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
 # pull-back / quotient round trips
 
 
-def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient,
-                                tol: float = 1e-8) -> dict:
+def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient, tol: float = DEFAULT_TOL) -> dict:
     """Pull d back along G -> G/N, collapse by the canonical family, compare.
 
     The orbit of the generator (d_i, s) meets the section fiber at d_i tensor
@@ -248,8 +248,7 @@ def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient,
 
 
 def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
-                                q: Quotient | None = None,
-                                tol: float = 1e-8) -> dict:
+                                q: Quotient | None = None, tol: float = DEFAULT_TOL) -> dict:
     """Collapse a along u, concretize, pull back, and compare with a itself.
 
     The comparison map sends a_s to (class of a_s u(n_s)*, s) where n_s moves s
@@ -278,7 +277,7 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 # graded ideals and G-simplicity
 
 
-def graded_ideals(sa: SectionAlgebra, tol: float = 1e-8) -> list[MatrixSubspace]:
+def graded_ideals(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> list[MatrixSubspace]:
     """All grading-invariant two-sided ideals of the section algebra A, by dimension.
 
     Ideals of a finite-dimensional C*-algebra are pA for central projections p.
@@ -301,7 +300,7 @@ def graded_ideals(sa: SectionAlgebra, tol: float = 1e-8) -> list[MatrixSubspace]
     return sorted(ideals, key=lambda i: i.dim)
 
 
-def is_g_simple(sa: SectionAlgebra, tol: float = 1e-8, ideals: list | None = None) -> bool:
+def is_g_simple(sa: SectionAlgebra, tol: float = DEFAULT_TOL, ideals: list | None = None) -> bool:
     """True when the only graded ideals (`ideals`, if already computed) are 0 and A."""
     ideals = graded_ideals(sa, tol) if ideals is None else ideals
     return len(ideals) == 2 and ideals[0].dim == 0 and ideals[-1].dim == sa.total.dim

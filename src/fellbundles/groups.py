@@ -169,6 +169,9 @@ class NormalSubgroup:
     def __post_init__(self) -> None:
         g = self.group
         mem = set(self.members)
+        outside = sorted(mem - set(g.elements()))
+        if outside:  # checked before any table lookup
+            raise NotASubgroup(f"member {outside[0]} is outside a group of order {g.order}")
         if 0 not in mem:
             raise NotASubgroup("a subgroup must contain the identity")
         for a in mem:

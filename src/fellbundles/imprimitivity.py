@@ -44,15 +44,15 @@ from .matrices import (
     center_dimension,
     dagger,
     hs_norm,
+    numerical_rank,
     op_norm,
+    precondition_tol,
     require,
 )
 
 
 def _clean(coeffs: dict) -> dict:
     """Drop coefficients negligible against the largest one; each norm is taken once."""
-    if not coeffs:
-        return coeffs
     norms = {key: hs_norm(m) for key, m in coeffs.items()}
     cut = _ZERO_CUT * max(1.0, max(norms.values(), default=0.0))
     return {key: m for key, m in coeffs.items() if norms[key] > cut}
@@ -110,7 +110,7 @@ def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,
     for key, m in coeffs.items():
         if key not in fiber_of:
             raise FiberMismatch(f"{key} is not a slot of a {kind} element over this quotient")
-        if not d.fiber(fiber_of[key]).contains(np.asarray(m, dtype=complex), max(tol, 1e-8)):
+        if not d.fiber(fiber_of[key]).contains(m, precondition_tol(tol)):
             raise FiberMismatch(f"coefficient at {key} is not in fiber {fiber_of[key]}")
     return Element(q, d, kind, _clean({k: np.asarray(m, dtype=complex)
                                        for k, m in coeffs.items()}))
@@ -373,7 +373,7 @@ def realize_c(c: Element) -> np.ndarray:
 _einsum = partial(np.einsum, optimize=True)
 
 
-def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
+def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
                    samples: int = 4) -> tuple[dict, dict]:
     """The items report of `verify_imprimitivity` and the summary of `morita_report`
     (meaningful when the items pass), from one build of the formula tables.
@@ -394,8 +394,8 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     the structure constants of B0 and C0.
     """
     _check_base(q, d)
-    require_fell_axioms(d, max(tol, 1e-8))
-    unit_fiber_unit(d, max(tol, 1e-8))
+    require_fell_axioms(d, tol)
+    unit_fiber_unit(d, tol)
     rng = np.random.default_rng(29)
     xs, bs, cs = x_generators(q, d), b_generators(q, d), c_generators(q, d)
     dims = dimensions(q, d)
@@ -441,7 +441,7 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     res_v = residual("x", _einsum("yzc,xck->xyzk", rin, right),
                      _einsum("xyb,bzk->xyzk", lin, left))
 
-    rank_b, rank_c = (np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(np.abs(m).max())))
+    rank_b, rank_c = (numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
                       for m in (lin.reshape(-1, dims["dimB"]), rin.reshape(-1, dims["dimC"])))
 
     v = _coords(xs + [_random_x(q, d, rng) for _ in range(samples)])
@@ -482,19 +482,18 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = 1e-8,
     rep.entry("viii_boundedness", max_defect=res_viii)
     if rep.exceeds(res_viii):
         rep.fail("viii_boundedness")
-    blocks_b, blocks_c = center_dimension(bb), center_dimension(cc)
+    blocks_b, blocks_c = center_dimension(bb, tol), center_dimension(cc, tol)
     return rep.build(), dict(dims, blocksB=blocks_b, blocksC=blocks_c,
                              equivalent=blocks_b == blocks_c)
 
 
-def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = 1e-8,
+def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
                          samples: int = 4) -> dict:
     """The eight bimodule axioms; see `bimodule_check`."""
     return bimodule_check(q, d, tol, samples)[0]
 
 
-def gamma_equivariance_report(q: Quotient, d: GradedBundle,
-                              tol: float = 1e-10) -> dict:
+def gamma_equivariance_report(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
     """The two displayed identities for gamma, and gamma being an action, on all
     generators and all r: einsum identities on the linner and right_action
     tables, with gamma_r, dual_b(r) and inflated_dual_c(r) as the coordinate
@@ -517,7 +516,7 @@ def gamma_equivariance_report(q: Quotient, d: GradedBundle,
     return rep.build()
 
 
-def morita_report(q: Quotient, d: GradedBundle, tol: float = 1e-8) -> dict:
+def morita_report(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
     """Dimensions and Wedderburn block counts of the two crossed products.
 
     B0 and C0 have faithful realizations, so each block count is the centre

@@ -19,6 +19,11 @@ also decides whether a residual passes. A report is {"pass", "checks",
 within tol, and each failure is a violation with its location. A check
 passes iff no violation carries its name; the report passes iff it has no
 violations. `require` raises a named error from the first violation.
+
+Tolerance policy: a run has one tol, DEFAULT_TOL unless given, and every
+check of the run receives it unchanged, for its residuals and its rank, unit
+and spectral cuts. A precondition, a check that raises to guard a construction,
+runs at `precondition_tol(tol)` = max(tol, DEFAULT_TOL), never tighter.
 """
 
 from __future__ import annotations
@@ -78,6 +83,11 @@ class ResidualReport:
         else:
             violations = [{"axiom": name, **where, "residual": r} for name, where, r in self.failed]
         return {"pass": not self.failed, self.section: checks, "violations": violations}
+
+
+def precondition_tol(tol: float) -> float:
+    """The tolerance of a check that raises to guard a construction."""
+    return max(tol, DEFAULT_TOL)
 
 
 def require(report: dict, error: type[Exception], prefix: str = "") -> None:
@@ -264,7 +274,7 @@ def unit_coords(a: MatrixSubspace, mult: np.ndarray | None = None, tol: float = 
     system = np.vstack([left, right])
     rhs = np.concatenate([target, target])
     x, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if np.linalg.norm(system @ x - rhs) > tol * max(1.0, np.linalg.norm(rhs)) * 10:
+    if np.linalg.norm(system @ x - rhs) > tol * max(1.0, np.linalg.norm(rhs)):
         raise NotUnital("no two-sided unit solves the linear system")
     return x
 
@@ -330,7 +340,7 @@ def minimal_central_projections(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> 
         w, v = np.linalg.eigh(z)
         groups: list[list[int]] = []
         for i, lam in enumerate(w):
-            if groups and abs(lam - w[groups[-1][-1]]) < 1e-7 * max(1.0, abs(w).max()):
+            if groups and abs(lam - w[groups[-1][-1]]) < tol * max(1.0, abs(w).max()):
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -338,14 +348,10 @@ def minimal_central_projections(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> 
         for idx in groups:
             p = sum(np.outer(v[:, i], v[:, i].conj()) for i in idx)
             p = unit @ p @ unit  # discard the part outside the support
-            if hs_norm(p) > tol * 10:
+            if hs_norm(p) > tol:
                 projs.append(p)
-        ok = (
-            len(projs) == z_space.dim
-            and all(hs_norm(p @ p - p) <= 1e-7 * max(1.0, hs_norm(p)) for p in projs)
-            and all(a.contains(p, 1e-7) for p in projs)
-        )
-        if ok:
-            projs.sort(key=lambda p: (round(hs_norm(p) ** 2), np.argmax(np.abs(np.diag(p)) > 1e-7)))
+        if len(projs) == z_space.dim and all(hs_norm(p @ p - p) <= tol * max(1.0, hs_norm(p))
+                                             and a.contains(p, tol) for p in projs):
+            projs.sort(key=lambda p: (round(hs_norm(p) ** 2), np.argmax(np.abs(np.diag(p)) > tol)))
             return projs
     raise NotAnAlgebra("could not resolve minimal central projections")

@@ -36,6 +36,7 @@ from .matrices import (
     ResidualReport,
     dagger,
     hs_norm,
+    precondition_tol,
     span_union,
     unit_element,
 )
@@ -88,7 +89,7 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
                     check: bool = True) -> SectionAlgebra:
     """The cross-sectional *-algebra of a verified grading."""
     if check:
-        require_fell_axioms(bundle, max(tol, 1e-8))
+        require_fell_axioms(bundle, tol)
     n = bundle.ambient_dim
     stack = np.concatenate([f.flat for f in bundle.fibers])
     solver = np.linalg.pinv(stack.T)
@@ -127,7 +128,7 @@ class CrossedProductAlgebra:
 
     def j_fiber(self, s: int, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         mat = np.asarray(mat, dtype=complex)
-        if not self.bundle.fiber(s).contains(mat, max(tol, 1e-8)):
+        if not self.bundle.fiber(s).contains(mat, precondition_tol(tol)):
             raise FiberMismatch(f"matrix does not lie in fiber {s}")
         return np.kron(mat, self.lam[s])
 
@@ -157,7 +158,7 @@ class CrossedProductAlgebra:
 def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedProductAlgebra:
     """The bundle's dense crossed product on C^n tensor l^2(G): the reference
     model that tests hold the commands' bundle-read crossed-product fields to."""
-    require_fell_axioms(bundle, max(tol, 1e-8))
+    require_fell_axioms(bundle, tol)
     g = bundle.group
     lam = left_regular(g)
     rho = right_regular(g)

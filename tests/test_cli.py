@@ -16,7 +16,7 @@ import pytest
 
 from conftest import I2, PAULI_X, SQ2, SWAP_SUBGROUP
 from fellbundles import approximation as approx
-from fellbundles import bundles, cli, duality, groups, matrices, sections
+from fellbundles import bundles, cli, duality, groups, imprimitivity, matrices, sections
 from fellbundles.errors import ParseError
 
 
@@ -898,3 +898,114 @@ class TestCommandTable:
         for name, handler in cli.COMMANDS.items():
             assert inspect.isfunction(handler)
             assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+
+def near_threshold_spec_dict():
+    """Pauli over C2 with fiber 1 = span{X + 5e-9 I, Y}: its product_closure
+    residual, about 7.07e-9, lies between the default tolerance and 1e-8."""
+    spec = pauli_spec_dict()
+    y, z = [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]
+    spec["fibers"] = {"0": [mat(I2), mat(z)], "1": [mat(PAULI_X + 5e-9 * I2), mat(y)]}
+    return spec
+
+
+AXIOM_COMMANDS = {
+    "verify": (), "pullback": ("--group", "cyclic:4", "--normal", "0,2"), "crossed": (),
+    "gsimple": (), "imprimitivity": ("--group", "cyclic:4", "--normal", "0,2"), "report": (),
+}
+
+
+class TestOneTolerancePerRun:
+    """Every check of a run receives the tolerance `_tol` resolved; only the
+    preconditions run at max(tol, DEFAULT_TOL)."""
+
+    def test_the_default_is_the_library_default(self):
+        args = cli._build_parser().parse_args(["verify", "in.json"])
+        assert cli._tol(args, {}) == matrices.DEFAULT_TOL
+
+    @pytest.mark.parametrize("command", sorted(AXIOM_COMMANDS))
+    @pytest.mark.parametrize("flags,code", [((), 1), (("--tol", "1e-8"), 0)])
+    def test_the_axiom_commands_agree_near_the_threshold(self, capsys, tmp_path, command,
+                                                         flags, code):
+        spec = write_json(tmp_path / "near.json", near_threshold_spec_dict())
+        rc, out, _ = run(capsys, command, spec, *AXIOM_COMMANDS[command], *flags)
+        assert rc == code and json.loads(out)["pass"] is (code == 0)
+
+    @staticmethod
+    def record_tol(monkeypatch, module, name) -> list:
+        seen, real = [], getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return seen
+
+    @pytest.mark.parametrize("flags,tol", [(("--tol", "3e-9"), 3e-9), ((), matrices.DEFAULT_TOL)])
+    def test_tol_reaches_the_gamma_report(self, capsys, monkeypatch, pauli_spec, flags, tol):
+        seen = self.record_tol(monkeypatch, imprimitivity, "gamma_equivariance_report")
+        rc, out, _ = run(capsys, "imprimitivity", pauli_spec,
+                         "--group", "cyclic:4", "--normal", "0,2", *flags)
+        assert rc == 0 and json.loads(out)["gamma"] is True
+        assert seen == [tol]
+
+    @pytest.mark.parametrize("command,extra,checks", [
+        ("verify", (), [(bundles, "verify_fell_axioms")]),
+        ("pullback", AXIOM_COMMANDS["pullback"], [(bundles, "verify_fell_axioms")]),
+        ("imprimitivity", AXIOM_COMMANDS["imprimitivity"],
+         [(imprimitivity, "bimodule_check"), (imprimitivity, "gamma_equivariance_report")]),
+        ("gsimple", (), [(duality, "graded_ideals"), (duality, "is_g_simple")]),
+        ("ep", (), [(approx, "ep_defect")]),
+        ("report", (), [(bundles, "verify_fell_axioms"), (duality, "graded_ideals"),
+                        (approx, "amenability_report")]),
+    ])
+    def test_a_tight_tol_reaches_the_reported_checks(self, capsys, monkeypatch, pauli_spec,
+                                                     command, extra, checks):
+        seen = [self.record_tol(monkeypatch, module, name) for module, name in checks]
+        rc, _, _ = run(capsys, command, pauli_spec, *extra, "--tol", "1e-12")
+        assert rc in (0, 1)
+        assert seen == [[1e-12]] * len(checks)
+
+    def test_a_tight_tol_reaches_landstad(self, capsys, monkeypatch, landstad_inputs):
+        spec, family, _ = landstad_inputs
+        seen = self.record_tol(monkeypatch, duality, "landstad_reconstruct")
+        run(capsys, "landstad", spec, "--group", "cyclic:4", "--normal", "0,2",
+            "--family", family, "--tol", "1e-12")
+        assert seen == [1e-12]
+
+    def test_a_tight_tol_reaches_olesen_pedersen(self, capsys, monkeypatch, action_spec):
+        seen = [self.record_tol(monkeypatch, duality, name)
+                for name in ("olesen_pedersen_forward", "extract_twist")]
+        run(capsys, "olesen-pedersen", action_spec, "--tol", "1e-12")
+        assert seen == [[1e-12], [1e-12]]
+
+    def test_preconditions_never_run_tighter_than_the_default(self, capsys, monkeypatch,
+                                                              pauli_spec):
+        # crossed only requires the axioms: the run's 1e-12 reaches the
+        # precondition, which checks them at the default
+        required = self.record_tol(monkeypatch, bundles, "require_fell_axioms")
+        checked = self.record_tol(monkeypatch, bundles, "verify_fell_axioms")
+        rc, _, _ = run(capsys, "crossed", pauli_spec, "--tol", "1e-12")
+        assert rc == 0 and required == [1e-12] and checked == [matrices.DEFAULT_TOL]
+
+
+class TestSubgroupMembersOutsideTheGroupExit2:
+
+    @pytest.mark.parametrize("normal,member", [("0,9", 9), ("0,-2", -2)])
+    def test_normal_flag(self, capsys, pauli_spec, normal, member):
+        rc, out, err = run(capsys, "imprimitivity", pauli_spec,
+                           "--group", "cyclic:4", "--normal", normal)
+        assert rc == 2 and out == ""
+        assert err == f"error: --normal: member {member} is outside a group of order 4\n"
+
+    def test_action_file(self, capsys, tmp_path, action_spec):
+        spec = json.loads(open(action_spec).read())
+        spec["normal_subgroup"] = [0, 9]
+        bad = write_json(tmp_path / "bad.json", spec)
+        rc, out, err = run(capsys, "olesen-pedersen", bad)
+        assert rc == 2 and out == ""
+        assert err == (f"error: {bad}: normal_subgroup: "
+                       "member 9 is outside a group of order 4\n")

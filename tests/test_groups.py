@@ -242,3 +242,10 @@ def test_inverse_and_identity_laws(g, data):
     assert g.mul(s, g.inv(s)) == 0
     assert g.mul(0, s) == s and g.mul(s, 0) == s
     assert g.inv(g.mul(s, t)) == g.mul(g.inv(t), g.inv(s))
+
+
+@pytest.mark.parametrize("members,named", [((0, 9), 9), ((0, -2), -2), ((0, 4), 4), ((-1,), -1)])
+def test_a_member_outside_the_group_is_named(members, named):
+    # checked before any table lookup: 9 would raise IndexError, -2 would wrap to 2
+    with pytest.raises(NotASubgroup, match=f"^member {named} is outside a group of order 4$"):
+        groups.NormalSubgroup(groups.cyclic(4), members)

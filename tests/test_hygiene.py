@@ -258,3 +258,31 @@ def test_checker_flags_a_lambda_factor_outside_its_function():
 def test_imprimitivity_forms_lambda_only_in_the_dense_model():
     source = (SRC / "imprimitivity.py").read_text(encoding="utf-8")
     assert lambda_factor_outside(source, "realize_b") == []
+
+
+# Thresholds are decided in `matrices` (DEFAULT_TOL, precondition_tol, _ZERO_CUT),
+# so no other library module writes a float literal below 1e-6.
+SMALL = 1e-6
+
+
+def small_float_literals(source: str) -> list[str]:
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+             and 0 < abs(node.value) < SMALL]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.value!r} (line {node.lineno})" for node in found]
+
+
+def test_checker_flags_a_small_float_literal():
+    source = ("tol = max(tol, 1e-8)\n"
+              "cut = -1e-12 + 1e-6 + 0.0\n"
+              "z = 2e-9j\n"
+              "doc = '1e-10'\n"
+              "n = 0\n")
+    assert small_float_literals(source) == ["1e-08 (line 1)", "1e-12 (line 2)", "2e-09j (line 3)"]
+
+
+@pytest.mark.parametrize("module", [p.name for p in sorted(SRC.glob("*.py"))
+                                    if p.name != "matrices.py"])
+def test_thresholds_live_in_matrices(module):
+    assert small_float_literals((SRC / module).read_text(encoding="utf-8")) == []

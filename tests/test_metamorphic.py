@@ -1,0 +1,149 @@
+"""Metamorphic battery: what a bundle's checks report is a property of the
+bundle up to isomorphism, so two transformations must leave it unchanged.
+
+- Conjugating every fiber by one seeded Haar unitary U of the ambient,
+  A_s -> U A_s U*, is a *-isomorphism of the whole grading.
+- Relabelling the group by a permutation pi with pi(0) = 0, the table moved
+  to pi(s)pi(t) = pi(st) and fiber s moved to pi(s), is the same grading.
+
+Each fixture of the shared battery is checked for the grading-axiom verdict,
+the fiber dimensions, the graded-ideal dimensions, the ep defect of the
+uniform witness (or its absence, for a non-unital unit fiber), and, for the
+bundles over C2 = G/N, the dimensions and Wedderburn block counts of the
+imprimitivity bimodule.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fellbundles import approximation as ap
+from fellbundles import bundles, duality, groups, imprimitivity, matrices, sections
+from fellbundles.errors import NonUnitalUnitFiber
+
+TOL = matrices.DEFAULT_TOL
+BATTERY = settings(max_examples=3, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+BUNDLES = {
+    "pauli_bundle": lambda fx: fx("pauli_bundle"),
+    "pauli_pullback": lambda fx: fx("pauli_pullback"),
+    "trivial_z4": lambda fx: fx("trivial_z4"),
+    "trivial_s3": lambda fx: fx("trivial_s3"),
+    "twisted_z4": lambda fx: fx("twisted_z4_realized").bundle,
+    "swap_semidirect": lambda fx: fx("swap_semidirect_realized").bundle,
+    "s3_quotient_bundle": lambda fx: fx("s3_quotient_bundle"),
+}
+# bundles over C2 with a quotient G/N = C2 to induce along
+OVER_C2 = [("pauli_bundle", "q_z4"), ("pauli_bundle", "q_s3"),
+           ("swap_semidirect", "q_z4"), ("s3_quotient_bundle", "q_s3")]
+
+
+def haar_unitary(n: int, seed: int) -> np.ndarray:
+    """Haar-distributed U(n): QR of a complex Gaussian with R's phases moved into Q."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated(bundle: bundles.GradedBundle, u: np.ndarray) -> bundles.GradedBundle:
+    """Every fiber moved by a -> u a u*; HS-orthonormal bases stay orthonormal."""
+    n = bundle.ambient_dim
+    return bundles.GradedBundle(bundle.group, tuple(
+        matrices.MatrixSubspace(n, u @ f.basis @ matrices.dagger(u)) for f in bundle.fibers))
+
+
+def relabelled_group(g: groups.FiniteGroup, pi) -> groups.FiniteGroup:
+    """g with element s renamed pi[s]."""
+    table = [[0] * g.order for _ in g.elements()]
+    for s in g.elements():
+        for t in g.elements():
+            table[pi[s]][pi[t]] = pi[g.mul(s, t)]
+    return groups.from_table(table)
+
+
+def relabelled(bundle: bundles.GradedBundle, pi) -> bundles.GradedBundle:
+    fibers = [None] * bundle.group.order
+    for s in bundle.group.elements():
+        fibers[pi[s]] = bundle.fiber(s)
+    return bundles.GradedBundle(relabelled_group(bundle.group, pi), tuple(fibers))
+
+
+@st.composite
+def relabellings(draw, order: int):
+    return (0, *draw(st.permutations(range(1, order))))
+
+
+def invariants(bundle: bundles.GradedBundle) -> dict:
+    axioms = bundles.verify_fell_axioms(bundle, TOL)
+    out = {"pass": axioms["pass"], "fiber_dims": bundle.fiber_dims()}
+    sa = sections.section_algebra(bundle, TOL, check=False)
+    out["ideal_dims"] = [i.dim for i in duality.graded_ideals(sa, TOL)]
+    try:
+        out["ep_defect"] = ap.ep_defect(bundle, ap.uniform_witness(bundle, TOL), TOL)["defect"]
+    except NonUnitalUnitFiber:
+        out["ep_defect"] = None
+    return out
+
+
+def assert_same(before: dict, after: dict) -> None:
+    for key in ("pass", "fiber_dims", "ideal_dims"):
+        assert after[key] == before[key], key
+    if before["ep_defect"] is None:
+        assert after["ep_defect"] is None
+    else:
+        assert abs(after["ep_defect"] - before["ep_defect"]) <= TOL
+
+
+def morita(q: groups.Quotient, d: bundles.GradedBundle) -> dict:
+    rep, summary = imprimitivity.bimodule_check(q, d, TOL)
+    assert rep["pass"]
+    return {key: summary[key] for key in ("blocksB", "blocksC", "dimB", "dimC")}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+@BATTERY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unitary_conjugation_changes_nothing(request, name, seed):
+    bundle = BUNDLES[name](request.getfixturevalue)
+    moved = conjugated(bundle, haar_unitary(bundle.ambient_dim, seed))
+    assert_same(invariants(bundle), invariants(moved))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+@BATTERY
+@given(data=st.data())
+def test_relabelling_the_group_changes_nothing(request, name, data):
+    bundle = BUNDLES[name](request.getfixturevalue)
+    pi = data.draw(relabellings(bundle.group.order))
+    before, after = invariants(bundle), invariants(relabelled(bundle, pi))
+    after["fiber_dims"] = tuple(after["fiber_dims"][pi[s]] for s in bundle.group.elements())
+    assert_same(before, after)
+
+
+@pytest.mark.parametrize("name,quotient", OVER_C2)
+@BATTERY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unitary_conjugation_keeps_the_morita_data(request, name, quotient, seed):
+    d, q = BUNDLES[name](request.getfixturevalue), request.getfixturevalue(quotient)
+    assert morita(q, conjugated(d, haar_unitary(d.ambient_dim, seed))) == morita(q, d)
+
+
+@pytest.mark.parametrize("name,quotient", OVER_C2)
+@BATTERY
+@given(data=st.data())
+def test_relabelling_g_keeps_the_morita_data(request, name, quotient, data):
+    # relabel G and N together; any quotient of order 2 has C2's table
+    d, q = BUNDLES[name](request.getfixturevalue), request.getfixturevalue(quotient)
+    pi = data.draw(relabellings(q.group.order))
+    moved = groups.quotient(relabelled_group(q.group, pi), [pi[n] for n in q.subgroup.members])
+    assert morita(moved, d) == morita(q, d)
+
+
+def test_the_relabelling_is_a_group_isomorphism(s3):
+    pi = (0, 3, 5, 1, 2, 4)
+    h = relabelled_group(s3, pi)
+    assert all(h.mul(pi[s], pi[t]) == pi[s3.mul(s, t)] for s in s3.elements() for t in s3.elements())
