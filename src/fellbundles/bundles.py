@@ -36,12 +36,18 @@ from .errors import (
     InvalidTwist,
     NonUnitalUnitFiber,
     NotAnAlgebra,
-    NotASubgroup,
-    NotNormal,
     NotUnital,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, NormalSubgroup, Quotient, cyclic, left_regular, quotient
+from .groups import (
+    FiniteGroup,
+    NormalSubgroup,
+    Quotient,
+    cyclic,
+    left_regular,
+    quotient,
+    subgroup_members,
+)
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -249,9 +255,7 @@ def pullback(d: GradedBundle, q: Quotient) -> GradedBundle:
 def restrict(bundle: GradedBundle, members) -> GradedBundle:
     """Restrict the grading to a subgroup; fibers follow sorted(members)."""
     g = bundle.group
-    mem = tuple(sorted(set(int(m) for m in members)))
-    if 0 not in mem or any(g.mul(a, b) not in mem for a in mem for b in mem):
-        raise NotASubgroup(f"{mem} is not closed in {g.name}")
+    mem = subgroup_members(g, members)
     index = {h: i for i, h in enumerate(mem)}
     table = tuple(tuple(index[g.mul(a, b)] for b in mem) for a in mem)
     sub = FiniteGroup(table, name=f"{g.name}|{mem}")
@@ -296,15 +300,9 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     separate check.
     """
     bundle, g = u.bundle, u.bundle.group
-    dom = set(u.domain)
+    dom = NormalSubgroup(g, u.domain).members
     rep = ResidualReport(tol, "homomorphism", "unit_acts_trivially", "order_compatibility",
                          "covariance")
-
-    if not dom or any(g.mul(a, b) not in dom for a in dom for b in dom):
-        raise NotASubgroup("multiplier domain is not a subgroup")
-    for s in g.elements():
-        if any(g.conjugate(s, n) not in dom for n in dom):
-            raise NotNormal(f"conjugation by {s} leaves the multiplier domain")
 
     hom_res = max(_hom_residual(g, dom, u.mat),
                   *(hs_norm(dagger(u.mat(n)) - u.mat(g.inv(n))) for n in dom))
@@ -624,7 +622,7 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     fam = u if u.bundle is a else UnitaryMultiplierFamily(a, u.domain, u.mats)
     require(verify_multiplier_family(fam, precondition_tol(tol)), InvalidMultiplierFamily)
     if q is None:
-        q = quotient(g, NormalSubgroup(g, u.domain))
+        q = quotient(g, u.domain)
     if tuple(sorted(u.domain)) != q.subgroup.members:
         raise GroupMismatch("multiplier domain differs from the quotient subgroup")
     qg = q.quotient_group
@@ -637,7 +635,7 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
         for l in qg.elements():
             cl = q.section[l]
             kl = qg.mul(k, l)
-            m = g.mul(g.inv(q.section[kl]), g.mul(ck, cl))
+            m = q.n_part(g.mul(ck, cl))
             coords, res = product_coords(fk.basis, a.fiber(cl).basis @ dagger(u.mat(m)),
                                          a.fiber(q.section[kl]))
             if np.any(res > precondition_tol(tol)):

@@ -45,7 +45,6 @@ from .errors import (
     InvalidAction,
     InvalidMultiplierFamily,
     MultiplierNotOrderCompatible,
-    NotASubgroup,
     ShapeMismatch,
     TrivialN,
 )
@@ -53,7 +52,7 @@ from .groups import (
     FiniteGroup,
     NormalSubgroup,
     Quotient,
-    is_subgroup,
+    left_cosets,
     quotient,
 )
 from .matrices import (
@@ -220,8 +219,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
             raise MultiplierNotOrderCompatible(
                 f"(1,{n}) u({g.inv(n)}) leaves the unit fiber")
         tau[n] = alg.from_coords(c)
-    action = TwistedAction(alg, g, NormalSubgroup(g, tuple(sorted(u.domain))),
-                           t.alpha, tau)
+    action = TwistedAction(alg, g, NormalSubgroup(g, u.domain), t.alpha, tau)
     require_twisted_action(action, tol)
     return tau
 
@@ -258,7 +256,7 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
     """
     g = a.group
     if q is None:
-        q = quotient(g, NormalSubgroup(g, tuple(sorted(u.domain))))
+        q = quotient(g, u.domain)
     quo = quotient_bundle(a, u, q, tol)
     real = concretize(quo, tol)
     pb = PulledBack(real.bundle, q)
@@ -359,22 +357,9 @@ class GSetAction:
 
 def coset_action(g: FiniteGroup, members) -> GSetAction:
     """Left translation of G on the left cosets of a subgroup (not nec. normal)."""
-    mem = tuple(sorted({int(m) for m in members}))
-    if not is_subgroup(g, mem):
-        raise NotASubgroup("coset space needs a genuine subgroup")
-    coset_index = {}
-    reps = []
-    for s in g.elements():
-        c = tuple(sorted(g.mul(s, h) for h in mem))
-        if c not in coset_index:
-            coset_index[c] = None
-            reps.append(c)
-    reps.sort(key=lambda c: c[0])
-    for i, c in enumerate(reps):
-        coset_index[c] = i
-    of = [coset_index[tuple(sorted(g.mul(s, h) for h in mem))] for s in g.elements()]
-    perm = tuple(tuple(of[g.mul(t, c[0])] for c in reps) for t in g.elements())
-    return GSetAction(g, len(reps), perm)
+    coset_of, section = left_cosets(g, members)
+    perm = tuple(tuple(coset_of[g.mul(t, c)] for c in section) for t in g.elements())
+    return GSetAction(g, len(section), perm)
 
 
 def translation_action(g: FiniteGroup) -> GSetAction:

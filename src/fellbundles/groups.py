@@ -20,10 +20,6 @@ from .errors import (
     NotNormal,
 )
 
-# Above this order the O(n^3) associativity sweep and the subgroup search get
-# slow; the toolkit targets small examples, so warn rather than refuse.
-SOFT_ORDER_CAP = 48
-
 
 def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     n = len(table)
@@ -64,15 +60,7 @@ class FiniteGroup:
 
     def __post_init__(self) -> None:
         _validate_table(self.table)
-        n = len(self.table)
-        if n > SOFT_ORDER_CAP:
-            import warnings
-
-            warnings.warn(f"group of order {n} exceeds the soft cap {SOFT_ORDER_CAP}")
-        inv = [0] * n
-        for s in range(n):
-            inv[s] = self.table[s].index(0)
-        object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "inverse", tuple(row.index(0) for row in self.table))
 
     @property
     def order(self) -> int:
@@ -159,6 +147,26 @@ def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n)))
 
 
+def subgroup_members(g: FiniteGroup, members) -> tuple[int, ...]:
+    """The sorted members of a subgroup of g, as ints; NotASubgroup names the
+    first fault otherwise. Range is checked before any table lookup, so an
+    index past the table, a negative one and a non-integer are all named."""
+    mem = set(members)
+    outside = sorted(mem - set(g.elements()))
+    if outside:
+        raise NotASubgroup(f"member {outside[0]} is outside a group of order {g.order}")
+    if 0 not in mem:
+        raise NotASubgroup("a subgroup must contain the identity")
+    ordered = tuple(sorted(int(m) for m in mem))
+    for a in ordered:
+        if g.inv(a) not in mem:
+            raise NotASubgroup(f"not inverse-closed at {a}")
+        for b in ordered:
+            if g.mul(a, b) not in mem:
+                raise NotASubgroup(f"not closed at ({a},{b})")
+    return ordered
+
+
 @dataclass(frozen=True)
 class NormalSubgroup:
     """A normal subgroup given by its sorted member indices."""
@@ -168,23 +176,13 @@ class NormalSubgroup:
 
     def __post_init__(self) -> None:
         g = self.group
-        mem = set(self.members)
-        outside = sorted(mem - set(g.elements()))
-        if outside:  # checked before any table lookup
-            raise NotASubgroup(f"member {outside[0]} is outside a group of order {g.order}")
-        if 0 not in mem:
-            raise NotASubgroup("a subgroup must contain the identity")
-        for a in mem:
-            if g.inv(a) not in mem:
-                raise NotASubgroup(f"not inverse-closed at {a}")
-            for b in mem:
-                if g.mul(a, b) not in mem:
-                    raise NotASubgroup(f"not closed at ({a},{b})")
+        mem = subgroup_members(g, self.members)
+        inside = set(mem)
         for s in g.elements():
             for x in mem:
-                if g.conjugate(s, x) not in mem:
+                if g.conjugate(s, x) not in inside:
                     raise NotNormal(f"conjugate of {x} by {s} escapes")
-        object.__setattr__(self, "members", tuple(sorted(mem)))
+        object.__setattr__(self, "members", mem)
 
     @property
     def order(self) -> int:
@@ -192,13 +190,6 @@ class NormalSubgroup:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-
-def is_subgroup(g: FiniteGroup, members) -> bool:
-    mem = set(members)
-    if 0 not in mem:
-        return False
-    return all(g.mul(a, b) in mem for a in mem for b in mem)
 
 
 def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:
@@ -252,12 +243,8 @@ def normal_subgroups(g: FiniteGroup) -> list[NormalSubgroup]:
 
 @dataclass(frozen=True)
 class Quotient:
-    """Left-coset structure of G by a normal subgroup.
-
-    coset_of[s] is the quotient-group index of sN; section[k] is the minimal
-    element of coset k, which forces section(eN) = e because the identity is
-    element 0.
-    """
+    """Left-coset structure of G by a normal subgroup: coset_of and section are
+    those of left_cosets, so section(eN) = e."""
 
     group: FiniteGroup
     subgroup: NormalSubgroup
@@ -275,31 +262,33 @@ class Quotient:
         return self.quotient_group.order
 
 
+def left_cosets(g: FiniteGroup, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(coset_of, section) for the left cosets sH of a subgroup H, normal or not.
+
+    Cosets are numbered by their least element, and that element is the
+    section: coset_of[s] is the number of sH and section[k] the least member
+    of coset k, so section[0] = e. Raises NotASubgroup unless H is one.
+    """
+    mem = subgroup_members(g, members)
+    coset_of = [-1] * g.order
+    section = []
+    for s in g.elements():  # the first unnumbered element is its coset's least
+        if coset_of[s] < 0:
+            for h in mem:
+                coset_of[g.mul(s, h)] = len(section)
+            section.append(s)
+    return tuple(coset_of), tuple(section)
+
+
 def quotient(g: FiniteGroup, subgroup) -> Quotient:
     """Quotient data for G / N; raises NotNormal if N is not normal."""
     n = subgroup if isinstance(subgroup, NormalSubgroup) else NormalSubgroup(g, tuple(subgroup))
     if n.group is not g and n.group.table != g.table:
         raise NotASubgroup("subgroup belongs to a different group")
-    cosets = []
-    coset_of = [-1] * g.order
-    for s in g.elements():
-        if coset_of[s] >= 0:
-            continue
-        mem = tuple(sorted(g.mul(s, x) for x in n.members))
-        cosets.append(mem)
-        for y in mem:
-            coset_of[y] = 0  # mark; real index assigned after sorting
-    cosets.sort(key=lambda c: c[0])
-    for k, mem in enumerate(cosets):
-        for y in mem:
-            coset_of[y] = k
-    section = tuple(c[0] for c in cosets)
-    qtable = tuple(
-        tuple(coset_of[g.mul(section[a], section[b])] for b in range(len(cosets)))
-        for a in range(len(cosets))
-    )
+    coset_of, section = left_cosets(g, n.members)
+    qtable = tuple(tuple(coset_of[g.mul(a, b)] for b in section) for a in section)
     qg = FiniteGroup(qtable, name=f"{g.name}/{n.members}")
-    return Quotient(g, n, tuple(coset_of), section, qg)
+    return Quotient(g, n, coset_of, section, qg)
 
 
 def left_regular(g: FiniteGroup) -> np.ndarray:

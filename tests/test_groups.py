@@ -6,13 +6,14 @@ conjugacy-class scan.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellbundles import groups
+from fellbundles import bundles, duality, groups
 from fellbundles.errors import (
     MissingIdentity,
     NonAssociativeTable,
@@ -249,3 +250,44 @@ def test_a_member_outside_the_group_is_named(members, named):
     # checked before any table lookup: 9 would raise IndexError, -2 would wrap to 2
     with pytest.raises(NotASubgroup, match=f"^member {named} is outside a group of order 4$"):
         groups.NormalSubgroup(groups.cyclic(4), members)
+
+
+# every caller reads subgroup membership from the one validator in `groups`
+SUBGROUP_CALLERS = {
+    "coset_action": lambda bundle, members: duality.coset_action(bundle.group, members),
+    "restrict": bundles.restrict,
+    "verify_multiplier_family": lambda bundle, members: bundles.verify_multiplier_family(
+        bundles.UnitaryMultiplierFamily(bundle, members, {})),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(SUBGROUP_CALLERS))
+@pytest.mark.parametrize("members,named", [((0, 9), 9), ((0, -2), -2), ((0, 2.5), 2.5)])
+def test_every_caller_names_a_member_outside_the_group(pauli_pullback, caller, members, named):
+    # pauli_pullback is graded by C4
+    message = f"^{re.escape(f'member {named} is outside a group of order 4')}$"
+    with pytest.raises(NotASubgroup, match=message):
+        SUBGROUP_CALLERS[caller](pauli_pullback, members)
+
+
+def oracle_left_cosets(g, members):
+    """The partition of G into the sets sH, each sorted, ordered by least member."""
+    return sorted({tuple(sorted(g.mul(s, h) for h in members)) for s in g.elements()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups(), st.data())
+def test_left_cosets_match_the_brute_force_partition(g, data):
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
+    h = groups.subgroup_closure(g, gens)
+    coset_of, section = groups.left_cosets(g, h)
+    cosets = oracle_left_cosets(g, h)
+    assert section == tuple(c[0] for c in cosets)
+    assert all(coset_of[s] == k for k, c in enumerate(cosets) for s in c)
+    perm = duality.coset_action(g, h).perm
+    assert perm == tuple(tuple(coset_of[g.mul(t, c)] for c in section) for t in g.elements())
+    for n in groups.normal_subgroups(g):
+        q = groups.quotient(g, n)
+        qg = q.quotient_group
+        assert duality.coset_action(g, n.members).perm == tuple(
+            tuple(qg.mul(q.coset_of[t], k) for k in qg.elements()) for t in g.elements())

@@ -28,6 +28,10 @@ The dualities check maps into a pull-back on its small factor (a
 The bimodule checks realize B0 as d (x) E_{st,t}, with no lambda(s) factor,
 so in `imprimitivity.py` only `realize_b`, the tests' dense model of B0,
 calls `kron` or names `left_regular`, and no function calls `realize_b`.
+
+Subgroup membership and normality are decided in `groups` (`subgroup_members`
+and `NormalSubgroup`), so no other library module raises `NotASubgroup` or
+`NotNormal`.
 """
 
 import ast
@@ -286,3 +290,33 @@ def test_checker_flags_a_small_float_literal():
                                     if p.name != "matrices.py"])
 def test_thresholds_live_in_matrices(module):
     assert small_float_literals((SRC / module).read_text(encoding="utf-8")) == []
+
+
+SUBGROUP_ERRORS = {"NotASubgroup", "NotNormal"}
+
+
+def subgroup_error_raises(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name in SUBGROUP_ERRORS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_subgroup_error_raise():
+    source = ('raise NotASubgroup(f"{mem} is not closed")\n'
+              'raise errors.NotNormal("conjugation escapes")\n'
+              'raise NotNormal\n'
+              'raise GroupMismatch("different groups")\n'
+              'err = NotASubgroup("built, not raised")\n'
+              'raise\n')
+    assert subgroup_error_raises(source) == [
+        "NotASubgroup (line 1)", "NotNormal (line 2)", "NotNormal (line 3)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "groups.py"])
+def test_only_groups_decides_subgroups(module):
+    assert subgroup_error_raises((SRC / module).read_text(encoding="utf-8")) == []

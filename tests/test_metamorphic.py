@@ -1,10 +1,13 @@
 """Metamorphic battery: what a bundle's checks report is a property of the
-bundle up to isomorphism, so two transformations must leave it unchanged.
+bundle up to isomorphism, so three transformations must leave it unchanged.
 
 - Conjugating every fiber by one seeded Haar unitary U of the ambient,
   A_s -> U A_s U*, is a *-isomorphism of the whole grading.
 - Relabelling the group by a permutation pi with pi(0) = 0, the table moved
   to pi(s)pi(t) = pi(st) and fiber s moved to pi(s), is the same grading.
+- Rescaling each spanning matrix of a spec file by its own seeded factor in
+  [0.25, 8] spans the same fibers, so every CLI report keeps its exit code
+  and its non-float fields, and its floats move by at most the tolerance.
 
 Each fixture of the shared battery is checked for the grading-axiom verdict,
 the fiber dimensions, the graded-ideal dimensions, the ep defect of the
@@ -15,13 +18,17 @@ imprimitivity bimodule.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fellbundles import approximation as ap
-from fellbundles import bundles, duality, groups, imprimitivity, matrices, sections
+from fellbundles import bundles, cli, duality, groups, imprimitivity, matrices, sections
 from fellbundles.errors import NonUnitalUnitFiber
 
 TOL = matrices.DEFAULT_TOL
@@ -147,3 +154,64 @@ def test_the_relabelling_is_a_group_isomorphism(s3):
     pi = (0, 3, 5, 1, 2, 4)
     h = relabelled_group(s3, pi)
     assert all(h.mul(pi[s], pi[t]) == pi[s3.mul(s, t)] for s in s3.elements() for t in s3.elements())
+
+
+# spec name -> (bundle from the fixtures, group descriptor, argvs after the spec file);
+# the bundles over C2 are also induced to C4 = G, with G/N = C4/{0, 2}
+REPORTS = [["verify"], ["crossed"], ["gsimple"], ["ep"], ["report"]]
+OVER_C4 = [[command, "--group", "cyclic:4", "--normal", "0,2"]
+           for command in ("imprimitivity", "pullback")]
+SPECS = {
+    "pauli": (lambda fx: fx("pauli_bundle"), {"kind": "cyclic", "n": 2}, REPORTS + OVER_C4),
+    "trivial_m2_s3": (lambda fx: bundles.trivial_bundle(fx("s3"), fx("m2_full")),
+                      {"kind": "symmetric", "n": 3}, REPORTS),
+    "c2": (lambda fx: fx("twisted_z4_realized").bundle, {"kind": "cyclic", "n": 2},
+           REPORTS + OVER_C4),
+}
+
+
+def rescaled(spec: dict, seed: int) -> dict:
+    """spec with each spanning matrix multiplied by its own factor in [0.25, 8]."""
+    rng = np.random.default_rng(seed)
+    return {**spec, "fibers": {key: [(np.asarray(m) * rng.uniform(0.25, 8.0)).tolist()
+                                     for m in mats]
+                               for key, mats in spec["fibers"].items()}}
+
+
+def cli_outcome(command: str, spec_path, rest) -> tuple[int, object]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run_command([command, str(spec_path), *rest])
+    return code, json.loads(out.getvalue())
+
+
+def assert_same_report(before, after, where: str) -> None:
+    """Equal apart from floats, which may move by TOL."""
+    if isinstance(before, float):
+        assert isinstance(after, float) and (after == before or abs(after - before) <= TOL), where
+    elif isinstance(before, dict):
+        assert list(after) == list(before), where
+        for key in before:
+            assert_same_report(before[key], after[key], f"{where}.{key}")
+    elif isinstance(before, list):
+        assert len(after) == len(before), where
+        for i, (b, a) in enumerate(zip(before, after)):
+            assert_same_report(b, a, f"{where}[{i}]")
+    else:
+        assert after == before, where
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@BATTERY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rescaling_the_spanning_matrices_changes_no_report(request, tmp_path, name, seed):
+    build, group, argvs = SPECS[name]
+    spec = cli.bundle_to_spec(build(request.getfixturevalue), group)
+    original, moved = tmp_path / "original.json", tmp_path / "rescaled.json"
+    original.write_text(json.dumps(spec))
+    moved.write_text(json.dumps(rescaled(spec, seed)))
+    for command, *rest in argvs:
+        code, before = cli_outcome(command, original, rest)
+        moved_code, after = cli_outcome(command, moved, rest)
+        assert moved_code == code, command
+        assert_same_report(before, after, command)
