@@ -6,10 +6,19 @@ unit-fiber algebra, C*-identity) are machine-checked by verify_fell_axioms.
 
 An AbstractBundle carries the same data as structure constants plus a
 faithful positive functional on the unit fiber; concretize() turns it back
-into matrices through the left regular representation. The constructions in
-between (trivial, pullback, twisted semidirect, quotient by a multiplier
-family) are the substance of the toolkit; the semidirect bundle of an action
-is its twisted semidirect bundle over N = {e}.
+into matrices through the left regular representation R. R(x) is
+block-monomial on the section space, so a Realization keeps its blocks: the
+dense images and the dense grading are views built only when a caller asks,
+and operator norms, HS Grams and the rank of each fiber are read off the
+blocks. The constructions in between (trivial, pullback, twisted semidirect,
+quotient by a multiplier family) are the substance of the toolkit; the
+semidirect bundle of an action is its twisted semidirect bundle over N = {e}.
+
+A unitary multiplier family is hosted on a dense grading or on a
+Realization. Either host yields the coordinates of U(n) a and a U(n) in
+their fibers and the residual of that step; the one checker reads the unit
+and covariance axioms off those coordinates, as gaps relative to the HS norm
+of the basis element a.
 
 A map between gradings (a bundle isomorphism, or a realization matched with
 prescribed images) is evaluated once per basis element of its source, plus
@@ -23,7 +32,8 @@ the dense grading only when asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +70,7 @@ from .matrices import (
     precondition_tol,
     product_coords,
     require,
+    span_rank,
     unit_element,
 )
 
@@ -267,9 +278,12 @@ def restrict(bundle: GradedBundle, members) -> GradedBundle:
 
 @dataclass(frozen=True)
 class UnitaryMultiplierFamily:
-    """Unitaries U(n), n in a normal subgroup, normalizing the grading."""
+    """Unitaries U(n), n in a normal subgroup, normalizing the grading.
 
-    bundle: GradedBundle
+    The family is hosted on a dense grading or on a Realization; the matrices
+    live in the host's ambient either way."""
+
+    bundle: GradedBundle | Realization
     domain: tuple[int, ...]
     mats: dict
 
@@ -291,15 +305,62 @@ def canonical_multiplier_family(p: GradedBundle, q: Quotient) -> UnitaryMultipli
     return UnitaryMultiplierFamily(p, q.subgroup.members, mats)
 
 
+def _family_on_grading(bundle: GradedBundle, u: UnitaryMultiplierFamily, dom) -> tuple:
+    """U(n) A_t and A_t U(n), formed once per fiber stack and decomposed in A_nt and A_tn."""
+    g = bundle.group
+    left, right, order = {}, {}, 0.0
+    for n in dom:
+        for t in g.elements():
+            ft = bundle.fiber(t).basis
+            left[n, t], lres = bundle.fiber(g.mul(n, t)).decompose(u.mat(n) @ ft)
+            right[n, t], rres = bundle.fiber(g.mul(t, n)).decompose(ft @ u.mat(n))
+            order = max(order, _worst(lres), _worst(rres))
+    return left, right, order, [np.eye(f.dim) for f in bundle.fibers]
+
+
+def _family_on_realization(real: Realization, u: UnitaryMultiplierFamily, dom) -> tuple:
+    """U(n) = R(c_n) by least squares on fiber n's images; then U(n) R(x) = R(c_n x) and
+    R(x) U(n) = R(x c_n) come from the structure constants, with no dense product."""
+    g, prod = real.group, real.abstract.prod
+    left, right, order = {}, {}, 0.0
+    for n in dom:
+        c, res = real.coords_in(n, u.mat(n))
+        order = max(order, res)
+        for t in g.elements():
+            left[n, t] = np.tensordot(c, prod[(n, t)], axes=(0, 0))
+            right[n, t] = np.tensordot(prod[(t, n)], c, axes=(1, 0))
+    return left, right, order, [real.gram(s) for s in g.elements()]
+
+
+def _relative_gaps(gaps: np.ndarray, gram: np.ndarray, span_gram: np.ndarray) -> np.ndarray:
+    """HS norm of each row of gaps (coordinates on a basis with Gram matrix gram),
+    over the HS norm of the basis element it belongs to (span_gram's diagonal)."""
+    sq = np.einsum("ka,ab,kb->k", gaps.conj(), gram, gaps).real
+    return np.sqrt(np.maximum(sq, 0.0) / np.diagonal(span_gram).real)
+
+
 def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TOL) -> dict:
     """Check the multiplier-family axioms against the bundle's grading.
 
     Homomorphism and adjoint identities make each U(n) unitary on the support
-    of the bundle; U(e) must act as the identity on every fiber. The two-sided
-    module axiom R(a)b = a L(b) is matrix associativity here, so it needs no
-    separate check.
+    of the bundle; they are checked on the dense matrices. The other three are
+    read off the coordinates L[n, t] of U(n) a and R[n, t] of a U(n), for the
+    basis a of A_t, in A_nt and A_tn: `order_compatibility` is the residual of
+    those coordinates, `unit_acts_trivially` compares L[e, t] and R[e, t] with
+    the identity, and `covariance` compares a U(n) with U(sns^-1) a, both in
+    A_sn, as R[n, s] against L[sns^-1, s]. Each gap of these two is an HS norm
+    divided by that of its basis element a. The two-sided module axiom
+    R(a)b = a L(b) is matrix associativity here, so it needs no separate check.
+
+    On a GradedBundle the coordinates come from decomposing the products
+    U(n) A_t and A_t U(n), on an orthonormal basis. On a Realization R they come
+    from the structure constants, once U(n) is written as R(c_n) by least
+    squares on fiber n's images; that residual is `order_compatibility`. It is
+    equivalent to order compatibility because R(1_e) = I: U(n) maps A_t into
+    A_nt for every t iff it lies in A_n, as U(n) = U(n) R(1_e) and A_n A_t lies
+    in A_nt. The Grams of the gaps come from the Realization's blocks.
     """
-    bundle, g = u.bundle, u.bundle.group
+    host, g = u.bundle, u.bundle.group
     dom = NormalSubgroup(g, u.domain).members
     rep = ResidualReport(tol, "homomorphism", "unit_acts_trivially", "order_compatibility",
                          "covariance")
@@ -308,28 +369,21 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
                   *(hs_norm(dagger(u.mat(n)) - u.mat(g.inv(n))) for n in dom))
     rep.residuals("homomorphism", hom_res)
 
+    on = _family_on_realization if isinstance(host, Realization) else _family_on_grading
+    left, right, order, grams = on(host, u, dom)
     unit_res = 0.0
-    ue = u.mat(0)
-    for s in g.elements():
-        for a in bundle.fiber(s).basis_list():
-            unit_res = max(unit_res, hs_norm(ue @ a - a), hs_norm(a @ ue - a))
+    for t in g.elements():
+        eye = np.eye(len(grams[t]))
+        for gaps in (left[0, t] - eye, right[0, t] - eye):
+            unit_res = max(unit_res, _worst(_relative_gaps(gaps, grams[t], grams[t])))
     rep.residuals("unit_acts_trivially", unit_res)
-
-    order_res = 0.0
-    for n in dom:
-        for t in g.elements():
-            ft = bundle.fiber(t).basis
-            order_res = max(order_res,
-                            _worst(bundle.fiber(g.mul(n, t)).decompose(u.mat(n) @ ft)[1]),
-                            _worst(bundle.fiber(g.mul(t, n)).decompose(ft @ u.mat(n))[1]))
-    rep.residuals("order_compatibility", order_res)
+    rep.residuals("order_compatibility", order)
 
     cov_res = 0.0
     for s in g.elements():
         for n in dom:
-            un_conj = u.mat(g.conjugate(s, n))
-            for a in bundle.fiber(s).basis_list():
-                cov_res = max(cov_res, hs_norm(a @ u.mat(n) - un_conj @ a))
+            gaps = right[n, s] - left[g.conjugate(s, n), s]
+            cov_res = max(cov_res, _worst(_relative_gaps(gaps, grams[g.mul(s, n)], grams[s])))
     rep.residuals("covariance", cov_res)
     return rep.build()
 
@@ -541,23 +595,98 @@ def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
 
 @dataclass(frozen=True)
 class Realization:
-    """A concretized abstract bundle plus the images of the abstract bases."""
+    """The left regular representation R of an abstract bundle, kept by blocks.
 
-    bundle: GradedBundle
-    images: tuple  # images[s][a] = matrix image of abstract basis a of fiber s
+    R acts on the section space, the direct sum of the fibers A_t made
+    orthonormal by the Gram root of the functional's inner product. For x in
+    A_s it maps A_t into A_st, so R(x) is block-monomial: its one block in
+    block column t is B_{s,t}(x) = root[st] prod[(s,t)](x)^T root^-1[t], at block
+    row st. blocks[(s, t)] stacks B_{s,t}(x_a) over the basis x_a of A_s,
+    shape (dim_s, dim_st, dim_t). The dense matrices are derived views, built
+    only when asked and then kept: fiber_images(s) per fiber, images for every
+    fiber, and bundle, their orthonormalized spans. Norms and Grams are read
+    off the blocks: |R(x)|_op = max_t |B_{s,t}(x)|_op and
+    tr(R(x)* R(y)) = sum_t tr(B_{s,t}(x)* B_{s,t}(y)).
+    """
+
+    abstract: AbstractBundle
+    blocks: dict
+    tol: float
+    _images: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.abstract.group
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.abstract.section_dimension()
+
+    def section_dimension(self) -> int:
+        """The sum of the ranks of the fibers' images, which concretize checked are their dims."""
+        return sum(self.abstract.dims)
+
+    def fiber_images(self, s: int) -> np.ndarray:
+        """The dense images R(x_a) of fiber s's basis, stacked (dim_s, d, d); built once."""
+        if s not in self._images:
+            g, offs = self.group, np.cumsum((0,) + self.abstract.dims)
+            d = int(offs[-1])
+            m = np.zeros((self.abstract.dims[s], d, d), dtype=complex)
+            for t in g.elements():
+                st = g.mul(s, t)
+                m[:, offs[st]:offs[st + 1], offs[t]:offs[t + 1]] = self.blocks[(s, t)]
+            self._images[s] = m
+        return self._images[s]
+
+    @property
+    def images(self) -> tuple[np.ndarray, ...]:
+        """images[s][a] = R(x_a) for the basis x_a of fiber s, every fiber built."""
+        return tuple(self.fiber_images(s) for s in self.group.elements())
+
+    @cached_property
+    def bundle(self) -> GradedBundle:
+        """The dense grading: each fiber the orthonormalized span of its images."""
+        return GradedBundle(self.group, tuple(
+            orthonormalize(list(self.fiber_images(s)), ambient_dim=self.ambient_dim, tol=self.tol)
+            for s in self.group.elements()))
+
+    def op_norms(self, s: int) -> np.ndarray:
+        """|R(x_a)|_op for the basis of fiber s: the largest of its blocks' norms."""
+        return np.max([op_norm(self.blocks[(s, t)]) for t in self.group.elements()], axis=0)
+
+    def gram(self, s: int) -> np.ndarray:
+        """gram[a, b] = tr(R(x_a)* R(x_b)) on fiber s's basis."""
+        rows = _block_rows(self.blocks, self.group, s)
+        return rows.conj() @ rows.T
+
+    def coords_in(self, s: int, mat: np.ndarray) -> tuple[np.ndarray, float]:
+        """Abstract coordinates c of a matrix in fiber s, by least squares against
+        its images, and the relative residual |mat - R(c)|_HS / max(1, |mat|_HS)."""
+        stack = self.fiber_images(s).reshape(self.abstract.dims[s], -1).T
+        flat = np.asarray(mat, dtype=complex).ravel()
+        c, *_ = np.linalg.lstsq(stack, flat, rcond=None)
+        return c, hs_norm(stack @ c - flat) / max(1.0, hs_norm(flat))
+
+
+def _block_rows(blocks: dict, g: FiniteGroup, s: int) -> np.ndarray:
+    """Row a is R(x_a) for the basis of fiber s, its blocks flattened and joined
+    over t: a dense row of R(x_a) with its zeros dropped and its entries reordered."""
+    stacks = [blocks[(s, t)] for t in g.elements()]
+    return np.concatenate([b.reshape(b.shape[0], b.shape[1] * b.shape[2]) for b in stacks], axis=1)
 
 
 def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
-    """Left regular representation on the section space.
+    """Left regular representation on the section space, kept by blocks.
 
     The inner product is funct((x)* y); its Gram matrix must be positive
     definite (DegenerateFunctional otherwise), which also makes the
     representation faithful and fiberwise isometric for the unique C*-norm.
+    A fiber whose images span fewer dimensions than the fiber has also raises
+    DegenerateFunctional; that rank is read off the blocks (`span_rank` of the
+    rows of `_block_rows`), with the same singular values and cut as
+    `orthonormalize` of the dense images.
     """
     g = b.group
-    dims = b.dims
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    d = int(offs[-1])
     roots, root_invs = [], []
     for s in g.elements():
         gram = _gram_block(b, s)
@@ -571,26 +700,14 @@ def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
             raise DegenerateFunctional(f"Gram block at element {s} has eigenvalue {w[0]:.3g}")
         roots.append((v * np.sqrt(w)) @ dagger(v))
         root_invs.append((v / np.sqrt(w)) @ dagger(v))
-    images = []
+    blocks = {(s, t): roots[g.mul(s, t)] @ b.prod[(s, t)].swapaxes(1, 2) @ root_invs[t]
+              for s in g.elements() for t in g.elements()}
+    ranks = tuple(span_rank(_block_rows(blocks, g, s), tol) for s in g.elements())
     for s in g.elements():
-        fiber_imgs = []
-        for a in range(dims[s]):
-            m = np.zeros((d, d), dtype=complex)
-            for t in g.elements():
-                if dims[t] == 0:
-                    continue
-                st = g.mul(s, t)
-                block = roots[st] @ b.prod[(s, t)][a].T @ root_invs[t]
-                m[offs[st]:offs[st + 1], offs[t]:offs[t + 1]] = block
-            fiber_imgs.append(m)
-        images.append(tuple(fiber_imgs))
-    fibers = []
-    for s in g.elements():
-        fibers.append(orthonormalize(list(images[s]), ambient_dim=d, tol=tol))
-        if fibers[-1].dim != dims[s]:
+        if ranks[s] != b.dims[s]:
             raise DegenerateFunctional(
-                f"fiber {s} collapsed from {dims[s]} to {fibers[-1].dim} dimensions")
-    return Realization(GradedBundle(g, tuple(fibers)), tuple(images))
+                f"fiber {s} collapsed from {b.dims[s]} to {ranks[s]} dimensions")
+    return Realization(b, blocks, tol)
 
 
 def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> AbstractBundle:
@@ -693,10 +810,11 @@ def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float)
     return src, images, probes
 
 
-def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle | PulledBack,
+def _isomorphism_report(src: AbstractBundle, source_norms, images, b: GradedBundle | PulledBack,
                         tol: float, probes=()) -> dict:
-    """Report on sources[s][i] -> images[s][i], linear, with src the sources'
-    structure constants; the probes give `linear` and more isometry samples.
+    """Report on the map sending source i of fiber s to images[s][i], linear, with
+    src the sources' structure constants and source_norms[s] their operator
+    norms; the probes give `linear` and more isometry samples.
 
     An image in b stands for an element whose HS norm is b.hs_factor times its
     own (a (x) lambda(s) in a PulledBack, the image itself in a grading), so the
@@ -721,8 +839,9 @@ def _isomorphism_report(src: AbstractBundle, sources, images, b: GradedBundle | 
     rep.residuals("into_fibers", into, s=None)
     mult, star = homomorphism_residuals(src, images)
     # one stack per fiber, not of all pairs, so no stack outgrows a fiber's basis
-    stacks = [*zip(sources, images), ([x for x, _, _ in probes], [y for _, y, _ in probes])]
-    op_norms = [(op_norm(np.asarray(xs)), op_norm(np.asarray(ys))) for xs, ys in stacks]
+    xs, ys = [x for x, _, _ in probes], [y for _, y, _ in probes]
+    op_norms = [*zip(source_norms, map(op_norm, images)),
+                (op_norm(np.asarray(xs)), op_norm(np.asarray(ys)))]
     norm = max(_worst(np.abs(ny - nx) / np.maximum(1.0, nx)) for nx, ny in op_norms)
     lin = [f * hs_norm(y - via_basis) / max(1.0, f * hs_norm(y)) for _, y, via_basis in probes]
     for name, res in [("multiplicative", f * mult), ("star", f * star),
@@ -745,7 +864,7 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle | PulledBack, phi
     if a.group.table != b.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
     src, images, probes = map_table(a, phi, b.ambient_dim, samples, 11, tol)
-    return _isomorphism_report(src, [f.basis for f in a.fibers], images, b, tol, probes)
+    return _isomorphism_report(src, [op_norm(f.basis) for f in a.fibers], images, b, tol, probes)
 
 
 def verify_bundle_isomorphism(a: GradedBundle, b: GradedBundle, phi,
@@ -761,11 +880,12 @@ def realization_isomorphism_report(abstract: AbstractBundle, real: Realization,
     images_in_target[s][a] (a list, or a stack per fiber) is where the
     abstract basis element a of fiber s should land inside target (its small
     factor, for a PulledBack); the map real.images[s][a] -> images_in_target[s][a]
-    is checked as a bundle isomorphism. It is linear by construction: `linear`
-    reads 0.0.
+    is checked as a bundle isomorphism, with the source norms read off real's
+    blocks. It is linear by construction: `linear` reads 0.0.
     """
     if abstract.group.table != target.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
     n = target.ambient_dim
     images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
-    return _isomorphism_report(abstract, real.images, images, target, tol)
+    norms = [real.op_norms(s) for s in abstract.group.elements()]
+    return _isomorphism_report(abstract, norms, images, target, tol)

@@ -74,8 +74,7 @@ from .sections import SectionAlgebra, section_algebra
 def _image(real: Realization, k: int, coords: np.ndarray) -> np.ndarray:
     """Concrete image of the abstract fiber-k element with the given coords
     (a stack of images for a stack of coords (..., dim_k))."""
-    return np.tensordot(np.asarray(coords, dtype=complex),
-                        np.stack(real.images[k]), axes=(-1, 0))
+    return np.tensordot(np.asarray(coords, dtype=complex), real.fiber_images(k), axes=(-1, 0))
 
 
 # reconstruction of a twisted action from a bundle over G/N
@@ -157,7 +156,8 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     pull-back along G -> G/N of the twisted semidirect bundle; both section
     algebras have dimension |G| * dim B. The pull-back is a PulledBack, so no
     a (x) lambda(s) is formed. The concretized semidirect bundle is returned
-    under "semidirect".
+    under "semidirect"; its dense images and grading are not built here, and
+    dim_semidirect is the rank its blocks were checked to have.
     """
     # checks the whole twisted action first, so an invalid one raises here
     tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
@@ -173,7 +173,7 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
         c, coeffs = twisted_normal_form(t, q, t.algebra.basis, s)
         images.append(_image(tw_real, c, t.algebra.decompose(coeffs)[0]))
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)
-    dim_semi = semi_real.bundle.section_dimension()
+    dim_semi = semi_real.section_dimension()
     dim_pb = pb.section_dimension()
     return {
         "pass": iso["pass"] and dim_semi == dim_pb == g.order * t.algebra.dim,
@@ -189,13 +189,14 @@ def induced_multiplier_family(t: TwistedAction, real: Realization) -> UnitaryMul
 
     These are the unitaries witnessing that the semidirect bundle of a twisted
     action is a pull-back: u is a homomorphism on N, u(n) has order n, and
-    a_s u(n) = u(s n s^-1) a_s.
+    a_s u(n) = u(s n s^-1) a_s. The family is hosted on the Realization itself,
+    so checking it builds the dense images of the fibers in N only.
     """
     g = t.group
     mats = {}
     for n in t.subgroup.members:
         mats[n] = _image(real, n, t.algebra.coords(t.tau[g.inv(n)]))
-    return UnitaryMultiplierFamily(real.bundle, t.subgroup.members, mats)
+    return UnitaryMultiplierFamily(real, t.subgroup.members, mats)
 
 
 def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamily,
@@ -204,18 +205,17 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
 
     t supplies the action (any twist it carries is ignored), real is the
     concretized semidirect bundle of t, and u is a verified multiplier family
-    over a normal subgroup of G living on real.bundle. The extracted family is
-    checked to satisfy the full twisted-action identities before returning.
+    over a normal subgroup of G living on real or on real.bundle. The extracted
+    family is checked to satisfy the full twisted-action identities before
+    returning.
     """
     require(verify_multiplier_family(u, precondition_tol(tol)), InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
     unit_c = alg.coords(unit_element(alg))
-    stack0 = np.stack([m.ravel() for m in real.images[0]]).T
     tau = {}
     for n in sorted(u.domain):
-        mat = _image(real, n, unit_c) @ u.mat(g.inv(n))
-        c, *_ = np.linalg.lstsq(stack0, mat.ravel(), rcond=None)
-        if hs_norm(stack0 @ c - mat.ravel()) > tol * max(1.0, hs_norm(mat)):
+        c, res = real.coords_in(0, _image(real, n, unit_c) @ u.mat(g.inv(n)))
+        if res > tol:
             raise MultiplierNotOrderCompatible(
                 f"(1,{n}) u({g.inv(n)}) leaves the unit fiber")
         tau[n] = alg.from_coords(c)

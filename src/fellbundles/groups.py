@@ -8,6 +8,7 @@ off these integers, so the table is validated once at construction time.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,8 +150,13 @@ def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
 
 def subgroup_members(g: FiniteGroup, members) -> tuple[int, ...]:
     """The sorted members of a subgroup of g, as ints; NotASubgroup names the
-    first fault otherwise. Range is checked before any table lookup, so an
-    index past the table, a negative one and a non-integer are all named."""
+    first fault otherwise. Each member is checked to be a number before it is
+    hashed or sorted, and range before any table lookup, so a string, a list,
+    an index past the table, a negative one and a non-integer are all named."""
+    members = tuple(members)
+    for m in members:
+        if not isinstance(m, numbers.Real):
+            raise NotASubgroup(f"member {m!r} is not an integer")
     mem = set(members)
     outside = sorted(mem - set(g.elements()))
     if outside:

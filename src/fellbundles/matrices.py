@@ -210,10 +210,24 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
         if not np.all(np.isfinite(m)):
             raise DimensionMismatch("non-finite entries")
     stack = np.array(mats, dtype=complex).reshape(-1, ambient_dim * ambient_dim)
-    scale = np.linalg.norm(stack, axis=1).max(initial=0.0)
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = sv > tol * scale
+    keep = sv > _span_cut(stack, tol)
     return MatrixSubspace(ambient_dim, vh[keep].reshape(-1, ambient_dim, ambient_dim))
+
+
+def _span_cut(rows: np.ndarray, tol: float) -> float:
+    """The singular value at or below which a direction of span(rows) is dropped:
+    tol times the largest row norm."""
+    return tol * np.linalg.norm(rows, axis=1).max(initial=0.0)
+
+
+def span_rank(rows: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """dim span of the flat rows (k, m), by orthonormalize's cut. Rearranging or
+    zero-padding the columns keeps the singular values, so it keeps the rank."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.size == 0:
+        return 0
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > _span_cut(rows, tol)))
 
 
 def product_span(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:

@@ -252,6 +252,13 @@ def test_a_member_outside_the_group_is_named(members, named):
         groups.NormalSubgroup(groups.cyclic(4), members)
 
 
+@pytest.mark.parametrize("members,named", [(("a", 9), "'a'"), (([1],), "[1]"), ((0, 1j), "1j")])
+def test_a_member_that_is_not_a_number_is_named(members, named):
+    # checked before the members are hashed or sorted, which would raise TypeError
+    with pytest.raises(NotASubgroup, match=f"^{re.escape(f'member {named} is not an integer')}$"):
+        groups.subgroup_members(groups.cyclic(4), members)
+
+
 # every caller reads subgroup membership from the one validator in `groups`
 SUBGROUP_CALLERS = {
     "coset_action": lambda bundle, members: duality.coset_action(bundle.group, members),
