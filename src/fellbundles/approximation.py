@@ -4,8 +4,11 @@ A witness is a finitely supported function f from the group into the unit
 fiber.  Averaging a_t against f, a_t -> sum_s f(ts)* a_t f(s), is a
 completely positive map whose norm is controlled by ||sum_s f(s)* f(s)||;
 the witness is exact when this averaging leaves every fiber pointwise
-fixed.  Witnesses pull back along quotient maps after multiplication by an
-ell^2 function on the kernel.
+fixed.  Over a finite group the uniform witness f = 1_e / sqrt|G| is exact
+on every Fell bundle: for a in A_t with p the unit of A_e, aa* and a*a lie
+in A_e, so (pa - a)(pa - a)* = 0 = (ap - a)*(ap - a) and the average is
+pap = a.  Witnesses pull back along quotient maps after multiplication by
+an ell^2 function on the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .errors import (
     AxiomViolation,
     GNormExceeded,
     GroupMismatch,
-    NonUnitalUnitFiber,
     NotInAlgebra,
     ShapeMismatch,
     ValueOutsideUnitFiber,
@@ -90,6 +92,14 @@ def point_witness(bundle: GradedBundle, s: int = 0, tol: float = DEFAULT_TOL) ->
     return ep_witness(bundle, {int(s): unit_fiber_unit(bundle, tol)}, tol)
 
 
+def _average(w: EPWitness, t: int, x: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc + sum_s f(ts)* x f(s), x in fiber t or a stack of such, in witness order."""
+    g = w.bundle.group
+    for s, fs in w.values.items():
+        acc = acc + dagger(w.value(g.mul(t, s))) @ x @ fs
+    return acc
+
+
 def ep_defect(bundle: GradedBundle, w: EPWitness, tol: float = DEFAULT_TOL) -> dict:
     """How far the witness averaging is from the identity, fiber by fiber.
 
@@ -99,13 +109,10 @@ def ep_defect(bundle: GradedBundle, w: EPWitness, tol: float = DEFAULT_TOL) -> d
     """
     if not same_bundle(w.bundle, bundle):
         raise GroupMismatch("witness was built over a different bundle")
-    g = bundle.group
     worst = 0.0
-    for t in g.elements():
+    for t in bundle.group.elements():
         basis = bundle.fiber(t).basis
-        acc = -basis.astype(complex)
-        for s, fs in w.values.items():
-            acc = acc + dagger(w.value(g.mul(t, s))) @ basis @ fs
+        acc = _average(w, t, basis, -basis.astype(complex))
         defect = op_norm(acc) / np.maximum(1.0, op_norm(basis))
         worst = max(worst, float(defect.max(initial=0.0)))
     return {"bound": w.bound, "defect": worst}
@@ -122,13 +129,10 @@ def averaging_map(bundle: GradedBundle, w: EPWitness, a, tol: float = DEFAULT_TO
         raise GroupMismatch("witness was built over a different bundle")
     sa = section_algebra(bundle, tol, check=False)
     comps = sa.components(a, precondition_tol(tol))
-    g = bundle.group
     out = np.zeros((bundle.ambient_dim, bundle.ambient_dim), dtype=complex)
     for h, ah in enumerate(comps):
-        if hs_norm(ah) <= _ZERO_CUT:
-            continue
-        for s, fs in w.values.items():
-            out = out + dagger(w.value(g.mul(h, s))) @ ah @ fs
+        if hs_norm(ah) > _ZERO_CUT:
+            out = _average(w, h, ah, out)
     return out
 
 
@@ -199,63 +203,16 @@ def regular_representation_kernel(bundle: GradedBundle | SectionAlgebra,
     return sa.total.dim - numerical_rank(sv, tol)
 
 
-def least_squares_witness(bundle: GradedBundle, iters: int = 25,
-                          tol: float = DEFAULT_TOL) -> EPWitness:
-    """Search for an exact witness supported on all of G by alternating least squares.
-
-    The fixed-point equations sum_s f(ts)* a f(s) = a are bilinear in f, so
-    the starred copy is frozen while the other is solved for, then the roles
-    swap.  Returns the best witness seen; the caller judges its defect.
-    """
-    g, fe = bundle.group, bundle.fiber(0)
-    if fe.dim == 0:
-        return ep_witness(bundle, {}, tol)
-    basis = fe.basis_list()
-    n = bundle.ambient_dim
-
-    p = fe.project(np.eye(n))
-    if hs_norm(p) <= _ZERO_CUT:
-        p = basis[0]
-    coords = np.tile(fe.coords(p / (hs_norm(p) * np.sqrt(g.order))), (g.order, 1))
-
-    targets = [(t, a) for t in g.elements() for a in bundle.fiber(t).basis_list()]
-
-    def witness_of(x):
-        return ep_witness(bundle, {s: fe.from_coords(x[s]) for s in g.elements()}, tol)
-
-    best = witness_of(coords)
-    best_defect = ep_defect(bundle, best, tol)["defect"]
-    for _ in range(iters):
-        frozen = [fe.from_coords(coords[s]) for s in g.elements()]
-        cols = np.zeros((len(targets) * n * n, g.order * fe.dim), dtype=complex)
-        rhs = np.zeros(len(targets) * n * n, dtype=complex)
-        for row, (t, a) in enumerate(targets):
-            rhs[row * n * n:(row + 1) * n * n] = a.ravel()
-            for s in g.elements():
-                left = dagger(frozen[g.mul(t, s)]) @ a
-                for j, bj in enumerate(basis):
-                    cols[row * n * n:(row + 1) * n * n, s * fe.dim + j] = (left @ bj).ravel()
-        sol, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-        # plain alternation oscillates around balanced fixed points, so the
-        # update is damped halfway toward the previous iterate
-        coords = (coords + sol.reshape(g.order, fe.dim)) / 2.0
-        cand = witness_of(coords)
-        d = ep_defect(bundle, cand, tol)["defect"]
-        if d < best_defect:
-            best, best_defect = cand, d
-        if best_defect <= tol:
-            break
-    return best
-
-
 def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = DEFAULT_TOL) -> dict:
-    """Faithfulness of the regular representation plus an exact-witness search.
+    """Faithfulness of the regular representation plus the uniform witness's defect.
 
     The kernel dimension is always zero here: fibers are honest subspaces of
     one matrix algebra, so the section map is injective and tensoring with
     the regular representation stays injective.  It is recomputed and
-    checked rather than assumed. The bundle's section algebra may be passed
-    in its place if already built.
+    checked rather than assumed. The witness is the uniform one, exact by
+    the module docstring, or the empty one when fiber(e), and so every
+    fiber, is zero; a unit fiber without a unit raises NonUnitalUnitFiber.
+    The bundle's section algebra may be passed in its place if already built.
     """
     sa = _sections(bundle, tol)
     kern = regular_representation_kernel(sa, tol)
@@ -264,10 +221,7 @@ def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = DEFAU
         raise AxiomViolation(
             f"regular representation has a {kern}-dimensional kernel; "
             "the grading cannot be a direct sum")
-    try:
-        w = uniform_witness(bundle, tol)
-    except NonUnitalUnitFiber:
-        w = least_squares_witness(bundle, tol=tol)
+    w = ep_witness(bundle, {}, tol) if bundle.fiber(0).dim == 0 else uniform_witness(bundle, tol)
     rep = ep_defect(bundle, w, tol)
     return {
         "regular_rep_kernel_dim": kern,

@@ -202,8 +202,8 @@ def parse_spec(path: str):
     fibers = tuple(orthonormalize(spans.get(s, []), ambient_dim=n)
                    for s in g.elements())
     bundle = bundles.GradedBundle(g, fibers)
-    options = {field: _cast(cast, data[field], path, field) for field, cast in
-               (("normal_subgroup", _int_tuple), ("tolerance", float)) if field in data}
+    options = ({"tolerance": _cast(float, data["tolerance"], path, "tolerance")}
+               if "tolerance" in data else {})
     return g, bundle, options
 
 
@@ -533,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--group", default=None,
                         help="group descriptor: cyclic:N, dihedral:N, symmetric:N, table:FILE")
         sp.add_argument("-o", "--output", default=None, help="output file")
-        sp.add_argument("--format", choices=["json"], default="json")
         if name == "ep":
             sp.add_argument("--witness", default=None, help="witness file with an 'f' map")
         if name == "landstad":

@@ -263,10 +263,6 @@ class Quotient:
         g = self.group
         return g.mul(g.inv(self.section[self.coset_of[s]]), s)
 
-    @property
-    def index(self) -> int:
-        return self.quotient_group.order
-
 
 def left_cosets(g: FiniteGroup, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(coset_of, section) for the left cosets sH of a subgroup H, normal or not.

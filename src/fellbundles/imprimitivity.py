@@ -22,8 +22,9 @@ D must pass them first. The bimodule axioms and the gamma identities are
 then einsum identities, and a residual is the largest 2-norm of a slot's
 block of coordinates in a difference: its HS norm, since fiber bases are
 HS-orthonormal. Positivity and norms are read on one faithful realization,
-`_realize`, of C0 over G/N and of B0 over G with no lambda(s) factor;
-`realize_b` and `realize_c` are the tests' dense models.
+`_realize` (`sections.slot_realization`), of C0 over G/N and of B0 over G
+with no lambda(s) factor; `realize_b` and `realize_c` are the tests' dense
+models.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bundles import GradedBundle, PulledBack, require_fell_axioms, same_bundle, unit_fiber_unit
 from .errors import AxiomViolation, FiberMismatch, GroupMismatch
-from .groups import FiniteGroup, Quotient, left_regular
+from .groups import Quotient, left_regular
 from .matrices import (
     _ZERO_CUT,
     DEFAULT_TOL,
@@ -49,6 +50,7 @@ from .matrices import (
     precondition_tol,
     require,
 )
+from .sections import slot_realization as _realize
 
 
 def _clean(coeffs: dict) -> dict:
@@ -334,21 +336,6 @@ def _slot_residual(q: Quotient, d: GradedBundle, kind: str, lhs, rhs) -> float:
 
 
 # faithful realizations (positivity and norms live here)
-
-
-def _realize(g: FiniteGroup, coeffs: dict, size: int) -> np.ndarray:
-    """The sum of a tensor E_{kl,l} over the slots (k, l) of g holding size x size a.
-
-    Faithful *-homomorphism of C0 over G/N, and of B0 over G as d tensor E_{st,t}:
-    (k, l) -> (kl, l) is a bijection, so distinct slots go to HS-orthogonal
-    matrix units; E_{st,t} E_{uv,v} = delta_{t,uv} E_{st,v} is the b_mul and c_mul
-    rule, and (d tensor E_{st,t})* = d* tensor E_{t,st} the b_star and c_star rule.
-    """
-    n = g.order
-    out = np.zeros((size, n, size, n), dtype=complex)
-    for (k, l), a in coeffs.items():
-        out[:, g.mul(k, l), :, l] += a
-    return out.reshape(size * n, size * n)
 
 
 def realize_b(b: Element) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     NotInAlgebra,
     ProjectionsNotResolving,
 )
-from .groups import left_regular, right_regular
+from .groups import FiniteGroup, left_regular, right_regular
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -101,6 +101,21 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
 # the ambient crossed-product model
 
 
+def slot_realization(g: FiniteGroup, coeffs: dict, size: int) -> np.ndarray:
+    """The sum of a tensor E_{kl,l} over the slots (k, l) of g holding size x size a:
+    a_s tensor E_{st,t} in the crossed product, and B0 and C0 in `imprimitivity`.
+
+    A faithful *-homomorphism: (k, l) -> (kl, l) is a bijection, so distinct
+    slots go to HS-orthogonal matrix units; E_{st,t} E_{uv,v} = delta_{t,uv}
+    E_{st,v} and (a tensor E_{st,t})* = a* tensor E_{t,st}.
+    """
+    n = g.order
+    out = np.zeros((size, n, size, n), dtype=complex)
+    for (k, l), a in coeffs.items():
+        out[:, g.mul(k, l), :, l] += a
+    return out.reshape(size * n, size * n)
+
+
 @dataclass(frozen=True)
 class CrossedProductAlgebra:
     """span{a tensor E_{st,t} : a in A_s} inside M_n tensor M_|G|.
@@ -139,12 +154,9 @@ class CrossedProductAlgebra:
         return np.kron(np.eye(n), e_tt)
 
     def fiber_at(self, s: int, t: int) -> MatrixSubspace:
-        g = self.group
-        st = g.mul(s, t)
-        e_unit = np.zeros((g.order, g.order), dtype=complex)
-        e_unit[st, t] = 1.0
-        basis = [np.kron(b, e_unit) for b in self.bundle.fiber(s).basis_list()]
         n = self.ambient_dim
+        basis = [slot_realization(self.group, {(s, t): b}, self.bundle.ambient_dim)
+                 for b in self.bundle.fiber(s).basis_list()]
         return MatrixSubspace(n, np.array(basis, dtype=complex).reshape(-1, n, n))
 
     def dual_unitary(self, r: int) -> np.ndarray:
@@ -160,21 +172,13 @@ def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedPr
     model that tests hold the commands' bundle-read crossed-product fields to."""
     require_fell_axioms(bundle, tol)
     g = bundle.group
-    lam = left_regular(g)
-    rho = right_regular(g)
     big = bundle.ambient_dim * g.order
-    mats = []
-    for s in g.elements():
-        for t in g.elements():
-            st = g.mul(s, t)
-            e_unit = np.zeros((g.order, g.order), dtype=complex)
-            e_unit[st, t] = 1.0
-            for b in bundle.fiber(s).basis_list():
-                mats.append(np.kron(b, e_unit))
+    mats = [slot_realization(g, {(s, t): b}, bundle.ambient_dim)
+            for s in g.elements() for t in g.elements() for b in bundle.fiber(s).basis_list()]
     # distinct (s, t) slots use HS-orthogonal matrix units, so the stack is
     # orthonormal as it stands
     total = MatrixSubspace(big, np.array(mats, dtype=complex).reshape(-1, big, big))
-    return CrossedProductAlgebra(bundle, total, lam, rho)
+    return CrossedProductAlgebra(bundle, total, left_regular(g), right_regular(g))
 
 
 def crossed_structure(src: AbstractBundle) -> AbstractBundle:

@@ -21,6 +21,10 @@ Maps between gradings are evaluated once per basis element and checked on
 structure constants, so no function nested inside a library function (a map
 handed to a check, say) solves `np.linalg.lstsq` on every call.
 
+The approximation-property witness is constructed, not searched: the uniform
+witness is exact on every Fell bundle, so `approximation.py` calls no
+`np.linalg.lstsq`.
+
 The dualities check maps into a pull-back on its small factor (a
 `bundles.PulledBack`), so `duality.py` calls no `np.kron` and imports no
 `left_regular`: no a (x) lambda(s) is formed there.
@@ -192,6 +196,13 @@ def test_checker_flags_a_nested_lstsq():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_nested_function_solves_lstsq(module):
     assert nested_lstsq_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_approximation_searches_no_witness():
+    calls = [node.lineno for node in ast.walk(ast.parse(
+        (SRC / "approximation.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lstsq"]
+    assert calls == []
 
 
 def dense_lambda_uses(source: str) -> list[str]:
