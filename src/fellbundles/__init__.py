@@ -42,7 +42,7 @@ from .duality import (
     stabilizer_obstruction,
 )
 from .groups import FiniteGroup, NormalSubgroup, Quotient, cyclic, dihedral, quotient, symmetric
-from .imprimitivity import gamma_equivariance_report, morita_report, verify_imprimitivity
+from .imprimitivity import bimodule_check
 from .matrices import MatrixSubspace, orthonormalize
 from .sections import crossed_product, section_algebra
 

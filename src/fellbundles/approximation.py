@@ -81,7 +81,10 @@ def ep_witness(bundle: GradedBundle, values, tol: float = DEFAULT_TOL) -> EPWitn
 
 def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness:
     """f(s) = 1_e / sqrt(|G|) on all of G; exact, with bound 1 up to the rounding
-    of the least-squares solve for 1_e in matrices.unit_coords."""
+    of the least-squares solve for 1_e in matrices.unit_coords. When fiber(e),
+    and so every fiber, is zero, its unit is 0 and the witness is empty."""
+    if bundle.fiber(0).dim == 0:
+        return ep_witness(bundle, {}, tol)
     u = unit_fiber_unit(bundle, tol)
     scale = 1.0 / np.sqrt(bundle.group.order)
     return ep_witness(bundle, {s: scale * u for s in bundle.group.elements()}, tol)
@@ -209,20 +212,17 @@ def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = DEFAU
     The kernel dimension is always zero here: fibers are honest subspaces of
     one matrix algebra, so the section map is injective and tensoring with
     the regular representation stays injective.  It is recomputed and
-    checked rather than assumed. The witness is the uniform one, exact by
-    the module docstring, or the empty one when fiber(e), and so every
-    fiber, is zero; a unit fiber without a unit raises NonUnitalUnitFiber.
+    checked rather than assumed. The witness is `uniform_witness`, exact by
+    the module docstring; a unit fiber without a unit raises NonUnitalUnitFiber.
     The bundle's section algebra may be passed in its place if already built.
     """
     sa = _sections(bundle, tol)
     kern = regular_representation_kernel(sa, tol)
-    bundle = sa.bundle
     if kern:
         raise AxiomViolation(
             f"regular representation has a {kern}-dimensional kernel; "
             "the grading cannot be a direct sum")
-    w = ep_witness(bundle, {}, tol) if bundle.fiber(0).dim == 0 else uniform_witness(bundle, tol)
-    rep = ep_defect(bundle, w, tol)
+    rep = ep_defect(sa.bundle, uniform_witness(sa.bundle, tol), tol)
     return {
         "regular_rep_kernel_dim": kern,
         "ep_exact_witness_found": bool(rep["defect"] <= tol),

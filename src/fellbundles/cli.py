@@ -388,11 +388,11 @@ def cmd_imprimitivity(args) -> dict:
     """bimodule axioms and Morita report for a bundle over G/N"""
     d, tol = _spec(args)
     _, q, _ = _quotient_setup(args, d)
-    rep, morita = imprimitivity.bimodule_check(q, d, tol)
+    rep, morita, gamma = imprimitivity.bimodule_check(q, d, tol)
     report = {"command": "imprimitivity", **rep}
-    if rep["pass"]:
-        report["morita"] = morita
-        report["gamma"] = imprimitivity.gamma_equivariance_report(q, d, tol)["pass"]
+    if rep["pass"]:  # no item violations, so gamma's are all of them
+        report.update({"pass": gamma["pass"], "violations": gamma["violations"],
+                       "morita": morita, "gamma": gamma["pass"]})
     return report
 
 

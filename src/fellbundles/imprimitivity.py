@@ -13,7 +13,8 @@ check, the generator bases, the random draws and the coordinate vectors. The
 two products, both actions and both inner products run through one pairing
 kernel, the adjoints and translations through one relabelling kernel.
 
-Every identity is read off formula tables: each formula is evaluated once on
+`bimodule_check` is the one imprimitivity check. Every identity is read off
+formula tables, built once per check: each formula is evaluated once on
 every pair of generators, and the coordinates of the results are stacked
 into 3-tensors (the adjoints and translations into coordinate matrices). The
 tables are exact as every formula is (sesqui)linear, and faithful when each
@@ -35,11 +36,10 @@ from operator import matmul
 
 import numpy as np
 
-from .bundles import GradedBundle, PulledBack, require_fell_axioms, same_bundle, unit_fiber_unit
-from .errors import AxiomViolation, FiberMismatch, GroupMismatch
+from .bundles import GradedBundle, require_fell_axioms, same_bundle, unit_fiber_unit
+from .errors import FiberMismatch, GroupMismatch
 from .groups import Quotient, left_regular
 from .matrices import (
-    _ZERO_CUT,
     DEFAULT_TOL,
     ResidualReport,
     center_dimension,
@@ -48,16 +48,8 @@ from .matrices import (
     numerical_rank,
     op_norm,
     precondition_tol,
-    require,
 )
 from .sections import slot_realization as _realize
-
-
-def _clean(coeffs: dict) -> dict:
-    """Drop coefficients negligible against the largest one; each norm is taken once."""
-    norms = {key: hs_norm(m) for key, m in coeffs.items()}
-    cut = _ZERO_CUT * max(1.0, max(norms.values(), default=0.0))
-    return {key: m for key, m in coeffs.items() if norms[key] > cut}
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +68,10 @@ class Element:
         out = {k: np.array(m) for k, m in self.coeffs.items()}
         for key, m in other.coeffs.items():
             out[key] = out.get(key, 0.0) + m
-        return Element(self.q, self.d, self.kind, _clean(out))
+        return Element(self.q, self.d, self.kind, out)
 
     def scaled(self, z: complex) -> "Element":
-        return Element(self.q, self.d, self.kind,
-                       _clean({k: z * m for k, m in self.coeffs.items()}))
+        return Element(self.q, self.d, self.kind, {k: z * m for k, m in self.coeffs.items()})
 
 
 def _same_setup(a, b) -> None:
@@ -114,8 +105,7 @@ def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,
             raise FiberMismatch(f"{key} is not a slot of a {kind} element over this quotient")
         if not d.fiber(fiber_of[key]).contains(m, precondition_tol(tol)):
             raise FiberMismatch(f"coefficient at {key} is not in fiber {fiber_of[key]}")
-    return Element(q, d, kind, _clean({k: np.asarray(m, dtype=complex)
-                                       for k, m in coeffs.items()}))
+    return Element(q, d, kind, {k: np.asarray(m, dtype=complex) for k, m in coeffs.items()})
 
 
 module_element = partial(_element, "x")
@@ -141,7 +131,7 @@ def _pair(kinds: str, a: Element, b: Element, product, rule) -> Element:
             key = rule(*ka, *kb)
             if key is not None:
                 out[key] = out.get(key, 0.0) + product(ma, mb)
-    return Element(a.q, a.d, kinds[2], _clean(out))
+    return Element(a.q, a.d, kinds[2], out)
 
 
 def _relabel(kind: str, e: Element, rule, adjoint: bool = False) -> Element:
@@ -285,7 +275,7 @@ def _random(kind: str, q: Quotient, d: GradedBundle, rng) -> Element:
         fk = d.fiber(fiber)
         c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
         coeffs[key] = fk.from_coords(c)
-    return Element(q, d, kind, _clean(coeffs))
+    return Element(q, d, kind, coeffs)
 
 
 _random_x = partial(_random, "x")
@@ -360,10 +350,30 @@ def realize_c(c: Element) -> np.ndarray:
 _einsum = partial(np.einsum, optimize=True)
 
 
+def _gamma_report(residual, tol: float, g, xs: list[Element], bs: list[Element],
+                  cs: list[Element], lin, right) -> dict:
+    """The two displayed identities for gamma, and gamma being an action, on all
+    generators and all r: einsum identities on the linner and right_action
+    tables, with gamma_r, dual_b(r) and inflated_dual_c(r) as the coordinate
+    permutation matrices of the moved generators. A violation names its r.
+    """
+    gam = np.stack([_coords([gamma(r, x) for x in xs]) for r in g.elements()])
+    rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
+    for r, p in enumerate(gam):
+        dual = _coords([dual_b(r, b) for b in bs])
+        inflated = _coords([inflated_dual_c(r, c) for c in cs])
+        rep.residuals("linner_equivariance", residual(
+            "b", _einsum("xa,yb,abk->xyk", p, p.conj(), lin), lin @ dual), r=r)
+        rep.residuals("right_action_equivariance", residual(
+            "x", right @ p, _einsum("xa,cb,abk->xck", p, inflated, right)), r=r)
+    rep.residuals("group_action", residual("x", gam[None] @ gam[:, None], gam[np.array(g.table)]))
+    return rep.build()
+
+
 def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
-                   samples: int = 4) -> tuple[dict, dict]:
-    """The items report of `verify_imprimitivity` and the summary of `morita_report`
-    (meaningful when the items pass), from one build of the formula tables.
+                   samples: int = 4) -> tuple[dict, dict, dict]:
+    """The imprimitivity check: the items report, the Morita summary (meaningful
+    when the items pass) and the gamma report, from one build of the six tables.
 
     Items: (i) action associativity and commutation, (ii) module maps respect
     the inner products, (iii) adjoint symmetry, (iv) linearity sides,
@@ -377,8 +387,9 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
     tables, and (vii) and (viii) read the spectra of <x,x>, <bx,bx> and
     <xc,xc>, and the norms of the generators, on `_realize`. (iv) checks
     linearity on random elements; random elements also enter (i) and (vii).
-    The block counts are the centre dimensions of the b_mul and c_mul tables,
-    the structure constants of B0 and C0.
+    The summary's Wedderburn block counts of B0 and C0, faithfully realized, are
+    the centre dimensions of the b_mul and c_mul tables: equal counts are the
+    finite-dimensional shadow of the Morita equivalence.
     """
     _check_base(q, d)
     require_fell_axioms(d, tol)
@@ -470,52 +481,6 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
     if rep.exceeds(res_viii):
         rep.fail("viii_boundedness")
     blocks_b, blocks_c = center_dimension(bb, tol), center_dimension(cc, tol)
-    return rep.build(), dict(dims, blocksB=blocks_b, blocksC=blocks_c,
-                             equivalent=blocks_b == blocks_c)
-
-
-def verify_imprimitivity(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
-                         samples: int = 4) -> dict:
-    """The eight bimodule axioms; see `bimodule_check`."""
-    return bimodule_check(q, d, tol, samples)[0]
-
-
-def gamma_equivariance_report(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
-    """The two displayed identities for gamma, and gamma being an action, on all
-    generators and all r: einsum identities on the linner and right_action
-    tables, with gamma_r, dual_b(r) and inflated_dual_c(r) as the coordinate
-    permutation matrices of the moved generators. A violation names its r.
-    """
-    xs, bs, cs = x_generators(q, d), b_generators(q, d), c_generators(q, d)
-    lin, right = _table(linner, xs, xs), _table(right_action, xs, cs)
-    residual = partial(_slot_residual, q, d)
-    g = q.group
-    gam = np.stack([_coords([gamma(r, x) for x in xs]) for r in g.elements()])
-    rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
-    for r, p in enumerate(gam):
-        dual = _coords([dual_b(r, b) for b in bs])
-        inflated = _coords([inflated_dual_c(r, c) for c in cs])
-        rep.residuals("linner_equivariance", residual(
-            "b", _einsum("xa,yb,abk->xyk", p, p.conj(), lin), lin @ dual), r=r)
-        rep.residuals("right_action_equivariance", residual(
-            "x", right @ p, _einsum("xa,cb,abk->xck", p, inflated, right)), r=r)
-    rep.residuals("group_action", residual("x", gam[None] @ gam[:, None], gam[np.array(g.table)]))
-    return rep.build()
-
-
-def morita_report(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
-    """Dimensions and Wedderburn block counts of the two crossed products.
-
-    B0 and C0 have faithful realizations, so each block count is the centre
-    dimension of their structure constants, the b_mul and c_mul tables of
-    `bimodule_check`. Equal counts are the finite-dimensional shadow of the
-    Morita equivalence. AxiomViolation if the bimodule axioms do not hold.
-    """
-    items, morita = bimodule_check(q, d, tol)
-    require(items, AxiomViolation, "imprimitivity axioms failed: ")
-    return morita
-
-
-def pullback_crossed_dimension(q: Quotient, d: GradedBundle) -> int:
-    """dim B0 recomputed through the pull-back bundle, as a cross-check."""
-    return q.group.order * PulledBack(d, q).section_dimension()
+    return (rep.build(),
+            dict(dims, blocksB=blocks_b, blocksC=blocks_c, equivalent=blocks_b == blocks_c),
+            _gamma_report(residual, tol, q.group, xs, bs, cs, lin, right))

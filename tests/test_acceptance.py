@@ -42,7 +42,7 @@ def test_criterion_01_fell_axiom_battery(battery):
 def test_criterion_02_imprimitivity_axioms(q_z4, pauli_bundle, q_s3,
                                            s3_quotient_bundle):
     for q, d in ((q_z4, pauli_bundle), (q_s3, s3_quotient_bundle)):
-        report = imp.verify_imprimitivity(q, d, tol=1e-8)
+        report = imp.bimodule_check(q, d, tol=1e-8)[0]
         assert report["pass"], report["violations"]
         assert len(report["items"]) == 8
         fullness = report["items"]["vi_fullness"]
@@ -63,7 +63,7 @@ def _oracle_blocks(mats):
 
 
 def test_criterion_03_morita_anchor(q_z4, pauli_bundle):
-    report = imp.morita_report(q_z4, pauli_bundle)
+    report = imp.bimodule_check(q_z4, pauli_bundle)[1]
     assert report == {"dimB": 16, "dimC": 4, "dimX": 8,
                       "blocksB": 1, "blocksC": 1, "equivalent": True}
     span_b = [imp.realize_b(b) for b in imp.b_generators(q_z4, pauli_bundle)]
@@ -75,7 +75,7 @@ def test_criterion_03_morita_anchor(q_z4, pauli_bundle):
 def test_criterion_04_gamma_equivariance(q_z4, pauli_bundle, q_s3,
                                          s3_quotient_bundle):
     for q, d in ((q_z4, pauli_bundle), (q_s3, s3_quotient_bundle)):
-        report = imp.gamma_equivariance_report(q, d, tol=1e-10)
+        report = imp.bimodule_check(q, d, tol=1e-10)[2]
         assert report["pass"], report["checks"]
         assert report["checks"]["linner_equivariance"]["max_residual"] <= 1e-10
         assert report["checks"]["right_action_equivariance"]["max_residual"] <= 1e-10

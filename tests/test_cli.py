@@ -291,6 +291,17 @@ class TestImprimitivityCommand:
                                    "error": "NonUnitalUnitFiber",
                                    "detail": "the zero algebra has no unit"}
 
+    def test_a_failing_gamma_fails_the_command(self, capsys, monkeypatch, pauli_spec):
+        # a dual translation that ignores r breaks linner equivariance and nothing else
+        monkeypatch.setattr(imprimitivity, "dual_b", lambda r, b: b)
+        rc, out, _ = run(capsys, "imprimitivity", pauli_spec,
+                         "--group", "cyclic:4", "--normal", "0,2")
+        report = json.loads(out)
+        assert rc == 1 and report["pass"] is False and report["gamma"] is False
+        assert all(item["pass"] for item in report["items"].values())
+        assert {v["axiom"] for v in report["violations"]} == {"linner_equivariance"}
+        assert all(set(v) == {"axiom", "r", "residual"} for v in report["violations"])
+
 
 @pytest.fixture()
 def landstad_inputs(tmp_path):
@@ -477,6 +488,13 @@ class TestEpCommand:
         assert abs(report["bound"] - 1.0) <= 1e-9
         assert report["defect"] <= 1e-12
         assert report["support"] == [0, 1]
+
+    def test_zero_bundle_takes_the_empty_witness(self, capsys, zero_spec):
+        # the unit of the zero algebra is 0, so the uniform witness is empty and exact
+        rc, out, _ = run(capsys, "ep", zero_spec)
+        assert rc == 0
+        report = json.loads(out)
+        assert (report["bound"], report["defect"], report["support"]) == (0.0, 0.0, [])
 
     def test_witness_file(self, capsys, tmp_path, pauli_spec):
         wit = write_json(tmp_path / "wit.json", {"f": {"0": mat(I2 / SQ2)}})
@@ -944,7 +962,7 @@ class TestOneTolerancePerRun:
 
     @pytest.mark.parametrize("flags,tol", [(("--tol", "3e-9"), 3e-9), ((), matrices.DEFAULT_TOL)])
     def test_tol_reaches_the_gamma_report(self, capsys, monkeypatch, pauli_spec, flags, tol):
-        seen = self.record_tol(monkeypatch, imprimitivity, "gamma_equivariance_report")
+        seen = self.record_tol(monkeypatch, imprimitivity, "bimodule_check")
         rc, out, _ = run(capsys, "imprimitivity", pauli_spec,
                          "--group", "cyclic:4", "--normal", "0,2", *flags)
         assert rc == 0 and json.loads(out)["gamma"] is True
@@ -954,7 +972,7 @@ class TestOneTolerancePerRun:
         ("verify", (), [(bundles, "verify_fell_axioms")]),
         ("pullback", AXIOM_COMMANDS["pullback"], [(bundles, "verify_fell_axioms")]),
         ("imprimitivity", AXIOM_COMMANDS["imprimitivity"],
-         [(imprimitivity, "bimodule_check"), (imprimitivity, "gamma_equivariance_report")]),
+         [(imprimitivity, "bimodule_check")]),
         ("gsimple", (), [(duality, "graded_ideals"), (duality, "is_g_simple")]),
         ("ep", (), [(approx, "ep_defect")]),
         ("report", (), [(bundles, "verify_fell_axioms"), (duality, "graded_ideals"),

@@ -36,12 +36,23 @@ calls `kron` or names `left_regular`, and no function calls `realize_b`.
 Subgroup membership and normality are decided in `groups` (`subgroup_members`
 and `NormalSubgroup`), so no other library module raises `NotASubgroup` or
 `NotNormal`.
+
+One `imprimitivity` command builds each of the six formula tables once, in
+`bimodule_check`, and the gamma report reads two of them, so one run on the
+Pauli spec evaluates `imprimitivity._table` six times; `imprimitivity`
+defines no `_clean`, as every reader of a coefficient dict treats a missing
+slot and a zero coefficient alike.
 """
 
 import ast
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
+
+from fellbundles import cli, imprimitivity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fellbundles"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -331,3 +342,14 @@ def test_checker_flags_a_subgroup_error_raise():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "groups.py"])
 def test_only_groups_decides_subgroups(module):
     assert subgroup_error_raises((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_one_imprimitivity_run_builds_each_table_once(tmp_path, monkeypatch, pauli_bundle):
+    calls, real = [], imprimitivity._table
+    monkeypatch.setattr(imprimitivity, "_table", lambda *args: calls.append(1) or real(*args))
+    spec = tmp_path / "pauli.json"
+    spec.write_text(json.dumps(cli.bundle_to_spec(pauli_bundle, {"kind": "cyclic", "n": 2})))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.run_command(["imprimitivity", str(spec), "--group", "cyclic:4", "--normal", "0,2"])
+    assert rc == 0 and len(calls) == 6
+    assert not hasattr(imprimitivity, "_clean")

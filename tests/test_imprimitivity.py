@@ -1,9 +1,13 @@
 """The bimodule generator formulas, the eight axioms, and Morita reports."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
-from fellbundles import bundles, groups, imprimitivity as imp, matrices, sections
+from fellbundles import bundles, cli, groups, imprimitivity as imp, matrices, sections
 from fellbundles.errors import (
     AxiomViolation,
     FiberMismatch,
@@ -11,7 +15,7 @@ from fellbundles.errors import (
     NonUnitalUnitFiber,
 )
 
-from conftest import I2, PAULI_X, SQ2
+from conftest import A3, I2, PAULI_X, SQ2
 
 X_HAT = PAULI_X / SQ2
 I_HAT = I2 / SQ2
@@ -27,6 +31,16 @@ def oracle_block_count(mats):
     sv = np.linalg.svd(m, compute_uv=False)
     rank = int(np.sum(sv > 1e-9 * max(1.0, float(sv[0]))))
     return k - rank
+
+
+def run_imprimitivity(tmp_path, d, group, normal):
+    """The `imprimitivity` command's report on d, a bundle over the quotient by normal."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(cli.bundle_to_spec(d, {"kind": "cyclic", "n": d.group.order})))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.run_command(["imprimitivity", str(spec), "--group", group,
+                         "--normal", ",".join(map(str, normal))])
+    return json.loads(out.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -206,19 +220,19 @@ class TestRealizations:
 class TestVerification:
     def test_pauli_example_passes(self, pauli_setup):
         q, d = pauli_setup
-        report = imp.verify_imprimitivity(q, d, tol=1e-8)
+        report = imp.bimodule_check(q, d, tol=1e-8)[0]
         assert report["pass"], report["violations"]
         assert len(report["items"]) == 8
         assert report["items"]["vii_positivity"]["min_relative_eigenvalue"] >= -1e-8
 
     def test_s3_example_passes(self, s3_setup):
         q, d = s3_setup
-        report = imp.verify_imprimitivity(q, d, tol=1e-8)
+        report = imp.bimodule_check(q, d, tol=1e-8)[0]
         assert report["pass"], report["violations"]
 
     def test_fullness_ranks_are_exact(self, pauli_setup):
         q, d = pauli_setup
-        item = imp.verify_imprimitivity(q, d)["items"]["vi_fullness"]
+        item = imp.bimodule_check(q, d)[0]["items"]["vi_fullness"]
         assert item["rank_b"] == item["dim_b"] == 16
         assert item["rank_c"] == item["dim_c"] == 4
 
@@ -227,7 +241,7 @@ class TestVerification:
         q, d = pauli_setup
         true_right = imp.right_action
         monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
-        report = imp.verify_imprimitivity(q, d)
+        report = imp.bimodule_check(q, d)[0]
         assert not report["pass"]
         failed = {name for name, item in report["items"].items() if not item["pass"]}
         assert failed == {"i_bimodule", "ii_action_compatibility", "v_inner_product_link",
@@ -251,18 +265,18 @@ class TestVerification:
         e12 = matrices.orthonormalize([np.array([[0, 1], [0, 0]], dtype=complex)])
         bad = bundles.GradedBundle(q_z4.quotient_group, (matrices.orthonormalize([I2]), e12))
         with pytest.raises(AxiomViolation, match="^grading axiom failed: "):
-            imp.verify_imprimitivity(q_z4, bad)
+            imp.bimodule_check(q_z4, bad)
 
     def test_gamma_equivariance(self, pauli_setup, s3_setup):
         for q, d in (pauli_setup, s3_setup):
-            report = imp.gamma_equivariance_report(q, d, tol=1e-10)
+            report = imp.bimodule_check(q, d, tol=1e-10)[2]
             assert report["pass"], report["checks"]
 
 
 class TestMorita:
     def test_pauli_anchor(self, pauli_setup):
         q, d = pauli_setup
-        report = imp.morita_report(q, d)
+        report = imp.bimodule_check(q, d)[1]
         assert report == {"dimB": 16, "dimC": 4, "dimX": 8,
                           "blocksB": 1, "blocksC": 1, "equivalent": True}
 
@@ -276,7 +290,7 @@ class TestMorita:
 
     def test_s3_blocks_match(self, s3_setup):
         q, d = s3_setup
-        report = imp.morita_report(q, d)
+        report = imp.bimodule_check(q, d)[1]
         assert report["equivalent"]
         assert report["blocksB"] == report["blocksC"]
         assert report["dimX"] == 12 and report["dimB"] == 36 and report["dimC"] == 4
@@ -285,19 +299,21 @@ class TestMorita:
         # G = Z2, N = G: the quotient group is trivial and C0 is one copy of C
         q = groups.quotient(z2, (0, 1))
         d = bundles.GradedBundle(groups.cyclic(1), (scalar_line,))
-        report = imp.morita_report(q, d)
+        report = imp.bimodule_check(q, d)[1]
         assert report == {"dimB": 4, "dimC": 1, "dimX": 2,
                           "blocksB": 1, "blocksC": 1, "equivalent": True}
 
     def test_trivial_subgroup_gives_equal_sides(self, z4, trivial_z4):
         q = groups.quotient(z4, (0,))
-        report = imp.morita_report(q, trivial_z4)
+        report = imp.bimodule_check(q, trivial_z4)[1]
         assert report["dimB"] == report["dimC"] == 16
         assert report["blocksB"] == report["blocksC"]
 
     def test_dimension_cross_check(self, pauli_setup, s3_setup):
+        # dim B0 recomputed through the pull-back bundle
         for q, d in (pauli_setup, s3_setup):
-            assert imp.pullback_crossed_dimension(q, d) == imp.dimensions(q, d)["dimB"]
+            pulled = q.group.order * bundles.PulledBack(d, q).section_dimension()
+            assert pulled == imp.dimensions(q, d)["dimB"]
 
 
 class TestArgumentChecks:
@@ -356,7 +372,7 @@ class TestMoritaFromStructureConstants:
     @pytest.mark.parametrize("case, blocks", [("pauli", 1), ("s3", 1), ("diag", 2), ("m2", 1)])
     def test_counts_match_the_dense_routes(self, morita_cases, case, blocks):
         q, d = morita_cases[case]
-        report = imp.morita_report(q, d)
+        report = imp.bimodule_check(q, d)[1]
         dense_b = oracle_block_count([imp.realize_b(b) for b in imp.b_generators(q, d)])
         dense_c = oracle_block_count([imp.realize_c(c) for c in imp.c_generators(q, d)])
         crossed_c = matrices.wedderburn_block_count(sections.crossed_product(d).total)
@@ -364,24 +380,32 @@ class TestMoritaFromStructureConstants:
         assert crossed_c == blocks
         assert report["equivalent"] is True
 
-    def test_one_check_feeds_both_reports(self, morita_cases):
-        q, d = morita_cases["s3"]
-        items, morita = imp.bimodule_check(q, d)
-        assert items == imp.verify_imprimitivity(q, d)
-        assert morita == imp.morita_report(q, d)
+    def test_one_check_feeds_both_reports(self, morita_cases, tmp_path, monkeypatch):
+        # the command's items, morita and gamma are the three outputs of one check
+        _, d = morita_cases["s3"]
+        calls, real = [], imp.bimodule_check
+        monkeypatch.setattr(imp, "bimodule_check",
+                            lambda *args: calls.append(real(*args)) or calls[-1])
+        report = run_imprimitivity(tmp_path, d, "symmetric:3", A3)
+        assert len(calls) == 1
+        items, morita, gamma = calls[0]
+        assert report == {"command": "imprimitivity", **items, "morita": morita,
+                          "gamma": gamma["pass"]}
 
-    def test_failing_items_raise_before_any_count(self, pauli_setup, monkeypatch):
-        q, d = pauli_setup
+    def test_failing_items_raise_before_any_count(self, pauli_setup, tmp_path, monkeypatch):
+        # failing items leave the block counts and gamma out of the command's report
+        _, d = pauli_setup
         true_right = imp.right_action
         monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
-        with pytest.raises(AxiomViolation, match="^imprimitivity axioms failed: "):
-            imp.morita_report(q, d)
+        report = run_imprimitivity(tmp_path, d, "cyclic:4", (0, 2))
+        assert report["pass"] is False
+        assert "morita" not in report and "gamma" not in report
 
     def test_zero_base_bundle_has_no_unit(self, q_z4):
         empty = matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))
         zero = bundles.GradedBundle(q_z4.quotient_group, (empty, empty))
         with pytest.raises(NonUnitalUnitFiber):
-            imp.verify_imprimitivity(q_z4, zero)
+            imp.bimodule_check(q_z4, zero)
 
 
 # the element-loop routes that items (vii), (viii) and the gamma report took
@@ -402,7 +426,7 @@ def reference_realize_b(b):
 
 
 def reference_positivity_and_boundedness(q, d, tol=1e-8, samples=4):
-    """Items (vii) and (viii) of `verify_imprimitivity`, on the same random x."""
+    """Items (vii) and (viii) of `bimodule_check`, on the same random x."""
     rng = np.random.default_rng(29)
     for _ in range(samples):  # the draws of item (i)
         imp._random_b(q, d, rng), imp._random_x(q, d, rng), imp._random_c(q, d, rng)
@@ -439,7 +463,7 @@ def reference_positivity_and_boundedness(q, d, tol=1e-8, samples=4):
 
 
 def reference_gamma_equivariance(q, d, tol=1e-10):
-    """The checks of `gamma_equivariance_report`, group_action on every generator."""
+    """The gamma report of `bimodule_check`, group_action on every generator."""
     xs, cs, g = imp.x_generators(q, d), imp.c_generators(q, d), q.group
     res = dict.fromkeys(["linner_equivariance", "right_action_equivariance", "group_action"], 0.0)
     for r in g.elements():
@@ -476,12 +500,12 @@ class TestTablesAgainstTheElementLoops:
     @pytest.mark.parametrize("case", MORITA_CASES)
     def test_positivity_and_boundedness(self, morita_cases, case):
         q, d = morita_cases[case]
-        assert_same_items(imp.verify_imprimitivity(q, d)["items"],
+        assert_same_items(imp.bimodule_check(q, d)[0]["items"],
                           reference_positivity_and_boundedness(q, d))
 
     def test_without_random_samples(self, pauli_setup):
         q, d = pauli_setup
-        assert_same_items(imp.verify_imprimitivity(q, d, samples=0)["items"],
+        assert_same_items(imp.bimodule_check(q, d, samples=0)[0]["items"],
                           reference_positivity_and_boundedness(q, d, samples=0))
 
     def test_positivity_reads_the_same_random_elements(self, pauli_setup, monkeypatch):
@@ -495,7 +519,7 @@ class TestTablesAgainstTheElementLoops:
             return x
 
         monkeypatch.setattr(imp, "_random_x", recording)
-        imp.verify_imprimitivity(q, d)
+        imp.bimodule_check(q, d)
         ours = np.array(drawn)
         drawn.clear()
         reference_positivity_and_boundedness(q, d)
@@ -504,7 +528,7 @@ class TestTablesAgainstTheElementLoops:
     @pytest.mark.parametrize("case", MORITA_CASES)
     def test_gamma_equivariance(self, morita_cases, case):
         q, d = morita_cases[case]
-        report = imp.gamma_equivariance_report(q, d)
+        report = imp.bimodule_check(q, d)[2]
         assert report["pass"]
         assert_same_items(report["checks"], reference_gamma_equivariance(q, d))
 
@@ -515,16 +539,16 @@ class TestTablesAgainstTheElementLoops:
         monkeypatch.setattr(imp, "right_action", lambda x, c: imp.gamma(1, true_right(x, c)))
         reference = reference_positivity_and_boundedness(q, d)
         assert not reference["viii_boundedness"]["pass"]
-        assert_same_items(imp.verify_imprimitivity(q, d)["items"], reference)
-        assert_same_items(imp.gamma_equivariance_report(q, d)["checks"],
-                          reference_gamma_equivariance(q, d))
+        items, _, gamma = imp.bimodule_check(q, d)
+        assert_same_items(items["items"], reference)
+        assert_same_items(gamma["checks"], reference_gamma_equivariance(q, d))
 
     @pytest.mark.parametrize("case", ["pauli", "s3"])
     def test_a_dual_translation_ignoring_r_fails_on_both_routes(self, morita_cases, case,
                                                                monkeypatch):
         q, d = morita_cases[case]
         monkeypatch.setattr(imp, "dual_b", lambda r, b: b)
-        report = imp.gamma_equivariance_report(q, d)
+        report = imp.bimodule_check(q, d)[2]
         reference = reference_gamma_equivariance(q, d)
         assert not report["checks"]["linner_equivariance"]["pass"]
         assert not reference["linner_equivariance"]["pass"]

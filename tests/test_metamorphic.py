@@ -106,9 +106,10 @@ def assert_same(before: dict, after: dict) -> None:
 
 
 def morita(q: groups.Quotient, d: bundles.GradedBundle) -> dict:
-    rep, summary = imprimitivity.bimodule_check(q, d, TOL)
+    rep, summary, gamma = imprimitivity.bimodule_check(q, d, TOL)
     assert rep["pass"]
-    return {key: summary[key] for key in ("blocksB", "blocksC", "dimB", "dimC")}
+    keys = ("blocksB", "blocksC", "dimB", "dimC")
+    return {"gamma": gamma["pass"], **{key: summary[key] for key in keys}}
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
