@@ -28,10 +28,18 @@ structure constants, with the products and adjoints of the images. A map
 into a pull-back lands in a PulledBack, whose elements a stand for
 a (x) lambda(s): it is checked on the small factor a, and `pullback` builds
 the dense grading only when asked.
+
+The target of a map is read on its BlockPattern: the blocks in which each
+fiber's matrices may be nonzero. A dense grading is one block. A PulledBack
+of a Realization (the twisted semidirect bundle in the Olesen-Pedersen
+check) is the Realization's block-monomial pattern, so a product of two
+images is one small product per block, the fiber spans are those of the
+blocks, and the Realization's dense grading is never built for the check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,9 +74,11 @@ from .matrices import (
     hs_norm,
     is_star_closed,
     op_norm,
+    orthonormal_rows,
     orthonormalize,
     precondition_tol,
     product_coords,
+    project_rows,
     require,
     span_rank,
     unit_element,
@@ -110,6 +120,49 @@ class GradedBundle:
         1, as a grading's matrices are its elements (a PulledBack's is sqrt|G|)."""
         return 1.0
 
+    @property
+    def pattern(self) -> BlockPattern:
+        """One block: a dense grading's matrices may be nonzero anywhere."""
+        return BlockPattern((0, self.ambient_dim), (np.zeros(1, dtype=int),) * self.group.order)
+
+    def block_basis(self, s: int) -> np.ndarray:
+        """Fiber s's HS-orthonormal basis as flat rows in pattern coordinates."""
+        return self.fibers[s].flat
+
+
+@dataclass(frozen=True)
+class BlockPattern:
+    """Where the matrices of each fiber of a grading may be nonzero.
+
+    offs cuts the ambient into m blocks (a Realization's fibers, or one block
+    for a dense grading). A matrix of fiber s is nonzero only in its column
+    blocks l at row blocks shifts[s][l], so it is kept as those m blocks,
+    zero-padded to the largest block size, and the product of x in fiber s
+    with y in fiber t is one small product per column block:
+    (xy)[l] = x[shifts[t][l]] y[l].
+    """
+
+    offs: tuple[int, ...]
+    shifts: tuple[np.ndarray, ...]
+
+    def pad(self, cols) -> np.ndarray:
+        """The column blocks cols[l], stacks (k, rows, columns), as one stack (k, m, d, d)."""
+        d = max(np.diff(self.offs))
+        out = np.zeros((len(cols[0]), len(cols), d, d), dtype=complex)
+        for l, c in enumerate(cols):
+            out[:, l, :c.shape[1], :c.shape[2]] = c
+        return out
+
+    def split(self, s: int, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks of a stack (k, n, n) on fiber s's pattern, padded as in pad,
+        and the HS norm of each matrix's entries off that pattern."""
+        o, off, cols = self.offs, np.ones(mats.shape[1:], dtype=bool), []
+        for l, r in enumerate(self.shifts[s]):
+            rows, columns = slice(o[r], o[r + 1]), slice(o[l], o[l + 1])
+            cols.append(mats[:, rows, columns])
+            off[rows, columns] = False
+        return self.pad(cols), np.linalg.norm(mats[:, off], axis=-1)
+
 
 @dataclass(frozen=True)
 class PulledBack:
@@ -122,9 +175,13 @@ class PulledBack:
     |a (x) lambda_s|_HS = sqrt|G| |a|_HS. So a map into the pull-back is
     checked on its small images, with HS residuals scaled by hs_factor.
     dense() builds the grading itself.
+
+    The base is a dense grading or a Realization. Over a Realization the small
+    factors are read on its block pattern and fiber basis, so the base's dense
+    grading is built only if a caller asks for fiber(s) or dense().
     """
 
-    base: GradedBundle
+    base: GradedBundle | Realization
     q: Quotient
 
     def __post_init__(self) -> None:
@@ -147,10 +204,20 @@ class PulledBack:
         return self.base.fiber(self.q.coset_of[s])
 
     def fiber_dims(self) -> tuple[int, ...]:
-        return tuple(self.fiber(s).dim for s in self.group.elements())
+        dims = self.base.fiber_dims()
+        return tuple(dims[c] for c in self.q.coset_of)
 
     def section_dimension(self) -> int:
         return sum(self.fiber_dims())
+
+    @property
+    def pattern(self) -> BlockPattern:
+        """The base's pattern, fiber s taking that of its coset sN."""
+        base = self.base.pattern
+        return BlockPattern(base.offs, tuple(base.shifts[c] for c in self.q.coset_of))
+
+    def block_basis(self, s: int) -> np.ndarray:
+        return self.base.block_basis(self.q.coset_of[s])
 
     def dense(self) -> GradedBundle:
         """fiber(s) = base.fiber(sN) (x) lambda(s) / sqrt|G| in M_{n|G|}, an
@@ -360,6 +427,12 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     A_nt for every t iff it lies in A_n, as U(n) = U(n) R(1_e) and A_n A_t lies
     in A_nt. The Grams of the gaps come from the Realization's blocks.
     """
+    return _family_check(u, tol)[0]
+
+
+def _family_check(u: UnitaryMultiplierFamily, tol: float) -> tuple[dict, dict]:
+    """verify_multiplier_family's report, and the coordinates R[n, t] of a U(n) for
+    the basis a of A_t, in A_tn (abstract coordinates on a Realization host)."""
     host, g = u.bundle, u.bundle.group
     dom = NormalSubgroup(g, u.domain).members
     rep = ResidualReport(tol, "homomorphism", "unit_acts_trivially", "order_compatibility",
@@ -385,7 +458,7 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
             gaps = right[n, s] - left[g.conjugate(s, n), s]
             cov_res = max(cov_res, _worst(_relative_gaps(gaps, grams[g.mul(s, n)], grams[s])))
     rep.residuals("covariance", cov_res)
-    return rep.build()
+    return rep.build(), right
 
 
 # twisted actions
@@ -456,9 +529,11 @@ def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
         twist_res = max(twist_res, float(alg.decompose(tx)[1]),
                         hs_norm(dagger(tx) @ tx - unit),
                         hs_norm(tx @ dagger(tx) - unit))
-        for s in g.elements():
-            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
+        # alpha_s(tau(x)) against tau(s x s^-1), every s at once
+        conj = np.stack([t.tau[g.conjugate(s, x)] for s in g.elements()])
+        moved = t.apply(list(g.elements()), tx) - conj
         inner = t.apply(x, alg.basis) - tx @ alg.basis @ dagger(tx)
+        twist_res = max(twist_res, _worst(np.linalg.norm(moved, axis=(-2, -1))))
         twist_res = max(twist_res, _worst(np.linalg.norm(inner, axis=(-2, -1))))
     rep.residuals("twist", twist_res)
     return rep.build()
@@ -604,15 +679,19 @@ class Realization:
     row st. blocks[(s, t)] stacks B_{s,t}(x_a) over the basis x_a of A_s,
     shape (dim_s, dim_st, dim_t). The dense matrices are derived views, built
     only when asked and then kept: fiber_images(s) per fiber, images for every
-    fiber, and bundle, their orthonormalized spans. Norms and Grams are read
-    off the blocks: |R(x)|_op = max_t |B_{s,t}(x)|_op and
-    tr(R(x)* R(y)) = sum_t tr(B_{s,t}(x)* B_{s,t}(y)).
+    fiber, and bundle, their orthonormalized spans (fiber(s) is one of them).
+    Norms and Grams are read off the blocks: |R(x)|_op = max_t |B_{s,t}(x)|_op
+    and tr(R(x)* R(y)) = sum_t tr(B_{s,t}(x)* B_{s,t}(y)). As the base of a
+    PulledBack it is a target by its blocks too: its BlockPattern places
+    column block t of fiber s at row block st, and block_basis(s) spans fiber
+    s's images in that pattern's coordinates.
     """
 
     abstract: AbstractBundle
     blocks: dict
     tol: float
     _images: dict = field(default_factory=dict, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -622,15 +701,41 @@ class Realization:
     def ambient_dim(self) -> int:
         return self.abstract.section_dimension()
 
+    def fiber_dims(self) -> tuple[int, ...]:
+        """The ranks of the fibers' images, which concretize checked are their dims."""
+        return self.abstract.dims
+
     def section_dimension(self) -> int:
-        """The sum of the ranks of the fibers' images, which concretize checked are their dims."""
-        return sum(self.abstract.dims)
+        return sum(self.fiber_dims())
+
+    @cached_property
+    def pattern(self) -> BlockPattern:
+        g = self.group
+        return BlockPattern(tuple(int(o) for o in np.cumsum((0,) + self.abstract.dims)),
+                            tuple(np.array([g.mul(s, t) for t in g.elements()])
+                                  for s in g.elements()))
+
+    def block_basis(self, s: int) -> np.ndarray:
+        """HS-orthonormal rows spanning fiber s's images in pattern coordinates,
+        cut as the dense grading's fiber is; built once."""
+        if s not in self._rows:
+            padded = self.padded(s)
+            self._rows[s] = orthonormal_rows(padded.reshape(len(padded), -1), self.tol)
+        return self._rows[s]
+
+    def padded(self, s: int) -> np.ndarray:
+        """The blocks of fiber s's images on the pattern, stacked (dim_s, |G|, d, d)."""
+        return self.pattern.pad([self.blocks[(s, t)] for t in self.group.elements()])
+
+    def fiber(self, s: int) -> MatrixSubspace:
+        """Fiber s of the dense grading, which the first call builds."""
+        return self.bundle.fiber(s)
 
     def fiber_images(self, s: int) -> np.ndarray:
         """The dense images R(x_a) of fiber s's basis, stacked (dim_s, d, d); built once."""
         if s not in self._images:
-            g, offs = self.group, np.cumsum((0,) + self.abstract.dims)
-            d = int(offs[-1])
+            g, offs = self.group, self.pattern.offs
+            d = offs[-1]
             m = np.zeros((self.abstract.dims[s], d, d), dtype=complex)
             for t in g.elements():
                 st = g.mul(s, t)
@@ -652,7 +757,7 @@ class Realization:
 
     def op_norms(self, s: int) -> np.ndarray:
         """|R(x_a)|_op for the basis of fiber s: the largest of its blocks' norms."""
-        return np.max([op_norm(self.blocks[(s, t)]) for t in self.group.elements()], axis=0)
+        return op_norm(self.padded(s)).max(axis=1)
 
     def gram(self, s: int) -> np.ndarray:
         """gram[a, b] = tr(R(x_a)* R(x_b)) on fiber s's basis."""
@@ -777,18 +882,51 @@ def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n), or
     (dim_s, m, n, n) for m maps at once):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
-    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|; the products for all j, and the
-    adjoints for all i, as one stack."""
-    g = src.group
+    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|."""
+    return _hom_residuals(src, [v if v.ndim == 4 else v[:, None] for v in map(np.asarray, y)])
+
+
+def _hom_residuals(src: AbstractBundle, y, shifts=None) -> tuple[float, float]:
+    """The kernel of homomorphism_residuals, on stacks y[s] of shape (dim_s, m, d, d).
+
+    Without shifts, y[s][i] holds the images of basis element i under m maps,
+    and the worst map counts. With a BlockPattern's shifts, y[s][i] is one
+    image by its m column blocks: block l of y[s][i] y[t][j] is
+    y[s][i, shifts[t][l]] y[t][j, l], the adjoint's block l is y[s][i, l']* where
+    shifts[s][l'] = l, and a gap's HS norm sums over the blocks. Either way the
+    products of one fiber pair are one matmul per block l, of the i-rows by the
+    j-columns; a stack holds at most m of the i, which is one i's worth for a
+    single dense block.
+    """
+    g, step = src.group, 1 if shifts is None else y[0].shape[1]
+    axes = (-2, -1) if shifts is None else (-3, -2, -1)
+    # rows[s][l, i] is block l of y[s][i]; cols[t][l] lays block l of every y[t][j] side by side
+    rows = [v.transpose(1, 0, 2, 3) for v in y]
+    cols = [v.transpose(1, 2, 0, 3).reshape(v.shape[1], v.shape[2], v.shape[0] * v.shape[3])
+            for v in y]
+
+    def worst(gap: np.ndarray) -> float:  # np.linalg.norm's Frobenius sum, over axes
+        return _worst(np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=axes)))
+
+    def combine(coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """sum_c coeffs[..., c] ys[c], as np.tensordot forms it."""
+        lead, tail = coeffs.shape[:-1], ys.shape[1:]
+        flat = coeffs.reshape(math.prod(lead), len(ys)) @ ys.reshape(len(ys), math.prod(tail))
+        return flat.reshape(lead + tail)
+
     mult, star = 0.0, 0.0
     for s in g.elements():
         for t in g.elements():
-            p, yst = src.prod[(s, t)], y[g.mul(s, t)]
-            for i in range(src.dims[s]):
-                gap = np.tensordot(p[i], yst, axes=(1, 0)) - y[s][i] @ y[t]
-                mult = max(mult, _worst(np.linalg.norm(gap, axis=(-2, -1))))
-        adj = np.tensordot(src.invol[s], y[g.inv(s)], axes=(1, 0))
-        star = max(star, _worst(np.linalg.norm(adj - dagger(y[s]), axis=(-2, -1))))
+            p, yst, (dt, m, d, _) = src.prod[(s, t)], y[g.mul(s, t)], y[t].shape
+            left = rows[s] if shifts is None else rows[s][shifts[t]]
+            for i in range(0, src.dims[s], step):
+                a = left[:, i:i + step]
+                k = a.shape[1]
+                prods = (a.reshape(m, k * d, d) @ cols[t]).reshape(m, k, d, dt, d)
+                gap = combine(p[i:i + step], yst) - prods.transpose(1, 3, 0, 2, 4)
+                mult = max(mult, worst(gap))
+        ys = y[s] if shifts is None else y[s][:, np.argsort(shifts[s])]
+        star = max(star, worst(combine(src.invol[s], y[g.inv(s)]) - dagger(ys)))
     return float(mult), float(star)
 
 
@@ -818,29 +956,33 @@ def _isomorphism_report(src: AbstractBundle, source_norms, images, b: GradedBund
 
     An image in b stands for an element whose HS norm is b.hs_factor times its
     own (a (x) lambda(s) in a PulledBack, the image itself in a grading), so the
-    HS figures are scaled to that element's; operator norms need no factor."""
-    f = b.hs_factor
+    HS figures are scaled to that element's; operator norms need no factor.
+    Every figure but `linear` is read off the images' blocks on b.pattern (one
+    block for a dense grading): entries off the pattern count as off the fiber
+    in `into_fibers`, and products are taken block by block."""
+    f, pattern, dims = b.hs_factor, b.pattern, b.fiber_dims()
     rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
                          "isometric")
-    into = 0.0
+    into, blocks = 0.0, []
     for s in src.group.elements():
-        fb = b.fiber(s)
-        if src.dims[s] != fb.dim:
-            rep.fail("bijective", float(abs(src.dims[s] - fb.dim)), s=s)
-        elif fb.dim:
-            coords, res = fb.decompose(images[s])
-            # decompose's |a - Pa| / max(1, |a|), rescaled to the element m that a
-            # stands for: |m - Pm| = f |a - Pa| and |m| = f |a|
-            norms = np.linalg.norm(images[s], axis=(-2, -1))
-            into = max(into, _worst(res * (f * np.maximum(1.0, norms) / np.maximum(1.0, f * norms))))
+        blk, off = pattern.split(s, images[s])
+        blocks.append(blk)
+        if src.dims[s] != dims[s]:
+            rep.fail("bijective", float(abs(src.dims[s] - dims[s])), s=s)
+        elif dims[s]:
+            coords, gap, size = project_rows(b.block_basis(s), blk.reshape(len(blk), -1))
+            # relative as in decompose, for the element m an image a stands for:
+            # |m - Pm| = f |a - Pa| and |m| = f |a|
+            gap, size = f * np.hypot(gap, off), f * np.hypot(size, off)
+            into = max(into, _worst(gap / np.maximum(1.0, size)))
             sv = f * np.linalg.svd(coords, compute_uv=False)
             if sv[-1] <= tol * max(1.0, sv[0]):
                 rep.fail("bijective", float(sv[-1]), s=s)
     rep.residuals("into_fibers", into, s=None)
-    mult, star = homomorphism_residuals(src, images)
+    mult, star = _hom_residuals(src, blocks, pattern.shifts)
     # one stack per fiber, not of all pairs, so no stack outgrows a fiber's basis
     xs, ys = [x for x, _, _ in probes], [y for _, y, _ in probes]
-    op_norms = [*zip(source_norms, map(op_norm, images)),
+    op_norms = [*zip(source_norms, (op_norm(y).max(axis=-1) for y in blocks)),
                 (op_norm(np.asarray(xs)), op_norm(np.asarray(ys)))]
     norm = max(_worst(np.abs(ny - nx) / np.maximum(1.0, nx)) for nx, ny in op_norms)
     lin = [f * hs_norm(y - via_basis) / max(1.0, f * hs_norm(y)) for _, y, via_basis in probes]

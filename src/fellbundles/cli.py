@@ -21,6 +21,7 @@ cyclic:N, dihedral:N, symmetric:N, or table:FILE.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -518,7 +519,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, as its 64 arguments
+    cost more than most commands; run_command still dispatches through COMMANDS."""
     p = argparse.ArgumentParser(
         prog="fellbundles",
         description="Verification toolkit for gradings of matrix algebras by finite groups.")

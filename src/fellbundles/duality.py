@@ -9,6 +9,12 @@ together with twist extraction from a multiplier family; and the pull-back /
 quotient round trips. The last section handles transformation systems: graded
 ideals of a section algebra, G-simplicity, and the stabilizer obstruction to
 realizing a grading as a pull-back.
+
+The Olesen-Pedersen check keeps both of its realizations by blocks. Its
+target is `PulledBack(tw_real, q)` over the concretized twisted semidirect
+bundle: the images' products are read one coset block at a time on that
+Realization's block pattern, and neither realization's dense grading is
+built. The twist is then read off the induced family's abstract coordinates.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .bundles import (
     Realization,
     TwistedAction,
     UnitaryMultiplierFamily,
+    _family_check,
     _hom_residual,
     bundle_isomorphism_report,
     canonical_multiplier_family,
@@ -36,7 +43,6 @@ from .bundles import (
     twisted_normal_form,
     twisted_semidirect_bundle,
     unit_fiber_unit,
-    verify_multiplier_family,
 )
 from .errors import (
     AxiomViolation,
@@ -154,9 +160,13 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
 
     The untwisted semidirect bundle of the action is isomorphic to the
     pull-back along G -> G/N of the twisted semidirect bundle; both section
-    algebras have dimension |G| * dim B. The pull-back is a PulledBack, so no
-    a (x) lambda(s) is formed. The concretized semidirect bundle is returned
-    under "semidirect"; its dense images and grading are not built here, and
+    algebras have dimension |G| * dim B. The pull-back is a PulledBack of the
+    twisted realization itself, so no a (x) lambda(s) is formed, and the map
+    is read on that realization's blocks: a product of two images is one small
+    product per coset block. The images are the dense small factors [b_i, s],
+    so an entry off the blocks still counts against `into_fibers`. Neither
+    realization's dense grading is built. The concretized semidirect bundle is
+    returned under "semidirect"; its dense images are not built here, and
     dim_semidirect is the rank its blocks were checked to have.
     """
     # checks the whole twisted action first, so an invalid one raises here
@@ -165,7 +175,7 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     q = quotient(g, t.subgroup)
     semi = semidirect_bundle(t, tol)
     semi_real = concretize(semi, tol)
-    pb = PulledBack(tw_real.bundle, q)
+    pb = PulledBack(tw_real, q)
     # one stack per fiber: the classes [b_i, s] of the basis of B, as the small
     # factors of their images [b_i, s] (x) lambda(s) in the pull-back
     images = []
@@ -204,21 +214,20 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
     """tau(n) = (1, n) u(n^-1), pulled back to coefficients of the algebra.
 
     t supplies the action (any twist it carries is ignored), real is the
-    concretized semidirect bundle of t, and u is a verified multiplier family
-    over a normal subgroup of G living on real or on real.bundle. The extracted
-    family is checked to satisfy the full twisted-action identities before
-    returning.
+    concretized semidirect bundle of t, and u is a multiplier family over a
+    normal subgroup of G living on real or on real.bundle; it is checked on
+    real. That check writes a u(m) in abstract coordinates for the basis a of
+    each fiber, so (1, n) u(n^-1) is the unit's coordinates in fiber n
+    contracted with those of fiber n: no dense product is formed. The
+    extracted family is checked to satisfy the full twisted-action identities
+    before returning.
     """
-    require(verify_multiplier_family(u, precondition_tol(tol)), InvalidMultiplierFamily)
+    fam = u if u.bundle is real else UnitaryMultiplierFamily(real, u.domain, u.mats)
+    report, right = _family_check(fam, precondition_tol(tol))
+    require(report, InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
     unit_c = alg.coords(unit_element(alg))
-    tau = {}
-    for n in sorted(u.domain):
-        c, res = real.coords_in(0, _image(real, n, unit_c) @ u.mat(g.inv(n)))
-        if res > tol:
-            raise MultiplierNotOrderCompatible(
-                f"(1,{n}) u({g.inv(n)}) leaves the unit fiber")
-        tau[n] = alg.from_coords(c)
+    tau = {n: alg.from_coords(unit_c @ right[g.inv(n), n]) for n in sorted(u.domain)}
     action = TwistedAction(alg, g, NormalSubgroup(g, u.domain), t.alpha, tau)
     require_twisted_action(action, tol)
     return tau
@@ -242,7 +251,7 @@ def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient, tol: float = DEFAU
     iso = realization_isomorphism_report(quo, real, d, images, tol)
     return {"pass": iso["pass"], "iso": iso,
             "fiber_dims": {"original": list(d.fiber_dims()),
-                           "recovered": list(real.bundle.fiber_dims())}}
+                           "recovered": list(real.fiber_dims())}}
 
 
 def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
@@ -259,7 +268,7 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
         q = quotient(g, u.domain)
     quo = quotient_bundle(a, u, q, tol)
     real = concretize(quo, tol)
-    pb = PulledBack(real.bundle, q)
+    pb = PulledBack(real, q)
 
     def phi(s, mat):
         c = q.coset_of[s]
@@ -269,7 +278,7 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 
     iso = bundle_isomorphism_report(a, pb, phi, tol)
     return {"pass": iso["pass"], "iso": iso,
-            "quotient_fiber_dims": list(real.bundle.fiber_dims())}
+            "quotient_fiber_dims": list(real.fiber_dims())}
 
 
 # graded ideals and G-simplicity
@@ -284,14 +293,19 @@ def graded_ideals(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> list[MatrixSu
     for the projections p of Z(A) ∩ A_e (the null space, in A_e's coordinates,
     of the commutators with every fiber basis element): 2^k of them for its k
     minimal projections, each a direct sum of their HS-orthogonal ideals.
+
+    These rank, unit and spectral cuts construct the ideals rather than check
+    a residual, so they run at precondition_tol(tol): at tol = 0 an exact rank
+    cut would keep no null space, and no unit or eigenvalue grouping would hold.
     """
+    cut = precondition_tol(tol)
     fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
     others = sa.stack.reshape(-1, n, n)
     comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
     _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
-    center_e = MatrixSubspace(n, fe.from_coords(vh[numerical_rank(sv, tol):].conj()))
-    minimal = [orthonormalize(p @ sa.total.basis, ambient_dim=n, tol=tol).basis
-               for p in minimal_central_projections(center_e, tol)]
+    center_e = MatrixSubspace(n, fe.from_coords(vh[numerical_rank(sv, cut):].conj()))
+    minimal = [orthonormalize(p @ sa.total.basis, ambient_dim=n, tol=cut).basis
+               for p in minimal_central_projections(center_e, cut)]
     ideals = [MatrixSubspace(n, np.concatenate(
         [np.zeros((0, n, n))] + [b for i, b in enumerate(minimal) if mask >> i & 1]))
         for mask in range(1 << len(minimal))]

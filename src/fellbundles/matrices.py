@@ -23,7 +23,10 @@ violations. `require` raises a named error from the first violation.
 Tolerance policy: a run has one tol, DEFAULT_TOL unless given, and every
 check of the run receives it unchanged, for its residuals and its rank, unit
 and spectral cuts. A precondition, a check that raises to guard a construction,
-runs at `precondition_tol(tol)` = max(tol, DEFAULT_TOL), never tighter.
+runs at `precondition_tol(tol)` = max(tol, DEFAULT_TOL), never tighter. So do
+the cuts that construct an object instead of checking one, such as the rank,
+unit and eigenvalue-grouping cuts of `duality.graded_ideals`: at tol = 0 a
+rank cut would keep no null space, and no unit or grouping would hold.
 """
 
 from __future__ import annotations
@@ -181,10 +184,8 @@ class MatrixSubspace:
         """
         mats = np.asarray(mats, dtype=complex)
         lead = mats.shape[:-2]
-        flat = mats.reshape(-1, self.ambient_dim * self.ambient_dim)
-        coords = flat @ self.flat.conj().T
-        res = _row_norms(flat - np.dot(coords, self.flat)) / np.maximum(1.0, _row_norms(flat))
-        return coords.reshape(*lead, self.dim), res.reshape(lead)
+        coords, gap, size = project_rows(self.flat, mats.reshape(-1, self.ambient_dim ** 2))
+        return coords.reshape(*lead, self.dim), (gap / np.maximum(1.0, size)).reshape(lead)
 
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return bool(self.decompose(m)[1] <= tol)
@@ -210,9 +211,21 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
         if not np.all(np.isfinite(m)):
             raise DimensionMismatch("non-finite entries")
     stack = np.array(mats, dtype=complex).reshape(-1, ambient_dim * ambient_dim)
-    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = sv > _span_cut(stack, tol)
-    return MatrixSubspace(ambient_dim, vh[keep].reshape(-1, ambient_dim, ambient_dim))
+    basis = orthonormal_rows(stack, tol)
+    return MatrixSubspace(ambient_dim, basis.reshape(-1, ambient_dim, ambient_dim))
+
+
+def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """HS-orthonormal rows spanning the flat rows (k, m), cut as in orthonormalize."""
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[sv > _span_cut(rows, tol)]
+
+
+def project_rows(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For flat rows (k, m) and HS-orthonormal basis rows (dim, m): the coordinates
+    (k, dim), the HS norm of each row's part off the span, and each row's HS norm."""
+    coords = rows @ basis.conj().T
+    return coords, _row_norms(rows - np.dot(coords, basis)), _row_norms(rows)
 
 
 def _span_cut(rows: np.ndarray, tol: float) -> float:

@@ -1,0 +1,131 @@
+"""Maps into a pull-back of a block Realization, against the dense grading route.
+
+`PulledBack(real, q)` reads a map's images on the blocks of `real`:
+`into_fibers` against `Realization.block_basis`, products one block at a time.
+`PulledBack(real.bundle, q)` reads the same images on the dense grading, one
+n x n product per pair; it is the route `olesen_pedersen_forward` took before,
+and `TestForwardOnTheSmallFactor` ties it to the lambda-dense reference.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from fellbundles import bundles, cli, duality, groups, matrices
+
+from test_cli import mat, pauli_spec_dict, run, transformation_system_spec, write_json
+from test_duality import assert_routes_agree, failing_checks, forward_images, ladder_action
+from test_duality import s3_signed_action  # noqa: F401
+from test_realization import inner_z4_action, z2_point_and_block, z3_corners  # noqa: F401
+
+
+def both_targets(action):
+    """The forward map's pieces with the twisted realization kept, and its two targets."""
+    tw_real = bundles.concretize(bundles.twisted_semidirect_bundle(action))
+    semi, semi_real, _, q, images = forward_images(action)
+    return semi, semi_real, images, bundles.PulledBack(tw_real, q), tw_real, q
+
+
+def test_s4_v4_forward_agrees_with_the_dense_grading_route():
+    # the lambda-dense reference_olesen_pedersen_forward would hold 24 fibers of
+    # 6 images in M_864 here (about 1.7 GB), so the dense route is the twisted
+    # realization's dense grading, pulled back on the small factor
+    action = ladder_action(groups.symmetric(4), (0, 7, 16, 23))
+    semi, semi_real, images, _, tw_real, q = both_targets(action)
+    new = duality.olesen_pedersen_forward(action)
+    assert "bundle" not in vars(tw_real)
+    ref = bundles.realization_isomorphism_report(semi, semi_real,
+                                                 bundles.PulledBack(tw_real.bundle, q), images)
+    assert new["pass"] and ref["pass"]
+    assert new["dim_semidirect"] == new["dim_pullback"] == 144
+    assert_routes_agree(new["iso"], ref)
+
+
+@pytest.mark.parametrize("name", ["twisted_z4_action", "s3_signed_action", "inner_z4_action"])
+def test_an_entry_off_the_block_pattern_is_off_the_fiber(name, request):
+    semi, semi_real, images, pb, tw_real, q = both_targets(request.getfixturevalue(name))
+    # the twisted realization places fiber c's column block t at row block ct,
+    # so block (e, e) is off the pattern of every fiber c != e
+    s = next(s for s in q.group.elements() if q.coset_of[s])
+    d = tw_real.fiber_dims()[0]
+    moved = [y.copy() for y in images]
+    moved[s][0, :d, :d] += 1e-6
+    new = bundles.realization_isomorphism_report(semi, semi_real, pb, moved)
+    ref = bundles.realization_isomorphism_report(semi, semi_real,
+                                                 bundles.PulledBack(tw_real.bundle, q), moved)
+    assert not new["pass"] and "into_fibers" in failing_checks(new)
+    got, want = (r["checks"]["into_fibers"]["max_residual"] for r in (new, ref))
+    assert want > 1e-7 and abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("make", [z3_corners, z2_point_and_block])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_uneven_blocks_agree_with_the_dense_grading(make, scale):
+    # fibers of dims (2, 1, 1) and (3, 2): blocks of several sizes, zero-padded
+    abstract = bundles.abstract_from_graded(make())
+    real = bundles.concretize(abstract)
+    q = groups.quotient(real.group, (0,))
+    images = [scale * real.images[s] for s in real.group.elements()]
+    new = bundles.realization_isomorphism_report(abstract, real, bundles.PulledBack(real, q), images)
+    ref = bundles.realization_isomorphism_report(abstract, real,
+                                                 bundles.PulledBack(real.bundle, q), images)
+    assert new["pass"] == (scale == 1.0)
+    assert_routes_agree(new, ref)
+
+
+def test_olesen_pedersen_never_builds_the_twisted_grading(tmp_path, monkeypatch, capsys):
+    spec = transformation_system_spec(tmp_path / "ts_d4.json", "dihedral", 4, (0, 2))
+    made = []
+    build = duality.concretize
+
+    def recorded(b, tol=matrices.DEFAULT_TOL):
+        made.append(build(b, tol))
+        return made[-1]
+
+    monkeypatch.setattr(duality, "concretize", recorded)
+    assert cli.run_command(["olesen-pedersen", spec]) == 0
+    capsys.readouterr()
+    twisted = [r for r in made if r.group.order == 4]
+    assert len(twisted) == 1
+    assert "bundle" not in vars(twisted[0])
+
+
+@pytest.mark.parametrize("name", ["twisted_z4_action", "swap_action", "s3_signed_action",
+                                  "inner_z4_action"])
+def test_extracted_twist_matches_the_dense_fit(name, request):
+    t = request.getfixturevalue(name)
+    real = bundles.concretize(bundles.semidirect_bundle(t))
+    u = duality.induced_multiplier_family(t, real)
+    tau = duality.extract_twist(t, real, u)
+    g, alg = t.group, t.algebra
+    unit_c = alg.coords(matrices.unit_element(alg))
+    for n in u.domain:
+        dense = duality._image(real, n, unit_c) @ u.mat(g.inv(n))
+        c, res = real.coords_in(0, dense)
+        assert res <= 1e-12
+        assert matrices.hs_norm(tau[n] - alg.from_coords(c)) <= 1e-12
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def diagonal_spec_dict():
+    """span{E11, E22} over C2 with a zero odd fiber: four graded ideals."""
+    spec = pauli_spec_dict()
+    spec["fibers"] = {"0": [mat(np.diag([1.0, 0.0])), mat(np.diag([0.0, 1.0]))]}
+    return spec
+
+
+@pytest.mark.parametrize("make", [pauli_spec_dict, diagonal_spec_dict])
+@pytest.mark.parametrize("tol", ["0", "1e-300"])
+def test_gsimple_at_a_vanishing_tol_finds_the_default_ideals(capsys, tmp_path, make, tol):
+    spec = write_json(tmp_path / "spec.json", make())
+    rc, out, _ = run(capsys, "gsimple", spec)
+    default = json.loads(out)
+    rc_tol, out_tol, _ = run(capsys, "gsimple", spec, "--tol", tol)
+    assert rc == rc_tol == 0
+    assert json.loads(out_tol)["ideal_dims"] == default["ideal_dims"]
+    assert len(default["ideal_dims"]) == (2 if make is pauli_spec_dict else 4)
+
