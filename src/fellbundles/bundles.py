@@ -637,6 +637,11 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
     twist, via the orbit identity [b, ns] = [b tau(n), s].
     """
     require_twisted_action(t, tol)
+    return _twisted_semidirect(t)
+
+
+def _twisted_semidirect(t: TwistedAction) -> AbstractBundle:
+    """twisted_semidirect_bundle of an action its caller has already checked."""
     q = quotient(t.group, t.subgroup)
     alg, g, qg = t.algebra, t.group, q.quotient_group
     k = alg.dim

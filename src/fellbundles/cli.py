@@ -6,6 +6,13 @@ produce byte-identical output.  A command exits 0 iff its report passes, 1
 if not (the report is still written) and 2 on bad input.  One reader,
 `_load_object`, checks schema, kind and fields of all but group-table files.
 
+A command takes only the options in its row of `OPTIONS`, beside its input
+file and -o; any other option, a missing required one and every other bad
+argument print one `error:` line and exit 2.  Integer fields must be JSON
+integers (true, 2.0 and "2" exit 2, nothing is truncated), and a group that
+the descriptor does not define (cyclic:0, a table that is not a group) and an
+-o path that cannot be written exit 2 too.
+
 A bundle spec looks like
 
     {"schema": "fellbundle/1",
@@ -97,8 +104,17 @@ def _cast(cast, value, path: str, field: str):
         raise ParseError(f"{path}: {field}: {exc}") from exc
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(x) for x in values)
+def _json_int(value, field: str, depth: int = 0):
+    """A JSON integer, or at depth d a d-fold nested list of them as tuples; a
+    ParseError naming the field otherwise: true, 2.0 and "2" are not integers."""
+    if depth:
+        if not isinstance(value, list):
+            raise ParseError(f"{field}: expected a list, got {json.dumps(value)}")
+        return tuple(_json_int(v, field, depth - 1) for v in value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    wanted = "an integer" if isinstance(value, float) else "a number"
+    raise ParseError(f"{field}: expected {wanted}, got {json.dumps(value)}")
 
 
 def _load_json(path: str):
@@ -139,26 +155,28 @@ def _element_key(path: str, key: str, g: groups.FiniteGroup, key_name: str, name
     return s
 
 
-def decode_group(obj, field: str = "group") -> groups.FiniteGroup:
+_GROUP_KINDS = {"cyclic": groups.cyclic, "dihedral": groups.dihedral,
+                "symmetric": groups.symmetric, "table": groups.from_table}
+
+
+def decode_group(obj, field: str) -> groups.FiniteGroup:
+    """The group of a JSON descriptor; a ParseError naming the field if it is
+    malformed or defines no group (an order 0, a table that is not a group)."""
     if isinstance(obj, str):
         return group_from_descriptor(obj)[0]
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{field}: expected a descriptor with a 'kind'")
     kind = obj["kind"]
+    if kind not in _GROUP_KINDS:
+        raise ParseError(f"{field}: unknown group kind '{kind}'")
+    key = "table" if kind == "table" else "n"
+    if key not in obj:
+        raise ParseError(f"{field}: missing field '{key}' for kind '{kind}'")
+    value = _json_int(obj[key], f"{field}: {key}", depth=2 if kind == "table" else 0)
     try:
-        if kind == "cyclic":
-            return groups.cyclic(int(obj["n"]))
-        if kind == "dihedral":
-            return groups.dihedral(int(obj["n"]))
-        if kind == "symmetric":
-            return groups.symmetric(int(obj["n"]))
-        if kind == "table":
-            return groups.from_table(obj["table"])
-    except KeyError as exc:
-        raise ParseError(f"{field}: missing field {exc} for kind '{kind}'") from exc
-    except (TypeError, ValueError) as exc:
+        return _GROUP_KINDS[kind](value)
+    except FellBundleError as exc:
         raise ParseError(f"{field}: {exc}") from exc
-    raise ParseError(f"{field}: unknown group kind '{kind}'")
 
 
 def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
@@ -172,13 +190,13 @@ def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
         except ValueError as exc:
             raise ParseError(f"--group: '{rest}' is not an integer") from exc
         desc = {"kind": kind, "n": n}
-        return decode_group(desc), desc
+        return decode_group(desc, "--group"), desc
     if kind == "table":
         data = _load_json(rest)
         if isinstance(data, dict) and "table" not in data:
             raise ParseError(f"{rest}: expected a 'table' field")
         table = data["table"] if isinstance(data, dict) else data
-        g = decode_group({"kind": "table", "table": table})
+        g = decode_group({"kind": "table", "table": table}, f"--group: {rest}")
         return g, {"kind": "table", "table": [list(row) for row in g.table]}
     raise ParseError(f"--group: unknown kind '{kind}'")
 
@@ -186,8 +204,8 @@ def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
 def parse_spec(path: str):
     """Read a bundle spec file; returns (group, bundle, options)."""
     data = _load_object(path, None, "group", "ambient_dim")
-    g = decode_group(data["group"])
-    n = _cast(int, data["ambient_dim"], path, "ambient_dim")
+    g = decode_group(data["group"], f"{path}: group")
+    n = _json_int(data["ambient_dim"], f"{path}: ambient_dim")
     if n <= 0:
         raise ParseError(f"{path}: ambient_dim must be positive")
     raw = data.get("fibers", {})
@@ -227,7 +245,7 @@ def _matrix_map(path: str, key: str, g: groups.FiniteGroup, n: int) -> dict:
 def _normal(args, g: groups.FiniteGroup) -> groups.NormalSubgroup:
     """--normal as a normal subgroup of g."""
     try:
-        members = _int_tuple(args.normal.split(","))
+        members = tuple(int(x) for x in args.normal.split(","))
     except ValueError as exc:
         raise ParseError(
             f"--normal: expected a comma list of integers, got '{args.normal}'") from exc
@@ -253,7 +271,7 @@ def _quotient_setup(args, d: bundles.GradedBundle):
 def parse_action_spec(path: str):
     """Twisted-action files for the olesen-pedersen command."""
     data = _load_object(path, "twisted_action", "group", "algebra", "alpha")
-    g = decode_group(data["group"])
+    g = decode_group(data["group"], f"{path}: group")
     mats = data["algebra"]
     if not isinstance(mats, list) or not mats:
         raise ParseError(f"{path}: algebra must be a nonempty list of matrices")
@@ -263,7 +281,7 @@ def parse_action_spec(path: str):
     k = first.shape[0]
     algebra = orthonormalize([_decode_square(m, k, f"algebra[{i}]")
                               for i, m in enumerate(mats)])
-    members = _cast(_int_tuple, data.get("normal_subgroup", [0]), path, "normal_subgroup")
+    members = _json_int(data.get("normal_subgroup", [0]), f"{path}: normal_subgroup", depth=1)
     try:
         nsub = groups.NormalSubgroup(g, members)
     except FellBundleError as exc:
@@ -300,8 +318,8 @@ def parse_action_spec(path: str):
 def parse_gset_spec(path: str):
     """G-set action files for the obstruction command."""
     data = _load_object(path, "gset_action", "group", "size", "perm")
-    g = decode_group(data["group"])
-    size = _cast(int, data["size"], path, "size")
+    g = decode_group(data["group"], f"{path}: group")
+    size = _json_int(data["size"], f"{path}: size")
     raw = data["perm"]
     if isinstance(raw, dict):
         try:
@@ -312,7 +330,7 @@ def parse_gset_spec(path: str):
         rows = raw
     else:
         raise ParseError(f"{path}: perm must be a list of rows or an element map")
-    perm = tuple(_cast(_int_tuple, r, path, f"perm[{s}]") for s, r in enumerate(rows))
+    perm = tuple(_json_int(r, f"{path}: perm[{s}]", depth=1) for s, r in enumerate(rows))
     try:
         return duality.GSetAction(g, size, perm)
     except FellBundleError as exc:
@@ -358,8 +376,7 @@ def cmd_pullback(args) -> dict:
         "axioms": rep["checks"],
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(render_report(bundle_to_spec(pb, desc)))
+        _emit(render_report(bundle_to_spec(pb, desc)), args.output)
     return report
 
 
@@ -454,8 +471,6 @@ def cmd_gsimple(args) -> dict:
 def cmd_obstruction(args) -> dict:
     """stabilizer obstruction for a G-set action spec"""
     act = parse_gset_spec(args.spec)
-    if not args.normal:
-        raise ParseError("obstruction needs --normal with the subgroup members")
     nsub = _normal(args, act.group)
     if nsub.is_trivial():
         raise ParseError("--normal must name a nontrivial subgroup")
@@ -519,56 +534,76 @@ COMMANDS = {
 }
 
 
+# the options each command reads beside its input file and -o; the quotient
+# commands check for --group, --normal and --family themselves, after the spec
+_TOL = {"--tol": {"type": float, "help": f"numeric tolerance (default {DEFAULT_TOL})"}}
+_QUOTIENT = {**_TOL, "--normal": {"help": "comma-separated members of the normal subgroup"},
+             "--group": {"help": "group descriptor: cyclic:N, dihedral:N, symmetric:N, table:FILE"}}
+OPTIONS = {
+    "verify": _TOL, "pullback": _QUOTIENT, "crossed": _TOL, "imprimitivity": _QUOTIENT,
+    "landstad": {**_QUOTIENT, "--family": {"help": "family file with a 'u' map"}},
+    "olesen-pedersen": _TOL, "gsimple": _TOL,
+    "obstruction": {"--normal": {**_QUOTIENT["--normal"], "required": True}},
+    "ep": {**_TOL, "--witness": {"help": "witness file with an 'f' map"}}, "report": _TOL}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # every bad argument: one `error:` line, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: built on the first call, as its 64 arguments
-    cost more than most commands; run_command still dispatches through COMMANDS."""
-    p = argparse.ArgumentParser(
-        prog="fellbundles",
-        description="Verification toolkit for gradings of matrix algebras by finite groups.")
+    """The one parser, built on first use; run_command still dispatches through COMMANDS."""
+    p = _Parser(prog="fellbundles", description="Verification toolkit for gradings of "
+                "matrix algebras by finite groups.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
     for name, handler in COMMANDS.items():
         sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("spec", help="input JSON file")
-        sp.add_argument("--tol", type=float, default=None,
-                        help=f"numeric tolerance (default {DEFAULT_TOL})")
-        sp.add_argument("--normal", default=None,
-                        help="comma-separated members of the normal subgroup")
-        sp.add_argument("--group", default=None,
-                        help="group descriptor: cyclic:N, dihedral:N, symmetric:N, table:FILE")
-        sp.add_argument("-o", "--output", default=None, help="output file")
-        if name == "ep":
-            sp.add_argument("--witness", default=None, help="witness file with an 'f' map")
-        if name == "landstad":
-            sp.add_argument("--family", default=None, help="family file with a 'u' map")
+        for option, settings in OPTIONS[name].items():
+            sp.add_argument(option, **settings)
+        sp.add_argument("-o", "--output", help="output file")
     return p
 
 
-def _emit(text: str, args) -> None:
-    # pullback's -o is reserved for the bundle spec, so its report always
-    # goes to stdout; every other command writes the report to -o if given
-    if args.output and args.command != "pullback":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the -o path, or to stdout without one; a path that cannot
+    be written is a ParseError."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"-o: {exc}") from exc
+
+
+def _run(args) -> dict:
+    """The command's report, also when a well-formed input fails a mathematical check."""
+    try:
+        return COMMANDS[args.command](args)
+    except ParseError:
+        raise
+    except FellBundleError as exc:
+        return {"command": args.command, "pass": False,
+                "error": type(exc).__name__, "detail": str(exc)}
 
 
 def run_command(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
-        report = COMMANDS[args.command](args)
+        report = _run(args)
+        # pullback's -o is reserved for the bundle spec, so its report always
+        # goes to stdout; every other command writes the report to -o if given
+        _emit(render_report(report), None if args.command == "pullback" else args.output)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FellBundleError as exc:
-        # a well-formed input failed a mathematical check
-        report = {"command": args.command, "pass": False,
-                  "error": type(exc).__name__, "detail": str(exc)}
-    _emit(render_report(report), args)
     return 0 if report["pass"] else 1
 
 

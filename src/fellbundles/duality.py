@@ -31,6 +31,7 @@ from .bundles import (
     UnitaryMultiplierFamily,
     _family_check,
     _hom_residual,
+    _twisted_semidirect,
     bundle_isomorphism_report,
     canonical_multiplier_family,
     concretize,
@@ -173,7 +174,8 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
     g = t.group
     q = quotient(g, t.subgroup)
-    semi = semidirect_bundle(t, tol)
+    # the twisted check above covered the action, so semidirect_bundle's is skipped
+    semi = _twisted_semidirect(plain_action(t.algebra, g, t.alpha))
     semi_real = concretize(semi, tol)
     pb = PulledBack(tw_real, q)
     # one stack per fiber: the classes [b_i, s] of the basis of B, as the small

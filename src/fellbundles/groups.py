@@ -116,6 +116,8 @@ def dihedral(n: int) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     """S_n with elements enumerated lexicographically (identity first)."""
+    if n < 0:
+        raise MissingIdentity("n must be at least 0")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(

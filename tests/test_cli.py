@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import os
@@ -619,13 +620,36 @@ class TestMalformedFieldsExit2:
         ("obstruction", "gset_spec", lambda d: d.update(size="three"), "size"),
         ("obstruction", "gset_spec", lambda d: d["perm"][1].__setitem__(0, "a"), "perm[1]"),
         ("verify", "pauli_spec", lambda d: d.update(tolerance="tight"), "tolerance"),
+        # integer fields are JSON integers: nothing is truncated or parsed from text
+        ("verify", "pauli_spec", lambda d: d.update(ambient_dim=2.5),
+         "ambient_dim: expected an integer, got 2.5"),
+        ("verify", "pauli_spec", lambda d: d.update(ambient_dim=2.0),
+         "ambient_dim: expected an integer, got 2.0"),
+        ("verify", "pauli_spec", lambda d: d.update(ambient_dim="2"),
+         'ambient_dim: expected a number, got "2"'),
+        ("verify", "pauli_spec", lambda d: d["group"].update(n=True),
+         "group: n: expected a number, got true"),
+        ("verify", "pauli_spec", lambda d: d["group"].update(n=1.9),
+         "group: n: expected an integer, got 1.9"),
+        ("verify", "pauli_spec", lambda d: d.update(group={"kind": "table",
+                                                             "table": [[0, 1], [1, 0.0]]}),
+         "group: table: expected an integer, got 0.0"),
+        ("obstruction", "gset_spec", lambda d: d["perm"][1].__setitem__(0, 1.9),
+         "perm[1]: expected an integer, got 1.9"),
+        ("obstruction", "gset_spec", lambda d: d.update(size=3.0),
+         "size: expected an integer, got 3.0"),
+        ("olesen-pedersen", "action_spec", lambda d: d.update(normal_subgroup=[0, 1.5]),
+         "normal_subgroup: expected an integer, got 1.5"),
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
-            "gset-perm-entry", "spec-tolerance"])
+            "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
+            "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
+            "gset-size-3.0", "action-normal-1.5"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)
         bad = write_json(tmp_path / "bad.json", data)
-        rc, out, err = run(capsys, command, bad, "--normal", "0,3,4")
+        normal = ["--normal", "0,3,4"] if command == "obstruction" else []
+        rc, out, err = run(capsys, command, bad, *normal)
         assert rc == 2 and out == ""
         assert err.startswith(f"error: {bad}: {field}")
 
@@ -688,9 +712,9 @@ def test_table_file_without_a_table_field_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: {table}: ") and "'table'" in err
 
 
-def test_olesen_pedersen_checks_the_action_three_times(capsys, monkeypatch, action_spec):
-    # once for the twisted semidirect bundle, once for the semidirect one and
-    # once for the extracted twist: the semidirect bundle is built once
+def test_olesen_pedersen_checks_the_action_twice(capsys, monkeypatch, action_spec):
+    # once for the twisted semidirect bundle, which covers the semidirect one's
+    # action, and once for the extracted twist
     calls = []
     check = bundles.verify_twisted_action
 
@@ -701,7 +725,7 @@ def test_olesen_pedersen_checks_the_action_three_times(capsys, monkeypatch, acti
     monkeypatch.setattr(bundles, "verify_twisted_action", counted)
     rc, out, _ = run(capsys, "olesen-pedersen", action_spec)
     assert rc == 0 and json.loads(out)["isomorphism"] is True
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def transformation_system_spec(path, kind, n, normal):
@@ -1025,3 +1049,101 @@ class TestSubgroupMembersOutsideTheGroupExit2:
         assert rc == 2 and out == ""
         assert err == (f"error: {bad}: normal_subgroup: "
                        "member 9 is outside a group of order 4\n")
+
+
+class TestEachCommandTakesOnlyTheOptionsItReads:
+    """A command declares exactly the options its handler reads; any other
+    option, and a missing required one, is a usage error: exit 2, `error:`."""
+
+    READS = {
+        "verify": {"--tol"}, "pullback": {"--tol", "--group", "--normal"}, "crossed": {"--tol"},
+        "imprimitivity": {"--tol", "--group", "--normal"},
+        "landstad": {"--tol", "--group", "--normal", "--family"}, "olesen-pedersen": {"--tol"},
+        "gsimple": {"--tol"}, "obstruction": {"--normal"}, "ep": {"--tol", "--witness"},
+        "report": {"--tol"},
+    }
+    VALUES = {"--tol": "0.5", "--group": "cyclic:4", "--normal": "0,2", "-o": "out.json",
+              "--witness": "w.json", "--family": "f.json"}
+    REQUIRED = {"landstad": ["--family", "f.json"], "obstruction": ["--normal", "0,2"]}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("option", list(VALUES))
+    def test_parse_args_accepts_exactly_the_declared_options(self, capsys, command, option):
+        argv = [command, "in.json", *self.REQUIRED.get(command, []), option, self.VALUES[option]]
+        if option in self.READS[command] | {"-o"}:
+            args = cli._build_parser().parse_args(argv)
+            value = getattr(args, "output" if option == "-o" else option[2:])
+            assert str(value) == self.VALUES[option]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {option} " \
+                f"{self.VALUES[option]}\n"
+
+    def test_the_subparsers_hold_28_option_values(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        counts = {name: sum(1 for a in sp._actions if a.option_strings and a.dest != "help")
+                  for name, sp in sub.choices.items()}
+        assert counts == {name: len(reads) + 1 for name, reads in self.READS.items()}
+        assert sum(counts.values()) == 28
+
+    @pytest.mark.parametrize("command,spec,extra", [
+        ("verify", "pauli_spec", ["--group", "cyclic:4"]),
+        ("report", "pauli_spec", ["--normal", "0,2"]),
+        ("olesen-pedersen", "action_spec", ["--group", "cyclic:4"]),
+        ("obstruction", "gset_spec", ["--normal", "0,3,4", "--tol", "1e-9"]),
+    ])
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, request, command, spec,
+                                                          extra):
+        rc, out, err = run(capsys, command, request.getfixturevalue(spec), *extra)
+        assert rc == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,extra,missing", [
+        ("pullback", ["--normal", "0,2"], "--group"),
+        ("imprimitivity", ["--group", "cyclic:4"], "--normal"),
+        ("landstad", ["--group", "cyclic:4", "--normal", "0,2"], "--family"),
+        ("obstruction", [], "--normal"),
+    ])
+    def test_a_missing_required_option_is_named(self, capsys, pauli_spec, command, extra,
+                                                missing):
+        rc, out, err = run(capsys, command, pauli_spec, *extra)
+        assert rc == 2 and out == "" and err.startswith("error: ") and missing in err
+
+
+class TestGroupsThatAreNoGroupExit2:
+
+    @pytest.mark.parametrize("group,message", [("cyclic:0", "order must be at least 1"),
+                                               ("dihedral:0", "order must be at least 1"),
+                                               ("symmetric:-1", "n must be at least 0")])
+    def test_on_the_command_line(self, capsys, pauli_spec, group, message):
+        rc, out, err = run(capsys, "pullback", pauli_spec, "--group", group, "--normal", "0")
+        assert rc == 2 and out == ""
+        assert err == f"error: --group: {message}\n"
+
+    def test_order_zero_in_a_spec(self, capsys, tmp_path):
+        spec = pauli_spec_dict()
+        spec["group"]["n"] = 0
+        bad = write_json(tmp_path / "bad.json", spec)
+        rc, out, err = run(capsys, "verify", bad)
+        assert rc == 2 and out == ""
+        assert err == f"error: {bad}: group: order must be at least 1\n"
+
+    def test_a_table_file_that_is_not_a_group(self, capsys, tmp_path, pauli_spec):
+        table = write_json(tmp_path / "t.json", {"table": [[0, 1], [0, 1]]})
+        rc, out, err = run(capsys, "pullback", pauli_spec, "--group", f"table:{table}",
+                           "--normal", "0")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: --group: {table}: column 0 is not a permutation")
+
+
+class TestAnUnwritableOutputExits2:
+
+    @pytest.mark.parametrize("command,extra", [
+        ("verify", []), ("pullback", ["--group", "cyclic:4", "--normal", "0,2"])])
+    def test_exits_2_with_nothing_on_stdout(self, capsys, tmp_path, pauli_spec, command, extra):
+        target = tmp_path / "missing" / "x.json"
+        rc, out, err = run(capsys, command, pauli_spec, *extra, "-o", str(target))
+        assert rc == 2 and out == "" and not target.exists()
+        assert err.startswith("error: -o: ") and str(target) in err

@@ -42,8 +42,14 @@ One `imprimitivity` command builds each of the six formula tables once, in
 Pauli spec evaluates `imprimitivity._table` six times; `imprimitivity`
 defines no `_clean`, as every reader of a coefficient dict treats a missing
 slot and a zero coefficient alike.
+
+Each command declares exactly the options its handler reads: the `args`
+attributes read by `cmd_*`, by the module functions taking `args` that it
+calls (`_spec`, `_tol`, `_quotient_setup`, `_normal`) and by `run_command`,
+which emits every report to -o, equal the destinations its subparser declares.
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -353,3 +359,48 @@ def test_one_imprimitivity_run_builds_each_table_once(tmp_path, monkeypatch, pau
         rc = cli.run_command(["imprimitivity", str(spec), "--group", "cyclic:4", "--normal", "0,2"])
     assert rc == 0 and len(calls) == 6
     assert not hasattr(imprimitivity, "_clean")
+
+
+def args_reads(source: str) -> dict[str, set[str]]:
+    """Per command (cmd_foo_bar is foo-bar), the `args` attributes its handler
+    reads, itself or through module functions taking `args`, with those that
+    run_command reads; `command`, the name argparse stores, is left out."""
+    funcs = {f.name: f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+    takes_args = {name for name, f in funcs.items() if "args" in [a.arg for a in f.args.args]}
+
+    def reads(name: str, seen: set) -> set[str]:
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in takes_args and node.func.id not in seen):
+                found |= reads(node.func.id, seen)
+        return found
+
+    common = reads("run_command", set())
+    return {name[4:].replace("_", "-"): (reads(name, set()) | common) - {"command"}
+            for name in funcs if name.startswith("cmd_")}
+
+
+def test_checker_reads_args_through_helpers():
+    source = ("def _tol(args, options):\n    return args.tol\n"
+              "def _spec(args):\n    return args.spec, _tol(args, {})\n"
+              "def _run(args):\n    return args.command\n"
+              "def _unused(args):\n    return args.group\n"
+              "def run_command(argv):\n    args = parse(argv)\n    _run(args)\n"
+              "    emit(args.output)\n"
+              "def cmd_verify(args):\n    return _spec(args)\n"
+              "def cmd_olesen_pedersen(args):\n    return args.spec, len(args.normal)\n")
+    assert args_reads(source) == {"verify": {"spec", "tol", "output"},
+                                  "olesen-pedersen": {"spec", "normal", "output"}}
+
+
+def test_each_command_declares_exactly_the_options_it_reads():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {a.dest for a in sp._actions if a.dest != "help"}
+                for name, sp in sub.choices.items()}
+    assert args_reads((SRC / "cli.py").read_text(encoding="utf-8")) == declared
