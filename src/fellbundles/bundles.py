@@ -29,17 +29,16 @@ into a pull-back lands in a PulledBack, whose elements a stand for
 a (x) lambda(s): it is checked on the small factor a, and `pullback` builds
 the dense grading only when asked.
 
-The target of a map is read on its BlockPattern: the blocks in which each
-fiber's matrices may be nonzero. A dense grading is one block. A PulledBack
-of a Realization (the twisted semidirect bundle in the Olesen-Pedersen
-check) is the Realization's block-monomial pattern, so a product of two
-images is one small product per block, the fiber spans are those of the
-blocks, and the Realization's dense grading is never built for the check.
+A map into a Realization, or into a PulledBack of one (the twisted
+semidirect bundle in the Olesen-Pedersen check), takes its images as
+coordinates in the target's abstract fibers, so it is checked on structure
+constants alone: products and adjoints of images come from the target's
+`prod` and `invol`, HS norms from its Gram, operator norms from its blocks,
+and no dense image of the target is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,7 +73,6 @@ from .matrices import (
     hs_norm,
     is_star_closed,
     op_norm,
-    orthonormal_rows,
     orthonormalize,
     precondition_tol,
     product_coords,
@@ -120,49 +118,6 @@ class GradedBundle:
         1, as a grading's matrices are its elements (a PulledBack's is sqrt|G|)."""
         return 1.0
 
-    @property
-    def pattern(self) -> BlockPattern:
-        """One block: a dense grading's matrices may be nonzero anywhere."""
-        return BlockPattern((0, self.ambient_dim), (np.zeros(1, dtype=int),) * self.group.order)
-
-    def block_basis(self, s: int) -> np.ndarray:
-        """Fiber s's HS-orthonormal basis as flat rows in pattern coordinates."""
-        return self.fibers[s].flat
-
-
-@dataclass(frozen=True)
-class BlockPattern:
-    """Where the matrices of each fiber of a grading may be nonzero.
-
-    offs cuts the ambient into m blocks (a Realization's fibers, or one block
-    for a dense grading). A matrix of fiber s is nonzero only in its column
-    blocks l at row blocks shifts[s][l], so it is kept as those m blocks,
-    zero-padded to the largest block size, and the product of x in fiber s
-    with y in fiber t is one small product per column block:
-    (xy)[l] = x[shifts[t][l]] y[l].
-    """
-
-    offs: tuple[int, ...]
-    shifts: tuple[np.ndarray, ...]
-
-    def pad(self, cols) -> np.ndarray:
-        """The column blocks cols[l], stacks (k, rows, columns), as one stack (k, m, d, d)."""
-        d = max(np.diff(self.offs))
-        out = np.zeros((len(cols[0]), len(cols), d, d), dtype=complex)
-        for l, c in enumerate(cols):
-            out[:, l, :c.shape[1], :c.shape[2]] = c
-        return out
-
-    def split(self, s: int, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks of a stack (k, n, n) on fiber s's pattern, padded as in pad,
-        and the HS norm of each matrix's entries off that pattern."""
-        o, off, cols = self.offs, np.ones(mats.shape[1:], dtype=bool), []
-        for l, r in enumerate(self.shifts[s]):
-            rows, columns = slice(o[r], o[r + 1]), slice(o[l], o[l + 1])
-            cols.append(mats[:, rows, columns])
-            off[rows, columns] = False
-        return self.pad(cols), np.linalg.norm(mats[:, off], axis=-1)
-
 
 @dataclass(frozen=True)
 class PulledBack:
@@ -176,9 +131,9 @@ class PulledBack:
     checked on its small images, with HS residuals scaled by hs_factor.
     dense() builds the grading itself.
 
-    The base is a dense grading or a Realization. Over a Realization the small
-    factors are read on its block pattern and fiber basis, so the base's dense
-    grading is built only if a caller asks for fiber(s) or dense().
+    The base is a dense grading or a Realization. Over a Realization a map's
+    small factors are coordinates in the base's abstract fibers, so the
+    base's dense grading is built only if a caller asks for fiber(s) or dense().
     """
 
     base: GradedBundle | Realization
@@ -209,15 +164,6 @@ class PulledBack:
 
     def section_dimension(self) -> int:
         return sum(self.fiber_dims())
-
-    @property
-    def pattern(self) -> BlockPattern:
-        """The base's pattern, fiber s taking that of its coset sN."""
-        base = self.base.pattern
-        return BlockPattern(base.offs, tuple(base.shifts[c] for c in self.q.coset_of))
-
-    def block_basis(self, s: int) -> np.ndarray:
-        return self.base.block_basis(self.q.coset_of[s])
 
     def dense(self) -> GradedBundle:
         """fiber(s) = base.fiber(sN) (x) lambda(s) / sqrt|G| in M_{n|G|}, an
@@ -686,17 +632,15 @@ class Realization:
     only when asked and then kept: fiber_images(s) per fiber, images for every
     fiber, and bundle, their orthonormalized spans (fiber(s) is one of them).
     Norms and Grams are read off the blocks: |R(x)|_op = max_t |B_{s,t}(x)|_op
-    and tr(R(x)* R(y)) = sum_t tr(B_{s,t}(x)* B_{s,t}(y)). As the base of a
-    PulledBack it is a target by its blocks too: its BlockPattern places
-    column block t of fiber s at row block st, and block_basis(s) spans fiber
-    s's images in that pattern's coordinates.
+    and tr(R(x)* R(y)) = sum_t tr(B_{s,t}(x)* B_{s,t}(y)). So a map into it, or
+    into a PulledBack of it, is checked on abstract coordinates and these
+    blocks, with no dense image.
     """
 
     abstract: AbstractBundle
     blocks: dict
     tol: float
     _images: dict = field(default_factory=dict, repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -713,24 +657,10 @@ class Realization:
     def section_dimension(self) -> int:
         return sum(self.fiber_dims())
 
-    @cached_property
-    def pattern(self) -> BlockPattern:
-        g = self.group
-        return BlockPattern(tuple(int(o) for o in np.cumsum((0,) + self.abstract.dims)),
-                            tuple(np.array([g.mul(s, t) for t in g.elements()])
-                                  for s in g.elements()))
-
-    def block_basis(self, s: int) -> np.ndarray:
-        """HS-orthonormal rows spanning fiber s's images in pattern coordinates,
-        cut as the dense grading's fiber is; built once."""
-        if s not in self._rows:
-            padded = self.padded(s)
-            self._rows[s] = orthonormal_rows(padded.reshape(len(padded), -1), self.tol)
-        return self._rows[s]
-
-    def padded(self, s: int) -> np.ndarray:
-        """The blocks of fiber s's images on the pattern, stacked (dim_s, |G|, d, d)."""
-        return self.pattern.pad([self.blocks[(s, t)] for t in self.group.elements()])
+    @property
+    def hs_factor(self) -> float:
+        """1, as for a grading: a coordinate vector c stands for R(c) itself."""
+        return 1.0
 
     def fiber(self, s: int) -> MatrixSubspace:
         """Fiber s of the dense grading, which the first call builds."""
@@ -739,8 +669,8 @@ class Realization:
     def fiber_images(self, s: int) -> np.ndarray:
         """The dense images R(x_a) of fiber s's basis, stacked (dim_s, d, d); built once."""
         if s not in self._images:
-            g, offs = self.group, self.pattern.offs
-            d = offs[-1]
+            g, offs = self.group, np.cumsum((0,) + self.abstract.dims)
+            d = int(offs[-1])
             m = np.zeros((self.abstract.dims[s], d, d), dtype=complex)
             for t in g.elements():
                 st = g.mul(s, t)
@@ -760,9 +690,19 @@ class Realization:
             orthonormalize(list(self.fiber_images(s)), ambient_dim=self.ambient_dim, tol=self.tol)
             for s in self.group.elements()))
 
-    def op_norms(self, s: int) -> np.ndarray:
-        """|R(x_a)|_op for the basis of fiber s: the largest of its blocks' norms."""
-        return op_norm(self.padded(s)).max(axis=1)
+    def op_norms(self, s: int, coords: np.ndarray | None = None) -> np.ndarray:
+        """|R(x)|_op for each row of coords, the coordinates of an x in fiber s
+        (the basis of fiber s by default): the largest of its blocks' norms.
+        Zero-padding the blocks to one size keeps their norms, so one call
+        reads them all."""
+        g, d = self.group, max(self.abstract.dims)
+        stack = np.zeros((self.abstract.dims[s], g.order, d, d), dtype=complex)
+        for t in g.elements():
+            b = self.blocks[(s, t)]
+            stack[:, t, :b.shape[1], :b.shape[2]] = b
+        if coords is not None:
+            stack = np.tensordot(coords, stack, axes=(-1, 0))
+        return op_norm(stack).max(axis=1)
 
     def gram(self, s: int) -> np.ndarray:
         """gram[a, b] = tr(R(x_a)* R(x_b)) on fiber s's basis."""
@@ -885,53 +825,50 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
 def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     """Worst multiplicative and adjoint residuals of the linear map sending
     basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n), or
-    (dim_s, m, n, n) for m maps at once):
+    (dim_s, m, n, n) for m maps at once, of which the worst counts):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
-    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|."""
-    return _hom_residuals(src, [v if v.ndim == 4 else v[:, None] for v in map(np.asarray, y)])
-
-
-def _hom_residuals(src: AbstractBundle, y, shifts=None) -> tuple[float, float]:
-    """The kernel of homomorphism_residuals, on stacks y[s] of shape (dim_s, m, d, d).
-
-    Without shifts, y[s][i] holds the images of basis element i under m maps,
-    and the worst map counts. With a BlockPattern's shifts, y[s][i] is one
-    image by its m column blocks: block l of y[s][i] y[t][j] is
-    y[s][i, shifts[t][l]] y[t][j, l], the adjoint's block l is y[s][i, l']* where
-    shifts[s][l'] = l, and a gap's HS norm sums over the blocks. Either way the
-    products of one fiber pair are one matmul per block l, of the i-rows by the
-    j-columns; a stack holds at most m of the i, which is one i's worth for a
-    single dense block.
-    """
-    g, step = src.group, 1 if shifts is None else y[0].shape[1]
-    axes = (-2, -1) if shifts is None else (-3, -2, -1)
-    # rows[s][l, i] is block l of y[s][i]; cols[t][l] lays block l of every y[t][j] side by side
-    rows = [v.transpose(1, 0, 2, 3) for v in y]
+    |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|. The products y[s][i] y[t][j]
+    of every j are one matmul per map."""
+    g = src.group
+    y = [v if v.ndim == 4 else v[:, None] for v in map(np.asarray, y)]
+    # cols[t] lays every y[t][j] side by side, per map: (m, n, dim_t n)
     cols = [v.transpose(1, 2, 0, 3).reshape(v.shape[1], v.shape[2], v.shape[0] * v.shape[3])
             for v in y]
 
-    def worst(gap: np.ndarray) -> float:  # np.linalg.norm's Frobenius sum, over axes
-        return _worst(np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=axes)))
-
-    def combine(coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """sum_c coeffs[..., c] ys[c], as np.tensordot forms it."""
-        lead, tail = coeffs.shape[:-1], ys.shape[1:]
-        flat = coeffs.reshape(math.prod(lead), len(ys)) @ ys.reshape(len(ys), math.prod(tail))
-        return flat.reshape(lead + tail)
+    def worst(gap: np.ndarray) -> float:  # np.linalg.norm's Frobenius sum
+        return _worst(np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=(-2, -1))))
 
     mult, star = 0.0, 0.0
     for s in g.elements():
         for t in g.elements():
             p, yst, (dt, m, d, _) = src.prod[(s, t)], y[g.mul(s, t)], y[t].shape
-            left = rows[s] if shifts is None else rows[s][shifts[t]]
-            for i in range(0, src.dims[s], step):
-                a = left[:, i:i + step]
-                k = a.shape[1]
-                prods = (a.reshape(m, k * d, d) @ cols[t]).reshape(m, k, d, dt, d)
-                gap = combine(p[i:i + step], yst) - prods.transpose(1, 3, 0, 2, 4)
-                mult = max(mult, worst(gap))
-        ys = y[s] if shifts is None else y[s][:, np.argsort(shifts[s])]
-        star = max(star, worst(combine(src.invol[s], y[g.inv(s)]) - dagger(ys)))
+            for i in range(src.dims[s]):
+                prods = (y[s][i] @ cols[t]).reshape(m, d, dt, d).transpose(2, 0, 1, 3)
+                mult = max(mult, worst(np.tensordot(p[i], yst, axes=(-1, 0)) - prods))
+        star = max(star, worst(np.tensordot(src.invol[s], y[g.inv(s)], axes=(-1, 0))
+                               - dagger(y[s])))
+    return float(mult), float(star)
+
+
+def _coordinate_residuals(src: AbstractBundle, y, real: Realization, fiber_of,
+                          frames) -> tuple[float, float]:
+    """homomorphism_residuals of the map sending basis element i of src's fiber s
+    to the element of real's abstract fiber fiber_of[s] with coordinates y[s][i]:
+    the images' products and adjoints come from real's prod and invol, and a gap
+    g in fiber c has HS norm |g frames[c]|, frames[c] being a root of the Gram."""
+    g, tgt = src.group, real.abstract
+    mult, star = 0.0, 0.0
+    for s in g.elements():
+        cs, ys = fiber_of[s], y[s]
+        for t in g.elements():
+            st, pt = g.mul(s, t), tgt.prod[(cs, fiber_of[t])]
+            # [i, j] is y[s][i] y[t][j]: sum_ab y[s][i, a] y[t][j, b] pt[a, b]
+            prods = y[t] @ (ys @ pt.reshape(len(pt), -1)).reshape(len(ys), *pt.shape[1:])
+            gap = src.prod[(s, t)] @ y[st] - prods
+            mult = max(mult, _worst(np.linalg.norm(gap @ frames[fiber_of[st]], axis=-1)))
+        si = g.inv(s)
+        gap = src.invol[s] @ y[si] - ys.conj() @ tgt.invol[cs]
+        star = max(star, _worst(np.linalg.norm(gap @ frames[fiber_of[si]], axis=-1)))
     return float(mult), float(star)
 
 
@@ -953,8 +890,9 @@ def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float)
     return src, images, probes
 
 
-def _isomorphism_report(src: AbstractBundle, source_norms, images, b: GradedBundle | PulledBack,
-                        tol: float, probes=()) -> dict:
+def _isomorphism_report(src: AbstractBundle, source_norms, images,
+                        b: GradedBundle | PulledBack | Realization, tol: float, probes=(),
+                        on=None) -> dict:
     """Report on the map sending source i of fiber s to images[s][i], linear, with
     src the sources' structure constants and source_norms[s] their operator
     norms; the probes give `linear` and more isometry samples.
@@ -962,33 +900,44 @@ def _isomorphism_report(src: AbstractBundle, source_norms, images, b: GradedBund
     An image in b stands for an element whose HS norm is b.hs_factor times its
     own (a (x) lambda(s) in a PulledBack, the image itself in a grading), so the
     HS figures are scaled to that element's; operator norms need no factor.
-    Every figure but `linear` is read off the images' blocks on b.pattern (one
-    block for a dense grading): entries off the pattern count as off the fiber
-    in `into_fibers`, and products are taken block by block."""
-    f, pattern, dims = b.hs_factor, b.pattern, b.fiber_dims()
+    With on = (real, fiber_of), b is real or a PulledBack of it and images[s]
+    holds coordinates in real's abstract fiber fiber_of[s]: every figure is
+    read off structure constants and blocks, and `into_fibers` is 0.0, as
+    coordinates cannot leave their fiber. Otherwise images[s] is a stack of
+    matrices."""
+    f, dims, g = b.hs_factor, b.fiber_dims(), src.group
     rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
                          "isometric")
-    into, blocks = 0.0, []
-    for s in src.group.elements():
-        blk, off = pattern.split(s, images[s])
-        blocks.append(blk)
+    if on:
+        real, fiber_of = on
+        # coordinates times frames[c] are HS-orthonormal: frames[c] frames[c]* = Gram^T
+        frames = {c: np.linalg.cholesky(real.gram(c).T) for c in set(fiber_of)}
+        mult, star = _coordinate_residuals(src, images, real, fiber_of, frames)
+        norms = [real.op_norms(fiber_of[s], images[s]) for s in g.elements()]
+    else:
+        mult, star = homomorphism_residuals(src, images)
+        norms = [op_norm(y) for y in images]
+    into = 0.0
+    for s in g.elements():
         if src.dims[s] != dims[s]:
             rep.fail("bijective", float(abs(src.dims[s] - dims[s])), s=s)
-        elif dims[s]:
-            coords, gap, size = project_rows(b.block_basis(s), blk.reshape(len(blk), -1))
+            continue
+        if not dims[s]:
+            continue
+        if on:
+            coords = images[s] @ frames[fiber_of[s]]
+        else:
+            coords, gap, size = project_rows(b.fiber(s).flat, images[s].reshape(len(images[s]), -1))
             # relative as in decompose, for the element m an image a stands for:
             # |m - Pm| = f |a - Pa| and |m| = f |a|
-            gap, size = f * np.hypot(gap, off), f * np.hypot(size, off)
-            into = max(into, _worst(gap / np.maximum(1.0, size)))
-            sv = f * np.linalg.svd(coords, compute_uv=False)
-            if sv[-1] <= tol * max(1.0, sv[0]):
-                rep.fail("bijective", float(sv[-1]), s=s)
+            into = max(into, _worst(f * gap / np.maximum(1.0, f * size)))
+        sv = f * np.linalg.svd(coords, compute_uv=False)
+        if sv[-1] <= tol * max(1.0, sv[0]):
+            rep.fail("bijective", float(sv[-1]), s=s)
     rep.residuals("into_fibers", into, s=None)
-    mult, star = _hom_residuals(src, blocks, pattern.shifts)
     # one stack per fiber, not of all pairs, so no stack outgrows a fiber's basis
     xs, ys = [x for x, _, _ in probes], [y for _, y, _ in probes]
-    op_norms = [*zip(source_norms, (op_norm(y).max(axis=-1) for y in blocks)),
-                (op_norm(np.asarray(xs)), op_norm(np.asarray(ys)))]
+    op_norms = [*zip(source_norms, norms), (op_norm(np.asarray(xs)), op_norm(np.asarray(ys)))]
     norm = max(_worst(np.abs(ny - nx) / np.maximum(1.0, nx)) for nx, ny in op_norms)
     lin = [f * hs_norm(y - via_basis) / max(1.0, f * hs_norm(y)) for _, y, via_basis in probes]
     for name, res in [("multiplicative", f * mult), ("star", f * star),
@@ -1014,25 +963,32 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle | PulledBack, phi
     return _isomorphism_report(src, [op_norm(f.basis) for f in a.fibers], images, b, tol, probes)
 
 
-def verify_bundle_isomorphism(a: GradedBundle, b: GradedBundle, phi,
-                              tol: float = DEFAULT_TOL) -> bool:
-    return bundle_isomorphism_report(a, b, phi, tol)["pass"]
-
-
 def realization_isomorphism_report(abstract: AbstractBundle, real: Realization,
-                                   target: GradedBundle | PulledBack, images_in_target,
-                                   tol: float = DEFAULT_TOL) -> dict:
+                                   target: GradedBundle | PulledBack | Realization,
+                                   images_in_target, tol: float = DEFAULT_TOL) -> dict:
     """Compare a concretized abstract bundle with prescribed images in a target.
 
     images_in_target[s][a] (a list, or a stack per fiber) is where the
-    abstract basis element a of fiber s should land inside target (its small
-    factor, for a PulledBack); the map real.images[s][a] -> images_in_target[s][a]
-    is checked as a bundle isomorphism, with the source norms read off real's
-    blocks. It is linear by construction: `linear` reads 0.0.
+    abstract basis element a of fiber s should land inside target. For a
+    Realization target, or a PulledBack of one, it is the image's coordinates
+    in the target's abstract fiber (over sN, for a PulledBack), and the map is
+    checked on structure constants; for a dense target it is a matrix (the
+    small factor, for a PulledBack). The map real.images[s][a] ->
+    images_in_target[s][a] is checked as a bundle isomorphism, with the source
+    norms read off real's blocks. It is linear by construction: `linear` reads 0.0.
     """
     if abstract.group.table != target.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
-    n = target.ambient_dim
-    images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
     norms = [real.op_norms(s) for s in abstract.group.elements()]
-    return _isomorphism_report(abstract, norms, images, target, tol)
+    if isinstance(target, Realization):
+        on = target, tuple(target.group.elements())
+    elif isinstance(target, PulledBack) and isinstance(target.base, Realization):
+        on = target.base, target.q.coset_of
+    else:
+        n = target.ambient_dim
+        images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
+        return _isomorphism_report(abstract, norms, images, target, tol)
+    dims = on[0].abstract.dims
+    images = [np.asarray(y, dtype=complex).reshape(abstract.dims[s], dims[c])
+              for s, (y, c) in enumerate(zip(images_in_target, on[1]))]
+    return _isomorphism_report(abstract, norms, images, target, tol, on=on)

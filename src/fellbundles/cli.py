@@ -10,8 +10,9 @@ A command takes only the options in its row of `OPTIONS`, beside its input
 file and -o; any other option, a missing required one and every other bad
 argument print one `error:` line and exit 2.  Integer fields must be JSON
 integers (true, 2.0 and "2" exit 2, nothing is truncated), and a group that
-the descriptor does not define (cyclic:0, a table that is not a group) and an
--o path that cannot be written exit 2 too.
+the descriptor does not define (cyclic:0, a table that is not a group), a
+key of an element-keyed map that names no element or repeats one, and an -o
+path that cannot be written exit 2 too.
 
 A bundle spec looks like
 
@@ -144,15 +145,23 @@ def _load_object(path: str, kind: str | None, *fields: str) -> dict:
     return data
 
 
-def _element_key(path: str, key: str, g: groups.FiniteGroup, key_name: str, name: str) -> int:
-    """The element of g a map key names; errors call it key_name, or name when out of range."""
-    try:
-        s = int(key)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {key_name} '{key}' is not an element index") from exc
-    if not 0 <= s < g.order:
-        raise ParseError(f"{path}: {name} {s} outside a group of order {g.order}")
-    return s
+def _element_map(path: str, raw: dict, g: groups.FiniteGroup, key_name: str,
+                 name: str | None = None) -> dict:
+    """A JSON map keyed by element indices of g, as {element: value}. A key that
+    is not an index or repeats an element is a ParseError calling it key_name;
+    one outside g calls it name (key_name by default)."""
+    out = {}
+    for key, value in raw.items():
+        try:
+            s = int(key)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {key_name} '{key}' is not an element index") from exc
+        if not 0 <= s < g.order:
+            raise ParseError(f"{path}: {name or key_name} {s} outside a group of order {g.order}")
+        if s in out:
+            raise ParseError(f"{path}: {key_name} '{key}' repeats element {s}")
+        out[s] = value
+    return out
 
 
 _GROUP_KINDS = {"cyclic": groups.cyclic, "dihedral": groups.dihedral,
@@ -163,7 +172,7 @@ def decode_group(obj, field: str) -> groups.FiniteGroup:
     """The group of a JSON descriptor; a ParseError naming the field if it is
     malformed or defines no group (an order 0, a table that is not a group)."""
     if isinstance(obj, str):
-        return group_from_descriptor(obj)[0]
+        return group_from_descriptor(obj, field)[0]
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{field}: expected a descriptor with a 'kind'")
     kind = obj["kind"]
@@ -179,26 +188,27 @@ def decode_group(obj, field: str) -> groups.FiniteGroup:
         raise ParseError(f"{field}: {exc}") from exc
 
 
-def group_from_descriptor(text: str) -> tuple[groups.FiniteGroup, dict]:
-    """Colon grammar for --group; returns the group and a serializable descriptor."""
+def group_from_descriptor(text: str, field: str = "--group") -> tuple[groups.FiniteGroup, dict]:
+    """Colon grammar for --group, or for a spec's group string (errors name
+    field); returns the group and a serializable descriptor."""
     kind, sep, rest = text.partition(":")
     if not sep:
-        raise ParseError(f"--group: expected kind:value, got '{text}'")
+        raise ParseError(f"{field}: expected kind:value, got '{text}'")
     if kind in ("cyclic", "dihedral", "symmetric"):
         try:
             n = int(rest)
         except ValueError as exc:
-            raise ParseError(f"--group: '{rest}' is not an integer") from exc
+            raise ParseError(f"{field}: '{rest}' is not an integer") from exc
         desc = {"kind": kind, "n": n}
-        return decode_group(desc, "--group"), desc
+        return decode_group(desc, field), desc
     if kind == "table":
         data = _load_json(rest)
         if isinstance(data, dict) and "table" not in data:
             raise ParseError(f"{rest}: expected a 'table' field")
         table = data["table"] if isinstance(data, dict) else data
-        g = decode_group({"kind": "table", "table": table}, f"--group: {rest}")
+        g = decode_group({"kind": "table", "table": table}, f"{field}: {rest}")
         return g, {"kind": "table", "table": [list(row) for row in g.table]}
-    raise ParseError(f"--group: unknown kind '{kind}'")
+    raise ParseError(f"{field}: unknown kind '{kind}'")
 
 
 def parse_spec(path: str):
@@ -212,11 +222,10 @@ def parse_spec(path: str):
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: fibers must map element indices to matrix lists")
     spans: dict[int, list] = {}
-    for key, mats in raw.items():
-        s = _element_key(path, key, g, "fiber key", "fiber index")
+    for s, mats in _element_map(path, raw, g, "fiber key", "fiber index").items():
         if not isinstance(mats, list):
-            raise ParseError(f"{path}: fibers[{key}]: expected a list of matrices")
-        spans[s] = [_decode_square(m, n, f"fibers[{key}][{i}]")
+            raise ParseError(f"{path}: fibers[{s}]: expected a list of matrices")
+        spans[s] = [_decode_square(m, n, f"fibers[{s}][{i}]")
                     for i, m in enumerate(mats)]
     fibers = tuple(orthonormalize(spans.get(s, []), ambient_dim=n)
                    for s in g.elements())
@@ -238,8 +247,8 @@ def _matrix_map(path: str, key: str, g: groups.FiniteGroup, n: int) -> dict:
     data = _load_object(path, None)
     if not isinstance(data.get(key), dict):
         raise ParseError(f"{path}: expected an object with a '{key}' map")
-    return {_element_key(path, raw_s, g, "key", "element"): _decode_square(m, n, f"{key}[{raw_s}]")
-            for raw_s, m in data[key].items()}
+    return {s: _decode_square(m, n, f"{key}[{s}]")
+            for s, m in _element_map(path, data[key], g, "key", "element").items()}
 
 
 def _normal(args, g: groups.FiniteGroup) -> groups.NormalSubgroup:
@@ -290,19 +299,19 @@ def parse_action_spec(path: str):
     raw_alpha = data["alpha"]
     if not isinstance(raw_alpha, dict):
         raise ParseError(f"{path}: alpha must map element indices to coordinate matrices")
+    by_element = _element_map(path, raw_alpha, g, "alpha key")
     for s in g.elements():
-        if str(s) not in raw_alpha:
+        if s not in by_element:
             raise ParseError(f"{path}: alpha is missing element {s}")
-        alpha[s] = _decode_square(raw_alpha[str(s)], algebra.dim, f"alpha[{s}]")
+        alpha[s] = _decode_square(by_element[s], algebra.dim, f"alpha[{s}]")
     raw_tau = data.get("tau", {})
     if not isinstance(raw_tau, dict):
         raise ParseError(f"{path}: tau must map normal-subgroup elements to matrices")
     tau = {}
-    for raw_n, m in raw_tau.items():
-        nn = _cast(int, raw_n, path, "tau key")
+    for nn, m in _element_map(path, raw_tau, g, "tau key").items():
         if nn not in members:
             raise ParseError(f"{path}: tau[{nn}] is not indexed by the normal subgroup")
-        tau[nn] = _decode_square(m, k, f"tau[{raw_n}]")
+        tau[nn] = _decode_square(m, k, f"tau[{nn}]")
     for nn in members:
         if nn not in tau:
             if nn == 0:
@@ -322,10 +331,11 @@ def parse_gset_spec(path: str):
     size = _json_int(data["size"], f"{path}: size")
     raw = data["perm"]
     if isinstance(raw, dict):
-        try:
-            rows = [raw[str(s)] for s in g.elements()]
-        except KeyError as exc:
-            raise ParseError(f"{path}: perm is missing element {exc}") from exc
+        by_element = _element_map(path, raw, g, "perm key")
+        missing = [s for s in g.elements() if s not in by_element]
+        if missing:
+            raise ParseError(f"{path}: perm is missing element {missing[0]}")
+        rows = [by_element[s] for s in g.elements()]
     elif isinstance(raw, list):
         rows = raw
     else:

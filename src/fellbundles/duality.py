@@ -12,9 +12,10 @@ realizing a grading as a pull-back.
 
 The Olesen-Pedersen check keeps both of its realizations by blocks. Its
 target is `PulledBack(tw_real, q)` over the concretized twisted semidirect
-bundle: the images' products are read one coset block at a time on that
-Realization's block pattern, and neither realization's dense grading is
-built. The twist is then read off the induced family's abstract coordinates.
+bundle, and its images are the classes [b_i, s] as coordinates in that
+realization's abstract fibers, so the map is checked on structure constants
+and no dense image or grading of the twisted realization is formed. The twist
+is then read off the induced family's abstract coordinates.
 """
 
 from __future__ import annotations
@@ -162,13 +163,12 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     The untwisted semidirect bundle of the action is isomorphic to the
     pull-back along G -> G/N of the twisted semidirect bundle; both section
     algebras have dimension |G| * dim B. The pull-back is a PulledBack of the
-    twisted realization itself, so no a (x) lambda(s) is formed, and the map
-    is read on that realization's blocks: a product of two images is one small
-    product per coset block. The images are the dense small factors [b_i, s],
-    so an entry off the blocks still counts against `into_fibers`. Neither
-    realization's dense grading is built. The concretized semidirect bundle is
-    returned under "semidirect"; its dense images are not built here, and
-    dim_semidirect is the rank its blocks were checked to have.
+    twisted realization itself, so no a (x) lambda(s) is formed, and the
+    images are the classes [b_i, s] as coordinates in its fiber over sN: the
+    map is checked on the two bundles' structure constants, and neither
+    realization builds a dense image or grading here. The concretized
+    semidirect bundle is returned under "semidirect", and dim_semidirect is the
+    rank its blocks were checked to have.
     """
     # checks the whole twisted action first, so an invalid one raises here
     tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
@@ -178,12 +178,10 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     semi = _twisted_semidirect(plain_action(t.algebra, g, t.alpha))
     semi_real = concretize(semi, tol)
     pb = PulledBack(tw_real, q)
-    # one stack per fiber: the classes [b_i, s] of the basis of B, as the small
-    # factors of their images [b_i, s] (x) lambda(s) in the pull-back
-    images = []
-    for s in g.elements():
-        c, coeffs = twisted_normal_form(t, q, t.algebra.basis, s)
-        images.append(_image(tw_real, c, t.algebra.decompose(coeffs)[0]))
+    # one stack per fiber: the classes [b_i, s] of the basis of B, in coordinates
+    # on the basis of fiber sN, the small factors of [b_i, s] (x) lambda(s)
+    images = [t.algebra.decompose(twisted_normal_form(t, q, t.algebra.basis, s)[1])[0]
+              for s in g.elements()]
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)
     dim_semi = semi_real.section_dimension()
     dim_pb = pb.section_dimension()
@@ -263,14 +261,15 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
     The comparison map sends a_s to (class of a_s u(n_s)*, s) where n_s moves s
     to the coset section; it is exactly multiplicative because the collapsed
     structure constants were read off the very same representatives. It lands
-    in a PulledBack, so phi returns the small factor of each image.
+    in a PulledBack of the concretized grading, so phi returns the small factor
+    of each image.
     """
     g = a.group
     if q is None:
         q = quotient(g, u.domain)
     quo = quotient_bundle(a, u, q, tol)
     real = concretize(quo, tol)
-    pb = PulledBack(real, q)
+    pb = PulledBack(real.bundle, q)
 
     def phi(s, mat):
         c = q.coset_of[s]

@@ -211,14 +211,9 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
         if not np.all(np.isfinite(m)):
             raise DimensionMismatch("non-finite entries")
     stack = np.array(mats, dtype=complex).reshape(-1, ambient_dim * ambient_dim)
-    basis = orthonormal_rows(stack, tol)
+    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+    basis = vh[sv > _span_cut(stack, tol)]
     return MatrixSubspace(ambient_dim, basis.reshape(-1, ambient_dim, ambient_dim))
-
-
-def orthonormal_rows(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal rows spanning the flat rows (k, m), cut as in orthonormalize."""
-    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[sv > _span_cut(rows, tol)]
 
 
 def project_rows(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

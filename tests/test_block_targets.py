@@ -1,10 +1,12 @@
 """Maps into a pull-back of a block Realization, against the dense grading route.
 
-`PulledBack(real, q)` reads a map's images on the blocks of `real`:
-`into_fibers` against `Realization.block_basis`, products one block at a time.
-`PulledBack(real.bundle, q)` reads the same images on the dense grading, one
-n x n product per pair; it is the route `olesen_pedersen_forward` took before,
-and `TestForwardOnTheSmallFactor` ties it to the lambda-dense reference.
+`PulledBack(real, q)` takes a map's images as coordinates in the abstract
+fibers of `real` and checks them on structure constants: products and
+adjoints from `real.abstract`, HS norms from `Realization.gram`, operator
+norms from the blocks. `PulledBack(real.bundle, q)` reads the same images made
+dense on the dense grading, one n x n product per pair; it is the route
+`olesen_pedersen_forward` took before, and `TestForwardOnTheSmallFactor` ties
+it to the lambda-dense reference.
 """
 
 import json
@@ -27,6 +29,13 @@ def both_targets(action):
     return semi, semi_real, images, bundles.PulledBack(tw_real, q), tw_real, q
 
 
+def forward_coords(action, q):
+    """The forward map's images [b_i, s] as coordinates on the basis of fiber sN."""
+    alg = action.algebra
+    return [alg.decompose(bundles.twisted_normal_form(action, q, alg.basis, s)[1])[0]
+            for s in q.group.elements()]
+
+
 def test_s4_v4_forward_agrees_with_the_dense_grading_route():
     # the lambda-dense reference_olesen_pedersen_forward would hold 24 fibers of
     # 6 images in M_864 here (about 1.7 GB), so the dense route is the twisted
@@ -43,33 +52,40 @@ def test_s4_v4_forward_agrees_with_the_dense_grading_route():
 
 
 @pytest.mark.parametrize("name", ["twisted_z4_action", "s3_signed_action", "inner_z4_action"])
-def test_an_entry_off_the_block_pattern_is_off_the_fiber(name, request):
-    semi, semi_real, images, pb, tw_real, q = both_targets(request.getfixturevalue(name))
-    # the twisted realization places fiber c's column block t at row block ct,
-    # so block (e, e) is off the pattern of every fiber c != e
-    s = next(s for s in q.group.elements() if q.coset_of[s])
-    d = tw_real.fiber_dims()[0]
-    moved = [y.copy() for y in images]
-    moved[s][0, :d, :d] += 1e-6
-    new = bundles.realization_isomorphism_report(semi, semi_real, pb, moved)
+@pytest.mark.parametrize("change", ["perturbed", "doubled"])
+def test_a_coordinate_map_fails_as_its_dense_images_do(name, change, request):
+    action = request.getfixturevalue(name)
+    semi, semi_real, _, pb, tw_real, q = both_targets(action)
+    coords = forward_coords(action, q)
+    if change == "perturbed":
+        coords[-1][0, 0] += 1e-6
+    else:
+        coords = [2.0 * y for y in coords]
+    dense = [duality._image(tw_real, q.coset_of[s], y) for s, y in enumerate(coords)]
+    new = bundles.realization_isomorphism_report(semi, semi_real, pb, coords)
     ref = bundles.realization_isomorphism_report(semi, semi_real,
-                                                 bundles.PulledBack(tw_real.bundle, q), moved)
-    assert not new["pass"] and "into_fibers" in failing_checks(new)
-    got, want = (r["checks"]["into_fibers"]["max_residual"] for r in (new, ref))
-    assert want > 1e-7 and abs(got - want) <= 1e-9 * want
+                                                 bundles.PulledBack(tw_real.bundle, q), dense)
+    assert not new["pass"] and "multiplicative" in failing_checks(new)
+    assert_routes_agree(new, ref)
+    for v, w in zip(new["violations"], ref["violations"]):
+        assert abs(v["residual"] - w["residual"]) <= 1e-12 * abs(w["residual"]), v["axiom"]
 
 
 @pytest.mark.parametrize("make", [z3_corners, z2_point_and_block])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
-def test_uneven_blocks_agree_with_the_dense_grading(make, scale):
-    # fibers of dims (2, 1, 1) and (3, 2): blocks of several sizes, zero-padded
+@pytest.mark.parametrize("pulled", [True, False])
+def test_uneven_blocks_agree_with_the_dense_grading(make, scale, pulled):
+    # fibers of dims (2, 1, 1) and (3, 2): blocks of several sizes; the target is
+    # the realization itself, or its pull-back along G -> G/{e}
     abstract = bundles.abstract_from_graded(make())
     real = bundles.concretize(abstract)
     q = groups.quotient(real.group, (0,))
+    coords = [scale * np.eye(d) for d in abstract.dims]
     images = [scale * real.images[s] for s in real.group.elements()]
-    new = bundles.realization_isomorphism_report(abstract, real, bundles.PulledBack(real, q), images)
-    ref = bundles.realization_isomorphism_report(abstract, real,
-                                                 bundles.PulledBack(real.bundle, q), images)
+    target, dense = ((bundles.PulledBack(real, q), bundles.PulledBack(real.bundle, q)) if pulled
+                     else (real, real.bundle))
+    new = bundles.realization_isomorphism_report(abstract, real, target, coords)
+    ref = bundles.realization_isomorphism_report(abstract, real, dense, images)
     assert new["pass"] == (scale == 1.0)
     assert_routes_agree(new, ref)
 
@@ -88,7 +104,7 @@ def test_olesen_pedersen_never_builds_the_twisted_grading(tmp_path, monkeypatch,
     capsys.readouterr()
     twisted = [r for r in made if r.group.order == 4]
     assert len(twisted) == 1
-    assert "bundle" not in vars(twisted[0])
+    assert "bundle" not in vars(twisted[0]) and twisted[0]._images == {}
 
 
 @pytest.mark.parametrize("name", ["twisted_z4_action", "swap_action", "s3_signed_action",

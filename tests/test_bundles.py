@@ -101,7 +101,7 @@ class TestTrivialAndPullback:
             return triv.fiber(s_local).from_coords(
                 scale * rest.fiber(s_local).coords(mat))
 
-        assert bundles.verify_bundle_isomorphism(rest, triv, phi, tol=1e-9)
+        assert bundles.bundle_isomorphism_report(rest, triv, phi, tol=1e-9)["pass"]
 
     def test_restrict_rejects_non_subgroup(self, pauli_pullback):
         with pytest.raises(NotASubgroup):
@@ -254,11 +254,11 @@ class TestIsomorphismChecker:
         def phi(s, mat):
             return -mat if s == 1 else mat
 
-        assert bundles.verify_bundle_isomorphism(pauli_bundle, pauli_bundle, phi)
+        assert bundles.bundle_isomorphism_report(pauli_bundle, pauli_bundle, phi)["pass"]
 
     def test_identity_is_isomorphism(self, trivial_s3):
-        assert bundles.verify_bundle_isomorphism(
-            trivial_s3, trivial_s3, lambda s, m: m)
+        assert bundles.bundle_isomorphism_report(
+            trivial_s3, trivial_s3, lambda s, m: m)["pass"]
 
     def test_fiber_dimension_mismatch_detected(self, pauli_bundle, z2):
         shrunken = bundles.GradedBundle(
@@ -369,8 +369,16 @@ def reference_isomorphism_report(a, b, phi, tol=matrices.DEFAULT_TOL, samples=4)
 
 def reference_realization_report(abstract, real, target, images_in_target,
                                  tol=matrices.DEFAULT_TOL):
-    """The induced map on real.bundle, found by least squares on every call."""
+    """The induced map on real.bundle, found by least squares on every call.
+    Coordinates in a Realization target, or a PulledBack of one, are first made
+    dense through that Realization's fiber_images."""
     n = target.ambient_dim
+    base = target.base if isinstance(target, bundles.PulledBack) else target
+    if isinstance(base, bundles.Realization):
+        fiber_of = target.q.coset_of if base is not target else base.group.elements()
+        images_in_target = [np.tensordot(np.asarray(y, dtype=complex),
+                                         base.fiber_images(fiber_of[s]), axes=(-1, 0))
+                            for s, y in enumerate(images_in_target)]
     stacks = [np.stack([m.ravel() for m in real.images[s]]).T if abstract.dims[s] else None
               for s in abstract.group.elements()]
 

@@ -640,10 +640,31 @@ class TestMalformedFieldsExit2:
          "size: expected an integer, got 3.0"),
         ("olesen-pedersen", "action_spec", lambda d: d.update(normal_subgroup=[0, 1.5]),
          "normal_subgroup: expected an integer, got 1.5"),
+        # a group string in a spec names the file, not --group
+        ("verify", "pauli_spec", lambda d: d.update(group="cyclic:0"),
+         "group: order must be at least 1"),
+        ("verify", "pauli_spec", lambda d: d.update(group="cyclic"),
+         "group: expected kind:value, got 'cyclic'"),
+        # every element-keyed map reads its keys as elements of the group
+        ("olesen-pedersen", "action_spec", lambda d: d["alpha"].update({"9": mat([[1.0]])}),
+         "alpha key 9 outside a group of order 4"),
+        ("olesen-pedersen", "action_spec", lambda d: d["alpha"].update(x=mat([[1.0]])),
+         "alpha key 'x' is not an element index"),
+        ("obstruction", "gset_spec",
+         lambda d: d.update(perm={**{str(s): r for s, r in enumerate(d["perm"])},
+                                  "17": d["perm"][0]}),
+         "perm key 17 outside a group of order 6"),
+        # two keys naming one element are an input error, not a silent overwrite
+        ("olesen-pedersen", "action_spec", lambda d: d["alpha"].update({"01": mat([[5.0]])}),
+         "alpha key '01' repeats element 1"),
+        ("verify", "pauli_spec", lambda d: d["fibers"].update({"+1": d["fibers"]["1"]}),
+         "fiber key '+1' repeats element 1"),
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
             "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
             "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
-            "gset-size-3.0", "action-normal-1.5"])
+            "gset-size-3.0", "action-normal-1.5", "spec-group-cyclic-0", "spec-group-cyclic",
+            "action-alpha-key-9", "action-alpha-key-x", "gset-perm-key-17",
+            "action-alpha-key-repeat", "spec-fiber-key-repeat"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)

@@ -43,6 +43,10 @@ Pauli spec evaluates `imprimitivity._table` six times; `imprimitivity`
 defines no `_clean`, as every reader of a coefficient dict treats a missing
 slot and a zero coefficient alike.
 
+The Olesen-Pedersen map is checked on abstract coordinates, so
+`olesen_pedersen_forward` calls neither `_image` nor `fiber_images`: it forms
+no dense image of either realization.
+
 Each command declares exactly the options its handler reads: the `args`
 attributes read by `cmd_*`, by the module functions taking `args` that it
 calls (`_spec`, `_tol`, `_quotient_setup`, `_normal`) and by `run_command`,
@@ -404,3 +408,39 @@ def test_each_command_declares_exactly_the_options_it_reads():
     declared = {name: {a.dest for a in sp._actions if a.dest != "help"}
                 for name, sp in sub.choices.items()}
     assert args_reads((SRC / "cli.py").read_text(encoding="utf-8")) == declared
+
+
+DENSE_IMAGES = {"_image", "fiber_images"}
+
+
+def calls_inside(source: str, function: str, names) -> list[str]:
+    """Calls of the given names (bare or as attributes) inside the module-level
+    function `function`, nested functions included."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == function):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_dense_image_call():
+    source = ("def forward(t, real):\n"
+              "    y = _image(real, 0, c)\n"
+              "    def inner(s):\n"
+              "        return real.fiber_images(s)\n"
+              "    return real.images, image(real)\n"
+              "def other(real):\n"
+              "    return _image(real, 1, c)\n")
+    assert calls_inside(source, "forward", DENSE_IMAGES) == [
+        "_image (line 2)", "fiber_images (line 4)"]
+
+
+def test_olesen_pedersen_forward_forms_no_dense_image():
+    source = (SRC / "duality.py").read_text(encoding="utf-8")
+    assert calls_inside(source, "olesen_pedersen_forward", DENSE_IMAGES) == []
