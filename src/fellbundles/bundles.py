@@ -13,6 +13,9 @@ and operator norms, HS Grams and the rank of each fiber are read off the
 blocks. The constructions in between (trivial, pullback, twisted semidirect,
 quotient by a multiplier family) are the substance of the toolkit; the
 semidirect bundle of an action is its twisted semidirect bundle over N = {e}.
+A TwistedAction is held in coordinates on its algebra's orthonormal basis b_i,
+where an HS norm is a vector norm: M (b_i b_j), star (b_i*) and R_n (x -> x tau(n))
+are read once per action, and the bundle and every check contract them.
 
 A unitary multiplier family is hosted on a dense grading or on a
 Realization. Either host yields the coordinates of U(n) a and a U(n) in
@@ -60,7 +63,6 @@ from .groups import (
     FiniteGroup,
     NormalSubgroup,
     Quotient,
-    cyclic,
     left_regular,
     quotient,
     subgroup_members,
@@ -79,6 +81,7 @@ from .matrices import (
     project_rows,
     require,
     span_rank,
+    unit_coords,
     unit_element,
 )
 
@@ -414,9 +417,10 @@ def _family_check(u: UnitaryMultiplierFamily, tol: float) -> tuple[dict, dict]:
 class TwistedAction:
     """An action of G on a matrix *-algebra with a twist over a normal subgroup.
 
-    alpha[s] is the coordinate matrix of the automorphism in the algebra's
-    basis; tau maps subgroup members to unitaries (relative to the algebra's
-    own unit) inside the algebra.
+    alpha[s] is the coordinate matrix of alpha_s on the algebra's orthonormal
+    basis b_i (column j holds alpha_s(b_j)); tau maps subgroup members to
+    unitaries (relative to the algebra's own unit) inside the algebra.
+    `structure` holds M, star and R_n, read once per action.
     """
 
     algebra: MatrixSubspace
@@ -430,6 +434,15 @@ class TwistedAction:
         of elements s, one such result per element, stacked on a new first axis."""
         coords = self.algebra.decompose(mats)[0]
         return self.algebra.from_coords(coords @ self.alpha[s].swapaxes(-1, -2))
+
+    @cached_property
+    def structure(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(M, star, R): M[i, j] holds the coordinates of b_i b_j, star[i] those of
+        b_i*, and R[n] (n in N) is the matrix of x -> x tau(n) on coordinate rows."""
+        alg = self.algebra
+        mult = product_coords(alg.basis, alg.basis, alg)[0]
+        return (mult, alg.decompose(dagger(alg.basis))[0],
+                {n: np.tensordot(mult, alg.coords(m), axes=(1, 0)) for n, m in self.tau.items()})
 
 
 def plain_action(algebra: MatrixSubspace, g: FiniteGroup, alpha: np.ndarray) -> TwistedAction:
@@ -449,38 +462,40 @@ def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np
 
 
 def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
-    """Residual report for the action and twist identities."""
-    alg, g, n = t.algebra, t.group, t.subgroup
-    unit = unit_element(alg, tol)
+    """Residual report for the action and twist identities, read in coordinates:
+    alpha_s invertible, multiplicative and *-preserving, alpha_s alpha_u = alpha_su
+    and alpha_e = 1 (Frobenius norms of whole matrices); tau(x) in the algebra,
+    unitary and multiplicative on N, alpha_s(tau(x)) = tau(sxs^-1), alpha_x =
+    Ad tau(x). NotAnAlgebra/NotUnital unless the algebra is one at tol."""
+    alg, g, a = t.algebra, t.group, t.alpha
+    unit = unit_coords(alg, tol=tol)
+    mult, star, right = t.structure
     rep = ResidualReport(tol, "action", "twist")
 
-    # every alpha_s, moved[i, s] = alpha_s(b_i), as a map of the algebra over the
-    # trivial group; tol = inf reads its structure constants unchecked, since a
-    # product or adjoint outside the algebra shows as a residual at s = e
-    src = abstract_from_graded(GradedBundle(cyclic(1), (alg,)), np.inf)
-    act_res = 0.0
-    for s in g.elements():
-        sv = np.linalg.svd(t.alpha[s], compute_uv=False)
-        if sv.size and sv[-1] <= tol:
-            act_res = max(act_res, 1.0)
-    moved = t.apply(list(g.elements()), alg.basis).swapaxes(0, 1)
-    act_res = max(act_res, *homomorphism_residuals(src, [moved]),
-                  _hom_residual(g, g.elements(), t.alpha.__getitem__),
-                  float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
+    def vec(gaps) -> float:
+        return _worst(np.linalg.norm(gaps, axis=-1))
+
+    moved = a.swapaxes(1, 2)  # moved[s, i] holds the coordinates of alpha_s(b_i)
+    act_res = max(1.0 if np.any(np.linalg.svd(a, compute_uv=False)[:, -1:] <= tol) else 0.0,
+                  vec(np.einsum("ijc,spc->sijp", mult, a, optimize=True)
+                      - np.einsum("spi,sqj,pql->sijl", a, a, mult, optimize=True)),
+                  vec(star @ moved - moved.conj() @ star),
+                  _worst(np.linalg.norm(a[:, None] @ a[None] - a[np.array(g.table)],
+                                        axis=(-2, -1))),
+                  float(np.linalg.norm(a[0] - np.eye(alg.dim))))
     rep.residuals("action", act_res)
 
-    twist_res = _hom_residual(g, n.members, t.tau.__getitem__)
-    for x in n.members:
-        tx = t.tau[x]
-        twist_res = max(twist_res, float(alg.decompose(tx)[1]),
-                        hs_norm(dagger(tx) @ tx - unit),
-                        hs_norm(tx @ dagger(tx) - unit))
-        # alpha_s(tau(x)) against tau(s x s^-1), every s at once
-        conj = np.stack([t.tau[g.conjugate(s, x)] for s in g.elements()])
-        moved = t.apply(list(g.elements()), tx) - conj
-        inner = t.apply(x, alg.basis) - tx @ alg.basis @ dagger(tx)
-        twist_res = max(twist_res, _worst(np.linalg.norm(moved, axis=(-2, -1))))
-        twist_res = max(twist_res, _worst(np.linalg.norm(inner, axis=(-2, -1))))
+    # tau(x) enters by its coordinates; a part off the algebra is its membership residual
+    coords, res = alg.decompose(np.stack([t.tau[x] for x in t.subgroup.members]))
+    c, twist_res = dict(zip(t.subgroup.members, coords)), _worst(res)
+    for x in c:
+        adj = c[x].conj() @ star  # coordinates of tau(x)*
+        by_adj = np.tensordot(mult, adj, axes=(1, 0))  # the matrix of y -> y tau(x)*
+        by_tau = np.tensordot(c[x], mult, axes=(0, 0))  # the matrix of y -> tau(x) y
+        twist_res = max(twist_res, vec(adj @ right[x] - unit), vec(c[x] @ by_adj - unit),
+                        vec(np.stack([c[x] @ right[y] - c[g.mul(x, y)] for y in c])),
+                        vec(a @ c[x] - np.stack([c[g.conjugate(s, x)] for s in g.elements()])),
+                        vec(moved[x] - by_tau @ by_adj))
     rep.residuals("twist", twist_res)
     return rep.build()
 
@@ -576,12 +591,9 @@ def semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBun
 
 
 def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> AbstractBundle:
-    """Collapse a twisted action to a bundle over G/N.
-
-    Fibers are copies of the coefficient algebra indexed by cosets; products
-    are computed at the minimal-representative section and realigned with the
-    twist, via the orbit identity [b, ns] = [b tau(n), s].
-    """
+    """Collapse a twisted action, once checked, to a bundle over G/N: fibers are
+    copies of the coefficient algebra indexed by cosets, and products are read at
+    the section and realigned by the orbit identity [b, ns] = [b tau(n), s]."""
     require_twisted_action(t, tol)
     return _twisted_semidirect(t)
 
@@ -589,34 +601,26 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
 def _twisted_semidirect(t: TwistedAction) -> AbstractBundle:
     """twisted_semidirect_bundle of an action its caller has already checked."""
     q = quotient(t.group, t.subgroup)
-    alg, g, qg = t.algebra, t.group, q.quotient_group
-    k = alg.dim
-    moved = t.apply(list(q.section), alg.basis)
-    prod = {}
-    for a in qg.elements():
-        # b alpha_ca(c) at ca cb, realigned to its coset's section, for every cb
-        right = np.concatenate([twisted_normal_form(t, q, moved[a], g.mul(q.section[a], cb))[1]
-                                for cb in q.section])
-        coords = product_coords(alg.basis, right, alg)[0].reshape(k, qg.order, k, k)
-        prod.update({(a, b): coords[:, b] for b in qg.elements()})
-    inverses = [g.inv(c) for c in q.section]
-    adjoints = [twisted_normal_form(t, q, dagger(m), s)[1]
-                for m, s in zip(t.apply(inverses, alg.basis), inverses)]
-    funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
-    return AbstractBundle(qg, (k,) * qg.order, prod,
-                          tuple(alg.decompose(np.stack(adjoints))[0]), funct)
+    g, qg, section = t.group, q.quotient_group, q.section
+    mult, star, _ = t.structure
+    # b_i alpha_ca(b_j) at c_a c_b, realigned to its coset's section
+    moved = [np.einsum("ipl,pj->ijl", mult, t.alpha[c]) for c in section]
+    prod = {(a, b): twisted_normal_form(t, q, moved[a], g.mul(section[a], section[b]))[1]
+            for a in qg.elements() for b in qg.elements()}
+    invol = tuple(twisted_normal_form(t, q, star @ t.alpha[s].T, s)[1]
+                  for s in map(g.inv, section))
+    funct = np.array([np.trace(m) for m in t.algebra.basis_list()], dtype=complex)
+    return AbstractBundle(qg, (t.algebra.dim,) * qg.order, prod, invol, funct)
 
 
 def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
                         s: int) -> tuple[int, np.ndarray]:
-    """Normal form of the class [coeff, s] (of each class, for a stack of
-    coeffs): the representative at section(sN).
-
-    q is the quotient of t.group by t.subgroup.
-    """
+    """Normal form of the class [x, s], x given by coordinate rows coeff (..., dim):
+    sN and the coordinates of x tau(n) at section(sN), where s = n section(sN)
+    and q is the quotient of t.group by t.subgroup."""
     k = q.coset_of[s]
     n = t.group.mul(s, t.group.inv(q.section[k]))
-    return k, coeff @ t.tau[n]
+    return k, coeff @ t.structure[2][n]
 
 
 @dataclass(frozen=True)
@@ -824,29 +828,23 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
 
 def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     """Worst multiplicative and adjoint residuals of the linear map sending
-    basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n), or
-    (dim_s, m, n, n) for m maps at once, of which the worst counts):
+    basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n)):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
     |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|. The products y[s][i] y[t][j]
-    of every j are one matmul per map."""
+    of every j are one matmul."""
     g = src.group
-    y = [v if v.ndim == 4 else v[:, None] for v in map(np.asarray, y)]
-    # cols[t] lays every y[t][j] side by side, per map: (m, n, dim_t n)
-    cols = [v.transpose(1, 2, 0, 3).reshape(v.shape[1], v.shape[2], v.shape[0] * v.shape[3])
-            for v in y]
-
-    def worst(gap: np.ndarray) -> float:  # np.linalg.norm's Frobenius sum
-        return _worst(np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=(-2, -1))))
-
+    # cols[t] lays every y[t][j] side by side: (n, dim_t n)
+    cols = [v.transpose(1, 0, 2).reshape(v.shape[1], v.shape[0] * v.shape[2]) for v in y]
     mult, star = 0.0, 0.0
     for s in g.elements():
         for t in g.elements():
-            p, yst, (dt, m, d, _) = src.prod[(s, t)], y[g.mul(s, t)], y[t].shape
+            p, yst, (dt, d, _) = src.prod[(s, t)], y[g.mul(s, t)], y[t].shape
             for i in range(src.dims[s]):
-                prods = (y[s][i] @ cols[t]).reshape(m, d, dt, d).transpose(2, 0, 1, 3)
-                mult = max(mult, worst(np.tensordot(p[i], yst, axes=(-1, 0)) - prods))
-        star = max(star, worst(np.tensordot(src.invol[s], y[g.inv(s)], axes=(-1, 0))
-                               - dagger(y[s])))
+                prods = (y[s][i] @ cols[t]).reshape(d, dt, d).transpose(1, 0, 2)
+                gap = np.tensordot(p[i], yst, axes=(-1, 0)) - prods
+                mult = max(mult, _worst(np.linalg.norm(gap, axis=(-2, -1))))
+        gap = np.tensordot(src.invol[s], y[g.inv(s)], axes=(-1, 0)) - dagger(y[s])
+        star = max(star, _worst(np.linalg.norm(gap, axis=(-2, -1))))
     return float(mult), float(star)
 
 

@@ -148,18 +148,20 @@ def _load_object(path: str, kind: str | None, *fields: str) -> dict:
 def _element_map(path: str, raw: dict, g: groups.FiniteGroup, key_name: str,
                  name: str | None = None) -> dict:
     """A JSON map keyed by element indices of g, as {element: value}. A key that
-    is not an index or repeats an element is a ParseError calling it key_name;
-    one outside g calls it name (key_name by default)."""
+    is not an index as str(int) writes it, or repeats an element, is a ParseError
+    calling it key_name; one outside g calls it name (key_name by default)."""
     out = {}
     for key, value in raw.items():
         try:
             s = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {key_name} '{key}' is not an element index") from exc
-        if not 0 <= s < g.order:
-            raise ParseError(f"{path}: {name or key_name} {s} outside a group of order {g.order}")
+        except ValueError:
+            s = None
         if s in out:
             raise ParseError(f"{path}: {key_name} '{key}' repeats element {s}")
+        if s is None or key != str(s):
+            raise ParseError(f"{path}: {key_name} '{key}' is not an element index")
+        if not 0 <= s < g.order:
+            raise ParseError(f"{path}: {name or key_name} {s} outside a group of order {g.order}")
         out[s] = value
     return out
 

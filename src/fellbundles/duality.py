@@ -13,9 +13,10 @@ realizing a grading as a pull-back.
 The Olesen-Pedersen check keeps both of its realizations by blocks. Its
 target is `PulledBack(tw_real, q)` over the concretized twisted semidirect
 bundle, and its images are the classes [b_i, s] as coordinates in that
-realization's abstract fibers, so the map is checked on structure constants
-and no dense image or grading of the twisted realization is formed. The twist
-is then read off the induced family's abstract coordinates.
+realization's abstract fibers, the rows of R_n (x -> x tau(n), s = n section(sN)).
+So the map is checked on structure constants and no dense image or grading of
+the twisted realization is formed. The twist is then read off the induced
+family's abstract coordinates.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .matrices import (
     precondition_tol,
     require,
     subspace_leq,
-    unit_element,
+    unit_coords,
 )
 from .sections import SectionAlgebra, section_algebra
 
@@ -146,11 +147,8 @@ def canonical_landstad_family(t: TwistedAction, real: Realization) -> UnitaryMul
     """u(s) = image of the class [1, s] in a concretized twisted semidirect bundle."""
     g = t.group
     q = quotient(g, t.subgroup)
-    unit = unit_element(t.algebra)
-    mats = {}
-    for s in g.elements():
-        c, coeff = twisted_normal_form(t, q, unit, s)
-        mats[s] = _image(real, c, t.algebra.coords(coeff))
+    unit = unit_coords(t.algebra)
+    mats = {s: _image(real, *twisted_normal_form(t, q, unit, s)) for s in g.elements()}
     return UnitaryMultiplierFamily(real.bundle, tuple(g.elements()), mats)
 
 
@@ -180,8 +178,7 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     pb = PulledBack(tw_real, q)
     # one stack per fiber: the classes [b_i, s] of the basis of B, in coordinates
     # on the basis of fiber sN, the small factors of [b_i, s] (x) lambda(s)
-    images = [t.algebra.decompose(twisted_normal_form(t, q, t.algebra.basis, s)[1])[0]
-              for s in g.elements()]
+    images = [twisted_normal_form(t, q, np.eye(t.algebra.dim), s)[1] for s in g.elements()]
     iso = realization_isomorphism_report(semi, semi_real, pb, images, tol)
     dim_semi = semi_real.section_dimension()
     dim_pb = pb.section_dimension()
@@ -226,7 +223,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
     report, right = _family_check(fam, precondition_tol(tol))
     require(report, InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
-    unit_c = alg.coords(unit_element(alg))
+    unit_c = unit_coords(alg)
     tau = {n: alg.from_coords(unit_c @ right[g.inv(n), n]) for n in sorted(u.domain)}
     action = TwistedAction(alg, g, NormalSubgroup(g, u.domain), t.alpha, tau)
     require_twisted_action(action, tol)

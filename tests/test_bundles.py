@@ -15,7 +15,10 @@ from fellbundles.errors import (
     NotASubgroup,
 )
 
-from conftest import I2, PAULI_X, PAULI_Z, SQ2
+from conftest import A3, I2, PAULI_X, PAULI_Z, SQ2
+from test_duality import ladder_action, s3_signed_action  # noqa: F401
+from test_metamorphic import haar_unitary
+from test_realization import inner_z4_action  # noqa: F401
 
 
 def graded(group, mats_by_elem):
@@ -576,8 +579,10 @@ class TestPulledBack:
                                    rtol=0, atol=1e-15)
 
 
-# The per-pair route of verify_twisted_action, which now checks each alpha_s on
-# stacks: one t.apply for every basis element, adjoint and pair of basis elements.
+# The per-pair route of verify_twisted_action, which now reads every identity in
+# coordinates: one t.apply for every basis element, adjoint and pair of basis
+# elements. tau(x) enters the twist identities through its part in the algebra,
+# as in t.apply, and its part off the algebra through the membership residual.
 
 
 def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
@@ -600,14 +605,15 @@ def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
     act_res = max(act_res, float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
     rep.residuals("action", act_res)
     twist_res = 0.0
+    tau = {x: alg.project(t.tau[x]) for x in n.members}
     for x in n.members:
-        tx = t.tau[x]
-        twist_res = max(twist_res, float(alg.decompose(tx)[1]),
+        tx = tau[x]
+        twist_res = max(twist_res, float(alg.decompose(t.tau[x])[1]),
                         hs_norm(dagger(tx) @ tx - unit), hs_norm(tx @ dagger(tx) - unit))
         for y in n.members:
-            twist_res = max(twist_res, hs_norm(t.tau[x] @ t.tau[y] - t.tau[g.mul(x, y)]))
+            twist_res = max(twist_res, hs_norm(tau[x] @ tau[y] - tau[g.mul(x, y)]))
         for s in g.elements():
-            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
+            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - tau[g.conjugate(s, x)]))
         for b in alg.basis_list():
             twist_res = max(twist_res, hs_norm(t.apply(x, b) - tx @ b @ dagger(tx)))
     rep.residuals("twist", twist_res)
@@ -615,17 +621,28 @@ def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
 
 
 def _broken_actions(t):
-    """The action with alpha_1 doubled, with a non-multiplicative alpha_1, and with
-    tau doubled off the unit."""
+    """The action with alpha_1 doubled, with a non-multiplicative alpha_1, with
+    tau doubled off the unit, with alpha_e halved, and (when the algebra leaves
+    room in its ambient) with tau(e) moved off the algebra by half a matrix unit."""
     doubled = t.alpha.copy()
     doubled[1] = 2.0 * doubled[1]
     k = t.algebra.dim
     mixed = t.alpha.copy()
     mixed[1] = mixed[1] + 0.5 * np.ones((k, k))
     tau = {n: (m if n == 0 else 2.0 * m) for n, m in t.tau.items()}
-    return [bundles.TwistedAction(t.algebra, t.group, t.subgroup, doubled, t.tau),
-            bundles.TwistedAction(t.algebra, t.group, t.subgroup, mixed, t.tau),
-            bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha, tau)]
+    halved = t.alpha.copy()
+    halved[0] = 0.5 * halved[0]
+    corner = np.zeros((t.algebra.ambient_dim,) * 2, dtype=complex)
+    corner[0, -1] = 1.0
+    off = corner - t.algebra.project(corner)
+    broken = [bundles.TwistedAction(t.algebra, t.group, t.subgroup, doubled, t.tau),
+              bundles.TwistedAction(t.algebra, t.group, t.subgroup, mixed, t.tau),
+              bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha, tau),
+              bundles.TwistedAction(t.algebra, t.group, t.subgroup, halved, t.tau)]
+    if matrices.hs_norm(off) > 0.5:
+        broken.append(bundles.TwistedAction(t.algebra, t.group, t.subgroup, t.alpha,
+                                            {**t.tau, 0: t.tau[0] + 0.5 * off}))
+    return broken
 
 
 def _s3_translation():
@@ -676,6 +693,46 @@ def reference_semidirect_bundle(t, tol=matrices.DEFAULT_TOL):
     return bundles.AbstractBundle(g, (alg.dim,) * g.order, prod, invol, funct)
 
 
+# The dense route of _twisted_semidirect: every product b_i alpha_ca(b_j) tau(n)
+# formed as a matrix and decomposed, every adjoint alpha_{c^-1}(b_i)* tau(n) too.
+
+
+def reference_twisted_semidirect(t):
+    q = groups.quotient(t.group, t.subgroup)
+    alg, g, qg = t.algebra, t.group, q.quotient_group
+    k = alg.dim
+
+    def normal_form(coeff, s):  # [coeff, s] at section(sN), on matrices
+        c = q.coset_of[s]
+        return coeff @ t.tau[g.mul(s, g.inv(q.section[c]))]
+
+    moved = t.apply(list(q.section), alg.basis)
+    prod = {}
+    for a in qg.elements():
+        right = np.concatenate([normal_form(moved[a], g.mul(q.section[a], cb))
+                                for cb in q.section])
+        coords = matrices.product_coords(alg.basis, right, alg)[0].reshape(k, qg.order, k, k)
+        prod.update({(a, b): coords[:, b] for b in qg.elements()})
+    inverses = [g.inv(c) for c in q.section]
+    adjoints = [normal_form(matrices.dagger(m), s)
+                for m, s in zip(t.apply(inverses, alg.basis), inverses)]
+    funct = np.array([np.trace(m) for m in alg.basis_list()], dtype=complex)
+    return bundles.AbstractBundle(qg, (k,) * qg.order, prod,
+                                  tuple(alg.decompose(np.stack(adjoints))[0]), funct)
+
+
+def _conjugated_action(t, seed):
+    """t on the algebra moved by b -> u b u*, u Haar: alpha's coordinates stay."""
+    u = haar_unitary(t.algebra.ambient_dim, seed)
+    alg = matrices.MatrixSubspace(t.algebra.ambient_dim, u @ t.algebra.basis @ matrices.dagger(u))
+    tau = {n: u @ m @ matrices.dagger(u) for n, m in t.tau.items()}
+    return bundles.TwistedAction(alg, t.group, t.subgroup, t.alpha, tau)
+
+
+TWISTED = {"haar.s3.a3": (groups.symmetric, 3, A3), "haar.d4.center": (groups.dihedral, 4, (0, 2)),
+           "haar.s4.v4": (groups.symmetric, 4, (0, 7, 16, 23))}
+
+
 def _ladder_system(name):
     """The transformation systems of the duality benchmark: G on G/N by translation."""
     from fellbundles import duality
@@ -692,6 +749,24 @@ class TestSemidirectAgainstTheEinsumRoute:
         t = request.getfixturevalue(name) if name.endswith("action") else _ladder_system(name)
         new, ref = bundles.semidirect_bundle(t), reference_semidirect_bundle(t)
         assert new.group.table == ref.group.table == t.group.table
+        assert new.dims == ref.dims
+        assert new.prod.keys() == ref.prod.keys()
+        for key, p in ref.prod.items():
+            np.testing.assert_allclose(new.prod[key], p, rtol=0, atol=1e-12)
+        for s, w in enumerate(ref.invol):
+            np.testing.assert_allclose(new.invol[s], w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.funct, ref.funct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["twisted_z4_action", "inner_z4_action", "s3_signed_action",
+                                      *TWISTED])
+    def test_twisted_agrees_with_the_dense_route(self, name, request):
+        if name in TWISTED:
+            make, n, normal = TWISTED[name]
+            t = _conjugated_action(ladder_action(make(n), normal), seed=n)
+        else:
+            t = request.getfixturevalue(name)
+        new, ref = bundles.twisted_semidirect_bundle(t), reference_twisted_semidirect(t)
+        assert new.group.table == ref.group.table
         assert new.dims == ref.dims
         assert new.prod.keys() == ref.prod.keys()
         for key, p in ref.prod.items():

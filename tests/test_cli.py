@@ -659,12 +659,17 @@ class TestMalformedFieldsExit2:
          "alpha key '01' repeats element 1"),
         ("verify", "pauli_spec", lambda d: d["fibers"].update({"+1": d["fibers"]["1"]}),
          "fiber key '+1' repeats element 1"),
+        # a key is an index as str(int) writes it, so no other spelling stands for one
+        *[("verify", "pauli_spec", lambda d, k=key: d.update(fibers={"0": d["fibers"]["0"],
+                                                                     k: d["fibers"]["1"]}),
+           f"fiber key '{key}' is not an element index") for key in ("0_1", " 1", "+1", "01")],
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
             "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
             "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
             "gset-size-3.0", "action-normal-1.5", "spec-group-cyclic-0", "spec-group-cyclic",
             "action-alpha-key-9", "action-alpha-key-x", "gset-perm-key-17",
-            "action-alpha-key-repeat", "spec-fiber-key-repeat"])
+            "action-alpha-key-repeat", "spec-fiber-key-repeat", "spec-fiber-key-0_1",
+            "spec-fiber-key-space-1", "spec-fiber-key-plus-1", "spec-fiber-key-01"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)

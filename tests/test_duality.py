@@ -434,8 +434,8 @@ def forward_images(t, tol=1e-8):
     semi = bundles.semidirect_bundle(t, tol)
     images = []
     for s in t.group.elements():
-        c, coeffs = bundles.twisted_normal_form(t, q, t.algebra.basis, s)
-        images.append(duality._image(tw_real, c, t.algebra.decompose(coeffs)[0]))
+        c, coeffs = bundles.twisted_normal_form(t, q, np.eye(t.algebra.dim), s)
+        images.append(duality._image(tw_real, c, coeffs))
     return semi, bundles.concretize(semi, tol), tw_real.bundle, q, images
 
 

@@ -47,6 +47,12 @@ The Olesen-Pedersen map is checked on abstract coordinates, so
 `olesen_pedersen_forward` calls neither `_image` nor `fiber_images`: it forms
 no dense image of either realization.
 
+A twisted action is read in coordinates, off `TwistedAction.structure`, so
+`_twisted_semidirect`, `verify_twisted_action` and `twisted_normal_form` name
+neither `product_coords` nor `.apply(`: none of them forms a dense product or
+image of the action, and one `olesen-pedersen` run reads the structure
+constants once per `TwistedAction`.
+
 Each command declares exactly the options its handler reads: the `args`
 attributes read by `cmd_*`, by the module functions taking `args` that it
 calls (`_spec`, `_tol`, `_quotient_setup`, `_normal`) and by `run_command`,
@@ -62,7 +68,7 @@ from pathlib import Path
 
 import pytest
 
-from fellbundles import cli, imprimitivity
+from fellbundles import bundles, cli, imprimitivity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fellbundles"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -444,3 +450,52 @@ def test_checker_flags_a_dense_image_call():
 def test_olesen_pedersen_forward_forms_no_dense_image():
     source = (SRC / "duality.py").read_text(encoding="utf-8")
     assert calls_inside(source, "olesen_pedersen_forward", DENSE_IMAGES) == []
+
+
+DENSE_ACTION = ("_twisted_semidirect", "verify_twisted_action", "twisted_normal_form")
+
+
+def dense_action_uses(source: str, function: str) -> list[str]:
+    """Inside the module-level function `function`: every name `product_coords`
+    (bare or as an attribute) and every call of a method `apply`."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == function):
+            continue
+        for node in ast.walk(top):
+            if "product_coords" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append((node.lineno, "product_coords"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "apply"):
+                found.append((node.lineno, ".apply("))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_dense_action_use():
+    source = ("def collapse(t):\n"
+              "    c = product_coords(a, b, alg)\n"
+              "    f = matrices.product_coords\n"
+              "    moved = t.apply(0, alg.basis)\n"
+              "    return apply(t), t.applied, t.apply\n"
+              "def other(t):\n"
+              "    return t.apply(1, x), product_coords(a, b, alg)\n")
+    assert dense_action_uses(source, "collapse") == [
+        "product_coords (line 2)", "product_coords (line 3)", ".apply( (line 4)"]
+
+
+@pytest.mark.parametrize("function", DENSE_ACTION)
+def test_twisted_actions_are_read_in_coordinates(function):
+    assert dense_action_uses((SRC / "bundles.py").read_text(encoding="utf-8"), function) == []
+
+
+def test_one_olesen_pedersen_run_reads_each_action_once(tmp_path, monkeypatch):
+    from test_cli import transformation_system_spec
+    spec = transformation_system_spec(tmp_path / "ts_d4.json", "dihedral", 4, (0, 2))
+    prop, read = bundles.TwistedAction.__dict__["structure"], []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda t: read.append(t) or real(t))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.run_command(["olesen-pedersen", str(spec)])
+    # the parsed action, its plain action in the forward check, and the extracted twist
+    assert rc == 0 and len(read) == 3
+    assert len({id(t) for t in read}) == len(read)

@@ -17,6 +17,11 @@ between the trees is printed with a short diff. When the two texts parse to
 the same JSON apart from float values, the diff is one line instead:
 `floats only, largest |Δ| = x at <path>`. The exit code is 1 if any rung
 differs, else 0. Uses the standard library and numpy only.
+
+This compares command outputs only. To run the tier-1 tests against another
+tree, run pytest from inside that tree: `pyproject.toml` sets
+`pythonpath = ["src"]`, which pytest puts ahead of `PYTHONPATH`, so
+`PYTHONPATH=BASE_SRC python3 -m pytest` run here tests this checkout's `src`.
 """
 
 from __future__ import annotations
