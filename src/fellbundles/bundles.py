@@ -13,9 +13,9 @@ and operator norms, HS Grams and the rank of each fiber are read off the
 blocks. The constructions in between (trivial, pullback, twisted semidirect,
 quotient by a multiplier family) are the substance of the toolkit; the
 semidirect bundle of an action is its twisted semidirect bundle over N = {e}.
-A TwistedAction is held in coordinates on its algebra's orthonormal basis b_i,
-where an HS norm is a vector norm: M (b_i b_j), star (b_i*) and R_n (x -> x tau(n))
-are read once per action, and the bundle and every check contract them.
+A TwistedAction is held in coordinates on its algebra's orthonormal basis b_i:
+M (b_i b_j), star (b_i*) and R_n (x -> x tau(n)) are read once per action, and the
+bundle and the alpha identities contract them; the tau identities read tau(x) as given.
 
 A unitary multiplier family is hosted on a dense grading or on a
 Realization. Either host yields the coordinates of U(n) a and a U(n) in
@@ -74,6 +74,7 @@ from .matrices import (
     dagger,
     hs_norm,
     is_star_closed,
+    multiplication_tensor,
     op_norm,
     orthonormalize,
     precondition_tol,
@@ -420,7 +421,7 @@ class TwistedAction:
     alpha[s] is the coordinate matrix of alpha_s on the algebra's orthonormal
     basis b_i (column j holds alpha_s(b_j)); tau maps subgroup members to
     unitaries (relative to the algebra's own unit) inside the algebra.
-    `structure` holds M, star and R_n, read once per action.
+    `structure` holds M, star and R_n (and the residuals of M), read once per action.
     """
 
     algebra: MatrixSubspace
@@ -436,12 +437,13 @@ class TwistedAction:
         return self.algebra.from_coords(coords @ self.alpha[s].swapaxes(-1, -2))
 
     @cached_property
-    def structure(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        """(M, star, R): M[i, j] holds the coordinates of b_i b_j, star[i] those of
-        b_i*, and R[n] (n in N) is the matrix of x -> x tau(n) on coordinate rows."""
+    def structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """(M, escape, star, R): M[i, j] holds the coordinates of b_i b_j and
+        escape[i, j] its relative residual off the span, star[i] the coordinates
+        of b_i*, and R[n] (n in N) is the matrix of x -> x tau(n) on coordinate rows."""
         alg = self.algebra
-        mult = product_coords(alg.basis, alg.basis, alg)[0]
-        return (mult, alg.decompose(dagger(alg.basis))[0],
+        mult, escape = product_coords(alg.basis, alg.basis, alg)
+        return (mult, escape, alg.decompose(dagger(alg.basis))[0],
                 {n: np.tensordot(mult, alg.coords(m), axes=(1, 0)) for n, m in self.tau.items()})
 
 
@@ -462,40 +464,39 @@ def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np
 
 
 def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
-    """Residual report for the action and twist identities, read in coordinates:
-    alpha_s invertible, multiplicative and *-preserving, alpha_s alpha_u = alpha_su
-    and alpha_e = 1 (Frobenius norms of whole matrices); tau(x) in the algebra,
-    unitary and multiplicative on N, alpha_s(tau(x)) = tau(sxs^-1), alpha_x =
-    Ad tau(x). NotAnAlgebra/NotUnital unless the algebra is one at tol."""
-    alg, g, a = t.algebra, t.group, t.alpha
-    unit = unit_coords(alg, tol=tol)
-    mult, star, right = t.structure
+    """Residual report for the action and twist identities. alpha_s, read in coordinates:
+    invertible, multiplicative, *-preserving (a part of b_i* off the algebra counts),
+    alpha_s alpha_u = alpha_su, alpha_e = 1 (Frobenius norms). tau, read on its matrices
+    so that a part off the algebra counts: in the algebra, unitary and multiplicative on
+    N, alpha_s(tau(x)) = tau(sxs^-1), alpha_x = Ad tau(x). NotAnAlgebra/NotUnital at tol."""
+    alg, g, a, (mult, escape, star, _) = t.algebra, t.group, t.alpha, t.structure
+    unit = alg.from_coords(unit_coords(alg, multiplication_tensor(alg, tol, (mult, escape)), tol))
     rep = ResidualReport(tol, "action", "twist")
 
-    def vec(gaps) -> float:
-        return _worst(np.linalg.norm(gaps, axis=-1))
+    def worst(gaps, axis=(-2, -1)) -> float:
+        return _worst(np.linalg.norm(gaps, axis=axis))
 
-    moved = a.swapaxes(1, 2)  # moved[s, i] holds the coordinates of alpha_s(b_i)
-    act_res = max(1.0 if np.any(np.linalg.svd(a, compute_uv=False)[:, -1:] <= tol) else 0.0,
-                  vec(np.einsum("ijc,spc->sijp", mult, a, optimize=True)
-                      - np.einsum("spi,sqj,pql->sijl", a, a, mult, optimize=True)),
-                  vec(star @ moved - moved.conj() @ star),
-                  _worst(np.linalg.norm(a[:, None] @ a[None] - a[np.array(g.table)],
-                                        axis=(-2, -1))),
-                  float(np.linalg.norm(a[0] - np.eye(alg.dim))))
+    # one alpha_s at a time, so that no stack outgrows M
+    off = (dagger(alg.basis) - alg.from_coords(star)).reshape(alg.dim, -1)  # b_i* off the span
+    act_res = float(np.linalg.norm(a[0] - np.eye(alg.dim)))
+    for s in g.elements():
+        m, adj = a[s], a[s].T.conj()  # column j of m holds the coordinates of alpha_s(b_j)
+        act_res = max(act_res, float(np.linalg.svd(m, compute_uv=False)[-1] <= tol),
+                      worst(np.tensordot(mult, m, axes=(2, 1))
+                            - np.tensordot(m, np.tensordot(m, mult, axes=(0, 1)), axes=(0, 1)), -1),
+                      worst(np.hstack([star @ m.T - adj @ star, adj @ off]), -1),
+                      worst(m @ a - a[list(g.table[s])]))
     rep.residuals("action", act_res)
 
-    # tau(x) enters by its coordinates; a part off the algebra is its membership residual
-    coords, res = alg.decompose(np.stack([t.tau[x] for x in t.subgroup.members]))
-    c, twist_res = dict(zip(t.subgroup.members, coords)), _worst(res)
-    for x in c:
-        adj = c[x].conj() @ star  # coordinates of tau(x)*
-        by_adj = np.tensordot(mult, adj, axes=(1, 0))  # the matrix of y -> y tau(x)*
-        by_tau = np.tensordot(c[x], mult, axes=(0, 0))  # the matrix of y -> tau(x) y
-        twist_res = max(twist_res, vec(adj @ right[x] - unit), vec(c[x] @ by_adj - unit),
-                        vec(np.stack([c[x] @ right[y] - c[g.mul(x, y)] for y in c])),
-                        vec(a @ c[x] - np.stack([c[g.conjugate(s, x)] for s in g.elements()])),
-                        vec(moved[x] - by_tau @ by_adj))
+    tau, members = t.tau, t.subgroup.members
+    twist_res = _worst(alg.decompose(np.stack([tau[x] for x in members]))[1])
+    for x in members:
+        tx = tau[x]
+        twist_res = max(twist_res, hs_norm(dagger(tx) @ tx - unit), hs_norm(tx @ dagger(tx) - unit),
+                        worst(np.stack([tx @ tau[y] - tau[g.mul(x, y)] for y in members])),
+                        worst(alg.from_coords(a @ alg.coords(tx))
+                              - np.stack([tau[g.conjugate(s, x)] for s in g.elements()])),
+                        worst(alg.from_coords(a[x].T) - tx @ alg.basis @ dagger(tx)))
     rep.residuals("twist", twist_res)
     return rep.build()
 
@@ -602,7 +603,7 @@ def _twisted_semidirect(t: TwistedAction) -> AbstractBundle:
     """twisted_semidirect_bundle of an action its caller has already checked."""
     q = quotient(t.group, t.subgroup)
     g, qg, section = t.group, q.quotient_group, q.section
-    mult, star, _ = t.structure
+    mult, _, star, _ = t.structure
     # b_i alpha_ca(b_j) at c_a c_b, realigned to its coset's section
     moved = [np.einsum("ipl,pj->ijl", mult, t.alpha[c]) for c in section]
     prod = {(a, b): twisted_normal_form(t, q, moved[a], g.mul(section[a], section[b]))[1]
@@ -620,7 +621,7 @@ def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
     and q is the quotient of t.group by t.subgroup."""
     k = q.coset_of[s]
     n = t.group.mul(s, t.group.inv(q.section[k]))
-    return k, coeff @ t.structure[2][n]
+    return k, coeff @ t.structure[3][n]
 
 
 @dataclass(frozen=True)

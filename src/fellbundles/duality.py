@@ -147,7 +147,7 @@ def canonical_landstad_family(t: TwistedAction, real: Realization) -> UnitaryMul
     """u(s) = image of the class [1, s] in a concretized twisted semidirect bundle."""
     g = t.group
     q = quotient(g, t.subgroup)
-    unit = unit_coords(t.algebra)
+    unit = unit_coords(t.algebra, t.structure[0])
     mats = {s: _image(real, *twisted_normal_form(t, q, unit, s)) for s in g.elements()}
     return UnitaryMultiplierFamily(real.bundle, tuple(g.elements()), mats)
 
@@ -223,7 +223,7 @@ def extract_twist(t: TwistedAction, real: Realization, u: UnitaryMultiplierFamil
     report, right = _family_check(fam, precondition_tol(tol))
     require(report, InvalidMultiplierFamily)
     g, alg = t.group, t.algebra
-    unit_c = unit_coords(alg)
+    unit_c = unit_coords(alg, t.structure[0])
     tau = {n: alg.from_coords(unit_c @ right[g.inv(n), n]) for n in sorted(u.domain)}
     action = TwistedAction(alg, g, NormalSubgroup(g, u.domain), t.alpha, tau)
     require_twisted_action(action, tol)

@@ -270,9 +270,10 @@ def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TO
 
 # algebra structure on a subspace
 
-def multiplication_tensor(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Structure constants m[i, j, :] = coords(b_i @ b_j); NotAnAlgebra if open."""
-    coords, res = product_coords(a.basis, a.basis, a)
+def multiplication_tensor(a: MatrixSubspace, tol: float = DEFAULT_TOL, products=None) -> np.ndarray:
+    """Structure constants m[i, j, :] = coords(b_i @ b_j); NotAnAlgebra if open.
+    products is product_coords(a.basis, a.basis, a), when the caller holds it."""
+    coords, res = product_coords(a.basis, a.basis, a) if products is None else products
     if np.any(res > tol):
         i, j = np.unravel_index(np.argmax(res), res.shape)
         raise NotAnAlgebra(f"basis product {(int(i), int(j))} escapes the span")

@@ -579,10 +579,9 @@ class TestPulledBack:
                                    rtol=0, atol=1e-15)
 
 
-# The per-pair route of verify_twisted_action, which now reads every identity in
+# The per-pair route of verify_twisted_action, which now reads each alpha_s in
 # coordinates: one t.apply for every basis element, adjoint and pair of basis
-# elements. tau(x) enters the twist identities through its part in the algebra,
-# as in t.apply, and its part off the algebra through the membership residual.
+# elements, and every twist identity on the matrices tau(x) as given.
 
 
 def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
@@ -605,15 +604,14 @@ def reference_verify_twisted_action(t, tol=matrices.DEFAULT_TOL):
     act_res = max(act_res, float(np.linalg.norm(t.alpha[0] - np.eye(alg.dim))))
     rep.residuals("action", act_res)
     twist_res = 0.0
-    tau = {x: alg.project(t.tau[x]) for x in n.members}
     for x in n.members:
-        tx = tau[x]
-        twist_res = max(twist_res, float(alg.decompose(t.tau[x])[1]),
+        tx = t.tau[x]
+        twist_res = max(twist_res, float(alg.decompose(tx)[1]),
                         hs_norm(dagger(tx) @ tx - unit), hs_norm(tx @ dagger(tx) - unit))
         for y in n.members:
-            twist_res = max(twist_res, hs_norm(tau[x] @ tau[y] - tau[g.mul(x, y)]))
+            twist_res = max(twist_res, hs_norm(t.tau[x] @ t.tau[y] - t.tau[g.mul(x, y)]))
         for s in g.elements():
-            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - tau[g.conjugate(s, x)]))
+            twist_res = max(twist_res, hs_norm(t.apply(s, tx) - t.tau[g.conjugate(s, x)]))
         for b in alg.basis_list():
             twist_res = max(twist_res, hs_norm(t.apply(x, b) - tx @ b @ dagger(tx)))
     rep.residuals("twist", twist_res)
@@ -645,6 +643,18 @@ def _broken_actions(t):
     return broken
 
 
+def _upper_triangular():
+    """Z2 acting by Ad u, u = [[1, 1], [0, -1]] = u^-1, on the upper-triangular 2x2
+    matrices: an action by automorphisms of an algebra that is not *-closed, so
+    each alpha_s fails to preserve adjoints by the part of b_i* below the diagonal."""
+    alg = matrices.orthonormalize([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                   np.diag([0.0, 1.0])])
+    u = np.array([[1.0, 1.0], [0.0, -1.0]])
+    g = groups.cyclic(2)
+    alpha = bundles.action_by_automorphisms(alg, g, [lambda m: m, lambda m: u @ m @ u])
+    return bundles.plain_action(alg, g, alpha)
+
+
 def _s3_translation():
     from fellbundles import duality
     return duality.transformation_system(duality.translation_action(groups.symmetric(3)))
@@ -674,6 +684,19 @@ class TestTwistedActionOnStacks:
             kind = InvalidAction if first["axiom"] == "action" else InvalidTwist
             with pytest.raises(kind, match=f"{first['axiom']} residual {first['residual']:.3g}$"):
                 bundles.require_twisted_action(action)
+
+    def test_adjoints_off_a_non_star_closed_algebra_count(self):
+        # alpha_1 mixes E11 with E12, so the worst adjoint gap is at s = 1, not s = e
+        t = _upper_triangular()
+        new, ref = bundles.verify_twisted_action(t), reference_verify_twisted_action(t)
+        assert [v["axiom"] for v in new["violations"]] == ["action"]
+        assert [v["axiom"] for v in ref["violations"]] == ["action"]
+        for check, c in ref["checks"].items():
+            got = new["checks"][check]["max_residual"]
+            assert abs(got - c["max_residual"]) <= 1e-12 * max(1.0, c["max_residual"]), check
+        assert new["checks"]["action"]["max_residual"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        with pytest.raises(InvalidAction, match="action residual 1.41$"):
+            bundles.require_twisted_action(t)
 
 
 # The einsum route of semidirect_bundle, which is now the twisted semidirect
