@@ -44,6 +44,6 @@ from .duality import (
 from .groups import FiniteGroup, NormalSubgroup, Quotient, cyclic, dihedral, quotient, symmetric
 from .imprimitivity import bimodule_check
 from .matrices import MatrixSubspace, orthonormalize
-from .sections import crossed_product, section_algebra
+from .sections import section_algebra
 
 __version__ = "0.1.0"

@@ -90,11 +90,6 @@ def uniform_witness(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> EPWitness
     return ep_witness(bundle, {s: scale * u for s in bundle.group.elements()}, tol)
 
 
-def point_witness(bundle: GradedBundle, s: int = 0, tol: float = DEFAULT_TOL) -> EPWitness:
-    """f = delta_s . 1_e, the witness supported at a single group element."""
-    return ep_witness(bundle, {int(s): unit_fiber_unit(bundle, tol)}, tol)
-
-
 def _average(w: EPWitness, t: int, x: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """acc + sum_s f(ts)* x f(s), x in fiber t or a stack of such, in witness order."""
     g = w.bundle.group

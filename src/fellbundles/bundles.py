@@ -453,16 +453,6 @@ def plain_action(algebra: MatrixSubspace, g: FiniteGroup, alpha: np.ndarray) -> 
                          {0: unit_element(algebra)})
 
 
-def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np.ndarray:
-    """Coordinate matrices for automorphisms given as callables on matrices."""
-    k = algebra.dim
-    alpha = np.zeros((g.order, k, k), dtype=complex)
-    for s in g.elements():
-        images = np.reshape([maps[s](b) for b in algebra.basis], algebra.basis.shape)
-        alpha[s] = algebra.decompose(images)[0].T
-    return alpha
-
-
 def verify_twisted_action(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     """Residual report for the action and twist identities. alpha_s, read in coordinates:
     invertible, multiplicative, *-preserving (a part of b_i* off the algebra counts),

@@ -11,8 +11,9 @@ file and -o; any other option, a missing required one and every other bad
 argument print one `error:` line and exit 2.  Integer fields must be JSON
 integers (true, 2.0 and "2" exit 2, nothing is truncated), and a group that
 the descriptor does not define (cyclic:0, a table that is not a group), a
-key of an element-keyed map that names no element or repeats one, and an -o
-path that cannot be written exit 2 too.
+key of an element-keyed map that names no element or repeats one, a matrix
+entry that is not finite (NaN, Infinity, "nan"), and an -o path that cannot
+be written exit 2 too.
 
 A bundle spec looks like
 
@@ -58,6 +59,8 @@ def decode_matrix(obj, field: str) -> np.ndarray:
         raise ParseError(f"{field}: not a numeric matrix: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ParseError(f"{field}: matrices are row-major nests of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{field}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -227,7 +230,7 @@ def parse_spec(path: str):
     for s, mats in _element_map(path, raw, g, "fiber key", "fiber index").items():
         if not isinstance(mats, list):
             raise ParseError(f"{path}: fibers[{s}]: expected a list of matrices")
-        spans[s] = [_decode_square(m, n, f"fibers[{s}][{i}]")
+        spans[s] = [_decode_square(m, n, f"{path}: fibers[{s}][{i}]")
                     for i, m in enumerate(mats)]
     fibers = tuple(orthonormalize(spans.get(s, []), ambient_dim=n)
                    for s in g.elements())
@@ -249,7 +252,7 @@ def _matrix_map(path: str, key: str, g: groups.FiniteGroup, n: int) -> dict:
     data = _load_object(path, None)
     if not isinstance(data.get(key), dict):
         raise ParseError(f"{path}: expected an object with a '{key}' map")
-    return {s: _decode_square(m, n, f"{key}[{s}]")
+    return {s: _decode_square(m, n, f"{path}: {key}[{s}]")
             for s, m in _element_map(path, data[key], g, "key", "element").items()}
 
 
@@ -286,11 +289,11 @@ def parse_action_spec(path: str):
     mats = data["algebra"]
     if not isinstance(mats, list) or not mats:
         raise ParseError(f"{path}: algebra must be a nonempty list of matrices")
-    first = decode_matrix(mats[0], "algebra[0]")
+    first = decode_matrix(mats[0], f"{path}: algebra[0]")
     if first.ndim != 2 or first.shape[0] != first.shape[1]:
         raise ParseError(f"{path}: algebra matrices must be square")
     k = first.shape[0]
-    algebra = orthonormalize([_decode_square(m, k, f"algebra[{i}]")
+    algebra = orthonormalize([_decode_square(m, k, f"{path}: algebra[{i}]")
                               for i, m in enumerate(mats)])
     members = _json_int(data.get("normal_subgroup", [0]), f"{path}: normal_subgroup", depth=1)
     try:
@@ -305,7 +308,7 @@ def parse_action_spec(path: str):
     for s in g.elements():
         if s not in by_element:
             raise ParseError(f"{path}: alpha is missing element {s}")
-        alpha[s] = _decode_square(by_element[s], algebra.dim, f"alpha[{s}]")
+        alpha[s] = _decode_square(by_element[s], algebra.dim, f"{path}: alpha[{s}]")
     raw_tau = data.get("tau", {})
     if not isinstance(raw_tau, dict):
         raise ParseError(f"{path}: tau must map normal-subgroup elements to matrices")
@@ -313,7 +316,7 @@ def parse_action_spec(path: str):
     for nn, m in _element_map(path, raw_tau, g, "tau key").items():
         if nn not in members:
             raise ParseError(f"{path}: tau[{nn}] is not indexed by the normal subgroup")
-        tau[nn] = _decode_square(m, k, f"tau[{nn}]")
+        tau[nn] = _decode_square(m, k, f"{path}: tau[{nn}]")
     for nn in members:
         if nn not in tau:
             if nn == 0:

@@ -169,12 +169,15 @@ def olesen_pedersen_forward(t: TwistedAction, tol: float = DEFAULT_TOL) -> dict:
     rank its blocks were checked to have.
     """
     # checks the whole twisted action first, so an invalid one raises here
-    tw_real = concretize(twisted_semidirect_bundle(t, tol), tol)
+    tw = twisted_semidirect_bundle(t, tol)
+    tw_real = concretize(tw, tol)
     g = t.group
     q = quotient(g, t.subgroup)
-    # the twisted check above covered the action, so semidirect_bundle's is skipped
-    semi = _twisted_semidirect(plain_action(t.algebra, g, t.alpha))
-    semi_real = concretize(semi, tol)
+    if t.subgroup.is_trivial():  # G/{e} is G and tau(e) = 1: the two bundles agree
+        semi, semi_real = tw, tw_real
+    else:  # the twisted check above covered the action, so semidirect_bundle's is skipped
+        semi = _twisted_semidirect(plain_action(t.algebra, g, t.alpha))
+        semi_real = concretize(semi, tol)
     pb = PulledBack(tw_real, q)
     # one stack per fiber: the classes [b_i, s] of the basis of B, in coordinates
     # on the basis of fiber sN, the small factors of [b_i, s] (x) lambda(s)
@@ -372,15 +375,6 @@ def coset_action(g: FiniteGroup, members) -> GSetAction:
     coset_of, section = left_cosets(g, members)
     perm = tuple(tuple(coset_of[g.mul(t, c)] for c in section) for t in g.elements())
     return GSetAction(g, len(section), perm)
-
-
-def translation_action(g: FiniteGroup) -> GSetAction:
-    """G acting on itself by left translation; always free."""
-    return coset_action(g, (0,))
-
-
-def trivial_gset_action(g: FiniteGroup, size: int) -> GSetAction:
-    return GSetAction(g, size, tuple(tuple(range(size)) for _ in g.elements()))
 
 
 def transformation_system(act: GSetAction) -> TwistedAction:

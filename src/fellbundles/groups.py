@@ -126,28 +126,10 @@ def symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"S{n}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with (a, b) encoded as a*|H| + b."""
-    m = h.order
-    table = tuple(
-        tuple(
-            g.mul(x // m, y // m) * m + h.mul(x % m, y % m)
-            for y in range(g.order * m)
-        )
-        for x in range(g.order * m)
-    )
-    return FiniteGroup(table, name=f"{g.name}x{h.name}")
-
-
 def from_table(table) -> FiniteGroup:
     """Build a group from an explicit Cayley table (validated)."""
     tab = tuple(tuple(int(v) for v in row) for row in table)
     return FiniteGroup(tab, name=f"table({len(tab)})")
-
-
-def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
-    """The point images behind each element index of symmetric(n)."""
-    return list(itertools.permutations(range(n)))
 
 
 def subgroup_members(g: FiniteGroup, members) -> tuple[int, ...]:
@@ -198,55 +180,6 @@ class NormalSubgroup:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-
-def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:
-    """Smallest subgroup containing the generators."""
-    mem = {0} | set(generators)
-    frontier = list(mem)
-    while frontier:
-        a = frontier.pop()
-        for b in list(mem):
-            for c in (g.mul(a, b), g.mul(b, a), g.inv(a)):
-                if c not in mem:
-                    mem.add(c)
-                    frontier.append(c)
-    return tuple(sorted(mem))
-
-
-def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes, each sorted, ordered by smallest member."""
-    seen = [False] * g.order
-    classes = []
-    for x in g.elements():
-        if seen[x]:
-            continue
-        orbit = {g.conjugate(s, x) for s in g.elements()}
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    return classes
-
-
-def normal_subgroups(g: FiniteGroup) -> list[NormalSubgroup]:
-    """All normal subgroups, smallest order first.
-
-    A normal subgroup is a union of conjugacy classes containing {e} that is
-    closed under the product, so it suffices to scan class subsets.
-    """
-    classes = conjugacy_classes(g)
-    rest = [c for c in classes if c != (0,)]
-    found = []
-    for mask in range(1 << len(rest)):
-        mem = {0}
-        for i, cls in enumerate(rest):
-            if mask >> i & 1:
-                mem.update(cls)
-        if all(g.mul(a, b) in mem for a in mem for b in mem):
-            found.append(tuple(sorted(mem)))
-    found.sort(key=lambda m: (len(m), m))
-    return [NormalSubgroup(g, m) for m in found]
 
 
 @dataclass(frozen=True)
@@ -303,16 +236,3 @@ def left_regular(g: FiniteGroup) -> np.ndarray:
         for h in g.elements():
             lam[s, g.mul(s, h), h] = 1.0
     return lam
-
-
-def right_regular(g: FiniteGroup) -> np.ndarray:
-    """Permutation matrices rho[r] with rho[r] e_h = e_{h r^-1}.
-
-    Commutes with the left representation and satisfies rho[r] rho[t] = rho[rt].
-    """
-    n = g.order
-    rho = np.zeros((n, n, n), dtype=complex)
-    for r in g.elements():
-        for h in g.elements():
-            rho[r, g.mul(h, g.inv(r)), h] = 1.0
-    return rho

@@ -24,8 +24,7 @@ then einsum identities, and a residual is the largest 2-norm of a slot's
 block of coordinates in a difference: its HS norm, since fiber bases are
 HS-orthonormal. Positivity and norms are read on one faithful realization,
 `_realize` (`sections.slot_realization`), of C0 over G/N and of B0 over G
-with no lambda(s) factor; `realize_b` and `realize_c` are the tests' dense
-models.
+with no lambda(s) factor.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .bundles import GradedBundle, require_fell_axioms, same_bundle, unit_fiber_unit
 from .errors import FiberMismatch, GroupMismatch
-from .groups import Quotient, left_regular
+from .groups import Quotient
 from .matrices import (
     DEFAULT_TOL,
     ResidualReport,
@@ -47,7 +46,6 @@ from .matrices import (
     hs_norm,
     numerical_rank,
     op_norm,
-    precondition_tol,
 )
 from .sections import slot_realization as _realize
 
@@ -94,23 +92,6 @@ def _slots(q: Quotient, kind: str) -> list[tuple[tuple[int, int], int]]:
     if kind == "b":
         return [((s, t), q.coset_of[s]) for s in g for t in g]
     return [((k, l), k) for k in qg for l in qg]
-
-
-def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,
-             tol: float = DEFAULT_TOL) -> Element:
-    _check_base(q, d)
-    fiber_of = dict(_slots(q, kind))
-    for key, m in coeffs.items():
-        if key not in fiber_of:
-            raise FiberMismatch(f"{key} is not a slot of a {kind} element over this quotient")
-        if not d.fiber(fiber_of[key]).contains(m, precondition_tol(tol)):
-            raise FiberMismatch(f"coefficient at {key} is not in fiber {fiber_of[key]}")
-    return Element(q, d, kind, {k: np.asarray(m, dtype=complex) for k, m in coeffs.items()})
-
-
-module_element = partial(_element, "x")
-algebra_element_b = partial(_element, "b")
-algebra_element_c = partial(_element, "c")
 
 
 # the kernels behind every formula
@@ -247,16 +228,6 @@ def inflated_dual_c(r: int, c: Element) -> Element:
 # units, generators, random draws, coordinates
 
 
-def unit_elements(q: Quotient, d: GradedBundle,
-                  tol: float = DEFAULT_TOL) -> tuple[Element, Element]:
-    """Exact identities of B0 and C0: unit-fiber units summed over a transversal."""
-    _check_base(q, d)
-    u = unit_fiber_unit(d, tol)
-    unit_b = Element(q, d, "b", {(0, t): np.array(u) for t in q.group.elements()})
-    unit_c = Element(q, d, "c", {(0, l): np.array(u) for l in q.quotient_group.elements()})
-    return unit_b, unit_c
-
-
 def _generators(kind: str, q: Quotient, d: GradedBundle) -> list[Element]:
     _check_base(q, d)
     return [Element(q, d, kind, {key: m})
@@ -323,28 +294,6 @@ def _slot_residual(q: Quotient, d: GradedBundle, kind: str, lhs, rhs) -> float:
     dims = [d.fiber(f).dim for _, f in _slots(q, kind)]
     owner = np.repeat(np.arange(len(dims)), dims)[:, None] == np.arange(len(dims))
     return float(np.sqrt((np.abs(lhs - rhs) ** 2 @ owner).max(initial=0.0)))
-
-
-# faithful realizations (positivity and norms live here)
-
-
-def realize_b(b: Element) -> np.ndarray:
-    """(d, s, t) -> d tensor lambda(s) tensor E_{st,t}: `_realize` on d tensor lambda(s).
-
-    The tests' dense model, of size m|G|^2, in the crossed product of the
-    pull-back. The unitary delta_r (x) delta_w -> delta_{w^-1 r} (x) delta_w
-    conjugates lambda(s) tensor E_{st,t} to 1 tensor E_{st,t}, so this is the
-    lambda-free realization taken |G| times: same spectra, same norms.
-    """
-    g = b.q.group
-    lam = left_regular(g)
-    return _realize(g, {(s, t): np.kron(m, lam[s]) for (s, t), m in b.coeffs.items()},
-                    b.d.ambient_dim * g.order)
-
-
-def realize_c(c: Element) -> np.ndarray:
-    """(d, kN, lN) -> d tensor E_{klN,lN}: `_realize` over G/N."""
-    return _realize(c.q.quotient_group, c.coeffs, c.d.ambient_dim)
 
 
 _einsum = partial(np.einsum, optimize=True)

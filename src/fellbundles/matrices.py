@@ -3,7 +3,8 @@
 A MatrixSubspace is a linear subspace of M_n(C) carried by a Hilbert-Schmidt
 orthonormal basis, so membership, projection, and span arithmetic reduce to
 flat numpy linear algebra. The algebra helpers (multiplication tensor, unit,
-center) power the Wedderburn block count used all over the test surface.
+center) give the bimodule check its block counts and the graded ideals their
+central projections.
 
 One kernel reads structure constants and closure residuals off the matrix
 models: `MatrixSubspace.decompose` takes a stack (..., n, n) to its
@@ -104,11 +105,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """trace(a* b); conjugate-linear in the first argument."""
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -122,16 +118,6 @@ def op_norm(m: np.ndarray):
         return np.zeros(lead) if lead else 0.0
     norms = np.sqrt(np.maximum(np.linalg.eigvalsh(dagger(m) @ m)[..., -1], 0.0))
     return norms if lead else float(norms)
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian within tol and spectrum above -tol * op_norm(m)."""
-    m = np.asarray(m, dtype=complex)
-    if op_norm(m - dagger(m)) > tol:
-        return False
-    herm = (m + dagger(m)) / 2
-    w = np.linalg.eigvalsh(herm)
-    return bool(w[0] >= -tol * max(op_norm(m), 1.0))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -238,14 +224,6 @@ def span_rank(rows: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > _span_cut(rows, tol)))
 
 
-def product_span(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:
-    """Span of all pairwise products of basis elements."""
-    if s.ambient_dim != t.ambient_dim:
-        raise DimensionMismatch("product of subspaces in different ambients")
-    prods = np.einsum("aij,bjk->abik", s.basis, t.basis).reshape(-1, s.ambient_dim, s.ambient_dim)
-    return orthonormalize(list(prods), ambient_dim=s.ambient_dim, tol=tol)
-
-
 def span_union(subspaces, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     mats: list[np.ndarray] = []
     for s in subspaces:
@@ -262,10 +240,6 @@ def product_coords(left, right, target: MatrixSubspace) -> tuple[np.ndarray, np.
 
 def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(t.decompose(s.basis)[1] <= tol))
-
-
-def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
-    return s.dim == t.dim and subspace_leq(s, t, tol) and subspace_leq(t, s, tol)
 
 
 # algebra structure on a subspace
@@ -324,19 +298,6 @@ def center_dimension(mult: np.ndarray, tol: float = DEFAULT_TOL) -> int:
         return 0
     sv = np.linalg.svd(_commutator_map(mult), compute_uv=False)
     return mult.shape[0] - numerical_rank(sv, tol)
-
-
-def wedderburn_block_count(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> int:
-    """Number of simple summands of a unital *-closed matrix algebra.
-
-    Equals the center dimension. Raises NotAnAlgebra if the subspace is not
-    closed under products/adjoints and NotUnital if it has no unit.
-    """
-    if not is_star_closed(a, tol):
-        raise NotAnAlgebra("not closed under adjoints")
-    mult = multiplication_tensor(a, tol)
-    unit_coords(a, mult, tol)
-    return center_dimension(mult, tol)
 
 
 def center_subspace(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:

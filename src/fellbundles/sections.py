@@ -1,13 +1,12 @@
-"""Cross-sectional algebras and the ambient crossed-product model.
+"""Cross-sectional algebras and the crossed product on structure constants.
 
 The total span of a grading is a *-subalgebra of the ambient matrix algebra;
-its fiber components give the grading projections and the conditional
-expectation onto the unit fiber. The crossed product realizes the bundle on
-C^n tensor l^2(G) as the span of a_s tensor E_{st,t}, carrying the dual
-translation action and the canonical covariant pair. verify_covariant_pair
-evaluates pi once per basis element and reads its homomorphism and
-integrated-form residuals off the structure constants of the bundle and of
-the crossed product (`crossed_structure`).
+its fiber components give the conditional expectation onto the unit fiber.
+The crossed product is the span of a_s tensor E_{st,t}: `crossed_structure`
+holds its structure constants and `slot_realization` realizes its slots.
+verify_covariant_pair evaluates pi once per basis element and reads its
+homomorphism and integrated-form residuals off the structure constants of
+the bundle and of the crossed product.
 """
 
 from __future__ import annotations
@@ -23,20 +22,14 @@ from .bundles import (
     map_table,
     require_fell_axioms,
 )
-from .errors import (
-    FiberMismatch,
-    NotAHomomorphism,
-    NotInAlgebra,
-    ProjectionsNotResolving,
-)
-from .groups import FiniteGroup, left_regular, right_regular
+from .errors import NotAHomomorphism, NotInAlgebra, ProjectionsNotResolving
+from .groups import FiniteGroup, left_regular
 from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
     ResidualReport,
     dagger,
     hs_norm,
-    precondition_tol,
     span_union,
     unit_element,
 )
@@ -74,12 +67,9 @@ class SectionAlgebra:
             out.append(self.bundle.fiber(s).from_coords(piece))
         return out
 
-    def grading_projection(self, s: int, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-        return self.components(mat, tol)[s]
-
     def expectation(self, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Conditional expectation onto the unit fiber: the e-component."""
-        return self.grading_projection(0, mat, tol)
+        return self.components(mat, tol)[0]
 
     def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         return unit_element(self.total, tol)
@@ -98,7 +88,7 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
     return SectionAlgebra(bundle, total, stack, solver, offsets)
 
 
-# the ambient crossed-product model
+# the crossed product
 
 
 def slot_realization(g: FiniteGroup, coeffs: dict, size: int) -> np.ndarray:
@@ -114,71 +104,6 @@ def slot_realization(g: FiniteGroup, coeffs: dict, size: int) -> np.ndarray:
     for (k, l), a in coeffs.items():
         out[:, g.mul(k, l), :, l] += a
     return out.reshape(size * n, size * n)
-
-
-@dataclass(frozen=True)
-class CrossedProductAlgebra:
-    """span{a tensor E_{st,t} : a in A_s} inside M_n tensor M_|G|.
-
-    j_fiber embeds sections (a_s acts as a_s tensor lambda(s)), j_group gives
-    the resolving diagonal projections, and conjugation by 1 tensor rho(r)
-    is the dual translation action, moving the (s, t) slot to (s, t r^-1).
-    """
-
-    bundle: GradedBundle
-    total: MatrixSubspace
-    lam: np.ndarray
-    rho: np.ndarray
-
-    @property
-    def group(self):
-        return self.bundle.group
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.bundle.ambient_dim * self.group.order
-
-    def dimension(self) -> int:
-        return self.group.order * self.bundle.section_dimension()
-
-    def j_fiber(self, s: int, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-        mat = np.asarray(mat, dtype=complex)
-        if not self.bundle.fiber(s).contains(mat, precondition_tol(tol)):
-            raise FiberMismatch(f"matrix does not lie in fiber {s}")
-        return np.kron(mat, self.lam[s])
-
-    def j_group(self, t: int) -> np.ndarray:
-        n, g = self.bundle.ambient_dim, self.group.order
-        e_tt = np.zeros((g, g), dtype=complex)
-        e_tt[t, t] = 1.0
-        return np.kron(np.eye(n), e_tt)
-
-    def fiber_at(self, s: int, t: int) -> MatrixSubspace:
-        n = self.ambient_dim
-        basis = [slot_realization(self.group, {(s, t): b}, self.bundle.ambient_dim)
-                 for b in self.bundle.fiber(s).basis_list()]
-        return MatrixSubspace(n, np.array(basis, dtype=complex).reshape(-1, n, n))
-
-    def dual_unitary(self, r: int) -> np.ndarray:
-        return np.kron(np.eye(self.bundle.ambient_dim), self.rho[r])
-
-    def dual_apply(self, r: int, mat) -> np.ndarray:
-        u = self.dual_unitary(r)
-        return u @ np.asarray(mat, dtype=complex) @ dagger(u)
-
-
-def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedProductAlgebra:
-    """The bundle's dense crossed product on C^n tensor l^2(G): the reference
-    model that tests hold the commands' bundle-read crossed-product fields to."""
-    require_fell_axioms(bundle, tol)
-    g = bundle.group
-    big = bundle.ambient_dim * g.order
-    mats = [slot_realization(g, {(s, t): b}, bundle.ambient_dim)
-            for s in g.elements() for t in g.elements() for b in bundle.fiber(s).basis_list()]
-    # distinct (s, t) slots use HS-orthogonal matrix units, so the stack is
-    # orthonormal as it stands
-    total = MatrixSubspace(big, np.array(mats, dtype=complex).reshape(-1, big, big))
-    return CrossedProductAlgebra(bundle, total, left_regular(g), right_regular(g))
 
 
 def crossed_structure(src: AbstractBundle) -> AbstractBundle:

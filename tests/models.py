@@ -1,0 +1,287 @@
+"""Dense reference models that only the tests compare the library against.
+
+No command runs these: the group enumerators, brute-force matrix-algebra
+predicates, the crossed product on C^n tensor l^2(G), the dense B0 and C0
+of the imprimitivity bimodule, and a few small input builders.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
+
+from fellbundles.approximation import EPWitness, ep_witness
+from fellbundles.bundles import GradedBundle, require_fell_axioms, unit_fiber_unit
+from fellbundles.duality import GSetAction, coset_action
+from fellbundles.errors import FiberMismatch, NotAnAlgebra
+from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, left_regular
+from fellbundles.imprimitivity import Element, _check_base, _slots
+from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, center_dimension, dagger,
+                                  is_star_closed, multiplication_tensor, op_norm,
+                                  precondition_tol, subspace_leq, unit_coords)
+from fellbundles.sections import slot_realization, slot_realization as _realize
+
+# groups
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """G x H with (a, b) encoded as a*|H| + b."""
+    m = h.order
+    table = tuple(
+        tuple(
+            g.mul(x // m, y // m) * m + h.mul(x % m, y % m)
+            for y in range(g.order * m)
+        )
+        for x in range(g.order * m)
+    )
+    return FiniteGroup(table, name=f"{g.name}x{h.name}")
+
+
+def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
+    """The point images behind each element index of symmetric(n)."""
+    return list(itertools.permutations(range(n)))
+
+
+def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:
+    """Smallest subgroup containing the generators."""
+    mem = {0} | set(generators)
+    frontier = list(mem)
+    while frontier:
+        a = frontier.pop()
+        for b in list(mem):
+            for c in (g.mul(a, b), g.mul(b, a), g.inv(a)):
+                if c not in mem:
+                    mem.add(c)
+                    frontier.append(c)
+    return tuple(sorted(mem))
+
+
+def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Conjugacy classes, each sorted, ordered by smallest member."""
+    seen = [False] * g.order
+    classes = []
+    for x in g.elements():
+        if seen[x]:
+            continue
+        orbit = {g.conjugate(s, x) for s in g.elements()}
+        for y in orbit:
+            seen[y] = True
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: c[0])
+    return classes
+
+
+def normal_subgroups(g: FiniteGroup) -> list[NormalSubgroup]:
+    """All normal subgroups, smallest order first.
+
+    A normal subgroup is a union of conjugacy classes containing {e} that is
+    closed under the product, so it suffices to scan class subsets.
+    """
+    classes = conjugacy_classes(g)
+    rest = [c for c in classes if c != (0,)]
+    found = []
+    for mask in range(1 << len(rest)):
+        mem = {0}
+        for i, cls in enumerate(rest):
+            if mask >> i & 1:
+                mem.update(cls)
+        if all(g.mul(a, b) in mem for a in mem for b in mem):
+            found.append(tuple(sorted(mem)))
+    found.sort(key=lambda m: (len(m), m))
+    return [NormalSubgroup(g, m) for m in found]
+
+
+def right_regular(g: FiniteGroup) -> np.ndarray:
+    """Permutation matrices rho[r] with rho[r] e_h = e_{h r^-1}.
+
+    Commutes with the left representation and satisfies rho[r] rho[t] = rho[rt].
+    """
+    n = g.order
+    rho = np.zeros((n, n, n), dtype=complex)
+    for r in g.elements():
+        for h in g.elements():
+            rho[r, g.mul(h, g.inv(r)), h] = 1.0
+    return rho
+
+
+# matrices
+
+
+def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Hermitian within tol and spectrum above -tol * op_norm(m)."""
+    m = np.asarray(m, dtype=complex)
+    if op_norm(m - dagger(m)) > tol:
+        return False
+    herm = (m + dagger(m)) / 2
+    w = np.linalg.eigvalsh(herm)
+    return bool(w[0] >= -tol * max(op_norm(m), 1.0))
+
+
+def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
+    return s.dim == t.dim and subspace_leq(s, t, tol) and subspace_leq(t, s, tol)
+
+
+def wedderburn_block_count(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> int:
+    """Number of simple summands of a unital *-closed matrix algebra.
+
+    Equals the center dimension. Raises NotAnAlgebra if the subspace is not
+    closed under products/adjoints and NotUnital if it has no unit.
+    """
+    if not is_star_closed(a, tol):
+        raise NotAnAlgebra("not closed under adjoints")
+    mult = multiplication_tensor(a, tol)
+    unit_coords(a, mult, tol)
+    return center_dimension(mult, tol)
+
+
+# bundles
+
+
+def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np.ndarray:
+    """Coordinate matrices for automorphisms given as callables on matrices."""
+    k = algebra.dim
+    alpha = np.zeros((g.order, k, k), dtype=complex)
+    for s in g.elements():
+        images = np.reshape([maps[s](b) for b in algebra.basis], algebra.basis.shape)
+        alpha[s] = algebra.decompose(images)[0].T
+    return alpha
+
+
+# sections
+
+
+@dataclass(frozen=True)
+class CrossedProductAlgebra:
+    """span{a tensor E_{st,t} : a in A_s} inside M_n tensor M_|G|.
+
+    j_fiber embeds sections (a_s acts as a_s tensor lambda(s)), j_group gives
+    the resolving diagonal projections, and conjugation by 1 tensor rho(r)
+    is the dual translation action, moving the (s, t) slot to (s, t r^-1).
+    """
+
+    bundle: GradedBundle
+    total: MatrixSubspace
+    lam: np.ndarray
+    rho: np.ndarray
+
+    @property
+    def group(self):
+        return self.bundle.group
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.bundle.ambient_dim * self.group.order
+
+    def dimension(self) -> int:
+        return self.group.order * self.bundle.section_dimension()
+
+    def j_fiber(self, s: int, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+        mat = np.asarray(mat, dtype=complex)
+        if not self.bundle.fiber(s).contains(mat, precondition_tol(tol)):
+            raise FiberMismatch(f"matrix does not lie in fiber {s}")
+        return np.kron(mat, self.lam[s])
+
+    def j_group(self, t: int) -> np.ndarray:
+        n, g = self.bundle.ambient_dim, self.group.order
+        e_tt = np.zeros((g, g), dtype=complex)
+        e_tt[t, t] = 1.0
+        return np.kron(np.eye(n), e_tt)
+
+    def fiber_at(self, s: int, t: int) -> MatrixSubspace:
+        n = self.ambient_dim
+        basis = [slot_realization(self.group, {(s, t): b}, self.bundle.ambient_dim)
+                 for b in self.bundle.fiber(s).basis_list()]
+        return MatrixSubspace(n, np.array(basis, dtype=complex).reshape(-1, n, n))
+
+    def dual_unitary(self, r: int) -> np.ndarray:
+        return np.kron(np.eye(self.bundle.ambient_dim), self.rho[r])
+
+    def dual_apply(self, r: int, mat) -> np.ndarray:
+        u = self.dual_unitary(r)
+        return u @ np.asarray(mat, dtype=complex) @ dagger(u)
+
+
+def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedProductAlgebra:
+    """The bundle's dense crossed product on C^n tensor l^2(G): the reference
+    model that tests hold the commands' bundle-read crossed-product fields to."""
+    require_fell_axioms(bundle, tol)
+    g = bundle.group
+    big = bundle.ambient_dim * g.order
+    mats = [slot_realization(g, {(s, t): b}, bundle.ambient_dim)
+            for s in g.elements() for t in g.elements() for b in bundle.fiber(s).basis_list()]
+    # distinct (s, t) slots use HS-orthogonal matrix units, so the stack is
+    # orthonormal as it stands
+    total = MatrixSubspace(big, np.array(mats, dtype=complex).reshape(-1, big, big))
+    return CrossedProductAlgebra(bundle, total, left_regular(g), right_regular(g))
+
+
+# imprimitivity
+
+
+def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,
+             tol: float = DEFAULT_TOL) -> Element:
+    _check_base(q, d)
+    fiber_of = dict(_slots(q, kind))
+    for key, m in coeffs.items():
+        if key not in fiber_of:
+            raise FiberMismatch(f"{key} is not a slot of a {kind} element over this quotient")
+        if not d.fiber(fiber_of[key]).contains(m, precondition_tol(tol)):
+            raise FiberMismatch(f"coefficient at {key} is not in fiber {fiber_of[key]}")
+    return Element(q, d, kind, {k: np.asarray(m, dtype=complex) for k, m in coeffs.items()})
+
+
+module_element = partial(_element, "x")
+algebra_element_b = partial(_element, "b")
+algebra_element_c = partial(_element, "c")
+
+
+def unit_elements(q: Quotient, d: GradedBundle,
+                  tol: float = DEFAULT_TOL) -> tuple[Element, Element]:
+    """Exact identities of B0 and C0: unit-fiber units summed over a transversal."""
+    _check_base(q, d)
+    u = unit_fiber_unit(d, tol)
+    unit_b = Element(q, d, "b", {(0, t): np.array(u) for t in q.group.elements()})
+    unit_c = Element(q, d, "c", {(0, l): np.array(u) for l in q.quotient_group.elements()})
+    return unit_b, unit_c
+
+
+def realize_b(b: Element) -> np.ndarray:
+    """(d, s, t) -> d tensor lambda(s) tensor E_{st,t}: `_realize` on d tensor lambda(s).
+
+    The tests' dense model, of size m|G|^2, in the crossed product of the
+    pull-back. The unitary delta_r (x) delta_w -> delta_{w^-1 r} (x) delta_w
+    conjugates lambda(s) tensor E_{st,t} to 1 tensor E_{st,t}, so this is the
+    lambda-free realization taken |G| times: same spectra, same norms.
+    """
+    g = b.q.group
+    lam = left_regular(g)
+    return _realize(g, {(s, t): np.kron(m, lam[s]) for (s, t), m in b.coeffs.items()},
+                    b.d.ambient_dim * g.order)
+
+
+def realize_c(c: Element) -> np.ndarray:
+    """(d, kN, lN) -> d tensor E_{klN,lN}: `_realize` over G/N."""
+    return _realize(c.q.quotient_group, c.coeffs, c.d.ambient_dim)
+
+
+# duality
+
+
+def translation_action(g: FiniteGroup) -> GSetAction:
+    """G acting on itself by left translation; always free."""
+    return coset_action(g, (0,))
+
+
+def trivial_gset_action(g: FiniteGroup, size: int) -> GSetAction:
+    return GSetAction(g, size, tuple(tuple(range(size)) for _ in g.elements()))
+
+
+# approximation
+
+
+def point_witness(bundle: GradedBundle, s: int = 0, tol: float = DEFAULT_TOL) -> EPWitness:
+    """f = delta_s . 1_e, the witness supported at a single group element."""
+    return ep_witness(bundle, {int(s): unit_fiber_unit(bundle, tol)}, tol)

@@ -13,9 +13,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import models
 from conftest import A3, I2, PAULI_X, SQ2, SWAP_SUBGROUP
 from fellbundles import approximation as approx
-from fellbundles import bundles, cli, duality, groups, matrices, sections
+from fellbundles import bundles, cli, duality, groups, matrices
 from fellbundles import imprimitivity as imp
 
 
@@ -66,8 +67,8 @@ def test_criterion_03_morita_anchor(q_z4, pauli_bundle):
     report = imp.bimodule_check(q_z4, pauli_bundle)[1]
     assert report == {"dimB": 16, "dimC": 4, "dimX": 8,
                       "blocksB": 1, "blocksC": 1, "equivalent": True}
-    span_b = [imp.realize_b(b) for b in imp.b_generators(q_z4, pauli_bundle)]
-    span_c = [imp.realize_c(c) for c in imp.c_generators(q_z4, pauli_bundle)]
+    span_b = [models.realize_b(b) for b in imp.b_generators(q_z4, pauli_bundle)]
+    span_c = [models.realize_c(c) for c in imp.c_generators(q_z4, pauli_bundle)]
     assert _oracle_blocks(span_b) == 1
     assert _oracle_blocks(span_c) == 1
 
@@ -159,7 +160,7 @@ def test_criterion_08_approximation_witnesses(battery, pauli_bundle,
 
 def test_criterion_09_crossed_product_dimension_law(battery):
     for name, bundle in battery.items():
-        cp = sections.crossed_product(bundle)
+        cp = models.crossed_product(bundle)
         assert cp.total.dim == bundle.group.order * bundle.section_dimension(), name
         for s in bundle.group.elements():
             for a in bundle.fiber(s).basis_list():

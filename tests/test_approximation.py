@@ -16,6 +16,7 @@ from fellbundles.errors import (
     ValueOutsideUnitFiber,
 )
 
+import models
 from conftest import A3, I2, PAULI_X, PAULI_Y, SQ2
 
 
@@ -101,20 +102,20 @@ class TestDefect:
         off = matrices.orthonormalize(
             [np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])])
         b = bundles.GradedBundle(z2, (diag2, off))
-        rep = ap.ep_defect(b, ap.point_witness(b))
+        rep = ap.ep_defect(b, models.point_witness(b))
         assert rep["bound"] == pytest.approx(1.0, abs=1e-12)
         assert rep["defect"] == pytest.approx(1.0, abs=1e-12)
 
     def test_point_witness_defect_on_regular_realization(self, trivial_z4):
         # same witness, but the fibers here are normalized translation
         # matrices with operator norm 1/2, which scales the defect with them
-        rep = ap.ep_defect(trivial_z4, ap.point_witness(trivial_z4))
+        rep = ap.ep_defect(trivial_z4, models.point_witness(trivial_z4))
         assert rep["bound"] == pytest.approx(1.0, abs=1e-12)
         assert rep["defect"] == pytest.approx(0.5, abs=1e-12)
 
     def test_point_witness_defect_on_pauli(self, pauli_bundle):
         # the X fiber basis element X / sqrt(2) has operator norm 1 / sqrt(2)
-        rep = ap.ep_defect(pauli_bundle, ap.point_witness(pauli_bundle))
+        rep = ap.ep_defect(pauli_bundle, models.point_witness(pauli_bundle))
         assert rep["defect"] == pytest.approx(1 / SQ2, abs=1e-12)
 
     def test_witness_over_other_bundle_rejected(self, pauli_bundle, trivial_z4, z2, diag2):
@@ -136,7 +137,7 @@ class TestAveraging:
         for bundle in (pauli_bundle, swap_semidirect_realized.bundle):
             g, n, go = bundle.group, bundle.ambient_dim, bundle.group.order
             w = random_witness(bundle, rng, scale=0.7)
-            cp = sections.crossed_product(bundle)
+            cp = models.crossed_product(bundle)
             v = np.zeros((n * go, n), dtype=complex)
             for u in g.elements():
                 v[u::go, :] = w.value(u)
@@ -191,7 +192,7 @@ class TestAveraging:
 
     def test_point_witness_bound_is_tight(self, pauli_bundle):
         # rank-one averaging u* a u attains the bound on the unit section
-        w = ap.point_witness(pauli_bundle)
+        w = models.point_witness(pauli_bundle)
         out = ap.averaging_map(pauli_bundle, w, I2)
         assert matrices.op_norm(out) == pytest.approx(
             w.bound * matrices.op_norm(I2), abs=1e-12)

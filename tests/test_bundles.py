@@ -15,6 +15,7 @@ from fellbundles.errors import (
     NotASubgroup,
 )
 
+import models
 from conftest import A3, I2, PAULI_X, PAULI_Z, SQ2
 from test_duality import ladder_action, s3_signed_action  # noqa: F401
 from test_metamorphic import haar_unitary
@@ -184,7 +185,7 @@ class TestAbstractBundles:
         # C^2 with the coordinate swap integrates to a single 2x2 block
         total = matrices.span_union(swap_semidirect_realized.bundle.fibers)
         assert total.dim == 4
-        assert matrices.wedderburn_block_count(total) == 1
+        assert models.wedderburn_block_count(total) == 1
 
     def test_twisted_square_is_minus_one(self, twisted_z4_realized):
         img = twisted_z4_realized.images
@@ -194,7 +195,7 @@ class TestAbstractBundles:
     def test_twisted_two_blocks(self, twisted_z4_realized):
         total = matrices.span_union(twisted_z4_realized.bundle.fibers)
         assert total.dim == 2
-        assert matrices.wedderburn_block_count(total) == 2
+        assert models.wedderburn_block_count(total) == 2
 
     def test_degenerate_functional_rejected(self, pauli_bundle):
         ab = bundles.abstract_from_graded(pauli_bundle)
@@ -651,13 +652,13 @@ def _upper_triangular():
                                    np.diag([0.0, 1.0])])
     u = np.array([[1.0, 1.0], [0.0, -1.0]])
     g = groups.cyclic(2)
-    alpha = bundles.action_by_automorphisms(alg, g, [lambda m: m, lambda m: u @ m @ u])
+    alpha = models.action_by_automorphisms(alg, g, [lambda m: m, lambda m: u @ m @ u])
     return bundles.plain_action(alg, g, alpha)
 
 
 def _s3_translation():
     from fellbundles import duality
-    return duality.transformation_system(duality.translation_action(groups.symmetric(3)))
+    return duality.transformation_system(models.translation_action(groups.symmetric(3)))
 
 
 class TestTwistedActionOnStacks:

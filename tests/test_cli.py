@@ -15,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import models
 from conftest import I2, PAULI_X, SQ2, SWAP_SUBGROUP
 from fellbundles import approximation as approx
 from fellbundles import bundles, cli, duality, groups, imprimitivity, matrices, sections
@@ -554,7 +555,7 @@ def table_spec(bundle) -> dict:
 
 class TestCrossedFieldsAgainstTheDenseModel:
     """crossed and report read the crossed product off the bundle; the dense
-    span{a_s (x) E_{st,t}} of `sections.crossed_product` is the oracle."""
+    span{a_s (x) E_{st,t}} of `models.crossed_product` is the oracle."""
 
     @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_z4", "trivial_s3",
                                       "pauli_pullback", "twisted_z4_realized",
@@ -563,7 +564,7 @@ class TestCrossedFieldsAgainstTheDenseModel:
         bundle = request.getfixturevalue(name)
         bundle = bundle.bundle if name.endswith("_realized") else bundle
         spec = write_json(tmp_path / "spec.json", table_spec(bundle))
-        cp = sections.crossed_product(bundle)
+        cp = models.crossed_product(bundle)
         rc, out, _ = run(capsys, "crossed", spec)
         crossed = json.loads(out)
         assert rc == 0 and crossed["pass"] is True
@@ -663,13 +664,21 @@ class TestMalformedFieldsExit2:
         *[("verify", "pauli_spec", lambda d, k=key: d.update(fibers={"0": d["fibers"]["0"],
                                                                      k: d["fibers"]["1"]}),
            f"fiber key '{key}' is not an element index") for key in ("0_1", " 1", "+1", "01")],
+        # a matrix entry is a finite number, whether JSON reads NaN or numpy the text "nan"
+        ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, [float("nan"), 0]),
+         "fibers[0][0]: entries must be finite"),
+        ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, ["nan", 0]),
+         "fibers[0][0]: entries must be finite"),
+        ("olesen-pedersen", "action_spec", lambda d: d["alpha"].update({"1": mat([[np.inf]])}),
+         "alpha[1]: entries must be finite"),
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
             "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
             "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
             "gset-size-3.0", "action-normal-1.5", "spec-group-cyclic-0", "spec-group-cyclic",
             "action-alpha-key-9", "action-alpha-key-x", "gset-perm-key-17",
             "action-alpha-key-repeat", "spec-fiber-key-repeat", "spec-fiber-key-0_1",
-            "spec-fiber-key-space-1", "spec-fiber-key-plus-1", "spec-fiber-key-01"])
+            "spec-fiber-key-space-1", "spec-fiber-key-plus-1", "spec-fiber-key-01",
+            "spec-fiber-nan", "spec-fiber-nan-text", "action-alpha-infinity"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)

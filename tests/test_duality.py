@@ -20,6 +20,7 @@ from fellbundles.errors import (
     TrivialN,
 )
 
+import models
 from conftest import A3, I2, PAULI_X, PAULI_Y, SWAP_SUBGROUP
 
 
@@ -178,7 +179,7 @@ class TestExtractTwist:
         # unitaries are I and diag(1,-1), and the extraction returns them
         v = np.diag([1.0 + 0j, 1j])
         powers = [np.linalg.matrix_power(v, s) for s in range(4)]
-        alpha = bundles.action_by_automorphisms(
+        alpha = models.action_by_automorphisms(
             m2_full, z4, [lambda m, p=p: p @ m @ matrices.dagger(p) for p in powers])
         v2 = powers[2]
         t = bundles.TwistedAction(m2_full, z4, groups.NormalSubgroup(z4, (0, 2)),
@@ -262,7 +263,7 @@ class TestGradedIdeals:
         for a in ideals:
             for b in ideals:
                 join = matrices.span_union([a, b], ambient_dim=a.ambient_dim)
-                assert any(matrices.subspace_equal(join, c) for c in ideals)
+                assert any(models.subspace_equal(join, c) for c in ideals)
                 meet_dim = a.dim + b.dim - join.dim
                 assert any(c.dim == meet_dim for c in ideals)
 
@@ -313,7 +314,7 @@ class TestGradedIdealsAgainstTheSweep:
     def test_same_ideals_as_the_sweep(self, section, count):
         ideals, swept = duality.graded_ideals(section), sweep_graded_ideals(section)
         assert [i.dim for i in ideals] == [i.dim for i in swept]
-        assert all(any(matrices.subspace_equal(a, b) for b in swept) for a in ideals)
+        assert all(any(models.subspace_equal(a, b) for b in swept) for a in ideals)
         assert len(ideals) == count == 2 ** center_meets_unit_fiber(section)
         assert ideals[0].dim == 0 and ideals[-1].dim == section.total.dim
         assert (duality.is_g_simple(section, ideals=ideals) == duality.is_g_simple(section)
@@ -328,7 +329,7 @@ class TestTransformationSystems:
         assert duality.invariant_ideal_count(act) == 2
 
     def test_translation_action_is_free(self, s3):
-        act = duality.translation_action(s3)
+        act = models.translation_action(s3)
         assert act.size == 6
         assert all(act.stabilizer(x) == (0,) for x in range(6))
 
@@ -362,13 +363,13 @@ class TestTransformationSystems:
         assert len(set(report["stabilizers"])) == 3
 
     def test_trivial_action_has_no_obstruction(self, z4):
-        act = duality.trivial_gset_action(z4, 3)
+        act = models.trivial_gset_action(z4, 3)
         report = duality.stabilizer_obstruction(act, groups.NormalSubgroup(z4, (0, 2)))
         assert report["kernel"] == (0, 1, 2, 3)
         assert report["induced_possible"]
 
     def test_trivial_subgroup_rejected(self, s3):
-        act = duality.translation_action(s3)
+        act = models.translation_action(s3)
         with pytest.raises(TrivialN):
             duality.stabilizer_obstruction(act, groups.NormalSubgroup(s3, (0,)))
 
@@ -376,7 +377,7 @@ class TestTransformationSystems:
     @given(gens=st.sets(st.integers(min_value=0, max_value=5), max_size=2))
     def test_coset_action_kernel_is_normal(self, gens):
         g = groups.symmetric(3)
-        members = groups.subgroup_closure(g, gens)
+        members = models.subgroup_closure(g, gens)
         act = duality.coset_action(g, members)
         assert g.order % act.size == 0
         stabs = [set(act.stabilizer(x)) for x in range(act.size)]

@@ -14,8 +14,8 @@ Reports are built by `matrices.ResidualReport`, so no other module writes a
 dict literal with a "max_residual" key or calls `violations.append`.
 
 The commands read the crossed product off the bundle, so `cli.py` never
-calls `crossed_product`, `j_fiber` or `np.kron`: the dense model is the
-tests' reference, not a command path.
+calls `crossed_product`, `j_fiber` or `np.kron`: the dense model lives in
+`tests/models.py` as the tests' reference, not on a command path.
 
 Maps between gradings are evaluated once per basis element and checked on
 structure constants, so no function nested inside a library function (a map
@@ -27,11 +27,9 @@ witness is exact on every Fell bundle, so `approximation.py` calls no
 
 The dualities check maps into a pull-back on its small factor (a
 `bundles.PulledBack`), so `duality.py` calls no `np.kron` and imports no
-`left_regular`: no a (x) lambda(s) is formed there.
-
-The bimodule checks realize B0 as d (x) E_{st,t}, with no lambda(s) factor,
-so in `imprimitivity.py` only `realize_b`, the tests' dense model of B0,
-calls `kron` or names `left_regular`, and no function calls `realize_b`.
+`left_regular`: no a (x) lambda(s) is formed there. Nor in `imprimitivity.py`:
+the bimodule checks realize B0 as d (x) E_{st,t}, with no lambda(s) factor,
+and `realize_b`, the dense model of B0 with one, lives in `tests/models.py`.
 
 Subgroup membership and normality are decided in `groups` (`subgroup_members`
 and `NormalSubgroup`), so no other library module raises `NotASubgroup` or
@@ -263,43 +261,8 @@ def test_duality_forms_no_lambda_factor():
     assert dense_lambda_uses((SRC / "duality.py").read_text(encoding="utf-8")) == []
 
 
-def lambda_factor_outside(source: str, allowed: str) -> list[str]:
-    """Calls of `kron` and names `left_regular` outside the module-level function
-    `allowed`, and every call of `allowed` itself."""
-    found = []
-    for top in ast.parse(source).body:
-        inside = isinstance(top, ast.FunctionDef) and top.name == allowed
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == allowed or (name == "kron" and not inside):
-                    found.append(f"{name} call (line {node.lineno})")
-            elif not inside and "left_regular" in (getattr(node, "id", None),
-                                                   getattr(node, "attr", None)):
-                found.append(f"left_regular (line {node.lineno})")
-    return found
-
-
-def test_checker_flags_a_lambda_factor_outside_its_function():
-    source = ("from .groups import left_regular\n"
-              "def realize_b(b):\n"
-              "    return np.kron(b, left_regular(g)[0])\n"
-              "def check(b):\n"
-              "    lam = groups.left_regular(g)\n"
-              "    return realize_b(b) + np.kron(b, lam[1])\n"
-              "def norms(bs):\n"
-              "    return [op_norm(imp.realize_b(b)) for b in bs]\n"
-              "def inner(b):\n"
-              "    return realize(b, lam) + kronecker(b)\n")
-    assert lambda_factor_outside(source, "realize_b") == [
-        "left_regular (line 5)", "realize_b call (line 6)", "kron call (line 6)",
-        "realize_b call (line 8)"]
-
-
 def test_imprimitivity_forms_lambda_only_in_the_dense_model():
-    source = (SRC / "imprimitivity.py").read_text(encoding="utf-8")
-    assert lambda_factor_outside(source, "realize_b") == []
+    assert dense_lambda_uses((SRC / "imprimitivity.py").read_text(encoding="utf-8")) == []
 
 
 # Thresholds are decided in `matrices` (DEFAULT_TOL, precondition_tol, _ZERO_CUT),
@@ -461,12 +424,15 @@ def test_twisted_actions_are_read_in_coordinates(function):
 
 def test_one_olesen_pedersen_run_reads_each_action_once(tmp_path, monkeypatch):
     from test_cli import transformation_system_spec
-    spec = transformation_system_spec(tmp_path / "ts_d4.json", "dihedral", 4, (0, 2))
     prop, read = bundles.TwistedAction.__dict__["structure"], []
     real = prop.func
     monkeypatch.setattr(prop, "func", lambda t: read.append(t) or real(t))
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.run_command(["olesen-pedersen", str(spec)])
-    # the parsed action, its plain action in the forward check, and the extracted twist
-    assert rc == 0 and len(read) == 3
-    assert len({id(t) for t in read}) == len(read)
+    # the parsed action, its plain action in the forward check, and the extracted
+    # twist; over N = {e} the forward check reuses the twisted bundle, so no plain action
+    for kind, n, normal, reads in [("dihedral", 4, (0, 2), 3), ("symmetric", 3, (0,), 2)]:
+        spec = transformation_system_spec(tmp_path / f"ts_{kind}{n}.json", kind, n, normal)
+        read.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run_command(["olesen-pedersen", str(spec)])
+        assert rc == 0 and len(read) == reads
+        assert len({id(t) for t in read}) == len(read)

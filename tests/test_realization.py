@@ -17,6 +17,7 @@ from fellbundles import bundles, cli, duality, groups, matrices
 from fellbundles.errors import DegenerateFunctional
 from fellbundles.matrices import DEFAULT_TOL, ResidualReport, dagger, hs_norm, op_norm
 
+import models
 from test_cli import transformation_system_spec
 from test_duality import LADDER, ladder_action, s3_signed_action  # noqa: F401
 
@@ -104,7 +105,7 @@ ACTIONS = ["twisted_z4_action", "swap_action", "s3_signed_action", "inner_z4_act
 def inner_z4_action(z4, m2_full):
     """alpha_s = Ad(V^s), V = diag(1, i), twisted over {0, 2} by I and V^2."""
     powers = [np.linalg.matrix_power(np.diag([1.0 + 0j, 1j]), s) for s in range(4)]
-    alpha = bundles.action_by_automorphisms(
+    alpha = models.action_by_automorphisms(
         m2_full, z4, [lambda m, p=p: p @ m @ dagger(p) for p in powers])
     return bundles.TwistedAction(m2_full, z4, groups.NormalSubgroup(z4, (0, 2)), alpha,
                                  {0: np.eye(2, dtype=complex), 2: powers[2]})

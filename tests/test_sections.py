@@ -14,6 +14,7 @@ from fellbundles.errors import (
     ProjectionsNotResolving,
 )
 
+import models
 from conftest import I2, PAULI_X, PAULI_Y
 
 
@@ -29,12 +30,12 @@ def pullback_sa(pauli_pullback):
 
 @pytest.fixture(scope="module")
 def cp_pauli(pauli_bundle):
-    return sections.crossed_product(pauli_bundle)
+    return models.crossed_product(pauli_bundle)
 
 
 @pytest.fixture(scope="module")
 def cp_trivial_z4(trivial_z4):
-    return sections.crossed_product(trivial_z4)
+    return models.crossed_product(trivial_z4)
 
 
 class TestSectionAlgebra:
@@ -72,7 +73,7 @@ class TestSectionAlgebra:
             x = total.from_coords(c)
             ex = pullback_sa.expectation(x)
             assert np.allclose(pullback_sa.expectation(ex), ex, atol=1e-9)
-            assert matrices.is_psd(pullback_sa.expectation(matrices.dagger(x) @ x))
+            assert models.is_psd(pullback_sa.expectation(matrices.dagger(x) @ x))
             assert matrices.op_norm(ex) <= matrices.op_norm(x) + 1e-9
             a = fe.from_coords(rng.normal(size=fe.dim))
             b = fe.from_coords(rng.normal(size=fe.dim))
@@ -100,15 +101,15 @@ class TestCrossedProduct:
     def test_dimension_law(self, cp_pauli, cp_trivial_z4, trivial_s3,
                            twisted_z4_realized):
         for cp in (cp_pauli, cp_trivial_z4,
-                   sections.crossed_product(trivial_s3),
-                   sections.crossed_product(twisted_z4_realized.bundle)):
+                   models.crossed_product(trivial_s3),
+                   models.crossed_product(twisted_z4_realized.bundle)):
             expected = cp.group.order * cp.bundle.section_dimension()
             assert cp.dimension() == expected == cp.total.dim
 
     def test_pauli_crossed_is_one_full_block(self, cp_pauli):
         # the total span is {[[aI, bX], [cX, dI]]}: closed, *-closed, and
         # noncommutative of dimension 4, hence a single 2x2 block
-        assert matrices.wedderburn_block_count(cp_pauli.total) == 1
+        assert models.wedderburn_block_count(cp_pauli.total) == 1
 
     def test_embedding_is_isometric(self, cp_trivial_z4):
         rng = np.random.default_rng(9)
