@@ -53,13 +53,14 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(obj, field: str) -> np.ndarray:
+    """Entries are JSON numbers: text, booleans and nulls are not parsed into them."""
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = np.asarray(obj)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{field}: not a numeric matrix: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ParseError(f"{field}: matrices are row-major nests of [re, im] pairs")
-    if not np.isfinite(arr).all():
+    if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
         raise ParseError(f"{field}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 

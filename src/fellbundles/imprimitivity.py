@@ -1,82 +1,39 @@
 """The pre-imprimitivity bimodule linking the two crossed products.
 
-Given a bundle D over G/N, three spaces of finitely supported fiber-valued
-functions share one `Element` type, told apart by `kind`:
+Given a bundle D over G/N, three spaces are spanned by generators a (x) [slot],
+a in a basis of the fiber of D the slot takes values in: the bimodule X0, slots
+"x" (k, t) valued in D_k; the algebra B0, slots "b" (s, t) valued in D_{sN};
+and C0, slots "c" (k, l) valued in D_k; s, t in G and k, l in G/N.
 
-- "x", the bimodule X0: (coset k, t in G) -> D_k;
-- "b", the algebra B0 of triples (d, s, t): (s, t) in G x G -> D_{sN};
-- "c", the algebra C0 of pairs (d, kN, lN): (kN, lN) -> D_k.
+As in Quigg's block-matrix picture, a formula sends generators to one
+generator times structure constants of D, or to zero. So each formula is a
+slot map, a function of `Slots` read off the group tables that sends one or
+two slots to one slot or to none, and a coefficient block chosen by the
+fibers of its arguments from D's `prod` and `invol` (`abstract_from_graded`).
+Fiber coordinates are padded with zeros to the largest fiber dimension; the
+padding enters no residual. The blocks are faithful on a Fell bundle, so D's
+grading axioms are checked first.
 
-The slot table `_slots(q, kind)` lists the keys of each space with the fiber
-of D their values lie in, in coordinate order; it drives the one constructor
-check, the generator bases, the random draws and the coordinate vectors. The
-two products, both actions and both inner products run through one pairing
-kernel, the adjoints and translations through one relabelling kernel.
-
-`bimodule_check` is the one imprimitivity check. Every identity is read off
-formula tables, built once per check: each formula is evaluated once on
-every pair of generators, and the coordinates of the results are stacked
-into 3-tensors (the adjoints and translations into coordinate matrices). The
-tables are exact as every formula is (sesqui)linear, and faithful when each
-coefficient lies in its slot's fiber, which D's grading axioms guarantee; so
-D must pass them first. The bimodule axioms and the gamma identities are
-then einsum identities, and a residual is the largest 2-norm of a slot's
-block of coordinates in a difference: its HS norm, since fiber bases are
-HS-orthonormal. Positivity and norms are read on one faithful realization,
-`_realize` (`sections.slot_realization`), of C0 over G/N and of B0 over G
-with no lambda(s) factor.
+`bimodule_check` builds the six binary slot tables once and compares two
+composites of formulas on every slot triple or pair where either lands: by
+the 2-norm of the difference of their blocks where both land in one slot (the
+HS norm, fiber bases being HS-orthonormal), and else each block alone.
+Positivity and norms are read on the faithful realization `_realize`
+(`sections.slot_realization`) of the generators, with no lambda(s) factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import matmul
+from types import SimpleNamespace
 
 import numpy as np
 
-from .bundles import GradedBundle, require_fell_axioms, same_bundle, unit_fiber_unit
-from .errors import FiberMismatch, GroupMismatch
+from .bundles import GradedBundle, abstract_from_graded, require_fell_axioms, unit_fiber_unit
+from .errors import GroupMismatch
 from .groups import Quotient
-from .matrices import (
-    DEFAULT_TOL,
-    ResidualReport,
-    center_dimension,
-    dagger,
-    hs_norm,
-    numerical_rank,
-    op_norm,
-)
+from .matrices import DEFAULT_TOL, ResidualReport, dagger, numerical_rank, op_norm
 from .sections import slot_realization as _realize
-
-
-@dataclass(frozen=True, eq=False)
-class Element:
-    """Finitely supported map from the slot keys of `kind` to matrices in their fibers."""
-
-    q: Quotient
-    d: GradedBundle
-    kind: str
-    coeffs: dict
-
-    def plus(self, other: "Element") -> "Element":
-        _same_setup(self, other)
-        if other.kind != self.kind:
-            raise FiberMismatch(f"cannot add a {other.kind} element to a {self.kind} element")
-        out = {k: np.array(m) for k, m in self.coeffs.items()}
-        for key, m in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + m
-        return Element(self.q, self.d, self.kind, out)
-
-    def scaled(self, z: complex) -> "Element":
-        return Element(self.q, self.d, self.kind, {k: z * m for k, m in self.coeffs.items()})
-
-
-def _same_setup(a, b) -> None:
-    if a.q.group.table != b.q.group.table or a.q.subgroup.members != b.q.subgroup.members:
-        raise GroupMismatch("elements built over different quotient data")
-    if not same_bundle(a.d, b.d):
-        raise GroupMismatch("elements built over different base bundles")
 
 
 def _check_base(q: Quotient, d: GradedBundle) -> None:
@@ -84,344 +41,393 @@ def _check_base(q: Quotient, d: GradedBundle) -> None:
         raise GroupMismatch("base bundle is not graded by the quotient group")
 
 
-def _slots(q: Quotient, kind: str) -> list[tuple[tuple[int, int], int]]:
-    """The keys of `kind` in coordinate order, each with the fiber of D it takes values in."""
-    g, qg = q.group.elements(), q.quotient_group.elements()
-    if kind == "x":
-        return [((k, t), k) for k in qg for t in g]
-    if kind == "b":
-        return [((s, t), q.coset_of[s]) for s in g for t in g]
-    return [((k, l), k) for k in qg for l in qg]
+def _groups(q: Quotient) -> SimpleNamespace:
+    """The tables the slot maps read: G's product and inverse, G/N's, and s -> sN."""
+    qg = q.quotient_group
+    return SimpleNamespace(mul=np.array(q.group.table), inv=np.array(q.group.inverse),
+                           qmul=np.array(qg.table), qinv=np.array(qg.inverse),
+                           coset=np.array(q.coset_of))
 
 
-# the kernels behind every formula
+@dataclass(frozen=True)
+class Slots:
+    """Slots of one kind as integer arrays (first, second) of one shape; first
+    is -1 where a formula lands in no slot."""
+
+    g: SimpleNamespace
+    kind: str
+    first: np.ndarray
+    second: np.ndarray
+
+    @property
+    def index(self) -> np.ndarray:
+        width = len(self.g.qmul if self.kind == "c" else self.g.mul)
+        return np.where(self.first >= 0, self.first * width + self.second, -1)
+
+    @property
+    def fiber(self) -> np.ndarray:
+        """The fiber of D each slot takes values in."""
+        return self.g.coset[self.first] if self.kind == "b" else self.first
 
 
-def _pair(kinds: str, a: Element, b: Element, product, rule) -> Element:
-    """Sum product(ma, mb) into slot rule(*ka, *kb) over all coefficient pairs.
-
-    kinds names the kinds of a, b and the result, e.g. "bxx" for b acting on x.
-    rule returns None for pairs whose positions do not match.
-    """
-    if a.kind != kinds[0] or b.kind != kinds[1]:
-        raise FiberMismatch(f"expected {kinds[:2]} elements, got {a.kind}{b.kind}")
-    _same_setup(a, b)
-    out: dict = {}
-    for ka, ma in a.coeffs.items():
-        for kb, mb in b.coeffs.items():
-            key = rule(*ka, *kb)
-            if key is not None:
-                out[key] = out.get(key, 0.0) + product(ma, mb)
-    return Element(a.q, a.d, kinds[2], out)
+def _all_slots(g: SimpleNamespace, kind: str) -> Slots:
+    """Every slot of `kind`, in slot order."""
+    n, m = len(g.mul), len(g.qmul)
+    first, second = np.divmod(np.arange({"x": m * n, "b": n * n, "c": m * m}[kind]),
+                              m if kind == "c" else n)
+    return Slots(g, kind, first, second)
 
 
-def _relabel(kind: str, e: Element, rule, adjoint: bool = False) -> Element:
-    """Move each coefficient of a `kind` element to slot rule(*key), taking its adjoint if asked.
-
-    Every rule used here is a bijection of the slots, so nothing collides.
-    """
-    if e.kind != kind:
-        raise FiberMismatch(f"expected a {kind} element, got a {e.kind} element")
-    return Element(e.q, e.d, e.kind, {rule(*key): dagger(m) if adjoint else m
-                                      for key, m in e.coeffs.items()})
+def _lands(kind: str, hit, first, second, *args: Slots) -> Slots:
+    """Slots (first, second) of `kind` where hit holds and every argument is a slot."""
+    for a in args:
+        hit = hit & (a.first >= 0)
+    return Slots(args[0].g, kind, np.where(hit, first, -1), np.where(hit, second, -1))
 
 
-# algebra operations
+# the slot maps
 
 
-def b_mul(a: Element, b: Element) -> Element:
-    g = a.q.group
-    return _pair("bbb", a, b, matmul,
-                 lambda s, t, u, v: (g.mul(s, u), v) if t == g.mul(u, v) else None)
+def _crossed(kind: str, mul, a: Slots, b: Slots) -> Slots:
+    """(s, t)(u, v) = (su, v) when t = uv: the delta_{t,uv} rule of
+    `sections.crossed_structure`, over G for B0 and over G/N for C0."""
+    return _lands(kind, a.second == mul[b.first, b.second], mul[a.first, b.first], b.second, a, b)
 
 
-def b_star(a: Element) -> Element:
-    g = a.q.group
-    return _relabel("b", a, lambda s, t: (g.inv(s), g.mul(s, t)), adjoint=True)
+def b_mul(a: Slots, b: Slots) -> Slots:
+    return _crossed("b", a.g.mul, a, b)
 
 
-def c_mul(a: Element, b: Element) -> Element:
-    qg = a.q.quotient_group
-    return _pair("ccc", a, b, matmul,
-                 lambda k, l, u, v: (qg.mul(k, u), v) if l == qg.mul(u, v) else None)
+def c_mul(a: Slots, b: Slots) -> Slots:
+    return _crossed("c", a.g.qmul, a, b)
 
 
-def c_star(a: Element) -> Element:
-    qg = a.q.quotient_group
-    return _relabel("c", a, lambda k, l: (qg.inv(k), qg.mul(k, l)), adjoint=True)
+def b_star(a: Slots) -> Slots:
+    """(d, s, t)* = (d*, s^-1, st)."""
+    return _lands("b", True, a.g.inv[a.first], a.g.mul[a.first, a.second], a)
 
 
-# the four generator formulas
+def c_star(a: Slots) -> Slots:
+    """(d, kN, lN)* = (d*, k^-1 N, klN)."""
+    return _lands("c", True, a.g.qinv[a.first], a.g.qmul[a.first, a.second], a)
 
 
-def right_action(x: Element, c: Element) -> Element:
+def right_action(x: Slots, c: Slots) -> Slots:
     """(d_sN, t) . (d_uN, vN) = (d_sN d_uN, t) when s^-1 t N = uvN."""
-    q, qg = x.q, x.q.quotient_group
-
-    def rule(k, t, u, v):
-        return (qg.mul(k, u), t) if qg.mul(qg.inv(k), q.coset_of[t]) == qg.mul(u, v) else None
-
-    return _pair("xcx", x, c, matmul, rule)
+    g, (k, t), (u, v) = x.g, (x.first, x.second), (c.first, c.second)
+    return _lands("x", g.qmul[g.qinv[k], g.coset[t]] == g.qmul[u, v], g.qmul[k, u], t, x, c)
 
 
-def left_action(b: Element, x: Element) -> Element:
+def left_action(b: Slots, x: Slots) -> Slots:
     """(d_qN, q, r) . (d_sN, t) = (d_qN d_sN, qt) when r = t."""
-    q, g, qg = b.q, b.q.group, b.q.quotient_group
-
-    def rule(s, t, k, r):
-        return (qg.mul(q.coset_of[s], k), g.mul(s, r)) if t == r else None
-
-    return _pair("bxx", b, x, matmul, rule)
+    g, (s, r), (k, t) = b.g, (b.first, b.second), (x.first, x.second)
+    return _lands("x", r == t, g.qmul[g.coset[s], k], g.mul[s, t], b, x)
 
 
-def rinner(x: Element, y: Element) -> Element:
-    """<(d_sN, t), (d_uN, v)>_C = (d_sN* d_uN, u^-1 vN) when t = v.
-
-    Conjugate-linear in x, linear in y.
-    """
-    q, qg = x.q, x.q.quotient_group
-
-    def rule(xk, xt, yk, yt):
-        if xt != yt:
-            return None
-        return qg.mul(qg.inv(xk), yk), qg.mul(qg.inv(yk), q.coset_of[yt])
-
-    return _pair("xxc", x, y, lambda dx, dy: dagger(dx) @ dy, rule)
+def rinner(x: Slots, y: Slots) -> Slots:
+    """<(d_sN, t), (d_uN, v)>_C = (d_sN* d_uN, u^-1 vN) when t = v; conjugate-linear in x."""
+    g, (xk, xt), (yk, yt) = x.g, (x.first, x.second), (y.first, y.second)
+    return _lands("c", xt == yt, g.qmul[g.qinv[xk], yk], g.qmul[g.qinv[yk], g.coset[yt]], x, y)
 
 
-def linner(x: Element, y: Element) -> Element:
-    """<(d_sN, t), (d_uN, v)>_B = (d_sN d_uN*, tv^-1, v) when su^-1 N = tv^-1 N.
-
-    Linear in x, conjugate-linear in y.
-    """
-    q, g, qg = x.q, x.q.group, x.q.quotient_group
-
-    def rule(xk, xt, yk, yt):
-        w = g.mul(xt, g.inv(yt))
-        return (w, yt) if qg.mul(xk, qg.inv(yk)) == q.coset_of[w] else None
-
-    return _pair("xxb", x, y, lambda dx, dy: dx @ dagger(dy), rule)
+def linner(x: Slots, y: Slots) -> Slots:
+    """<(d_sN, t), (d_uN, v)>_B = (d_sN d_uN*, tv^-1, v) when su^-1 N = tv^-1 N;
+    conjugate-linear in y."""
+    g, (xk, xt), (yk, yt) = x.g, (x.first, x.second), (y.first, y.second)
+    w = g.mul[xt, g.inv[yt]]
+    return _lands("b", g.qmul[xk, g.qinv[yk]] == g.coset[w], w, yt, x, y)
 
 
-# translations
-
-
-def gamma(r: int, x: Element) -> Element:
+def gamma(r: int, x: Slots) -> Slots:
     """gamma_r(d, t) = (d, t r^-1)."""
-    g = x.q.group
-    return _relabel("x", x, lambda k, t: (k, g.mul(t, g.inv(r))))
+    return _lands("x", True, x.first, x.g.mul[x.second, x.g.inv[r]], x)
 
 
-def dual_b(r: int, b: Element) -> Element:
+def dual_b(r: int, b: Slots) -> Slots:
     """(d, s, t) -> (d, s, t r^-1): the dual translation on B0."""
-    g = b.q.group
-    return _relabel("b", b, lambda s, t: (s, g.mul(t, g.inv(r))))
+    return _lands("b", True, b.first, b.g.mul[b.second, b.g.inv[r]], b)
 
 
-def inflated_dual_c(r: int, c: Element) -> Element:
+def inflated_dual_c(r: int, c: Slots) -> Slots:
     """(d, kN, lN) -> (d, kN, l r^-1 N): the inflated dual translation."""
-    q, qg = c.q, c.q.quotient_group
-    rbar = q.coset_of[r]
-    return _relabel("c", c, lambda k, l: (k, qg.mul(l, qg.inv(rbar))))
+    return _lands("c", True, c.first, c.g.qmul[c.second, c.g.qinv[c.g.coset[r]]], c)
 
 
-# units, generators, random draws, coordinates
+# slot tables and what is read off them
 
 
-def _generators(kind: str, q: Quotient, d: GradedBundle) -> list[Element]:
-    _check_base(q, d)
-    return [Element(q, d, kind, {key: m})
-            for key, fiber in _slots(q, kind)
-            for m in d.fiber(fiber).basis_list()]
+class _Table:
+    """A binary formula on every pair of slots: target[a, b] is the slot it sends
+    (a, b) to (-1: none), and coef[i, j] its (K, K, K) block on the generators
+    of fibers i and j. The pairs that land, (a, b) -> out, keep their blocks."""
+
+    def __init__(self, target, fa, fb, coef, size: int):
+        self.target, self.fa, self.fb, self.coef, self.size = target, fa, fb, coef, size
+        self.a, self.b = np.nonzero(target >= 0)
+        self.out = target[self.a, self.b]
+        self.blocks = self.block(self.a, self.b)
+
+    def block(self, a, b) -> np.ndarray:
+        return self.coef[self.fa[a], self.fb[b]]
 
 
-x_generators = partial(_generators, "x")
-b_generators = partial(_generators, "b")
-c_generators = partial(_generators, "c")
+def _slot_table(f, a: Slots, b: Slots, coef: np.ndarray) -> _Table:
+    """f on every pair of slots of a and b, with the blocks coef[fiber, fiber]."""
+    out = f(Slots(a.g, a.kind, a.first[:, None], a.second[:, None]), b)
+    return _Table(out.index, a.fiber, b.fiber, coef, _all_slots(a.g, out.kind).first.size)
 
 
-def _random(kind: str, q: Quotient, d: GradedBundle, rng) -> Element:
-    coeffs = {}
-    for key, fiber in _slots(q, kind):
-        fk = d.fiber(fiber)
-        c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
-        coeffs[key] = fk.from_coords(c)
-    return Element(q, d, kind, coeffs)
+def _then(g: _Table, f: _Table):
+    """f(g(a, b), c) on every slot triple where it lands: (key, target, blocks)."""
+    p, c = np.nonzero(f.target[g.out] >= 0)
+    a, b, mid, k = g.a[p], g.b[p], g.out[p], g.blocks.shape[-1]
+    blocks = g.blocks[p].reshape(-1, k * k, k) @ f.block(mid, c).reshape(-1, k, k * k)
+    key = np.ravel_multi_index((a, b, c), (len(g.fa), len(g.fb), len(f.fb)))
+    return key, f.target[mid, c], blocks.reshape(-1, k, k, k, k)
 
 
-_random_x = partial(_random, "x")
-_random_b = partial(_random, "b")
-_random_c = partial(_random, "c")
+def _into(f: _Table, g: _Table):
+    """f(a, g(b, c)) on every slot triple where it lands: (key, target, blocks)."""
+    a, p = np.nonzero(f.target[:, g.out] >= 0)
+    b, c, mid, k = g.a[p], g.b[p], g.out[p], g.blocks.shape[-1]
+    blocks = g.blocks[p].reshape(-1, 1, k * k, k) @ f.block(a, mid)  # (., i, jk, l)
+    key = np.ravel_multi_index((a, b, c), (len(f.fa), len(g.fa), len(g.fb)))
+    return key, f.target[a, mid], blocks.reshape(-1, k, k, k, k)
 
 
-def _coords(es: list[Element]) -> np.ndarray:
-    """Coordinates of same-kind elements in the fiber bases, one row each, slot after
-    slot in slot-table order."""
-    place, start = {}, 0
-    for key, f in _slots(es[0].q, es[0].kind):
-        fiber = es[0].d.fiber(f)
-        place[key] = (start, fiber)
-        start += fiber.dim
-    out = np.zeros((len(es), start), dtype=complex)
-    for row, e in zip(out, es):
-        for key, m in e.coeffs.items():
-            i, fiber = place[key]
-            row[i:i + fiber.dim] = fiber.coords(m)
-    return out
+def _side(t: _Table, pa: np.ndarray, pb: np.ndarray, after: np.ndarray):
+    """after(t(pa[a], pb[b])), slot maps around t, on every slot pair (a, b) where
+    it lands: (key, target, blocks)."""
+    target = t.target[pa[:, None], pb[None, :]]
+    target = np.where(target >= 0, after[target], -1)
+    a, b = np.nonzero(target >= 0)
+    return a * len(pb) + b, target[a, b], t.block(pa[a], pb[b])
 
 
-def _table(f, left: list[Element], right: list[Element]) -> np.ndarray:
-    """Coordinates of f(a, b) for every pair of generators: shape (|left|, |right|, dim)."""
-    return _coords([f(a, b) for a in left for b in right]).reshape(len(left), len(right), -1)
+def _residual(lhs, rhs) -> float:
+    """The largest HS norm, slot by slot, of lhs - rhs, two sides (key, target,
+    blocks) with unique keys: where both land in one slot their blocks are
+    subtracted, elsewhere each block counts alone."""
+    (lk, lt, lb), (rk, rt, rb) = lhs, rhs
+    _, i, j = np.intersect1d(lk, rk, assume_unique=True, return_indices=True)
+    i, j = i[lt[i] == rt[j]], j[lt[i] == rt[j]]
+    parts = (lb[i] - rb[j], np.delete(lb, i, axis=0), np.delete(rb, j, axis=0))
+    return float(np.sqrt(max((np.abs(p) ** 2).sum(-1).max(initial=0.0) for p in parts)))
 
 
-def dimensions(q: Quotient, d: GradedBundle) -> dict:
-    section = d.section_dimension()
-    g, qn = q.group.order, q.quotient_group.order
-    dim_b = g * sum(d.fiber(q.coset_of[s]).dim for s in q.group.elements())
-    return {"dimX": g * section, "dimB": dim_b, "dimC": qn * section}
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest HS norm, slot by slot, of the difference of two coordinate arrays."""
+    return float(np.sqrt((np.abs(a - b) ** 2).sum(-1).max(initial=0.0)))
 
 
-def _distance(a, b) -> float:
-    """The largest HS norm, slot by slot, of the difference of two elements."""
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((hs_norm(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
+def _apply(t: _Table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t's formula on coordinates a (..., slots, K) and b, each conjugated beforehand
+    where the formula is conjugate-linear in it: (..., t.size, K)."""
+    vals = np.einsum("...pi,...pj,pijk->...pk", a[..., t.a, :], b[..., t.b, :], t.blocks)
+    scatter = np.zeros((t.size, len(t.out)))
+    scatter[t.out, np.arange(len(t.out))] = 1.0
+    return scatter @ vals
 
 
-def _slot_residual(q: Quotient, d: GradedBundle, kind: str, lhs, rhs) -> float:
-    """`_distance` on coordinate stacks (..., dim) of `kind` elements: the 2-norm of a
-    slot's block of coordinates is its HS norm, as fiber bases are HS-orthonormal."""
-    dims = [d.fiber(f).dim for _, f in _slots(q, kind)]
-    owner = np.repeat(np.arange(len(dims)), dims)[:, None] == np.arange(len(dims))
-    return float(np.sqrt((np.abs(lhs - rhs) ** 2 @ owner).max(initial=0.0)))
+def _random(rng, dims: np.ndarray, width: int) -> np.ndarray:
+    """A random element as padded coordinates (slots, width): slot by slot, the
+    real parts of its coordinates, then the imaginary parts, as the dense model
+    draws them."""
+    raw = rng.normal(size=2 * int(dims.sum()))
+    live = np.arange(width) < dims[:, None]
+    at = np.where(live, 2 * (np.cumsum(dims) - dims)[:, None] + np.arange(width), 0)
+    return np.where(live, raw[at] + 1j * raw[np.where(live, at + dims[:, None], 0)], 0.0)
 
 
-_einsum = partial(np.einsum, optimize=True)
+def _rank(t: _Table, dims: np.ndarray, tol: float) -> int:
+    """Rank of the rows f(generator, generator) of t: each lies in one slot, so the
+    singular values are those of each slot's rows, cut at one tolerance. dims
+    are the fiber dimensions of the target slots."""
+    k, order = t.blocks.shape[-1], np.argsort(t.out, kind="stable")
+    out, counts = t.out[order], np.bincount(t.out, minlength=t.size)
+    rows = np.zeros((t.size, counts.max(initial=0), k * k, k), dtype=complex)
+    rows[out, np.arange(len(out)) - np.repeat(np.cumsum(counts) - counts, counts)] = (
+        t.blocks[order].reshape(-1, k * k, k))
+    sv = np.linalg.svd(rows.reshape(t.size, -1, k), compute_uv=False)
+    return numerical_rank(np.sort(sv[np.arange(k) < dims[:, None]])[::-1], tol)
 
 
-def _gamma_report(residual, tol: float, g, xs: list[Element], bs: list[Element],
-                  cs: list[Element], lin, right) -> dict:
+def _centre_dimension(t: _Table, width: int, live: np.ndarray, tol: float) -> int:
+    """dim of the centre of B0 (or C0), off its product table t. The unit is the
+    sum of the projections u (x) [e, l] over the diagonal slots, the first
+    `width`, u the unit of D_e; so a central z is a sum of z_l (x) [e, l], and
+    it is central iff z_{sl} a = a z_l for every generator a at slot (s, l),
+    both sides landing in a's slot. live masks the padded coordinates."""
+    k, slots, diag = t.blocks.shape[-1], np.arange(len(t.fb)), np.arange(width)
+    # rows (slot j, generator of j, coordinate in j); columns (l, coordinate of z_l)
+    m = np.zeros((len(slots), k, k, width, k), dtype=complex)
+    d, j = np.nonzero(t.target[diag] == slots)  # z_l a lands in a's slot
+    m[j, :, :, d] += t.block(d, j).transpose(0, 2, 3, 1)
+    j, d = np.nonzero(t.target[:, diag] == slots[:, None])  # a z_l does
+    m[j, :, :, d] -= t.block(j, d).transpose(0, 1, 3, 2)
+    z = live[:width * k]
+    sv = np.linalg.svd(m.reshape(-1, width * k)[:, z], compute_uv=False)
+    return int(z.sum()) - numerical_rank(sv, tol)
+
+
+def _padded(d: GradedBundle, g: SimpleNamespace, tol: float):
+    """prod (fibers, fibers, K, K, K), invol (fibers, K, K) and the fiber bases
+    (fibers, K, n, n) of D, padded to the largest fiber dimension K, and the
+    fiber dimensions."""
+    ab = abstract_from_graded(d, tol)
+    dims, m = np.array(ab.dims), len(ab.dims)
+    k, n = int(dims.max(initial=0)), d.ambient_dim
+    prod, invol = np.zeros((m, m, k, k, k), dtype=complex), np.zeros((m, k, k), dtype=complex)
+    basis = np.zeros((m, k, n, n), dtype=complex)
+    for (s, t), c in ab.prod.items():
+        prod[s, t, :dims[s], :dims[t], :dims[g.qmul[s, t]]] = c
+    for s, c in enumerate(ab.invol):
+        invol[s, :dims[s], :dims[g.qinv[s]]] = c
+        basis[s, :dims[s]] = d.fiber(s).basis
+    return prod, invol, basis, dims
+
+
+def _action_inner(act: _Table, inner: _Table, conj_first: bool, real: np.ndarray) -> np.ndarray:
+    """<ax, ax>_C (or <xa, xa>_B) realized for every pair of generators of act's
+    landing slot pairs: (pairs, K, K, n, n). inner is conjugate-linear in its
+    first argument iff conj_first."""
+    v, mid = act.blocks, act.out
+    u, w = (v.conj(), v) if conj_first else (v, v.conj())
+    val = np.einsum("pabe,pabf,pefk->pabk", u, w, inner.block(mid, mid))
+    target = inner.target[mid, mid]
+    return np.einsum("pabk,pkij->pabij", val, real[target] * (target >= 0)[:, None, None, None])
+
+
+def _gamma_report(g: SimpleNamespace, tol: float, xs: Slots, bs: Slots, cs: Slots, x_dims,
+                  lin: _Table, right: _Table) -> dict:
     """The two displayed identities for gamma, and gamma being an action, on all
-    generators and all r: einsum identities on the linner and right_action
-    tables, with gamma_r, dual_b(r) and inflated_dual_c(r) as the coordinate
-    permutation matrices of the moved generators. A violation names its r.
-    """
-    gam = np.stack([_coords([gamma(r, x) for x in xs]) for r in g.elements()])
+    slots and all r; translations keep coefficients. A violation names its r."""
     rep = ResidualReport(tol, "linner_equivariance", "right_action_equivariance", "group_action")
+    n = len(g.mul)
+    gam = np.stack([gamma(r, xs).index for r in range(n)])
+    ix, ib, ic = xs.index, bs.index, cs.index
     for r, p in enumerate(gam):
-        dual = _coords([dual_b(r, b) for b in bs])
-        inflated = _coords([inflated_dual_c(r, c) for c in cs])
-        rep.residuals("linner_equivariance", residual(
-            "b", _einsum("xa,yb,abk->xyk", p, p.conj(), lin), lin @ dual), r=r)
-        rep.residuals("right_action_equivariance", residual(
-            "x", right @ p, _einsum("xa,cb,abk->xck", p, inflated, right)), r=r)
-    rep.residuals("group_action", residual("x", gam[None] @ gam[:, None], gam[np.array(g.table)]))
+        rep.residuals("linner_equivariance", _residual(
+            _side(lin, p, p, ib), _side(lin, ix, ix, dual_b(r, bs).index)), r=r)
+        rep.residuals("right_action_equivariance", _residual(
+            _side(right, ix, ic, p), _side(right, p, inflated_dual_c(r, cs).index, ix)), r=r)
+    # gamma_r gamma_s = gamma_rs: a generator sent to a wrong slot is off by its norm, 1
+    wrong = (gam[np.arange(n)[:, None, None], gam[None]] != gam[g.mul]) & (x_dims > 0)
+    rep.residuals("group_action", float(wrong.any()))
     return rep.build()
 
 
 def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
                    samples: int = 4) -> tuple[dict, dict, dict]:
     """The imprimitivity check: the items report, the Morita summary (meaningful
-    when the items pass) and the gamma report, from one build of the six tables.
+    when the items pass) and the gamma report, from one build of the six slot
+    tables.
 
     Items: (i) action associativity and commutation, (ii) module maps respect
     the inner products, (iii) adjoint symmetry, (iv) linearity sides,
     (v) x<y,z>_C = <x,y>_B z, (vi) fullness by rank, (vii) positivity,
-    (viii) bounded action inequalities.
-
-    The tables are faithful only on a Fell bundle, so D's grading axioms are
-    required first (AxiomViolation), and so is a unit of D, which only the
-    zero bundle lacks (NonUnitalUnitFiber). (i), (ii), (iii) and (v) are
-    einsum identities on the tables, (vi) takes ranks off the inner-product
-    tables, and (vii) and (viii) read the spectra of <x,x>, <bx,bx> and
-    <xc,xc>, and the norms of the generators, on `_realize`. (iv) checks
-    linearity on random elements; random elements also enter (i) and (vii).
-    The summary's Wedderburn block counts of B0 and C0, faithfully realized, are
-    the centre dimensions of the b_mul and c_mul tables: equal counts are the
-    finite-dimensional shadow of the Morita equivalence.
+    (viii) bounded action inequalities. D must pass its grading axioms
+    (AxiomViolation) and have a unit, which only the zero bundle lacks
+    (NonUnitalUnitFiber). The Wedderburn block counts of B0 and C0 are their
+    centre dimensions: equal counts are the finite-dimensional shadow of the
+    Morita equivalence.
     """
     _check_base(q, d)
     require_fell_axioms(d, tol)
     unit_fiber_unit(d, tol)
+    g = _groups(q)
+    prod, invol, basis, fiber_dims = _padded(d, g, tol)
+    k = prod.shape[-1]
+    xs, bs, cs = (_all_slots(g, kind) for kind in "xbc")
+    dims = {s.kind: fiber_dims[s.fiber] for s in (xs, bs, cs)}  # of each slot's fiber
+    live = {kind: (np.arange(k) < dm[:, None]).ravel() for kind, dm in dims.items()}
     rng = np.random.default_rng(29)
-    xs, bs, cs = x_generators(q, d), b_generators(q, d), c_generators(q, d)
-    dims = dimensions(q, d)
-    left, right = _table(left_action, bs, xs), _table(right_action, xs, cs)
-    bb, cc = _table(b_mul, bs, bs), _table(c_mul, cs, cs)
-    lin, rin = _table(linner, xs, xs), _table(rinner, xs, xs)
-    star_b, star_c = _coords([b_star(b) for b in bs]), _coords([c_star(c) for c in cs])
-    residual = partial(_slot_residual, q, d)
 
-    res_i = max(
-        residual("x", _einsum("pqb,bxk->pqxk", bb, left), _einsum("qxy,pyk->pqxk", left, left)),
-        residual("x", _einsum("pqc,xck->xpqk", cc, right), _einsum("xpy,yqk->xpqk", right, right)),
-        residual("x", _einsum("bxy,yck->bxck", left, right), _einsum("xcy,byk->bxck", right, left)))
+    def draw(kind: str) -> np.ndarray:
+        return _random(rng, dims[kind], k)
+
+    left, right = _slot_table(left_action, bs, xs, prod), _slot_table(right_action, xs, cs, prod)
+    bb, cc = _slot_table(b_mul, bs, bs, prod), _slot_table(c_mul, cs, cs, prod)
+    # <a, b>_B = a b* and <a, b>_C = a* b on the generators of fibers k and l
+    lin = _slot_table(linner, xs, xs, np.einsum("ljp,klipc->klijc", invol, prod[:, g.qinv]))
+    rin = _slot_table(rinner, xs, xs, np.einsum("kip,klpjc->klijc", invol, prod[g.qinv]))
+
+    def lin_of(u, v):
+        return _apply(lin, u, v.conj())
+
+    def rin_of(u, v):
+        return _apply(rin, u.conj(), v)
+
+    res_i = max(_residual(_then(bb, left), _into(left, left)),
+                _residual(_into(right, cc), _then(right, right)),
+                _residual(_then(left, right), _into(left, right)))
     for _ in range(samples):
-        b1, x, c1 = _random_b(q, d, rng), _random_x(q, d, rng), _random_c(q, d, rng)
-        res_i = max(res_i, _distance(right_action(left_action(b1, x), c1),
-                                     left_action(b1, right_action(x, c1))))
+        b1, x, c1 = draw("b"), draw("x"), draw("c")
+        res_i = max(res_i, _distance(_apply(right, _apply(left, b1, x), c1),
+                                     _apply(left, b1, _apply(right, x, c1))))
 
-    res_ii = max(
-        residual("b", _einsum("bxz,zyk->bxyk", left, lin), _einsum("xyw,bwk->bxyk", lin, bb)),
-        residual("c", _einsum("ycz,xzk->xyck", right, rin), _einsum("xyw,wck->xyck", rin, cc)))
+    res_ii = max(_residual(_then(left, lin), _into(bb, lin)),
+                 _residual(_into(rin, right), _then(rin, cc)))
 
-    res_iii = max(residual("b", lin.conj() @ star_b, lin.transpose(1, 0, 2)),
-                  residual("c", rin.conj() @ star_c, rin.transpose(1, 0, 2)))
+    res_iii = max(_residual(  # <x, y>* against <y, x>
+        (t.a * len(t.fb) + t.b, star(src).index[t.out],
+         t.blocks.conj() @ invol[src.fiber[t.out]][:, None]),
+        (t.b * len(t.fa) + t.a, t.out, t.blocks.transpose(0, 2, 1, 3)))
+        for t, src, star in ((lin, bs, b_star), (rin, cs, c_star)))
 
     res_iv = 0.0
     for _ in range(samples):
-        x1, x2 = _random_x(q, d, rng), _random_x(q, d, rng)
-        y = _random_x(q, d, rng)
+        x1, x2, y = draw("x"), draw("x"), draw("x")
         z1, z2 = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-        combo = x1.scaled(z1).plus(x2.scaled(z2))
-        res_iv = max(res_iv, _distance(
-            linner(combo, y), linner(x1, y).scaled(z1).plus(linner(x2, y).scaled(z2))))
-        res_iv = max(res_iv, _distance(
-            rinner(y, combo), rinner(y, x1).scaled(z1).plus(rinner(y, x2).scaled(z2))))
-        res_iv = max(res_iv, _distance(
-            rinner(combo, y),
-            rinner(x1, y).scaled(np.conj(z1)).plus(rinner(x2, y).scaled(np.conj(z2)))))
-        res_iv = max(res_iv, _distance(
-            linner(y, combo),
-            linner(y, x1).scaled(np.conj(z1)).plus(linner(y, x2).scaled(np.conj(z2)))))
+        combo, w1, w2 = z1 * x1 + z2 * x2, np.conj(z1), np.conj(z2)
+        res_iv = max(res_iv,
+                     _distance(lin_of(combo, y), z1 * lin_of(x1, y) + z2 * lin_of(x2, y)),
+                     _distance(rin_of(y, combo), z1 * rin_of(y, x1) + z2 * rin_of(y, x2)),
+                     _distance(rin_of(combo, y), w1 * rin_of(x1, y) + w2 * rin_of(x2, y)),
+                     _distance(lin_of(y, combo), w1 * lin_of(y, x1) + w2 * lin_of(y, x2)))
 
-    res_v = residual("x", _einsum("yzc,xck->xyzk", rin, right),
-                     _einsum("xyb,bzk->xyzk", lin, left))
+    res_v = _residual(_into(right, rin), _then(lin, left))
 
-    rank_b, rank_c = (numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
-                      for m in (lin.reshape(-1, dims["dimB"]), rin.reshape(-1, dims["dimC"])))
+    rank_b, rank_c = _rank(lin, dims["b"], tol), _rank(rin, dims["c"], tol)
 
-    v = _coords(xs + [_random_x(q, d, rng) for _ in range(samples)])
-    own_c = _einsum("pi,pj,ijk->pk", v.conj(), v, rin)  # <x, x>_C, generators first
-    own_b = _einsum("pi,pj,ijk->pk", v, v.conj(), lin)
-    real_b = np.stack([_realize(q.group, b.coeffs, d.ambient_dim) for b in bs])
-    real_c = np.stack([_realize(q.quotient_group, c.coeffs, d.ambient_dim) for c in cs])
-    sq_b, sq_c = (np.array([op_norm(r) ** 2 for r in real])[:, None, None]
-                  for real in (real_b, real_c))
-    gap_c = sq_b * own_c[:len(xs)] - _einsum("bxi,bxj,ijk->bxk", left.conj(), left, rin)
-    gap_b = sq_c * own_b[:len(xs)] - _einsum("xci,xcj,ijk->cxk", right, right.conj(), lin)
+    # the generators, padded ones included, then the random x of (vii)
+    n_x = len(live["x"])
+    vs = np.concatenate([np.eye(n_x), np.array([draw("x").ravel() for _ in range(samples)])
+                         .reshape(samples, n_x)]).reshape(-1, len(xs.first), k)
+    real_b, real_c = (np.array([[_realize(group, {(s, t): m}, d.ambient_dim) for m in basis[f]]
+                                for s, t, f in zip(sl.first, sl.second, sl.fiber)])
+                      for group, sl in ((q.group, bs), (q.quotient_group, cs)))
+    own_c, own_b = np.tensordot(rin_of(vs, vs), real_c, 2), np.tensordot(lin_of(vs, vs), real_b, 2)
+    pad_c, pad_b = (own[:n_x].reshape(len(xs.first), k, *own.shape[1:]) for own in (own_c, own_b))
+    sq = op_norm(basis) ** 2
+    # ||b||^2 <x, x>_C - <bx, bx>_C and ||c||^2 <x, x>_B - <xc, xc>_B, every pair of generators
+    gap_c = sq[bs.fiber][:, :, None, None, None, None] * pad_c[None, None]
+    gap_c[left.a, :, left.b] -= _action_inner(left, rin, True, real_c)
+    gap_b = pad_b[:, :, None, None] * sq[cs.fiber][None, None, :, :, None, None]
+    gap_b[right.a, :, right.b] -= _action_inner(right, lin, False, real_b)
+    own_rows = np.concatenate([live["x"], np.ones(samples, dtype=bool)])
     min_eig, pos_ok, res_viii = 0.0, True, 0.0
-    for own, gap, real in ((own_c, gap_c, real_c), (own_b, gap_b, real_b)):
+    for own, gap, rows, cols in ((own_c[own_rows], gap_c, live["b"], live["x"]),
+                                 (own_b[own_rows], gap_b, live["x"], live["c"])):
         # one batched spectrum: (vii) on the <x, x>, (viii) on the gaps
-        # ||b||^2 <x, x>_C - <bx, bx>_C, and ||c||^2 <x, x>_B - <xc, xc>_B
-        mats = (np.concatenate([own, gap.reshape(-1, len(real))])
-                @ real.reshape(len(real), -1)).reshape(-1, *real.shape[1:])
+        gap = gap.reshape(len(rows), len(cols), *own.shape[1:])[rows][:, cols]
+        mats = np.concatenate([own, gap.reshape(-1, *own.shape[1:])])
         w = np.linalg.eigvalsh((mats + dagger(mats)) / 2)
         low, top = w[:len(own), 0], np.maximum(np.abs(w[:len(own)]).max(axis=1), 1.0)
         min_eig = min(min_eig, float((low / top).min()))
         pos_ok = pos_ok and bool((low >= -tol * top).all())  # is_psd's rule, ||m|| = max |w|
         res_viii = max(res_viii, -float(w[len(own):, 0].min()))
 
-    rep = ResidualReport(tol, "i_bimodule", "ii_action_compatibility", "iii_adjoint_symmetry",
-                         "iv_linearity", "v_inner_product_link", "vi_fullness",
-                         "vii_positivity", "viii_boundedness", section="items")
-    for name, res in [("i_bimodule", res_i), ("ii_action_compatibility", res_ii),
-                      ("iii_adjoint_symmetry", res_iii), ("iv_linearity", res_iv),
-                      ("v_inner_product_link", res_v)]:
+    identities = ("i_bimodule", "ii_action_compatibility", "iii_adjoint_symmetry",
+                  "iv_linearity", "v_inner_product_link")
+    rep = ResidualReport(tol, *identities, "vi_fullness", "vii_positivity", "viii_boundedness",
+                         section="items")
+    for name, res in zip(identities, (res_i, res_ii, res_iii, res_iv, res_v)):
         rep.residuals(name, res)
+    dim = {f"dim{kind.upper()}": int(live[kind].sum()) for kind in "xbc"}
     rep.entry("vi_fullness", rank_b=int(rank_b), rank_c=int(rank_c),
-              dim_b=dims["dimB"], dim_c=dims["dimC"])
-    if (rank_b, rank_c) != (dims["dimB"], dims["dimC"]):
+              dim_b=dim["dimB"], dim_c=dim["dimC"])
+    if (rank_b, rank_c) != (dim["dimB"], dim["dimC"]):
         rep.fail("vi_fullness")
     rep.entry("vii_positivity", min_relative_eigenvalue=min_eig)
     if not pos_ok:
@@ -429,7 +435,8 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
     rep.entry("viii_boundedness", max_defect=res_viii)
     if rep.exceeds(res_viii):
         rep.fail("viii_boundedness")
-    blocks_b, blocks_c = center_dimension(bb, tol), center_dimension(cc, tol)
+    blocks_b, blocks_c = (_centre_dimension(t, len(width), live[kind], tol)
+                          for t, kind, width in ((bb, "b", g.mul), (cc, "c", g.qmul)))
     return (rep.build(),
-            dict(dims, blocksB=blocks_b, blocksC=blocks_c, equivalent=blocks_b == blocks_c),
-            _gamma_report(residual, tol, q.group, xs, bs, cs, lin, right))
+            dict(dim, blocksB=blocks_b, blocksC=blocks_c, equivalent=blocks_b == blocks_c),
+            _gamma_report(g, tol, xs, bs, cs, dims["x"], lin, right))

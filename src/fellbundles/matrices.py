@@ -291,15 +291,6 @@ def _commutator_map(mult: np.ndarray) -> np.ndarray:
     return (np.swapaxes(mult, 0, 1) - mult).reshape(k, k * k).T
 
 
-def center_dimension(mult: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """dim of the centre {z : zb = bz for all b} of the algebra whose structure
-    constants are mult[i, j, :] = coords(b_i @ b_j)."""
-    if mult.shape[0] == 0:
-        return 0
-    sv = np.linalg.svd(_commutator_map(mult), compute_uv=False)
-    return mult.shape[0] - numerical_rank(sv, tol)
-
-
 def center_subspace(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     _, sv, vh = np.linalg.svd(_commutator_map(multiplication_tensor(a, tol)), full_matrices=False)
     null = vh[numerical_rank(sv, tol):].conj()  # rows span the nullspace in coordinate space

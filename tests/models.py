@@ -1,8 +1,10 @@
 """Dense reference models that only the tests compare the library against.
 
 No command runs these: the group enumerators, brute-force matrix-algebra
-predicates, the crossed product on C^n tensor l^2(G), the dense B0 and C0
-of the imprimitivity bimodule, and a few small input builders.
+predicates, the crossed product on C^n tensor l^2(G), the Element model of
+the imprimitivity bimodule (X0, B0 and C0 as coefficient dicts, with every
+formula evaluated pair by pair) and its dense realizations, and a few small
+input builders.
 """
 
 from __future__ import annotations
@@ -10,17 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from operator import matmul
 
 import numpy as np
 
 from fellbundles.approximation import EPWitness, ep_witness
-from fellbundles.bundles import GradedBundle, require_fell_axioms, unit_fiber_unit
+from fellbundles.bundles import GradedBundle, require_fell_axioms, same_bundle, unit_fiber_unit
 from fellbundles.duality import GSetAction, coset_action
-from fellbundles.errors import FiberMismatch, NotAnAlgebra
+from fellbundles.errors import FiberMismatch, GroupMismatch, NotAnAlgebra
 from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, left_regular
-from fellbundles.imprimitivity import Element, _check_base, _slots
-from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, center_dimension, dagger,
-                                  is_star_closed, multiplication_tensor, op_norm,
+from fellbundles.imprimitivity import _check_base
+from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, _commutator_map, dagger, hs_norm,
+                                  is_star_closed, multiplication_tensor, numerical_rank, op_norm,
                                   precondition_tol, subspace_leq, unit_coords)
 from fellbundles.sections import slot_realization, slot_realization as _realize
 
@@ -124,6 +127,15 @@ def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TO
     return s.dim == t.dim and subspace_leq(s, t, tol) and subspace_leq(t, s, tol)
 
 
+def center_dimension(mult: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """dim of the centre {z : zb = bz for all b} of the algebra whose structure
+    constants are mult[i, j, :] = coords(b_i @ b_j)."""
+    if mult.shape[0] == 0:
+        return 0
+    sv = np.linalg.svd(_commutator_map(mult), compute_uv=False)
+    return mult.shape[0] - numerical_rank(sv, tol)
+
+
 def wedderburn_block_count(a: MatrixSubspace, tol: float = DEFAULT_TOL) -> int:
     """Number of simple summands of a unital *-closed matrix algebra.
 
@@ -218,7 +230,240 @@ def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedPr
     return CrossedProductAlgebra(bundle, total, left_regular(g), right_regular(g))
 
 
-# imprimitivity
+# imprimitivity: the Element model of X0, B0 and C0, the tests' dense oracle
+
+
+@dataclass(frozen=True, eq=False)
+class Element:
+    """Finitely supported map from the slot keys of `kind` to matrices in their fibers."""
+
+    q: Quotient
+    d: GradedBundle
+    kind: str
+    coeffs: dict
+
+    def plus(self, other: "Element") -> "Element":
+        _same_setup(self, other)
+        if other.kind != self.kind:
+            raise FiberMismatch(f"cannot add a {other.kind} element to a {self.kind} element")
+        out = {k: np.array(m) for k, m in self.coeffs.items()}
+        for key, m in other.coeffs.items():
+            out[key] = out.get(key, 0.0) + m
+        return Element(self.q, self.d, self.kind, out)
+
+    def scaled(self, z: complex) -> "Element":
+        return Element(self.q, self.d, self.kind, {k: z * m for k, m in self.coeffs.items()})
+
+
+def _same_setup(a, b) -> None:
+    if a.q.group.table != b.q.group.table or a.q.subgroup.members != b.q.subgroup.members:
+        raise GroupMismatch("elements built over different quotient data")
+    if not same_bundle(a.d, b.d):
+        raise GroupMismatch("elements built over different base bundles")
+
+
+def _slots(q: Quotient, kind: str) -> list[tuple[tuple[int, int], int]]:
+    """The keys of `kind` in coordinate order, each with the fiber of D it takes values in."""
+    g, qg = q.group.elements(), q.quotient_group.elements()
+    if kind == "x":
+        return [((k, t), k) for k in qg for t in g]
+    if kind == "b":
+        return [((s, t), q.coset_of[s]) for s in g for t in g]
+    return [((k, l), k) for k in qg for l in qg]
+
+
+def dimensions(q: Quotient, d: GradedBundle) -> dict:
+    section = d.section_dimension()
+    g, qn = q.group.order, q.quotient_group.order
+    dim_b = g * sum(d.fiber(q.coset_of[s]).dim for s in q.group.elements())
+    return {"dimX": g * section, "dimB": dim_b, "dimC": qn * section}
+
+
+# the kernels behind every formula
+
+
+def _pair(kinds: str, a: Element, b: Element, product, rule) -> Element:
+    """Sum product(ma, mb) into slot rule(*ka, *kb) over all coefficient pairs.
+
+    kinds names the kinds of a, b and the result, e.g. "bxx" for b acting on x.
+    rule returns None for pairs whose positions do not match.
+    """
+    if a.kind != kinds[0] or b.kind != kinds[1]:
+        raise FiberMismatch(f"expected {kinds[:2]} elements, got {a.kind}{b.kind}")
+    _same_setup(a, b)
+    out: dict = {}
+    for ka, ma in a.coeffs.items():
+        for kb, mb in b.coeffs.items():
+            key = rule(*ka, *kb)
+            if key is not None:
+                out[key] = out.get(key, 0.0) + product(ma, mb)
+    return Element(a.q, a.d, kinds[2], out)
+
+
+def _relabel(kind: str, e: Element, rule, adjoint: bool = False) -> Element:
+    """Move each coefficient of a `kind` element to slot rule(*key), taking its adjoint if asked.
+
+    Every rule used here is a bijection of the slots, so nothing collides.
+    """
+    if e.kind != kind:
+        raise FiberMismatch(f"expected a {kind} element, got a {e.kind} element")
+    return Element(e.q, e.d, e.kind, {rule(*key): dagger(m) if adjoint else m
+                                      for key, m in e.coeffs.items()})
+
+
+# algebra operations
+
+
+def b_mul(a: Element, b: Element) -> Element:
+    g = a.q.group
+    return _pair("bbb", a, b, matmul,
+                 lambda s, t, u, v: (g.mul(s, u), v) if t == g.mul(u, v) else None)
+
+
+def b_star(a: Element) -> Element:
+    g = a.q.group
+    return _relabel("b", a, lambda s, t: (g.inv(s), g.mul(s, t)), adjoint=True)
+
+
+def c_mul(a: Element, b: Element) -> Element:
+    qg = a.q.quotient_group
+    return _pair("ccc", a, b, matmul,
+                 lambda k, l, u, v: (qg.mul(k, u), v) if l == qg.mul(u, v) else None)
+
+
+def c_star(a: Element) -> Element:
+    qg = a.q.quotient_group
+    return _relabel("c", a, lambda k, l: (qg.inv(k), qg.mul(k, l)), adjoint=True)
+
+
+# the four generator formulas
+
+
+def right_action(x: Element, c: Element) -> Element:
+    """(d_sN, t) . (d_uN, vN) = (d_sN d_uN, t) when s^-1 t N = uvN."""
+    q, qg = x.q, x.q.quotient_group
+
+    def rule(k, t, u, v):
+        return (qg.mul(k, u), t) if qg.mul(qg.inv(k), q.coset_of[t]) == qg.mul(u, v) else None
+
+    return _pair("xcx", x, c, matmul, rule)
+
+
+def left_action(b: Element, x: Element) -> Element:
+    """(d_qN, q, r) . (d_sN, t) = (d_qN d_sN, qt) when r = t."""
+    q, g, qg = b.q, b.q.group, b.q.quotient_group
+
+    def rule(s, t, k, r):
+        return (qg.mul(q.coset_of[s], k), g.mul(s, r)) if t == r else None
+
+    return _pair("bxx", b, x, matmul, rule)
+
+
+def rinner(x: Element, y: Element) -> Element:
+    """<(d_sN, t), (d_uN, v)>_C = (d_sN* d_uN, u^-1 vN) when t = v.
+
+    Conjugate-linear in x, linear in y.
+    """
+    q, qg = x.q, x.q.quotient_group
+
+    def rule(xk, xt, yk, yt):
+        if xt != yt:
+            return None
+        return qg.mul(qg.inv(xk), yk), qg.mul(qg.inv(yk), q.coset_of[yt])
+
+    return _pair("xxc", x, y, lambda dx, dy: dagger(dx) @ dy, rule)
+
+
+def linner(x: Element, y: Element) -> Element:
+    """<(d_sN, t), (d_uN, v)>_B = (d_sN d_uN*, tv^-1, v) when su^-1 N = tv^-1 N.
+
+    Linear in x, conjugate-linear in y.
+    """
+    q, g, qg = x.q, x.q.group, x.q.quotient_group
+
+    def rule(xk, xt, yk, yt):
+        w = g.mul(xt, g.inv(yt))
+        return (w, yt) if qg.mul(xk, qg.inv(yk)) == q.coset_of[w] else None
+
+    return _pair("xxb", x, y, lambda dx, dy: dx @ dagger(dy), rule)
+
+
+# translations
+
+
+def gamma(r: int, x: Element) -> Element:
+    """gamma_r(d, t) = (d, t r^-1)."""
+    g = x.q.group
+    return _relabel("x", x, lambda k, t: (k, g.mul(t, g.inv(r))))
+
+
+def dual_b(r: int, b: Element) -> Element:
+    """(d, s, t) -> (d, s, t r^-1): the dual translation on B0."""
+    g = b.q.group
+    return _relabel("b", b, lambda s, t: (s, g.mul(t, g.inv(r))))
+
+
+def inflated_dual_c(r: int, c: Element) -> Element:
+    """(d, kN, lN) -> (d, kN, l r^-1 N): the inflated dual translation."""
+    q, qg = c.q, c.q.quotient_group
+    rbar = q.coset_of[r]
+    return _relabel("c", c, lambda k, l: (k, qg.mul(l, qg.inv(rbar))))
+
+
+# units, generators, random draws, coordinates
+
+
+def _generators(kind: str, q: Quotient, d: GradedBundle) -> list[Element]:
+    _check_base(q, d)
+    return [Element(q, d, kind, {key: m})
+            for key, fiber in _slots(q, kind)
+            for m in d.fiber(fiber).basis_list()]
+
+
+x_generators = partial(_generators, "x")
+b_generators = partial(_generators, "b")
+c_generators = partial(_generators, "c")
+
+
+def _random(kind: str, q: Quotient, d: GradedBundle, rng) -> Element:
+    coeffs = {}
+    for key, fiber in _slots(q, kind):
+        fk = d.fiber(fiber)
+        c = rng.normal(size=fk.dim) + 1j * rng.normal(size=fk.dim)
+        coeffs[key] = fk.from_coords(c)
+    return Element(q, d, kind, coeffs)
+
+
+_random_x = partial(_random, "x")
+_random_b = partial(_random, "b")
+_random_c = partial(_random, "c")
+
+
+def _coords(es: list[Element]) -> np.ndarray:
+    """Coordinates of same-kind elements in the fiber bases, one row each, slot after
+    slot in slot-table order."""
+    place, start = {}, 0
+    for key, f in _slots(es[0].q, es[0].kind):
+        fiber = es[0].d.fiber(f)
+        place[key] = (start, fiber)
+        start += fiber.dim
+    out = np.zeros((len(es), start), dtype=complex)
+    for row, e in zip(out, es):
+        for key, m in e.coeffs.items():
+            i, fiber = place[key]
+            row[i:i + fiber.dim] = fiber.coords(m)
+    return out
+
+
+def _table(f, left: list[Element], right: list[Element]) -> np.ndarray:
+    """Coordinates of f(a, b) for every pair of generators: shape (|left|, |right|, dim)."""
+    return _coords([f(a, b) for a in left for b in right]).reshape(len(left), len(right), -1)
+
+
+def _distance(a, b) -> float:
+    """The largest HS norm, slot by slot, of the difference of two elements."""
+    keys = set(a.coeffs) | set(b.coeffs)
+    return max((hs_norm(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def _element(kind: str, q: Quotient, d: GradedBundle, coeffs: dict,

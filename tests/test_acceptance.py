@@ -67,8 +67,8 @@ def test_criterion_03_morita_anchor(q_z4, pauli_bundle):
     report = imp.bimodule_check(q_z4, pauli_bundle)[1]
     assert report == {"dimB": 16, "dimC": 4, "dimX": 8,
                       "blocksB": 1, "blocksC": 1, "equivalent": True}
-    span_b = [models.realize_b(b) for b in imp.b_generators(q_z4, pauli_bundle)]
-    span_c = [models.realize_c(c) for c in imp.c_generators(q_z4, pauli_bundle)]
+    span_b = [models.realize_b(b) for b in models.b_generators(q_z4, pauli_bundle)]
+    span_c = [models.realize_c(c) for c in models.c_generators(q_z4, pauli_bundle)]
     assert _oracle_blocks(span_b) == 1
     assert _oracle_blocks(span_c) == 1
 

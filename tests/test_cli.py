@@ -592,6 +592,29 @@ def run_capped(*argv: str) -> subprocess.CompletedProcess:
                           timeout=300, check=False)
 
 
+def even_permutations(n: int) -> list[int]:
+    """The elements of symmetric(n) that are even permutations: A_n."""
+    return [i for i, p in enumerate(models.symmetric_permutations(n))
+            if sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n)) % 2 == 0]
+
+
+@pytest.mark.parametrize("group, normal", [("dihedral:8", list(range(8))),
+                                           ("symmetric:4", even_permutations(4))],
+                         ids=["d8", "s4-a4"])
+def test_imprimitivity_over_order_16_and_24_fits_three_gib(tmp_path, twisted_z4_realized,
+                                                           group, normal):
+    # the C2 bundle over D8/{rotations} and S4/A4: a dense table over pairs of
+    # generators of B0 would hold 256^2 * 32^2 and 576^3 complex entries, over the cap
+    spec = write_json(tmp_path / "c2.json", cli.bundle_to_spec(
+        twisted_z4_realized.bundle, {"kind": "cyclic", "n": 2}))
+    run = run_capped("imprimitivity", spec, "--group", group,
+                     "--normal", ",".join(map(str, normal)))
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["pass"] is True and report["gamma"] is True
+    assert report["morita"]["blocksB"] == report["morita"]["blocksC"]
+
+
 def test_s4_crossed_and_report_fit_three_gib(tmp_path, m2_full):
     # the dense crossed product of this bundle would stack 2304 matrices of
     # size 1152 x 1152, about 49 GB
@@ -671,6 +694,11 @@ class TestMalformedFieldsExit2:
          "fibers[0][0]: entries must be finite"),
         ("olesen-pedersen", "action_spec", lambda d: d["alpha"].update({"1": mat([[np.inf]])}),
          "alpha[1]: entries must be finite"),
+        # nor is a number read from text
+        ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, ["1", 0]),
+         "fibers[0][0]: entries must be finite numbers"),
+        ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, ["1.0", 0]),
+         "fibers[0][0]: entries must be finite numbers"),
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
             "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
             "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
@@ -678,7 +706,8 @@ class TestMalformedFieldsExit2:
             "action-alpha-key-9", "action-alpha-key-x", "gset-perm-key-17",
             "action-alpha-key-repeat", "spec-fiber-key-repeat", "spec-fiber-key-0_1",
             "spec-fiber-key-space-1", "spec-fiber-key-plus-1", "spec-fiber-key-01",
-            "spec-fiber-nan", "spec-fiber-nan-text", "action-alpha-infinity"])
+            "spec-fiber-nan", "spec-fiber-nan-text", "action-alpha-infinity", "spec-fiber-string",
+            "spec-fiber-string-float"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)

@@ -35,11 +35,10 @@ Subgroup membership and normality are decided in `groups` (`subgroup_members`
 and `NormalSubgroup`), so no other library module raises `NotASubgroup` or
 `NotNormal`.
 
-One `imprimitivity` command builds each of the six formula tables once, in
-`bimodule_check`, and the gamma report reads two of them, so one run on the
-Pauli spec evaluates `imprimitivity._table` six times; `imprimitivity`
-defines no `_clean`, as every reader of a coefficient dict treats a missing
-slot and a zero coefficient alike.
+One `imprimitivity` command builds each of the six binary slot tables once,
+in `bimodule_check`, and the gamma report reads two of them, so one run on
+the Pauli spec calls `imprimitivity._slot_table` once for each of the six
+formulas; `imprimitivity` defines no `_clean`.
 
 The Olesen-Pedersen map is checked on abstract coordinates, so
 `olesen_pedersen_forward` calls neither `_image` nor `fiber_images`: it forms
@@ -324,13 +323,15 @@ def test_only_groups_decides_subgroups(module):
 
 
 def test_one_imprimitivity_run_builds_each_table_once(tmp_path, monkeypatch, pauli_bundle):
-    calls, real = [], imprimitivity._table
-    monkeypatch.setattr(imprimitivity, "_table", lambda *args: calls.append(1) or real(*args))
+    built, real = [], imprimitivity._slot_table
+    monkeypatch.setattr(imprimitivity, "_slot_table",
+                        lambda f, *args: built.append(f.__name__) or real(f, *args))
     spec = tmp_path / "pauli.json"
     spec.write_text(json.dumps(cli.bundle_to_spec(pauli_bundle, {"kind": "cyclic", "n": 2})))
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.run_command(["imprimitivity", str(spec), "--group", "cyclic:4", "--normal", "0,2"])
-    assert rc == 0 and len(calls) == 6
+    assert rc == 0 and sorted(built) == ["b_mul", "c_mul", "left_action", "linner",
+                                         "right_action", "rinner"]
     assert not hasattr(imprimitivity, "_clean")
 
 
