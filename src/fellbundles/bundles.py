@@ -23,21 +23,20 @@ their fibers and the residual of that step; the one checker reads the unit
 and covariance axioms off those coordinates, as gaps relative to the HS norm
 of the basis element a.
 
-A map between gradings (a bundle isomorphism, or a realization matched with
+A map between bundles (a bundle isomorphism, or a realization matched with
 prescribed images) is evaluated once per basis element of its source, plus
-random combinations that witness its linearity. `homomorphism_residuals`
-then compares the images of products and adjoints, read off the source's
-structure constants, with the products and adjoints of the images. A map
-into a pull-back lands in a PulledBack, whose elements a stand for
-a (x) lambda(s): it is checked on the small factor a, and `pullback` builds
-the dense grading only when asked.
-
-A map into a Realization, or into a PulledBack of one (the twisted
-semidirect bundle in the Olesen-Pedersen check), takes its images as
-coordinates in the target's abstract fibers, so it is checked on structure
-constants alone: products and adjoints of images come from the target's
-`prod` and `invol`, HS norms from its Gram, operator norms from its blocks,
-and no dense image of the target is formed.
+random combinations that witness its linearity. Its target is read as an
+AbstractBundle, a fiber map (q.coset_of into a PulledBack, whose elements a
+stand for a (x) lambda(s), so `pullback` builds the dense grading only when
+asked) and an HS frame per fiber: a Realization's abstract bundle and the
+Cholesky roots of its Grams, with images as coordinates and no dense image
+formed, or a dense grading's abstract_from_graded and identity frames, with
+images as matrices decomposed in their fibers. One kernel,
+`_coordinate_residuals`, then compares the images of products and adjoints,
+read off the source's structure constants, with the products and adjoints of
+the images, read off the target's. So a dense target, like the source, must
+keep its products and adjoints in its fibers at precondition_tol
+(AxiomViolation otherwise).
 """
 
 from __future__ import annotations
@@ -346,14 +345,13 @@ def _family_on_realization(real: Realization, u: UnitaryMultiplierFamily, dom) -
         for t in g.elements():
             left[n, t] = np.tensordot(c, prod[(n, t)], axes=(0, 0))
             right[n, t] = np.tensordot(prod[(t, n)], c, axes=(1, 0))
-    return left, right, order, [real.gram(s) for s in g.elements()]
+    return left, right, order, [real.frame(s) for s in g.elements()]
 
 
-def _relative_gaps(gaps: np.ndarray, gram: np.ndarray, span_gram: np.ndarray) -> np.ndarray:
-    """HS norm of each row of gaps (coordinates on a basis with Gram matrix gram),
-    over the HS norm of the basis element it belongs to (span_gram's diagonal)."""
-    sq = np.einsum("ka,ab,kb->k", gaps.conj(), gram, gaps).real
-    return np.sqrt(np.maximum(sq, 0.0) / np.diagonal(span_gram).real)
+def _relative_gaps(gaps: np.ndarray, frame: np.ndarray, span_frame: np.ndarray) -> np.ndarray:
+    """HS norm of each row of gaps (coordinates on a basis with HS frame `frame`),
+    over the HS norm of the basis element it belongs to (span_frame's row norm)."""
+    return np.linalg.norm(gaps @ frame, axis=-1) / np.linalg.norm(span_frame, axis=-1)
 
 
 def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TOL) -> dict:
@@ -375,7 +373,7 @@ def verify_multiplier_family(u: UnitaryMultiplierFamily, tol: float = DEFAULT_TO
     squares on fiber n's images; that residual is `order_compatibility`. It is
     equivalent to order compatibility because R(1_e) = I: U(n) maps A_t into
     A_nt for every t iff it lies in A_n, as U(n) = U(n) R(1_e) and A_n A_t lies
-    in A_nt. The Grams of the gaps come from the Realization's blocks.
+    in A_nt. The HS frames of the gaps are the Realization's (`Realization.frame`).
     """
     return _family_check(u, tol)[0]
 
@@ -393,12 +391,12 @@ def _family_check(u: UnitaryMultiplierFamily, tol: float) -> tuple[dict, dict]:
     rep.residuals("homomorphism", hom_res)
 
     on = _family_on_realization if isinstance(host, Realization) else _family_on_grading
-    left, right, order, grams = on(host, u, dom)
+    left, right, order, frames = on(host, u, dom)
     unit_res = 0.0
     for t in g.elements():
-        eye = np.eye(len(grams[t]))
+        eye = np.eye(len(frames[t]))
         for gaps in (left[0, t] - eye, right[0, t] - eye):
-            unit_res = max(unit_res, _worst(_relative_gaps(gaps, grams[t], grams[t])))
+            unit_res = max(unit_res, _worst(_relative_gaps(gaps, frames[t], frames[t])))
     rep.residuals("unit_acts_trivially", unit_res)
     rep.residuals("order_compatibility", order)
 
@@ -406,7 +404,7 @@ def _family_check(u: UnitaryMultiplierFamily, tol: float) -> tuple[dict, dict]:
     for s in g.elements():
         for n in dom:
             gaps = right[n, s] - left[g.conjugate(s, n), s]
-            cov_res = max(cov_res, _worst(_relative_gaps(gaps, grams[g.mul(s, n)], grams[s])))
+            cov_res = max(cov_res, _worst(_relative_gaps(gaps, frames[g.mul(s, n)], frames[s])))
     rep.residuals("covariance", cov_res)
     return rep.build(), right
 
@@ -652,11 +650,6 @@ class Realization:
     def section_dimension(self) -> int:
         return sum(self.fiber_dims())
 
-    @property
-    def hs_factor(self) -> float:
-        """1, as for a grading: a coordinate vector c stands for R(c) itself."""
-        return 1.0
-
     def fiber(self, s: int) -> MatrixSubspace:
         """Fiber s of the dense grading, which the first call builds."""
         return self.bundle.fiber(s)
@@ -703,6 +696,11 @@ class Realization:
         """gram[a, b] = tr(R(x_a)* R(x_b)) on fiber s's basis."""
         rows = _block_rows(self.blocks, self.group, s)
         return rows.conj() @ rows.T
+
+    def frame(self, s: int) -> np.ndarray:
+        """The HS frame of fiber s: the Cholesky root L of gram(s)^T, so coordinates
+        c have |R(c)|_HS = |c L|, and row a of L has the HS norm of R(x_a)."""
+        return np.linalg.cholesky(self.gram(s).T)
 
     def coords_in(self, s: int, mat: np.ndarray) -> tuple[np.ndarray, float]:
         """Abstract coordinates c of a matrix in fiber s, by least squares against
@@ -818,7 +816,7 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
 
 
 def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
-    """Worst multiplicative and adjoint residuals of the linear map sending
+    """Worst multiplicative and adjoint residuals of the linear map into M_n sending
     basis element i of src's fiber s to y[s][i] (y[s] a stack (dim_s, n, n)):
     |sum_c prod[(s,t)][i,j,c] y[st][c] - y[s][i] y[t][j]| and
     |sum_c invol[s][i,c] y[s^-1][c] - y[s][i]*|. The products y[s][i] y[t][j]
@@ -839,20 +837,21 @@ def homomorphism_residuals(src: AbstractBundle, y) -> tuple[float, float]:
     return float(mult), float(star)
 
 
-def _coordinate_residuals(src: AbstractBundle, y, real: Realization, fiber_of,
+def _coordinate_residuals(src: AbstractBundle, y, tgt: AbstractBundle, fiber_of,
                           frames) -> tuple[float, float]:
-    """homomorphism_residuals of the map sending basis element i of src's fiber s
-    to the element of real's abstract fiber fiber_of[s] with coordinates y[s][i]:
-    the images' products and adjoints come from real's prod and invol, and a gap
-    g in fiber c has HS norm |g frames[c]|, frames[c] being a root of the Gram."""
-    g, tgt = src.group, real.abstract
+    """Worst multiplicative and adjoint residuals of the linear map sending basis
+    element i of src's fiber s to the element of tgt's fiber fiber_of[s] with
+    coordinates y[s][i]: the images' products and adjoints come from tgt's prod
+    and invol, and a gap g in fiber c has HS norm |g frames[c]|."""
+    g = src.group
     mult, star = 0.0, 0.0
     for s in g.elements():
         cs, ys = fiber_of[s], y[s]
         for t in g.elements():
             st, pt = g.mul(s, t), tgt.prod[(cs, fiber_of[t])]
             # [i, j] is y[s][i] y[t][j]: sum_ab y[s][i, a] y[t][j, b] pt[a, b]
-            prods = y[t] @ (ys @ pt.reshape(len(pt), -1)).reshape(len(ys), *pt.shape[1:])
+            flat = pt.reshape(pt.shape[0], pt.shape[1] * pt.shape[2])
+            prods = y[t] @ (ys @ flat).reshape(len(ys), *pt.shape[1:])
             gap = src.prod[(s, t)] @ y[st] - prods
             mult = max(mult, _worst(np.linalg.norm(gap @ frames[fiber_of[st]], axis=-1)))
         si = g.inv(s)
@@ -880,47 +879,52 @@ def map_table(a: GradedBundle, phi, n: int, samples: int, seed: int, tol: float)
 
 
 def _isomorphism_report(src: AbstractBundle, source_norms, images,
-                        b: GradedBundle | PulledBack | Realization, tol: float, probes=(),
-                        on=None) -> dict:
+                        b: GradedBundle | PulledBack | Realization, tol: float, probes=()) -> dict:
     """Report on the map sending source i of fiber s to images[s][i], linear, with
     src the sources' structure constants and source_norms[s] their operator
     norms; the probes give `linear` and more isometry samples.
 
-    An image in b stands for an element whose HS norm is b.hs_factor times its
-    own (a (x) lambda(s) in a PulledBack, the image itself in a grading), so the
-    HS figures are scaled to that element's; operator norms need no factor.
-    With on = (real, fiber_of), b is real or a PulledBack of it and images[s]
-    holds coordinates in real's abstract fiber fiber_of[s]: every figure is
-    read off structure constants and blocks, and `into_fibers` is 0.0, as
-    coordinates cannot leave their fiber. Otherwise images[s] is a stack of
-    matrices."""
-    f, dims, g = b.hs_factor, b.fiber_dims(), src.group
+    b is read as an AbstractBundle, a fiber map and HS frames, as the module
+    docstring says. Over a Realization images[s] holds coordinates, operator norms
+    come from its blocks and `into_fibers` is 0.0; over a dense grading images[s]
+    is a stack of matrices, `into_fibers` is their residual off their fibers and
+    operator norms are their own. An image a in a PulledBack stands for
+    a (x) lambda(s), so HS figures are scaled by its hs_factor; operator norms
+    need no factor."""
+    g = src.group
+    base, fiber_of, f = ((b.base, b.q.coset_of, b.hs_factor) if isinstance(b, PulledBack)
+                         else (b, tuple(g.elements()), 1.0))
     rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
                          "isometric")
-    if on:
-        real, fiber_of = on
-        # coordinates times frames[c] are HS-orthonormal: frames[c] frames[c]* = Gram^T
-        frames = {c: np.linalg.cholesky(real.gram(c).T) for c in set(fiber_of)}
-        mult, star = _coordinate_residuals(src, images, real, fiber_of, frames)
-        norms = [real.op_norms(fiber_of[s], images[s]) for s in g.elements()]
+    if isinstance(base, Realization):
+        tgt, frames = base.abstract, [base.frame(c) for c in base.group.elements()]
+        coords = [np.asarray(y, dtype=complex).reshape(src.dims[s], tgt.dims[c])
+                  for s, (y, c) in enumerate(zip(images, fiber_of))]
+        norms = [base.op_norms(c, y) for y, c in zip(coords, fiber_of)]
+        gaps = [np.zeros(0)] * g.order
     else:
-        mult, star = homomorphism_residuals(src, images)
-        norms = [op_norm(y) for y in images]
-    into = 0.0
-    for s in g.elements():
-        if src.dims[s] != dims[s]:
-            rep.fail("bijective", float(abs(src.dims[s] - dims[s])), s=s)
-            continue
-        if not dims[s]:
-            continue
-        if on:
-            coords = images[s] @ frames[fiber_of[s]]
-        else:
-            coords, gap, size = project_rows(b.fiber(s).flat, images[s].reshape(len(images[s]), -1))
+        tgt, n = abstract_from_graded(base, tol), base.ambient_dim
+        frames = [np.eye(d) for d in tgt.dims]
+        dense = [np.asarray(y, dtype=complex).reshape(-1, n, n) for y in images]
+        coords, gaps = [], []
+        for y, c in zip(dense, fiber_of):
+            cs, gap, size = project_rows(base.fiber(c).flat, y.reshape(len(y), n * n))
+            coords.append(cs)
             # relative as in decompose, for the element m an image a stands for:
             # |m - Pm| = f |a - Pa| and |m| = f |a|
-            into = max(into, _worst(f * gap / np.maximum(1.0, f * size)))
-        sv = f * np.linalg.svd(coords, compute_uv=False)
+            gaps.append(f * gap / np.maximum(1.0, f * size))
+        norms = [op_norm(y) for y in dense]
+    mult, star = _coordinate_residuals(src, coords, tgt, fiber_of, frames)
+    into = 0.0
+    for s in g.elements():
+        c = fiber_of[s]
+        if src.dims[s] != tgt.dims[c]:
+            rep.fail("bijective", float(abs(src.dims[s] - tgt.dims[c])), s=s)
+            continue
+        if not src.dims[s]:
+            continue
+        into = max(into, _worst(gaps[s]))
+        sv = f * np.linalg.svd(coords[s] @ frames[c], compute_uv=False)
         if sv[-1] <= tol * max(1.0, sv[0]):
             rep.fail("bijective", float(sv[-1]), s=s)
     rep.residuals("into_fibers", into, s=None)
@@ -942,9 +946,9 @@ def bundle_isomorphism_report(a: GradedBundle, b: GradedBundle | PulledBack, phi
 
     phi is called once per basis element of A and on `samples` random
     combinations per nonempty fiber (the `linear` check); the rest reads that
-    table and A's structure constants, so A must be a grading (AxiomViolation
-    otherwise). Ambients may differ; only the group must match. Into a
-    PulledBack, phi(s, x) is the small factor a of the image a (x) lambda(s).
+    table and the structure constants of A and B, so both must be gradings
+    (AxiomViolation otherwise), B perhaps pulled back. Ambients may differ; only
+    the group must match. Into a PulledBack, phi(s, x) is a for the image a (x) lambda(s).
     """
     if a.group.table != b.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
@@ -960,24 +964,13 @@ def realization_isomorphism_report(abstract: AbstractBundle, real: Realization,
     images_in_target[s][a] (a list, or a stack per fiber) is where the
     abstract basis element a of fiber s should land inside target. For a
     Realization target, or a PulledBack of one, it is the image's coordinates
-    in the target's abstract fiber (over sN, for a PulledBack), and the map is
-    checked on structure constants; for a dense target it is a matrix (the
-    small factor, for a PulledBack). The map real.images[s][a] ->
-    images_in_target[s][a] is checked as a bundle isomorphism, with the source
-    norms read off real's blocks. It is linear by construction: `linear` reads 0.0.
+    in the target's abstract fiber (over sN, for a PulledBack); for a dense
+    target it is a matrix (the small factor, for a PulledBack). The map
+    real.images[s][a] -> images_in_target[s][a] is checked as a bundle
+    isomorphism on structure constants, with the source norms read off real's
+    blocks. It is linear by construction: `linear` reads 0.0.
     """
     if abstract.group.table != target.group.table:
         raise GroupMismatch("isomorphism between bundles over different groups")
     norms = [real.op_norms(s) for s in abstract.group.elements()]
-    if isinstance(target, Realization):
-        on = target, tuple(target.group.elements())
-    elif isinstance(target, PulledBack) and isinstance(target.base, Realization):
-        on = target.base, target.q.coset_of
-    else:
-        n = target.ambient_dim
-        images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
-        return _isomorphism_report(abstract, norms, images, target, tol)
-    dims = on[0].abstract.dims
-    images = [np.asarray(y, dtype=complex).reshape(abstract.dims[s], dims[c])
-              for s, (y, c) in enumerate(zip(images_in_target, on[1]))]
-    return _isomorphism_report(abstract, norms, images, target, tol, on=on)
+    return _isomorphism_report(abstract, norms, images_in_target, target, tol)

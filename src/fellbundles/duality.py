@@ -96,39 +96,41 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
     u assigns to every s in G a unitary multiplier of d lying in the fiber over
     sN. Then B is the unit fiber, alpha_s = Ad u(s), and tau = u restricted to
     N; the map [b, s] -> b u(s) from the twisted semidirect bundle back onto d
-    is verified as a bundle isomorphism and its report returned alongside.
+    is verified as a bundle isomorphism and its report returned alongside. The
+    guards on u and on d's fibers run at precondition_tol(tol); tol itself is
+    the isomorphism report's.
     """
     g, qg = q.group, q.quotient_group
     if d.group.table != qg.table:
         raise GroupMismatch("bundle is not graded by the quotient group")
     if tuple(sorted(u.domain)) != tuple(g.elements()):
         raise GroupMismatch("the family must be defined on all of G")
-    b_fib = d.fiber(0)
+    b_fib, cut = d.fiber(0), precondition_tol(tol)
     unit = unit_fiber_unit(d, DEFAULT_TOL)
 
     hom_res = max(hs_norm(u.mat(0) - unit), _hom_residual(g, g.elements(), u.mat),
                   *(hs_norm(dagger(u.mat(s)) - u.mat(g.inv(s))) for s in g.elements()))
-    if hom_res > tol:
+    if hom_res > cut:
         raise InvalidMultiplierFamily(
             f"family is not a unitary homomorphism (residual {hom_res:.3g})")
     for s in g.elements():
-        if not d.fiber(q.coset_of[s]).contains(u.mat(s), precondition_tol(tol)):
+        if not d.fiber(q.coset_of[s]).contains(u.mat(s), cut):
             raise MultiplierNotOrderCompatible(
                 f"u({s}) does not lie in the fiber over its coset")
 
     # each fiber must be the principal module B u(s)
     for s in g.elements():
         span = orthonormalize([b @ u.mat(s) for b in b_fib.basis_list()],
-                              ambient_dim=d.ambient_dim, tol=tol)
+                              ambient_dim=d.ambient_dim, tol=cut)
         fib = d.fiber(q.coset_of[s])
-        if span.dim != fib.dim or not subspace_leq(span, fib, tol):
+        if span.dim != fib.dim or not subspace_leq(span, fib, cut):
             raise FiberNotPrincipal(f"fiber over coset of {s} is not B*u({s})")
 
     k = b_fib.dim
     alpha = np.zeros((g.order, k, k), dtype=complex)
     for s in g.elements():
         coords, res = b_fib.decompose(u.mat(s) @ b_fib.basis @ dagger(u.mat(s)))
-        if np.any(res > tol):
+        if np.any(res > cut):
             raise MultiplierNotOrderCompatible(f"Ad u({s}) does not preserve the unit fiber")
         alpha[s] = coords.T
     tau = {n: u.mat(n) for n in q.subgroup.members}

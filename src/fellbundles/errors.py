@@ -94,10 +94,6 @@ class FiberNotPrincipal(FellBundleError):
 
 # module / section layer
 
-class FiberMismatch(FellBundleError):
-    """A key is not a slot of its space, or a coefficient is outside its key's fiber."""
-
-
 class NotInAlgebra(FellBundleError):
     """An ambient matrix is outside the section algebra."""
 

@@ -3,8 +3,8 @@
 No command runs these: the group enumerators, brute-force matrix-algebra
 predicates, the crossed product on C^n tensor l^2(G), the Element model of
 the imprimitivity bimodule (X0, B0 and C0 as coefficient dicts, with every
-formula evaluated pair by pair) and its dense realizations, and a few small
-input builders.
+formula evaluated pair by pair) and its dense realizations, the dense route
+of the bundle isomorphism report, and a few small input builders.
 """
 
 from __future__ import annotations
@@ -17,15 +17,22 @@ from operator import matmul
 import numpy as np
 
 from fellbundles.approximation import EPWitness, ep_witness
-from fellbundles.bundles import GradedBundle, require_fell_axioms, same_bundle, unit_fiber_unit
+from fellbundles.bundles import (GradedBundle, _worst, homomorphism_residuals,
+                                 require_fell_axioms, same_bundle, unit_fiber_unit)
 from fellbundles.duality import GSetAction, coset_action
-from fellbundles.errors import FiberMismatch, GroupMismatch, NotAnAlgebra
+from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra
 from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, left_regular
 from fellbundles.imprimitivity import _check_base
-from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, _commutator_map, dagger, hs_norm,
-                                  is_star_closed, multiplication_tensor, numerical_rank, op_norm,
-                                  precondition_tol, subspace_leq, unit_coords)
+from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _commutator_map,
+                                  dagger, hs_norm, is_star_closed, multiplication_tensor,
+                                  numerical_rank, op_norm, precondition_tol, project_rows,
+                                  subspace_leq, unit_coords)
 from fellbundles.sections import slot_realization, slot_realization as _realize
+
+
+class FiberMismatch(FellBundleError):
+    """A key is not a slot of its space, or a coefficient is outside its key's fiber."""
+
 
 # groups
 
@@ -160,6 +167,39 @@ def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np
         images = np.reshape([maps[s](b) for b in algebra.basis], algebra.basis.shape)
         alpha[s] = algebra.decompose(images)[0].T
     return alpha
+
+
+def dense_isomorphism_report(src, real, b, images_in_target, tol: float = DEFAULT_TOL) -> dict:
+    """`realization_isomorphism_report` into a grading b, or a PulledBack of one, on
+    its dense route: `homomorphism_residuals` on the images as matrices, with the
+    HS figures scaled by b's hs_factor."""
+    n, f, dims, g = b.ambient_dim, b.hs_factor, b.fiber_dims(), src.group
+    images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
+    rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
+                         "isometric")
+    mult, star = homomorphism_residuals(src, images)
+    norms = [op_norm(y) for y in images]
+    into = 0.0
+    for s in g.elements():
+        if src.dims[s] != dims[s]:
+            rep.fail("bijective", float(abs(src.dims[s] - dims[s])), s=s)
+            continue
+        if not dims[s]:
+            continue
+        coords, gap, size = project_rows(b.fiber(s).flat, images[s].reshape(len(images[s]), -1))
+        # relative as in decompose, for the element m an image a stands for:
+        # |m - Pm| = f |a - Pa| and |m| = f |a|
+        into = max(into, _worst(f * gap / np.maximum(1.0, f * size)))
+        sv = f * np.linalg.svd(coords, compute_uv=False)
+        if sv[-1] <= tol * max(1.0, sv[0]):
+            rep.fail("bijective", float(sv[-1]), s=s)
+    rep.residuals("into_fibers", into, s=None)
+    norm = max(_worst(np.abs(ny - nx) / np.maximum(1.0, nx))
+               for nx, ny in zip((real.op_norms(s) for s in g.elements()), norms))
+    for name, res in [("multiplicative", f * mult), ("star", f * star),
+                      ("isometric", norm), ("linear", 0.0)]:
+        rep.residuals(name, res, s=None)
+    return rep.build()
 
 
 # sections

@@ -1,12 +1,15 @@
-"""Maps into a pull-back of a block Realization, against the dense grading route.
+"""Maps into a pull-back of a block Realization, against the dense route.
 
 `PulledBack(real, q)` takes a map's images as coordinates in the abstract
-fibers of `real` and checks them on structure constants: products and
-adjoints from `real.abstract`, HS norms from `Realization.gram`, operator
-norms from the blocks. `PulledBack(real.bundle, q)` reads the same images made
-dense on the dense grading, one n x n product per pair; it is the route
-`olesen_pedersen_forward` took before, and `TestForwardOnTheSmallFactor` ties
-it to the lambda-dense reference.
+fibers of `real`, and the library checks them on structure constants:
+products and adjoints from `real.abstract`, HS norms through
+`Realization.frame`, operator norms from the blocks. A dense target takes the
+same route once its images are decomposed in its fibers.
+`models.dense_isomorphism_report` is the other route: the same images made
+dense on `PulledBack(real.bundle, q)`, one n x n product per pair in
+`homomorphism_residuals`, which `olesen_pedersen_forward` took before.
+`TestForwardOnTheSmallFactor` holds the small factors to the lambda-dense
+pull-back.
 """
 
 import json
@@ -15,6 +18,8 @@ import numpy as np
 import pytest
 
 from fellbundles import bundles, cli, duality, groups, matrices
+
+import models
 
 from test_cli import mat, pauli_spec_dict, run, transformation_system_spec, write_json
 from test_duality import assert_routes_agree, failing_checks, forward_images, ladder_action
@@ -43,8 +48,8 @@ def test_s4_v4_forward_agrees_with_the_dense_grading_route():
     semi, semi_real, images, _, tw_real, q = both_targets(action)
     new = duality.olesen_pedersen_forward(action)
     assert "bundle" not in vars(tw_real)
-    ref = bundles.realization_isomorphism_report(semi, semi_real,
-                                                 bundles.PulledBack(tw_real.bundle, q), images)
+    ref = models.dense_isomorphism_report(semi, semi_real,
+                                          bundles.PulledBack(tw_real.bundle, q), images)
     assert new["pass"] and ref["pass"]
     assert new["dim_semidirect"] == new["dim_pullback"] == 144
     assert_routes_agree(new["iso"], ref)
@@ -62,8 +67,8 @@ def test_a_coordinate_map_fails_as_its_dense_images_do(name, change, request):
         coords = [2.0 * y for y in coords]
     dense = [duality._image(tw_real, q.coset_of[s], y) for s, y in enumerate(coords)]
     new = bundles.realization_isomorphism_report(semi, semi_real, pb, coords)
-    ref = bundles.realization_isomorphism_report(semi, semi_real,
-                                                 bundles.PulledBack(tw_real.bundle, q), dense)
+    ref = models.dense_isomorphism_report(semi, semi_real,
+                                          bundles.PulledBack(tw_real.bundle, q), dense)
     assert not new["pass"] and "multiplicative" in failing_checks(new)
     assert_routes_agree(new, ref)
     for v, w in zip(new["violations"], ref["violations"]):
@@ -84,7 +89,7 @@ def test_uneven_blocks_agree_with_the_dense_grading(make, scale, pulled):
     target, dense = ((bundles.PulledBack(real, q), bundles.PulledBack(real.bundle, q)) if pulled
                      else (real, real.bundle))
     new = bundles.realization_isomorphism_report(abstract, real, target, coords)
-    ref = bundles.realization_isomorphism_report(abstract, real, dense, images)
+    ref = models.dense_isomorphism_report(abstract, real, dense, images)
     assert new["pass"] == (scale == 1.0)
     assert_routes_agree(new, ref)
 

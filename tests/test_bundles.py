@@ -273,6 +273,22 @@ class TestIsomorphismChecker:
         assert not report["pass"]
         assert any(v["axiom"] == "bijective" for v in report["violations"])
 
+    def test_fiber_dimension_mismatch_detected_in_a_realization(self, pauli_bundle, z2):
+        # the target's fiber 1 is zero, so its structure constants have empty axes
+        shrunken = bundles.GradedBundle(
+            z2, (pauli_bundle.fiber(0),
+                 matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))))
+        src = bundles.abstract_from_graded(pauli_bundle)
+        real = bundles.concretize(src)
+        target = bundles.concretize(bundles.abstract_from_graded(shrunken))
+        # X goes to 0, so X X = I is lost as well as fiber 1
+        report = bundles.realization_isomorphism_report(
+            src, real, target, [np.eye(1), np.zeros((1, 0))])
+        assert [(v["axiom"], v["s"]) for v in report["violations"]] == [
+            ("bijective", 1), ("multiplicative", None), ("isometric", None)]
+        assert_same_verdict(report, models.dense_isomorphism_report(
+            src, real, target.bundle, [target.fiber_images(0), np.zeros((1, 1, 1))]))
+
     def test_violation_order(self, pauli_bundle, z2):
         # every check fails: per-s bijectivity first, then the global residuals
         shrunken = bundles.GradedBundle(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import os
@@ -1079,6 +1080,22 @@ class TestOneTolerancePerRun:
         run(capsys, "landstad", spec, "--group", "cyclic:4", "--normal", "0,2",
             "--family", family, "--tol", "1e-12")
         assert seen == [1e-12]
+
+    def test_landstad_at_tol_0_fails_at_the_reconstruction_map(self, capsys, monkeypatch,
+                                                                tmp_path):
+        # the benchmark's landstad.z4 input: the family's guards run at the default
+        # tolerance, so tol 0 first fails where the run's tolerance belongs, at the
+        # reconstruction map's round-off
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        ladder = importlib.import_module("perfbench.ladder")
+        monkeypatch.chdir(tmp_path)
+        rung = next(r for r in ladder.build("duality", str(tmp_path), 1) if r.id == "landstad.z4")
+        rc, out, _ = run(capsys, *rung.argv, "--tol", "0")
+        report = json.loads(out)
+        assert rc == 1 and report["error"] == "AxiomViolation"
+        assert report["detail"].startswith("reconstruction map failed: {'axiom': 'into_fibers'")
+        rc, out, _ = run(capsys, *rung.argv)
+        assert rc == 0 and json.loads(out)["isomorphism"] is True
 
     def test_a_tight_tol_reaches_olesen_pedersen(self, capsys, monkeypatch, action_spec):
         seen = [self.record_tol(monkeypatch, duality, name)

@@ -423,6 +423,21 @@ def test_twisted_actions_are_read_in_coordinates(function):
     assert calls_inside(source, function, {"product_coords", "apply"}) == []
 
 
+def test_bundle_maps_have_one_homomorphism_kernel():
+    # every isomorphism target is read in coordinates; the dense kernel serves
+    # only the covariant pair, whose target is a Hilbert space and not a bundle
+    source = (SRC / "bundles.py").read_text(encoding="utf-8")
+    assert calls_inside(source, "_isomorphism_report", {"_coordinate_residuals"})
+    assert calls_inside(source, "_isomorphism_report", {"homomorphism_residuals"}) == []
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        callers += [(path.stem, top.name) for top in ast.parse(text).body
+                    if isinstance(top, ast.FunctionDef)
+                    and calls_inside(text, top.name, {"homomorphism_residuals"})]
+    assert callers == [("sections", "verify_covariant_pair")]
+
+
 def test_one_olesen_pedersen_run_reads_each_action_once(tmp_path, monkeypatch):
     from test_cli import transformation_system_spec
     prop, read = bundles.TwistedAction.__dict__["structure"], []

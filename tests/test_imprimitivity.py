@@ -10,12 +10,12 @@ import pytest
 from fellbundles import bundles, cli, groups, imprimitivity as imp, matrices
 from fellbundles.errors import (
     AxiomViolation,
-    FiberMismatch,
     GroupMismatch,
     NonUnitalUnitFiber,
 )
 
 import models
+from models import FiberMismatch
 from conftest import A3, I2, PAULI_X, SQ2
 
 X_HAT = PAULI_X / SQ2

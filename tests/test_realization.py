@@ -18,6 +18,7 @@ from fellbundles.errors import DegenerateFunctional
 from fellbundles.matrices import DEFAULT_TOL, ResidualReport, dagger, hs_norm, op_norm
 
 import models
+from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from test_cli import transformation_system_spec
 from test_duality import LADDER, ladder_action, s3_signed_action  # noqa: F401
 
@@ -338,6 +339,28 @@ def test_residuals_on_an_inhomogeneous_realization(make):
     for check, value in ref.items():
         got = new["checks"][check]["max_residual"]
         assert abs(got - value) <= 1e-12 * max(1.0, value), check
+
+
+def test_covariance_gaps_are_read_through_each_fibers_frame():
+    # Pauli's grading of M2 by Z2 x Z2 (I, X, Z, Y), realized with the basis element
+    # of fiber 2 doubled, so the Grams of fibers 2 and 3 differ by 4; a gap of
+    # a U(n) in A_sn is measured in fiber sn's frame against a in fiber s's.
+    # X anticommutes with Z and Y: n -> X^n fails covariance by |2 aX| / |a| = 2
+    g = models.direct_product(groups.cyclic(2), groups.cyclic(2))
+    fibers = [matrices.MatrixSubspace(2, m[None] / np.sqrt(2))
+              for m in (np.eye(2), PAULI_X, PAULI_Z, PAULI_Y)]
+    b = bundles.abstract_from_graded(bundles.GradedBundle(g, tuple(fibers)))
+    w = (1.0, 1.0, 2.0, 1.0)
+    prod = {(s, t): p * w[s] * w[t] / w[g.mul(s, t)] for (s, t), p in b.prod.items()}
+    invol = tuple(v * w[s] / w[g.inv(s)] for s, v in enumerate(b.invol))
+    real = bundles.concretize(bundles.AbstractBundle(g, b.dims, prod, invol, b.funct))
+    assert abs(real.gram(2)[0, 0] - 4 * real.gram(3)[0, 0]) <= 1e-12
+    mats = {n: np.sqrt(2) * real.fiber_images(n)[0] for n in (0, 1)}
+    for host in (real, real.bundle):
+        fam = bundles.UnitaryMultiplierFamily(host, (0, 1), mats)
+        report = bundles.verify_multiplier_family(fam)
+        assert failing(report) == ["covariance"]
+        assert abs(report["checks"]["covariance"]["max_residual"] - 2.0) <= 1e-12
 
 
 def test_a_phased_family_can_fail_covariance_alone(request):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from fellbundles import bundles, matrices, sections
 from fellbundles.errors import (
     AxiomViolation,
-    FiberMismatch,
     NotAHomomorphism,
     NotInAlgebra,
     ProjectionsNotResolving,
 )
 
 import models
+from models import FiberMismatch
 from conftest import I2, PAULI_X, PAULI_Y
 
 
