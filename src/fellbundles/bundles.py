@@ -13,6 +13,9 @@ and operator norms, HS Grams and the rank of each fiber are read off the
 blocks. The constructions in between (trivial, pullback, twisted semidirect,
 quotient by a multiplier family) are the substance of the toolkit; the
 semidirect bundle of an action is its twisted semidirect bundle over N = {e}.
+The last two are one collapse along G -> G/N, `_collapse`, which reads fiber kN
+at the section c_k and moves x at s = section(sN) n to x tau(n) for an action
+(`twisted_normal_form`), or to x U(n^-1) for a family, at section(sN).
 A TwistedAction is held in coordinates on its algebra's orthonormal basis b_i:
 M (b_i b_j), star (b_i*) and R_n (x -> x tau(n)) are read once per action, and the
 bundle and the alpha identities contract them; the tau identities read tau(x) as given.
@@ -70,6 +73,7 @@ from .matrices import (
     DEFAULT_TOL,
     MatrixSubspace,
     ResidualReport,
+    _row_norms,
     dagger,
     hs_norm,
     is_star_closed,
@@ -203,9 +207,11 @@ def _worst(res: np.ndarray) -> float:
 
 
 def _hom_residual(g: FiniteGroup, members, m) -> float:
-    """max |m(x) m(y) - m(xy)|_HS over x, y in members, a subgroup of g."""
-    return max((hs_norm(m(x) @ m(y) - m(g.mul(x, y))) for x in members for y in members),
-               default=0.0)
+    """max |m(x) m(y) - m(xy)|_HS over x, y in members, a subgroup of g: one stack of
+    gaps per x, each gap's norm summed as hs_norm sums it."""
+    ys = np.stack([m(y) for y in members])
+    gaps = (m(x) @ ys - np.stack([m(g.mul(x, y)) for y in members]) for x in members)
+    return max(_worst(_row_norms(gap.reshape(len(ys), -1))) for gap in gaps)
 
 
 def _fiber_sweep(bundle: GradedBundle) -> tuple[dict, list]:
@@ -590,16 +596,24 @@ def twisted_semidirect_bundle(t: TwistedAction, tol: float = DEFAULT_TOL) -> Abs
 def _twisted_semidirect(t: TwistedAction) -> AbstractBundle:
     """twisted_semidirect_bundle of an action its caller has already checked."""
     q = quotient(t.group, t.subgroup)
-    g, qg, section = t.group, q.quotient_group, q.section
     mult, _, star, _ = t.structure
-    # b_i alpha_ca(b_j) at c_a c_b, realigned to its coset's section
-    moved = [np.einsum("ipl,pj->ijl", mult, t.alpha[c]) for c in section]
-    prod = {(a, b): twisted_normal_form(t, q, moved[a], g.mul(section[a], section[b]))[1]
-            for a in qg.elements() for b in qg.elements()}
-    invol = tuple(twisted_normal_form(t, q, star @ t.alpha[s].T, s)[1]
-                  for s in map(g.inv, section))
+    # b_i alpha_ck(b_j) at c_k c_l, for every l
+    moved = [np.einsum("ipl,pj->ijl", mult, t.alpha[c]) for c in q.section]
     funct = np.array([np.trace(m) for m in t.algebra.basis_list()], dtype=complex)
-    return AbstractBundle(qg, (t.algebra.dim,) * qg.order, prod, invol, funct)
+    return _collapse(q, funct, lambda k, l: moved[k],
+                     lambda k: star @ t.alpha[t.group.inv(q.section[k])].T,
+                     lambda coords, s: twisted_normal_form(t, q, coords, s)[1])
+
+
+def _collapse(q: Quotient, funct: np.ndarray, prod, adjoint, realign) -> AbstractBundle:
+    """The bundle over G/N with fiber kN at c_k: prod(k, l) gives the coordinates of the
+    products of the fibers at c_k and c_l, adjoint(k) of the adjoints of fiber c_k, and
+    realign(coords, s) moves coordinates at s = section(sN) n to section(sN)."""
+    g, qg, c = q.group, q.quotient_group, q.section
+    prods = {(k, l): realign(prod(k, l), g.mul(c[k], c[l]))
+             for k in qg.elements() for l in qg.elements()}
+    invol = tuple(realign(adjoint(k), g.inv(c[k])) for k in qg.elements())
+    return AbstractBundle(qg, tuple(len(v) for v in invol), prods, invol, funct)
 
 
 def twisted_normal_form(t: TwistedAction, q: Quotient, coeff: np.ndarray,
@@ -771,45 +785,23 @@ def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> Abst
 
 def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
                     q: Quotient | None = None, tol: float = DEFAULT_TOL) -> AbstractBundle:
-    """Collapse a bundle over G along a multiplier family over normal N.
-
-    The coset-k fiber is represented on A_{section(k)}; products of
-    representatives are realigned by U(m)* with m = c(st)^-1 c(s) c(t).
-    """
+    """Collapse a bundle over G along a multiplier family over normal N: `_collapse` of
+    a's structure constants (AxiomViolation unless a is a grading), realigned by the
+    coordinates of a U(m) that the family check returns."""
     g = a.group
     if u.bundle.group.table != g.table or u.bundle.ambient_dim != a.ambient_dim:
         raise GroupMismatch("multiplier family was built for a different bundle")
     fam = u if u.bundle is a else UnitaryMultiplierFamily(a, u.domain, u.mats)
-    require(verify_multiplier_family(fam, precondition_tol(tol)), InvalidMultiplierFamily)
+    report, right = _family_check(fam, precondition_tol(tol))
+    require(report, InvalidMultiplierFamily)
     if q is None:
         q = quotient(g, u.domain)
     if tuple(sorted(u.domain)) != q.subgroup.members:
         raise GroupMismatch("multiplier domain differs from the quotient subgroup")
-    qg = q.quotient_group
-    dims = tuple(a.fiber(q.section[k]).dim for k in qg.elements())
-    prod = {}
-    invol = []
-    for k in qg.elements():
-        ck = q.section[k]
-        fk = a.fiber(ck)
-        for l in qg.elements():
-            cl = q.section[l]
-            kl = qg.mul(k, l)
-            m = q.n_part(g.mul(ck, cl))
-            coords, res = product_coords(fk.basis, a.fiber(cl).basis @ dagger(u.mat(m)),
-                                         a.fiber(q.section[kl]))
-            if np.any(res > precondition_tol(tol)):
-                raise InvalidMultiplierFamily(
-                    f"realigned product escapes the section fiber ({k},{l})")
-            prod[(k, l)] = coords
-        kbar = qg.inv(k)
-        m = g.mul(g.inv(ck), g.inv(q.section[kbar]))
-        coords, res = a.fiber(q.section[kbar]).decompose(dagger(fk.basis) @ dagger(u.mat(m)))
-        if np.any(res > precondition_tol(tol)):
-            raise InvalidMultiplierFamily(f"realigned adjoint escapes fiber {k}")
-        invol.append(coords)
-    funct = np.array([np.trace(m) for m in a.fiber(q.section[0]).basis_list()], dtype=complex)
-    return AbstractBundle(qg, dims, prod, tuple(invol), funct)
+    src, c = abstract_from_graded(a, tol), q.section
+    return _collapse(q, src.funct, lambda k, l: src.prod[(c[k], c[l])],
+                     lambda k: src.invol[c[k]],
+                     lambda coords, s: coords @ right[g.inv(q.n_part(s)), s])
 
 
 # maps between gradings, evaluated once per basis element

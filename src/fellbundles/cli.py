@@ -33,6 +33,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -62,6 +63,9 @@ def decode_matrix(obj, field: str) -> np.ndarray:
         raise ParseError(f"{field}: matrices are row-major nests of [re, im] pairs")
     if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
         raise ParseError(f"{field}: entries must be finite numbers")
+    # numpy reads a boolean among numbers as 0 or 1, so only then are the entries' types read
+    if ((arr == 0) | (arr == 1)).any() and bool in set(map(type, chain(*chain(*obj)))):
+        raise ParseError(f"{field}: entries must be finite numbers, not booleans")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from fellbundles import bundles, groups, matrices
 
+import models
+
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,6 +46,12 @@ def q_z4(z4):
 @pytest.fixture(scope="session")
 def q_s3(s3):
     return groups.quotient(s3, A3)
+
+
+@pytest.fixture(scope="session")
+def q_a4():
+    """A4 over V4 with the coset sections (0, 1, 2), which are not a subgroup."""
+    return groups.quotient(models.alternating4(), models.KLEIN)
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +95,12 @@ def trivial_z4(z4, scalar_line):
 @pytest.fixture(scope="session")
 def trivial_s3(s3, scalar_line):
     return bundles.trivial_bundle(s3, scalar_line)
+
+
+@pytest.fixture(scope="session")
+def z3_bundle(scalar_line):
+    """C*(Z3) graded by Z3 inside M_3, the quotient group of q_a4."""
+    return bundles.trivial_bundle(groups.cyclic(3), scalar_line)
 
 
 @pytest.fixture(scope="session")

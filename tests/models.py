@@ -21,7 +21,7 @@ from fellbundles.bundles import (GradedBundle, _worst, homomorphism_residuals,
                                  require_fell_axioms, same_bundle, unit_fiber_unit)
 from fellbundles.duality import GSetAction, coset_action
 from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra
-from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, left_regular
+from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, from_table, left_regular
 from fellbundles.imprimitivity import _check_base
 from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _commutator_map,
                                   dagger, hs_norm, is_star_closed, multiplication_tensor,
@@ -53,6 +53,27 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
     """The point images behind each element index of symmetric(n)."""
     return list(itertools.permutations(range(n)))
+
+
+# A4 over its Klein four-group V4, as point maps of {0, 1, 2, 3} composed a after b,
+# with sigma = (0 1 2) and v = (0 1)(2 3). The elements are ordered e, sigma,
+# sigma^2 v, the rest of V4, then the other two cosets, so V4 is KLEIN and the
+# coset sections are (0, 1, 2): no subgroup, as sigma sigma = sigma^2 is not sigma^2 v.
+KLEIN = (0, 3, 4, 5)
+
+
+def alternating4() -> FiniteGroup:
+    def compose(a, b):
+        return tuple(a[i] for i in b)
+
+    e, sigma = (0, 1, 2, 3), (1, 2, 0, 3)
+    klein = [e, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    sigma2 = compose(sigma, sigma)
+    cosets = [klein, [compose(sigma, v) for v in klein], [compose(sigma2, v) for v in klein]]
+    first = [e, sigma, cosets[2][1]]
+    perms = first + [p for coset in cosets for p in coset if p not in first]
+    index = {p: i for i, p in enumerate(perms)}
+    return from_table([[index[compose(a, b)] for b in perms] for a in perms])
 
 
 def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:

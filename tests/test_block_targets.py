@@ -23,7 +23,7 @@ import models
 
 from test_cli import mat, pauli_spec_dict, run, transformation_system_spec, write_json
 from test_duality import assert_routes_agree, failing_checks, forward_images, ladder_action
-from test_duality import s3_signed_action  # noqa: F401
+from test_duality import a4_klein_action, s3_signed_action  # noqa: F401
 from test_realization import inner_z4_action, z2_point_and_block, z3_corners  # noqa: F401
 
 
@@ -112,7 +112,7 @@ def test_olesen_pedersen_never_builds_the_twisted_grading(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("name", ["twisted_z4_action", "swap_action", "s3_signed_action",
-                                  "inner_z4_action"])
+                                  "inner_z4_action", "a4_klein_action"])
 def test_extracted_twist_matches_the_dense_fit(name, request):
     t = request.getfixturevalue(name)
     real = bundles.concretize(bundles.semidirect_bundle(t))

@@ -241,6 +241,16 @@ class TestQuotientBundle:
         assert ratio == pytest.approx(-1.0)
         assert twisted_z4_bundle.prod[(1, 1)][0, 0, 0] == pytest.approx(-1.0)
 
+    def test_a_non_grading_is_rejected_by_the_grading_reader(self, z2, pauli_bundle):
+        # span{E11} as the odd fiber: its square E11 is not in the even fiber, span{I},
+        # while the identity family over N = {e} passes its check
+        e11 = matrices.MatrixSubspace(2, np.diag([1.0 + 0j, 0.0])[None])
+        a = bundles.GradedBundle(z2, (pauli_bundle.fiber(0), e11))
+        fam = bundles.UnitaryMultiplierFamily(a, (0,), {0: np.eye(2, dtype=complex)})
+        assert bundles.verify_multiplier_family(fam)["pass"]
+        with pytest.raises(AxiomViolation, match=r"product escapes fiber \(1,1\)"):
+            bundles.quotient_bundle(a, fam, groups.quotient(z2, (0,)))
+
 
 class TestIsomorphismChecker:
     def test_rejects_non_multiplicative_map(self, pauli_bundle):

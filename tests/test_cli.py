@@ -700,6 +700,12 @@ class TestMalformedFieldsExit2:
          "fibers[0][0]: entries must be finite numbers"),
         ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, ["1.0", 0]),
          "fibers[0][0]: entries must be finite numbers"),
+        # nor a boolean, which numpy reads as 1.0 among floats and as 1 among integers
+        ("verify", "pauli_spec", lambda d: d["fibers"]["0"][0][0].__setitem__(0, [True, 0]),
+         "fibers[0][0]: entries must be finite numbers, not booleans"),
+        ("verify", "pauli_spec",
+         lambda d: d["fibers"].update({"0": [[[[3, 2], [2, 2]], [[2, 2], [True, 2]]]]}),
+         "fibers[0][0]: entries must be finite numbers, not booleans"),
     ], ids=["action-tau-key", "action-normal-subgroup", "action-tau-not-a-map", "gset-size",
             "gset-perm-entry", "spec-tolerance", "spec-dim-2.5", "spec-dim-2.0", "spec-dim-text",
             "spec-group-n-true", "spec-group-n-1.9", "spec-table-entry", "gset-perm-1.9",
@@ -708,7 +714,7 @@ class TestMalformedFieldsExit2:
             "action-alpha-key-repeat", "spec-fiber-key-repeat", "spec-fiber-key-0_1",
             "spec-fiber-key-space-1", "spec-fiber-key-plus-1", "spec-fiber-key-01",
             "spec-fiber-nan", "spec-fiber-nan-text", "action-alpha-infinity", "spec-fiber-string",
-            "spec-fiber-string-float"])
+            "spec-fiber-string-float", "spec-fiber-true", "spec-fiber-true-among-integers"])
     def test_exits_2(self, capsys, tmp_path, request, command, fixture, mutate, field):
         data = json.loads(open(request.getfixturevalue(fixture)).read())
         mutate(data)

@@ -231,6 +231,90 @@ class TestCharRoundTrips:
         report = duality.quotient_pullback_roundtrip(real.bundle, u, q_z4)
         assert report["pass"], report["iso"]["violations"]
 
+    def test_quotient_then_pullback_semidirect_cube_roots(self, z6_cube_root_action):
+        # N = {0, 2, 4} has elements of order 3, so x U(n^-1) and x U(n) differ
+        t = z6_cube_root_action
+        real = bundles.concretize(bundles.semidirect_bundle(t))
+        u = duality.induced_multiplier_family(t, real)
+        q = groups.quotient(t.group, t.subgroup.members)
+        report = duality.quotient_pullback_roundtrip(real.bundle, u, q)
+        assert report["pass"], report["iso"]["violations"]
+
+    # A4/V4's sections (0, 1, 2) are no subgroup: c_1 c_1 is not c_2, and the adjoint
+    # at c_k^-1 is realigned by n_part(c_k^-1), not by c_k^-1 c_{k^-1}^-1
+
+    def test_pullback_then_quotient_a4_over_klein(self, z3_bundle, q_a4):
+        report = duality.pullback_quotient_roundtrip(z3_bundle, q_a4)
+        assert report["pass"], report["iso"]["violations"]
+        assert report["fiber_dims"]["original"] == report["fiber_dims"]["recovered"]
+
+    def test_quotient_then_pullback_canonical_a4_over_klein(self, z3_bundle, q_a4):
+        p = bundles.pullback(z3_bundle, q_a4)
+        u = bundles.canonical_multiplier_family(p, q_a4)
+        report = duality.quotient_pullback_roundtrip(p, u, q_a4)
+        assert report["pass"], report["iso"]["violations"]
+        assert report["quotient_fiber_dims"] == [1, 1, 1]
+
+    @pytest.mark.parametrize("case", ["pauli", "s3", "a4", "twisted_z4_action",
+                                      "z6_cube_root_action"])
+    def test_collapse_matches_the_dense_reference(self, case, request):
+        a, u, q = collapse_inputs(case, request)
+        quo = bundles.quotient_bundle(a, u, q)
+        prod, invol, escape = reference_quotient_bundle(a, u, q)
+        assert escape <= 1e-12
+        assert quo.dims == tuple(len(c) for c in invol)
+        for key, ref in prod.items():
+            np.testing.assert_allclose(quo.prod[key], ref, rtol=0, atol=1e-12)
+        for got, ref in zip(quo.invol, invol, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def z6_cube_root_action(scalar_line):
+    """Z6 acting trivially on C, twisted over {0, 2, 4} by the cube roots of unity."""
+    z6, w = groups.cyclic(6), np.exp(2j * np.pi / 3)
+    tau = {n: np.full((1, 1), w ** (n // 2)) for n in (0, 2, 4)}
+    return bundles.TwistedAction(scalar_line, z6, groups.NormalSubgroup(z6, (0, 2, 4)),
+                                 np.ones((6, 1, 1), dtype=complex), tau)
+
+
+def collapse_inputs(case, request):
+    """The bundle, family and quotient that a round trip above collapses: the
+    pull-back with its canonical family in both directions, or the semidirect
+    bundle of an action fixture with its induced family."""
+    fixture = request.getfixturevalue
+    if case.endswith("_action"):
+        t = fixture(case)
+        real = bundles.concretize(bundles.semidirect_bundle(t))
+        q = groups.quotient(t.group, t.subgroup.members)
+        return real.bundle, duality.induced_multiplier_family(t, real), q
+    d, q = {"pauli": ("pauli_bundle", "q_z4"), "s3": ("s3_quotient_bundle", "q_s3"),
+            "a4": ("z3_bundle", "q_a4")}[case]
+    p, q = bundles.pullback(fixture(d), fixture(q)), fixture(q)
+    return p, bundles.canonical_multiplier_family(p, q), q
+
+
+def reference_quotient_bundle(a, u, q):
+    """quotient_bundle's products and adjoints on the dense route: each product
+    x y of section fibers formed as x (y U(n)*) and each adjoint as x* U(n)*,
+    with n = q.n_part of the element they sit at, and decomposed in the section
+    fiber; with the largest residual of those decompositions."""
+    g, qg, c = a.group, q.quotient_group, q.section
+    prod, invol, escape = {}, [], 0.0
+    for k in qg.elements():
+        fk = a.fiber(c[k])
+        for l in qg.elements():
+            n = q.n_part(g.mul(c[k], c[l]))
+            prod[(k, l)], res = matrices.product_coords(
+                fk.basis, a.fiber(c[l]).basis @ matrices.dagger(u.mat(n)), a.fiber(c[qg.mul(k, l)]))
+            escape = max(escape, res.max(initial=0.0))
+        n = q.n_part(g.inv(c[k]))
+        coords, res = a.fiber(c[qg.inv(k)]).decompose(
+            matrices.dagger(fk.basis) @ matrices.dagger(u.mat(n)))
+        invol.append(coords)
+        escape = max(escape, res.max(initial=0.0))
+    return prod, invol, escape
+
 
 class TestGradedIdeals:
     def test_group_algebra_of_z2_is_simple(self, z2, scalar_line):
@@ -466,6 +550,12 @@ LADDER = {"s3.free": (groups.symmetric, 3, (0,)), "d4.center": (groups.dihedral,
           "s3.a3": (groups.symmetric, 3, A3)}
 
 
+@pytest.fixture(scope="module")
+def a4_klein_action(q_a4):
+    """A4 acting on A4/V4 by translation with tau = 1, over the sections (0, 1, 2)."""
+    return ladder_action(q_a4.group, q_a4.subgroup.members)
+
+
 def named_action(name, request):
     """A ladder system by its rung name, or an action fixture."""
     if name in LADDER:
@@ -494,7 +584,7 @@ def assert_routes_agree(new, ref, into_tol=1e-14, tol=1e-12):
 
 class TestForwardOnTheSmallFactor:
     @pytest.fixture(params=["twisted_z4_action", "swap_action", "s3_signed_action",
-                            *LADDER])
+                            "a4_klein_action", *LADDER])
     def action(self, request):
         return named_action(request.param, request)
 

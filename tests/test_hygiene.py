@@ -417,10 +417,19 @@ def test_olesen_pedersen_forward_forms_no_dense_image():
 
 
 @pytest.mark.parametrize("function", ["_twisted_semidirect", "verify_twisted_action",
-                                      "twisted_normal_form"])
+                                      "twisted_normal_form", "quotient_bundle"])
 def test_twisted_actions_are_read_in_coordinates(function):
     source = (SRC / "bundles.py").read_text(encoding="utf-8")
     assert calls_inside(source, function, {"product_coords", "apply"}) == []
+
+
+def test_both_collapses_along_n_share_one_realignment():
+    # the twisted semidirect bundle and the quotient by a multiplier family are one
+    # collapse, which alone assembles their products and adjoints at the sections
+    source = (SRC / "bundles.py").read_text(encoding="utf-8")
+    for function in ("_twisted_semidirect", "quotient_bundle"):
+        assert calls_inside(source, function, {"_collapse"})
+        assert calls_inside(source, function, {"AbstractBundle"}) == []
 
 
 def test_bundle_maps_have_one_homomorphism_kernel():

@@ -359,10 +359,14 @@ class TestArgumentChecks:
 
 
 @pytest.fixture(scope="module")
-def morita_cases(q_z4, q_s3, pauli_bundle, s3_quotient_bundle, z2, diag2, m2_full):
+def morita_cases(q_z4, q_s3, q_a4, pauli_bundle, s3_quotient_bundle, z3_bundle, z2, diag2,
+                 m2_full):
     return {"pauli": (q_z4, pauli_bundle), "s3": (q_s3, s3_quotient_bundle),
             "diag": (q_z4, bundles.trivial_bundle(z2, diag2)),
-            "m2": (q_z4, bundles.trivial_bundle(z2, m2_full))}
+            "m2": (q_z4, bundles.trivial_bundle(z2, m2_full)),
+            # sections (0, 1, 2) that are no subgroup; the element loops of
+            # positivity and boundedness take about 30 s here, gamma's under 1 s
+            "a4": (q_a4, z3_bundle)}
 
 
 class TestMoritaFromStructureConstants:
@@ -536,7 +540,7 @@ class TestTablesAgainstTheElementLoops:
             for (key, f), c in zip(models._slots(q, "x"), coords):
                 assert np.array_equal(d.fiber(f).from_coords(c[:d.fiber(f).dim]), x.coeffs[key])
 
-    @pytest.mark.parametrize("case", MORITA_CASES)
+    @pytest.mark.parametrize("case", [*MORITA_CASES, "a4"])
     def test_gamma_equivariance(self, morita_cases, case):
         q, d = morita_cases[case]
         report = imp.bimodule_check(q, d)[2]
