@@ -3,6 +3,10 @@
 A GradedBundle assigns a subspace of one ambient M_n(C) to every group
 element; the Fell axioms (product closure, adjoint symmetry, independence,
 unit-fiber algebra, C*-identity) are machine-checked by verify_fell_axioms.
+One sweep reads a dense grading, `_read_grading`: verify_fell_axioms reports on
+it, and abstract_from_graded, the one guard on a dense grading, returns its
+structure constants only when all five families pass at precondition_tol
+(AxiomViolation with the first violation otherwise).
 
 An AbstractBundle carries the same data as structure constants plus a
 faithful positive functional on the unit fiber; concretize() turns it back
@@ -38,8 +42,7 @@ images as matrices decomposed in their fibers. One kernel,
 `_coordinate_residuals`, then compares the images of products and adjoints,
 read off the source's structure constants, with the products and adjoints of
 the images, read off the target's. So a dense target, like the source, must
-keep its products and adjoints in its fibers at precondition_tol
-(AxiomViolation otherwise).
+pass the grading axioms at precondition_tol (AxiomViolation otherwise).
 """
 
 from __future__ import annotations
@@ -214,35 +217,47 @@ def _hom_residual(g: FiniteGroup, members, m) -> float:
     return max(_worst(_row_norms(gap.reshape(len(ys), -1))) for gap in gaps)
 
 
-def _fiber_sweep(bundle: GradedBundle) -> tuple[dict, list]:
-    """(coords, residuals) of each fiber product A_s A_t in A_st, keyed (s, t) row-major,
-    and of each adjoint A_s* in A_{s^-1}, listed by s; no product stack is kept."""
-    g, f = bundle.group, bundle.fiber
-    prods = {(s, t): product_coords(f(s).basis, f(t).basis, f(g.mul(s, t)))
-             for s in g.elements() for t in g.elements()}
-    return prods, [f(g.inv(s)).decompose(dagger(f(s).basis)) for s in g.elements()]
-
-
 def verify_fell_axioms(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
     """Check the five grading axiom families and report residuals.
 
     Returns {"pass": bool, "checks": {...}, "violations": [...]}; a violation
     records the axiom, the group indices involved, and the residual.
     """
-    g = bundle.group
+    return _read_grading(bundle, tol)[0]
+
+
+def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> AbstractBundle:
+    """Read structure constants off a grading; functional = trace. The one guard on a
+    dense grading: AxiomViolation with the first violation of verify_fell_axioms'
+    report at precondition_tol(tol), from the same sweep."""
+    report, constants = _read_grading(bundle, precondition_tol(tol))
+    require(report, AxiomViolation, "grading axiom failed: ")
+    return constants
+
+
+def _read_grading(bundle: GradedBundle, tol: float) -> tuple[dict, AbstractBundle]:
+    """verify_fell_axioms' report and the AbstractBundle of one sweep, which decomposes
+    each fiber product A_s A_t in A_st and each adjoint A_s* in A_{s^-1}. Violations
+    follow the checks: products (s, t) row-major, adjoints by s, then the rest."""
+    g, f = bundle.group, bundle.fiber
+    prods = {(s, t): product_coords(f(s).basis, f(t).basis, f(g.mul(s, t)))
+             for s in g.elements() for t in g.elements()}
+    adjoints = [f(g.inv(s)).decompose(dagger(f(s).basis)) for s in g.elements()]
     rep = ResidualReport(tol, "product_closure", "adjoint_symmetry", "independent_grading",
                          "unit_fiber_algebra", "cstar_identity")
-    prods, adjoints = _fiber_sweep(bundle)
     for (s, t), (_, res) in prods.items():
         rep.residuals("product_closure", res, s=s, t=t)
     for s, (_, res) in enumerate(adjoints):
-        fs, fsi = bundle.fiber(s), bundle.fiber(g.inv(s))
+        fs, fsi = f(s), f(g.inv(s))
         if fs.dim != fsi.dim:
             rep.fail("adjoint_symmetry", float(abs(fs.dim - fsi.dim)), s=s, t=None)
         rep.residuals("adjoint_symmetry", res, s=s, t=None)
 
-    flats = [f.flat for f in bundle.fibers if f.dim]
-    min_sv = float(np.linalg.svd(np.concatenate(flats), compute_uv=False)[-1]) if flats else 1.0
+    stack = np.concatenate([fib.flat for fib in bundle.fibers])
+    if len(stack) > stack.shape[1]:  # dependent rows, but numpy returns no zero for the excess
+        min_sv = 0.0
+    else:
+        min_sv = float(np.linalg.svd(stack, compute_uv=False)[-1]) if len(stack) else 1.0
     rep.entry("independent_grading", min_singular_value=min_sv)
     if min_sv <= tol:
         rep.fail("independent_grading", min_sv, s=None, t=None)
@@ -252,15 +267,14 @@ def verify_fell_axioms(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
                   s=0, t=0)
 
     for s in g.elements():
-        basis = bundle.fiber(s).basis
+        basis = f(s).basis
         na = op_norm(basis)
         rep.residuals("cstar_identity", np.abs(op_norm(dagger(basis) @ basis) - na * na)
                       / np.maximum(1.0, na * na), s=s, t=None)
-    return rep.build()
-
-
-def require_fell_axioms(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> None:
-    require(verify_fell_axioms(bundle, precondition_tol(tol)), AxiomViolation, "grading axiom failed: ")
+    funct = np.array([np.trace(m) for m in f(0).basis_list()], dtype=complex)
+    return rep.build(), AbstractBundle(g, bundle.fiber_dims(),
+                                       {st: c for st, (c, _) in prods.items()},
+                                       tuple(c for c, _ in adjoints), funct)
 
 
 # basic constructions
@@ -765,22 +779,6 @@ def concretize(b: AbstractBundle, tol: float = DEFAULT_TOL) -> Realization:
             raise DegenerateFunctional(
                 f"fiber {s} collapsed from {b.dims[s]} to {ranks[s]} dimensions")
     return Realization(b, blocks, tol)
-
-
-def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> AbstractBundle:
-    """Read structure constants off a concrete grading; functional = trace."""
-    g = bundle.group
-    prods, adjoints = _fiber_sweep(bundle)
-    limit = precondition_tol(tol)
-    for s in g.elements():
-        for t in g.elements():
-            if np.any(prods[(s, t)][1] > limit):
-                raise AxiomViolation(f"product escapes fiber ({s},{t})")
-        if np.any(adjoints[s][1] > limit):
-            raise AxiomViolation(f"adjoint escapes fiber {s}")
-    funct = np.array([np.trace(m) for m in bundle.fiber(0).basis_list()], dtype=complex)
-    return AbstractBundle(g, bundle.fiber_dims(), {st: c for st, (c, _) in prods.items()},
-                          tuple(c for c, _ in adjoints), funct)
 
 
 def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,

@@ -403,7 +403,7 @@ def cmd_pullback(args) -> dict:
 def cmd_crossed(args) -> dict:
     """crossed-product dimension law and fiberwise isometry"""
     bundle, tol = _spec(args)
-    bundles.require_fell_axioms(bundle, tol)
+    bundles.abstract_from_graded(bundle, tol)  # the grading axioms, as a precondition
     g = bundle.group
     lam = groups.left_regular(g)
     # read off span{a_s (x) E_{st,t}}: its (s, t) slots are HS-orthogonal, so

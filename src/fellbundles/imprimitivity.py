@@ -11,8 +11,9 @@ slot map, a function of `Slots` read off the group tables that sends one or
 two slots to one slot or to none, and a coefficient block chosen by the
 fibers of its arguments from D's `prod` and `invol` (`abstract_from_graded`).
 Fiber coordinates are padded with zeros to the largest fiber dimension; the
-padding enters no residual. The blocks are faithful on a Fell bundle, so D's
-grading axioms are checked first.
+padding enters no residual. The blocks are faithful on a Fell bundle, so they
+come from D's one guarded read: `abstract_from_graded` checks all five grading
+axiom families in the sweep that reads the blocks (AxiomViolation otherwise).
 
 `bimodule_check` builds the six binary slot tables once and compares two
 composites of formulas on every slot triple or pair where either lands: by
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bundles import GradedBundle, abstract_from_graded, require_fell_axioms, unit_fiber_unit
+from .bundles import GradedBundle, abstract_from_graded, unit_fiber_unit
 from .errors import GroupMismatch
 from .groups import Quotient
 from .matrices import DEFAULT_TOL, ResidualReport, dagger, numerical_rank, op_norm
@@ -273,7 +274,7 @@ def _centre_dimension(t: _Table, width: int, live: np.ndarray, tol: float) -> in
 def _padded(d: GradedBundle, g: SimpleNamespace, tol: float):
     """prod (fibers, fibers, K, K, K), invol (fibers, K, K) and the fiber bases
     (fibers, K, n, n) of D, padded to the largest fiber dimension K, and the
-    fiber dimensions."""
+    fiber dimensions: D's one read, so AxiomViolation unless D is a grading."""
     ab = abstract_from_graded(d, tol)
     dims, m = np.array(ab.dims), len(ab.dims)
     k, n = int(dims.max(initial=0)), d.ambient_dim
@@ -333,10 +334,9 @@ def bimodule_check(q: Quotient, d: GradedBundle, tol: float = DEFAULT_TOL,
     Morita equivalence.
     """
     _check_base(q, d)
-    require_fell_axioms(d, tol)
-    unit_fiber_unit(d, tol)
     g = _groups(q)
     prod, invol, basis, fiber_dims = _padded(d, g, tol)
+    unit_fiber_unit(d, tol)
     k = prod.shape[-1]
     xs, bs, cs = (_all_slots(g, kind) for kind in "xbc")
     dims = {s.kind: fiber_dims[s.fiber] for s in (xs, bs, cs)}  # of each slot's fiber

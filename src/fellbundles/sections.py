@@ -18,9 +18,9 @@ import numpy as np
 from .bundles import (
     AbstractBundle,
     GradedBundle,
+    abstract_from_graded,
     homomorphism_residuals,
     map_table,
-    require_fell_axioms,
 )
 from .errors import NotAHomomorphism, NotInAlgebra, ProjectionsNotResolving
 from .groups import FiniteGroup, left_regular
@@ -79,7 +79,7 @@ def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
                     check: bool = True) -> SectionAlgebra:
     """The cross-sectional *-algebra of a verified grading."""
     if check:
-        require_fell_axioms(bundle, tol)
+        abstract_from_graded(bundle, tol)
     n = bundle.ambient_dim
     stack = np.concatenate([f.flat for f in bundle.fibers])
     solver = np.linalg.pinv(stack.T)

@@ -17,11 +17,12 @@ from operator import matmul
 import numpy as np
 
 from fellbundles.approximation import EPWitness, ep_witness
-from fellbundles.bundles import (GradedBundle, _worst, homomorphism_residuals,
-                                 require_fell_axioms, same_bundle, unit_fiber_unit)
+from fellbundles.bundles import (GradedBundle, _worst, abstract_from_graded,
+                                 homomorphism_residuals, same_bundle, unit_fiber_unit)
 from fellbundles.duality import GSetAction, coset_action
 from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra
-from fellbundles.groups import FiniteGroup, NormalSubgroup, Quotient, from_table, left_regular
+from fellbundles.groups import (FiniteGroup, NormalSubgroup, Quotient, cyclic, dihedral, from_table,
+                               left_regular, quotient)
 from fellbundles.imprimitivity import _check_base
 from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _commutator_map,
                                   dagger, hs_norm, is_star_closed, multiplication_tensor,
@@ -280,7 +281,7 @@ class CrossedProductAlgebra:
 def crossed_product(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> CrossedProductAlgebra:
     """The bundle's dense crossed product on C^n tensor l^2(G): the reference
     model that tests hold the commands' bundle-read crossed-product fields to."""
-    require_fell_axioms(bundle, tol)
+    abstract_from_graded(bundle, tol)
     g = bundle.group
     big = bundle.ambient_dim * g.order
     mats = [slot_realization(g, {(s, t): b}, bundle.ambient_dim)
@@ -591,3 +592,22 @@ def trivial_gset_action(g: FiniteGroup, size: int) -> GSetAction:
 def point_witness(bundle: GradedBundle, s: int = 0, tol: float = DEFAULT_TOL) -> EPWitness:
     """f = delta_s . 1_e, the witness supported at a single group element."""
     return ep_witness(bundle, {int(s): unit_fiber_unit(bundle, tol)}, tol)
+
+
+# gradings that are no direct sum
+
+
+def dependent_gradings() -> dict:
+    """name -> (bundle, group descriptor) for gradings with more fiber vectors than
+    their ambient has dimensions, so their fibers are dependent while every other
+    axiom holds: the line C1 over Z2 and over Z3 in M_1, and the Pauli grading of
+    M_2 over D4/Z(D4) lifted to D4 with no lambda factor (8 one-dimensional fibers)."""
+    line = MatrixSubspace(1, np.ones((1, 1, 1), dtype=complex))
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]], dtype=complex) / np.sqrt(2)
+    q = quotient(dihedral(4), (0, 2))
+    return {"line_z2": (GradedBundle(cyclic(2), (line,) * 2), {"kind": "cyclic", "n": 2}),
+            "line_z3": (GradedBundle(cyclic(3), (line,) * 3), {"kind": "cyclic", "n": 3}),
+            "pauli_d4": (GradedBundle(q.group, tuple(MatrixSubspace(2, paulis[c][None])
+                                                     for c in q.coset_of)),
+                         {"kind": "dihedral", "n": 4})}

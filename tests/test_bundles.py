@@ -60,9 +60,17 @@ class TestFellAxioms:
         assert any(v["axiom"] == "independent_grading" for v in report["violations"])
         assert report["checks"]["independent_grading"]["min_singular_value"] < 1e-8
 
+    @pytest.mark.parametrize("case", sorted(models.dependent_gradings()))
+    def test_more_fiber_vectors_than_ambient_dimensions_are_dependent(self, case):
+        # the stack of fibers is taller than wide: its SVD has no value for the excess rows
+        bundle, _ = models.dependent_gradings()[case]
+        report = bundles.verify_fell_axioms(bundle)
+        assert [v["axiom"] for v in report["violations"]] == ["independent_grading"]
+        assert report["checks"]["independent_grading"]["min_singular_value"] == 0.0
+
     def test_require_raises(self, z2):
         with pytest.raises(AxiomViolation):
-            bundles.require_fell_axioms(graded(z2, [I2, I2]))
+            bundles.abstract_from_graded(graded(z2, [I2, I2]))
 
 
 class TestTrivialAndPullback:
@@ -248,7 +256,8 @@ class TestQuotientBundle:
         a = bundles.GradedBundle(z2, (pauli_bundle.fiber(0), e11))
         fam = bundles.UnitaryMultiplierFamily(a, (0,), {0: np.eye(2, dtype=complex)})
         assert bundles.verify_multiplier_family(fam)["pass"]
-        with pytest.raises(AxiomViolation, match=r"product escapes fiber \(1,1\)"):
+        with pytest.raises(AxiomViolation, match=r"^grading axiom failed: \{'axiom': "
+                                                 r"'product_closure', 's': 1, 't': 1,"):
             bundles.quotient_bundle(a, fam, groups.quotient(z2, (0,)))
 
 
@@ -836,14 +845,17 @@ class TestSemidirectAgainstTheEinsumRoute:
 
 class TestOneFiberSweep:
     def test_abstract_from_graded_raises_at_the_first_escape(self, z2):
-        # products of fiber s come before its adjoint, fiber 0 before fiber 1
+        # the report's first violation: products (s, t) row-major, then adjoints,
+        # then independence
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-        for fibers, message in [([I2, I2 + PAULI_X], r"product escapes fiber \(1,1\)$"),
-                                ([I2, e12], "adjoint escapes fiber 1$"),
-                                ([e12, PAULI_Z], r"product escapes fiber \(0,1\)$"),
-                                ([e12, np.diag([1.0, 0.0])], "adjoint escapes fiber 0$")]:
-            with pytest.raises(AxiomViolation, match=message):
+        for fibers, first in [([I2, I2 + PAULI_X], "'product_closure', 's': 1, 't': 1,"),
+                              ([I2, e12], "'adjoint_symmetry', 's': 1, 't': None,"),
+                              ([e12, PAULI_Z], "'product_closure', 's': 0, 't': 1,"),
+                              ([e12, np.diag([1.0, 0.0])], "'product_closure', 's': 1, 't': 0,"),
+                              ([I2, I2], "'independent_grading', 's': None, 't': None,")]:
+            with pytest.raises(AxiomViolation) as err:
                 bundles.abstract_from_graded(graded(z2, fibers))
+            assert str(err.value).startswith("grading axiom failed: {'axiom': " + first)
 
 
 def test_apply_takes_a_list_of_elements(swap_action):

@@ -1026,6 +1026,35 @@ AXIOM_COMMANDS = {
 }
 
 
+class TestDependentFibersFailTheAxiomCommands:
+    """Fibers that are no direct sum fail every command that reads the bundle's own
+    axioms; `pullback` checks the pull-back, whose lambda factors keep it independent."""
+
+    @pytest.mark.parametrize("case,command", [
+        (case, command) for case in sorted(models.dependent_gradings())
+        for command in ("crossed", "gsimple", "report", "verify")] + [("line_z2", "imprimitivity")])
+    def test_exits_1_on_independence(self, capsys, tmp_path, case, command):
+        bundle, desc = models.dependent_gradings()[case]
+        spec = write_json(tmp_path / f"{case}.json", cli.bundle_to_spec(bundle, desc))
+        rc, out, _ = run(capsys, command, spec, *AXIOM_COMMANDS[command])
+        report = json.loads(out)
+        assert rc == 1 and report["pass"] is False
+        first = report.get("detail") or repr(report["violations"][0])
+        assert "'axiom': 'independent_grading'" in first
+
+    def test_landstad_rejects_its_target(self, capsys, tmp_path):
+        # the Landstad target is read as a grading: C1 twice over Z2 is no direct sum
+        bundle, desc = models.dependent_gradings()["line_z2"]
+        spec = write_json(tmp_path / "line.json", cli.bundle_to_spec(bundle, desc))
+        family = write_json(tmp_path / "one.json", {"u": {str(s): mat([[1]]) for s in range(4)}})
+        rc, out, _ = run(capsys, "landstad", spec, "--group", "cyclic:4", "--normal", "0,2",
+                         "--family", family)
+        report = json.loads(out)
+        assert rc == 1 and report["error"] == "AxiomViolation"
+        assert report["detail"].startswith(
+            "grading axiom failed: {'axiom': 'independent_grading'")
+
+
 class TestOneTolerancePerRun:
     """Every check of a run receives the tolerance `_tol` resolved; only the
     preconditions run at max(tol, DEFAULT_TOL)."""
@@ -1113,8 +1142,8 @@ class TestOneTolerancePerRun:
                                                               pauli_spec):
         # crossed only requires the axioms: the run's 1e-12 reaches the
         # precondition, which checks them at the default
-        required = self.record_tol(monkeypatch, bundles, "require_fell_axioms")
-        checked = self.record_tol(monkeypatch, bundles, "verify_fell_axioms")
+        required = self.record_tol(monkeypatch, bundles, "abstract_from_graded")
+        checked = self.record_tol(monkeypatch, bundles, "_read_grading")
         rc, _, _ = run(capsys, "crossed", pauli_spec, "--tol", "1e-12")
         assert rc == 0 and required == [1e-12] and checked == [matrices.DEFAULT_TOL]
 

@@ -613,13 +613,17 @@ class TestForwardOnTheSmallFactor:
     def test_the_factor_is_the_square_root_of_the_order(self, s3_signed_action):
         semi, semi_real, tw, q, images = forward_images(s3_signed_action)
         doubled = [2.0 * y for y in images]
-        unscaled = bundles.GradedBundle(q.group, tuple(tw.fiber(c) for c in q.coset_of))
-        small = bundles.realization_isomorphism_report(semi, semi_real, unscaled, doubled)
         new = bundles.realization_isomorphism_report(semi, semi_real, bundles.PulledBack(tw, q),
                                                      doubled)
-        for name in ("multiplicative", "star"):
+        # the small factors alone: their coordinates in tw's fibers, read off tw's
+        # structure constants through the fiber map, with a dense grading's identity frames
+        tgt = bundles.abstract_from_graded(tw)
+        coords = [tw.fiber(c).decompose(y)[0] for y, c in zip(doubled, q.coset_of)]
+        small = bundles._coordinate_residuals(semi, coords, tgt, q.coset_of,
+                                              [np.eye(d) for d in tgt.dims])
+        for name, res in zip(("multiplicative", "star"), small):
             assert new["checks"][name]["max_residual"] == pytest.approx(
-                np.sqrt(6) * small["checks"][name]["max_residual"], rel=1e-15, abs=0)
+                np.sqrt(6) * res, rel=1e-15, abs=0)
 
 
 class TestQuotientPullbackOnTheSmallFactor:

@@ -50,6 +50,10 @@ neither `product_coords` nor `apply`: none of them decomposes a dense product
 or image of the action again, and one `olesen-pedersen` run reads the
 structure constants once per `TwistedAction`.
 
+A dense grading is read in one place, `bundles._read_grading`, which checks the
+grading axioms in the sweep that reads the structure constants; so no command
+on the Pauli spec reads one grading twice.
+
 Each command declares exactly the options its handler reads: the `args`
 attributes read by `cmd_*`, by the module functions taking `args` that it
 calls (`_spec`, `_tol`, `_quotient_setup`, `_normal`) and by `run_command`,
@@ -63,6 +67,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fellbundles import bundles, cli, imprimitivity
@@ -461,3 +466,25 @@ def test_one_olesen_pedersen_run_reads_each_action_once(tmp_path, monkeypatch):
             rc = cli.run_command(["olesen-pedersen", str(spec)])
         assert rc == 0 and len(read) == reads
         assert len({id(t) for t in read}) == len(read)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["crossed"], ["gsimple"], ["report"],
+    ["imprimitivity", "--group", "cyclic:4", "--normal", "0,2"],
+    ["landstad", "--group", "cyclic:4", "--normal", "0,2", "--family", "u.json"],
+    ["pullback", "--group", "cyclic:4", "--normal", "0,2"]], ids=lambda argv: argv[0])
+def test_one_run_reads_each_dense_grading_once(tmp_path, monkeypatch, pauli_bundle, argv):
+    real, read = bundles._read_grading, []
+    monkeypatch.setattr(bundles, "_read_grading",
+                        lambda bundle, tol: read.append(bundle) or real(bundle, tol))
+    monkeypatch.chdir(tmp_path)
+    Path("pauli.json").write_text(json.dumps(cli.bundle_to_spec(pauli_bundle,
+                                                                {"kind": "cyclic", "n": 2})))
+    # u(s) = X^s over C4 -> C4/{0, 2}, the Landstad family of the Pauli grading
+    u = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    Path("u.json").write_text(json.dumps(
+        {"u": {str(s): cli.encode_matrix(np.array(u[s % 2], dtype=complex)) for s in range(4)}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.run_command([argv[0], "pauli.json", *argv[1:]])
+    # the spec, or for pullback the pull-back, is read once
+    assert rc == 0 and len(read) == 1
