@@ -73,6 +73,7 @@ from .matrices import (
     numerical_rank,
     orthonormalize,
     precondition_tol,
+    product_coords,
     require,
     subspace_leq,
     unit_coords,
@@ -287,30 +288,39 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 # graded ideals and G-simplicity
 
 
+def _unit_fiber_center(sa: SectionAlgebra, cut: float) -> tuple[np.ndarray, MatrixSubspace]:
+    """The singular values of z -> (z b - b z) on A_e, b over the fibers, and Z(A) ∩ A_e."""
+    fe = sa.bundle.fiber(0)
+    comm = np.concatenate([(product_coords(fe.basis, ft.basis, ft)[0] - np.swapaxes(
+        product_coords(ft.basis, fe.basis, ft)[0], 0, 1)).reshape(fe.dim, ft.dim ** 2).T
+        for ft in sa.bundle.fibers])
+    _, sv, vh = np.linalg.svd(comm, full_matrices=False)
+    return sv, MatrixSubspace(fe.ambient_dim, fe.from_coords(vh[numerical_rank(sv, cut):].conj()))
+
+
 def graded_ideals(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> list[MatrixSubspace]:
     """All grading-invariant two-sided ideals of the section algebra A, by dimension.
 
     Ideals of a finite-dimensional C*-algebra are pA for central projections p.
     A graded pA has unit p, and the unit of a graded unital algebra has degree
     e; conversely pA is graded when p lies in A_e. So the graded ideals are pA
-    for the projections p of Z(A) ∩ A_e (the null space, in A_e's coordinates,
-    of the commutators with every fiber basis element): 2^k of them for its k
-    minimal projections, each a direct sum of their HS-orthogonal ideals.
+    for the projections p of Z(A) ∩ A_e: 2^k of them for its k minimal
+    projections, each a direct sum of their HS-orthogonal ideals. Z(A) ∩ A_e is
+    read from the (e, t) and (t, e) products decomposed in A_t of a verified
+    grading: no commutator stack, one (dim A_e, dim A_t, n, n) block at a time.
 
     These rank, unit and spectral cuts construct the ideals rather than check
     a residual, so they run at precondition_tol(tol): at tol = 0 an exact rank
     cut would keep no null space, and no unit or eigenvalue grouping would hold.
     """
-    cut = precondition_tol(tol)
-    fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
-    others = sa.stack.reshape(-1, n, n)
-    comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
-    _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
-    center_e = MatrixSubspace(n, fe.from_coords(vh[numerical_rank(sv, cut):].conj()))
-    minimal = [orthonormalize(p @ sa.total.basis, ambient_dim=n, tol=cut).basis
-               for p in minimal_central_projections(center_e, cut)]
-    ideals = [MatrixSubspace(n, np.concatenate(
-        [np.zeros((0, n, n))] + [b for i, b in enumerate(minimal) if mask >> i & 1]))
+    cut, total, minimal = precondition_tol(tol), sa.total, []
+    for p in minimal_central_projections(_unit_fiber_center(sa, cut)[1], cut):
+        rows = p @ total.basis  # conjugated in place: <p b_k, b_l> at row k, column l
+        _, sv, vh = np.linalg.svd(np.conjugate(rows, out=rows).reshape(total.dim, -1) @ total.flat.T)
+        minimal.append(vh[:numerical_rank(sv, cut)].conj())  # pA in A's coordinates
+    del rows  # free the last p·A before the ideals' bases are formed
+    ideals = [MatrixSubspace(total.ambient_dim, total.from_coords(np.concatenate(
+        [np.zeros((0, total.dim))] + [c for i, c in enumerate(minimal) if mask >> i & 1])))
         for mask in range(1 << len(minimal))]
     return sorted(ideals, key=lambda i: i.dim)
 

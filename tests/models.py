@@ -4,7 +4,8 @@ No command runs these: the group enumerators, brute-force matrix-algebra
 predicates, the crossed product on C^n tensor l^2(G), the Element model of
 the imprimitivity bimodule (X0, B0 and C0 as coefficient dicts, with every
 formula evaluated pair by pair) and its dense realizations, the dense route
-of the bundle isomorphism report, and a few small input builders.
+of the bundle isomorphism report and of Z(A) ∩ A_e, and a few small input
+builders.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _
                                   dagger, hs_norm, is_star_closed, multiplication_tensor,
                                   numerical_rank, op_norm, precondition_tol, project_rows,
                                   subspace_leq, unit_coords)
-from fellbundles.sections import slot_realization, slot_realization as _realize
+from fellbundles.sections import SectionAlgebra, slot_realization, slot_realization as _realize
 
 
 class FiberMismatch(FellBundleError):
@@ -584,6 +585,25 @@ def translation_action(g: FiniteGroup) -> GSetAction:
 
 def trivial_gset_action(g: FiniteGroup, size: int) -> GSetAction:
     return GSetAction(g, size, tuple(tuple(range(size)) for _ in g.elements()))
+
+
+def dense_unit_fiber_center(sa: SectionAlgebra,
+                            tol: float = DEFAULT_TOL) -> tuple[np.ndarray, MatrixSubspace]:
+    """Z(A) ∩ A_e on the dense route, with the singular values it is cut at: the null
+    space, in A_e's coordinates, of one stack of the commutators e_i b - b e_i with
+    every fiber basis element b, shape (dim A_e, dim A, n, n), formed as matrices."""
+    fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
+    others = sa.stack.reshape(-1, n, n)
+    comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
+    _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
+    null = vh[numerical_rank(sv, precondition_tol(tol)):].conj()
+    return sv, MatrixSubspace(n, fe.from_coords(null))
+
+
+def even_part_of_z4(bundle: GradedBundle) -> GradedBundle:
+    """A bundle over Z2 placed in Z4 at {0, 2}, with zero fibers at 1 and 3."""
+    empty = MatrixSubspace(bundle.ambient_dim, np.zeros((0,) + bundle.fiber(0).basis.shape[1:]))
+    return GradedBundle(cyclic(4), (bundle.fiber(0), empty, bundle.fiber(1), empty))
 
 
 # approximation

@@ -439,6 +439,18 @@ class TestGsimpleCommand:
             assert json.loads(out) == {"command": command, "pass": False, "error": "NotUnital",
                                        "detail": "the zero algebra has no unit"}
 
+    def test_zero_fibers_off_a_subgroup(self, capsys, tmp_path, m2_full):
+        # M_2 over Z2 placed in Z4 at {0, 2}: the fibers at 1 and 3 are zero, and the
+        # section algebra M_2 (x) C*(Z2) has one graded ideal besides 0
+        bundle = models.even_part_of_z4(bundles.trivial_bundle(groups.cyclic(2), m2_full))
+        spec = write_json(tmp_path / "even.json",
+                          cli.bundle_to_spec(bundle, {"kind": "cyclic", "n": 4}))
+        for command in ("gsimple", "report"):
+            rc, out, _ = run(capsys, command, spec)
+            report = json.loads(out)
+            assert rc == 0 and report["pass"] is True
+            assert report["ideal_dims"] == [0, 8] and report["is_g_simple"] is True
+
 
 @pytest.fixture()
 def gset_spec(tmp_path):

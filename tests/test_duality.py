@@ -1,6 +1,7 @@
 """Reconstruction dualities, twist extraction, graded ideals, obstructions."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fellbundles.errors import (
 
 import models
 from conftest import A3, I2, PAULI_X, PAULI_Y, SWAP_SUBGROUP
+from test_metamorphic import conjugated, haar_unitary
 
 
 def unit_scaled_square_root(fiber, unit):
@@ -351,6 +353,23 @@ class TestGradedIdeals:
                 meet_dim = a.dim + b.dim - join.dim
                 assert any(c.dim == meet_dim for c in ideals)
 
+    def test_peak_memory_is_below_half_a_commutator_stack(self, pauli_bundle, m2_full):
+        # trivial M_2 over D6: one dense stack of the commutators of A_e's basis with
+        # every fiber basis element, (4, 48, 24, 24) complex, is 1.77 MB; reading
+        # Z(A) ∩ A_e in fiber coordinates holds one (4, 4, 24, 24) block at a time
+        sa = sections.section_algebra(bundles.trivial_bundle(groups.dihedral(6), m2_full))
+        n = sa.bundle.ambient_dim
+        stack_bytes = sa.bundle.fiber(0).dim * sa.bundle.section_dimension() * n * n * 16
+        duality.graded_ideals(sections.section_algebra(pauli_bundle))  # first-call allocations
+        tracemalloc.start()
+        try:
+            ideals = duality.graded_ideals(sa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [i.dim for i in ideals] == [0, 48]
+        assert peak < stack_bytes / 2
+
 
 def sweep_graded_ideals(sa, tol=1e-8):
     """The dense route: all 2^blocks sums of minimal central summands of the whole
@@ -377,22 +396,31 @@ def center_meets_unit_fiber(sa):
 
 IDEAL_CASES = [("pauli_bundle", 2), ("pauli_pullback", 2), ("trivial_z4", 2), ("trivial_s3", 2),
                ("twisted_z4_realized", 2), ("swap_semidirect_realized", 2),
-               ("s3_quotient_bundle", 2), ("diag_z4", 4), ("diag_s3", 4)]
+               ("s3_quotient_bundle", 2), ("diag_z4", 4), ("diag_s3", 4), ("haar_diag_z4", 4),
+               ("m2_even_z4", 2)]
+
+
+@pytest.fixture()
+def section(request, diag2, m2_full):
+    """The section algebra of a conftest bundle, or of one built here: diag(C^2)
+    over Z4 or S3, that over Z4 moved by a Haar unitary, and M_2 over Z2 placed in
+    Z4 at {0, 2} with zero fibers at 1 and 3."""
+    name = request.param
+    if name.startswith("diag_"):
+        bundle = bundles.trivial_bundle(groups.cyclic(4) if name == "diag_z4"
+                                        else groups.symmetric(3), diag2)
+    elif name == "haar_diag_z4":
+        bundle = conjugated(bundles.trivial_bundle(groups.cyclic(4), diag2), haar_unitary(8, 5))
+    elif name == "m2_even_z4":
+        bundle = models.even_part_of_z4(bundles.trivial_bundle(groups.cyclic(2), m2_full))
+    else:
+        bundle = request.getfixturevalue(name)
+    return sections.section_algebra(getattr(bundle, "bundle", bundle))
 
 
 class TestGradedIdealsAgainstTheSweep:
     """graded_ideals builds pA for the projections of Z(A) ∩ A_e; the sweep tries
     every central summand of A and tests its grading."""
-
-    @pytest.fixture()
-    def section(self, request, diag2):
-        name = request.param
-        if name.startswith("diag_"):
-            bundle = bundles.trivial_bundle(groups.cyclic(4) if name == "diag_z4"
-                                            else groups.symmetric(3), diag2)
-        else:
-            bundle = request.getfixturevalue(name)
-        return sections.section_algebra(getattr(bundle, "bundle", bundle))
 
     @pytest.mark.parametrize("section, count", IDEAL_CASES, indirect=["section"])
     def test_same_ideals_as_the_sweep(self, section, count):
@@ -403,6 +431,22 @@ class TestGradedIdealsAgainstTheSweep:
         assert ideals[0].dim == 0 and ideals[-1].dim == section.total.dim
         assert (duality.is_g_simple(section, ideals=ideals) == duality.is_g_simple(section)
                 == (count == 2))
+
+
+class TestUnitFiberCenterAgainstTheDenseRoute:
+    """Z(A) ∩ A_e from the (e, t) and (t, e) products in A_t's coordinates against
+    the null space of the dense commutator stack: the fiber bases are HS-orthonormal
+    and a verified grading keeps each commutator in its fiber, so the two maps have
+    the same Gram, hence the same singular values and null space."""
+
+    @pytest.mark.parametrize("section", [name for name, _ in IDEAL_CASES], indirect=True)
+    def test_same_center_as_the_dense_route(self, section):
+        sv, center = duality._unit_fiber_center(section, matrices.DEFAULT_TOL)
+        dense_sv, dense = models.dense_unit_fiber_center(section)
+        assert center.dim == dense.dim > 0
+        assert sv.shape == dense_sv.shape
+        assert np.abs(sv - dense_sv).max() <= 1e-12 * max(1.0, dense_sv[0])
+        assert models.subspace_equal(center, dense)
 
 
 class TestTransformationSystems:

@@ -1,12 +1,17 @@
 """tools/parity.py: a rung whose outputs differ only in float values is
-summarised in one line rather than a text diff."""
+summarised in one line rather than a text diff, and each tree's peak RSS on a
+workload is named with the rung that reached it."""
 
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
+from fellbundles import cli
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+SRC = TOOL.parent.parent / "src"
 _spec = importlib.util.spec_from_file_location("parity", TOOL)
 parity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(parity)
@@ -53,3 +58,21 @@ def test_describe_keeps_the_text_diff_otherwise():
     lines = parity.describe(a, b)
     assert lines[:2] == ["  code: 0 -> 1", "  stdout:"]
     assert '-  "pass": true' in [line.strip() for line in lines]
+
+
+def test_peak_line_names_the_rung_that_raised_the_high_water_mark():
+    records = [{"maxrss_mb": 50.0}, {"maxrss_mb": 118.84}, {"maxrss_mb": 118.84}]
+    assert (parity.peak_line("frontier", "base", ["verify.a", "report.b", "verify.c"], records)
+            == "frontier: base peak RSS 118.8 MB at report.b")
+
+
+def test_the_child_records_max_rss_after_each_rung(tmp_path, monkeypatch, pauli_bundle):
+    spec = tmp_path / "pauli.json"
+    spec.write_text(json.dumps(cli.bundle_to_spec(pauli_bundle, {"kind": "cyclic", "n": 2})))
+    monkeypatch.chdir(tmp_path)  # run_rungs changes into its work directory
+    monkeypatch.setattr(sys, "path", list(sys.path))  # and puts src on sys.path
+    records = parity.run_rungs(str(SRC), str(tmp_path),
+                               [(["gsimple", "pauli.json"], None), (["report", "pauli.json"], None)])
+    assert [r["code"] for r in records] == [0, 0]
+    rss = [r["maxrss_mb"] for r in records]
+    assert 0 < rss[0] <= rss[1]

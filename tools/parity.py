@@ -15,8 +15,11 @@ exception's name in place of an exit code.
 Every rung whose exit code, stdout or written file (`pullback -o`) differs
 between the trees is printed with a short diff. When the two texts parse to
 the same JSON apart from float values, the diff is one line instead:
-`floats only, largest |Δ| = x at <path>`. The exit code is 1 if any rung
-differs, else 0. Uses the standard library and numpy only.
+`floats only, largest |Δ| = x at <path>`. Each child records its max RSS
+(`ru_maxrss`) after every rung, and for each workload one line per tree gives
+the workload's peak and the rung that reached it:
+`frontier: new peak RSS 101.6 MB at verify.m2.symmetric4`. The exit code is 1
+if any rung differs, else 0. Uses the standard library and numpy only.
 
 This compares command outputs only. To run the tier-1 tests against another
 tree, run pytest from inside that tree: `pyproject.toml` sets
@@ -63,7 +66,8 @@ def run_rungs(src: str, workdir: str, rungs: list) -> list[dict]:
         if writes and os.path.exists(writes):
             with open(writes, encoding="utf-8") as fh:
                 written = fh.read()
-        out.append({"code": code, "stdout": buf.getvalue(), "written": written})
+        out.append({"code": code, "stdout": buf.getvalue(), "written": written,
+                    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
     return out
 
 
@@ -134,6 +138,14 @@ def describe(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def peak_line(workload: str, tree: str, ids: list[str], records: list[dict]) -> str:
+    """The peak RSS of one tree's child on a workload and the first rung that
+    reached it: ru_maxrss is a high-water mark, so that rung raised it last."""
+    peak = max(r["maxrss_mb"] for r in records)
+    rung = next(i for i, r in zip(ids, records) if r["maxrss_mb"] == peak)
+    return f"{workload}: {tree} peak RSS {peak:.1f} MB at {rung}"
+
+
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:] == ["--child"]:
         job = json.load(sys.stdin)
@@ -161,6 +173,8 @@ def main(argv=None) -> int:
                 differing += 1
                 print(f"{workload}/{rung.id}: differs")
                 print("\n".join(describe(a, b)))
+        for tree, records in (("base", before), ("new", after)):
+            print(peak_line(workload, tree, [r.id for r in rungs], records))
     print(f"seed {args.seed}: {differing} of {total} rungs differ")
     return 1 if differing else 0
 
