@@ -122,12 +122,6 @@ class GradedBundle:
     def fiber_dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.fibers)
 
-    @property
-    def hs_factor(self) -> float:
-        """HS norm of the element a fiber matrix stands for, over the matrix's own:
-        1, as a grading's matrices are its elements (a PulledBack's is sqrt|G|)."""
-        return 1.0
-
 
 @dataclass(frozen=True)
 class PulledBack:
@@ -786,6 +780,14 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     """Collapse a bundle over G along a multiplier family over normal N: `_collapse` of
     a's structure constants (AxiomViolation unless a is a grading), realigned by the
     coordinates of a U(m) that the family check returns."""
+    return _collapse_by_family(a, u, q, tol)[0]
+
+
+def _collapse_by_family(a: GradedBundle, u: UnitaryMultiplierFamily, q: Quotient | None,
+                        tol: float) -> tuple[AbstractBundle, AbstractBundle, list, Quotient]:
+    """quotient_bundle, with a's structure constants, the quotient, and moves[s]: the
+    matrix taking coordinates at s = section(sN) n to their class at section(sN), the
+    coordinates of a U(n^-1) for the basis a of A_s."""
     g = a.group
     if u.bundle.group.table != g.table or u.bundle.ambient_dim != a.ambient_dim:
         raise GroupMismatch("multiplier family was built for a different bundle")
@@ -794,12 +796,13 @@ def quotient_bundle(a: GradedBundle, u: UnitaryMultiplierFamily,
     require(report, InvalidMultiplierFamily)
     if q is None:
         q = quotient(g, u.domain)
-    if tuple(sorted(u.domain)) != q.subgroup.members:
-        raise GroupMismatch("multiplier domain differs from the quotient subgroup")
+    if q.group.table != g.table or tuple(sorted(u.domain)) != q.subgroup.members:
+        raise GroupMismatch("the quotient is not of the bundle's group by the multiplier domain")
     src, c = abstract_from_graded(a, tol), q.section
-    return _collapse(q, src.funct, lambda k, l: src.prod[(c[k], c[l])],
-                     lambda k: src.invol[c[k]],
-                     lambda coords, s: coords @ right[g.inv(q.n_part(s)), s])
+    moves = [right[g.inv(q.n_part(s)), s] for s in g.elements()]
+    quo = _collapse(q, src.funct, lambda k, l: src.prod[(c[k], c[l])],
+                    lambda k: src.invol[c[k]], lambda coords, s: coords @ moves[s])
+    return quo, src, moves, q
 
 
 # maps between gradings, evaluated once per basis element

@@ -10,13 +10,13 @@ quotient round trips. The last section handles transformation systems: graded
 ideals of a section algebra, G-simplicity, and the stabilizer obstruction to
 realizing a grading as a pull-back.
 
-The Olesen-Pedersen check keeps both of its realizations by blocks. Its
-target is `PulledBack(tw_real, q)` over the concretized twisted semidirect
-bundle, and its images are the classes [b_i, s] as coordinates in that
-realization's abstract fibers, the rows of R_n (x -> x tau(n), s = n section(sN)).
-So the map is checked on structure constants and no dense image or grading of
-the twisted realization is formed. The twist is then read off the induced
-family's abstract coordinates.
+Every map is checked into a realization, its images given as coordinates in
+the target's abstract fibers, on structure constants: no dense image or grading
+of the target is formed. Olesen-Pedersen maps the realized semidirect bundle
+into `PulledBack(tw_real, q)`, by the classes [b_i, s], the rows of R_n
+(x -> x tau(n), s = n section(sN)); the twist is then read off the induced
+family's abstract coordinates. Landstad and the round trips map a dense
+grading, read once, into a realization or a PulledBack of one.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from .bundles import (
     Realization,
     TwistedAction,
     UnitaryMultiplierFamily,
+    _collapse_by_family,
     _family_check,
     _hom_residual,
+    _isomorphism_report,
     _twisted_semidirect,
-    bundle_isomorphism_report,
+    abstract_from_graded,
     canonical_multiplier_family,
     concretize,
     plain_action,
@@ -49,7 +51,6 @@ from .bundles import (
 )
 from .errors import (
     AxiomViolation,
-    FiberNotPrincipal,
     GroupMismatch,
     InvalidAction,
     InvalidMultiplierFamily,
@@ -71,11 +72,10 @@ from .matrices import (
     hs_norm,
     minimal_central_projections,
     numerical_rank,
-    orthonormalize,
+    op_norm,
     precondition_tol,
     product_coords,
     require,
-    subspace_leq,
     unit_coords,
 )
 from .sections import SectionAlgebra, section_algebra
@@ -96,10 +96,14 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
 
     u assigns to every s in G a unitary multiplier of d lying in the fiber over
     sN. Then B is the unit fiber, alpha_s = Ad u(s), and tau = u restricted to
-    N; the map [b, s] -> b u(s) from the twisted semidirect bundle back onto d
-    is verified as a bundle isomorphism and its report returned alongside. The
-    guards on u and on d's fibers run at precondition_tol(tol); tol itself is
-    the isomorphism report's.
+    N; the map a -> [a u(c_k)*, c_k] from d's fiber over k onto the twisted
+    semidirect bundle's, the inverse of [b, s] -> b u(s), is verified as a
+    bundle isomorphism in that bundle's coordinates and its report returned
+    alongside. d is read first, as a grading (AxiomViolation otherwise), and
+    the guards on u run at precondition_tol(tol); tol itself is the report's.
+    A grading needs no more guards: for a in A_sN, a = (a u(s)*) u(s) with
+    a u(s)* in A_sN A_(sN)^-1, inside B, so each fiber is B u(s); and
+    u(s) B u(s)* lies in B, so Ad u(s) preserves B.
     """
     g, qg = q.group, q.quotient_group
     if d.group.table != qg.table:
@@ -108,6 +112,7 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
         raise GroupMismatch("the family must be defined on all of G")
     b_fib, cut = d.fiber(0), precondition_tol(tol)
     unit = unit_fiber_unit(d, DEFAULT_TOL)
+    src = abstract_from_graded(d, tol)
 
     hom_res = max(hs_norm(u.mat(0) - unit), _hom_residual(g, g.elements(), u.mat),
                   *(hs_norm(dagger(u.mat(s)) - u.mat(g.inv(s))) for s in g.elements()))
@@ -119,29 +124,16 @@ def landstad_reconstruct(d: GradedBundle, q: Quotient, u: UnitaryMultiplierFamil
             raise MultiplierNotOrderCompatible(
                 f"u({s}) does not lie in the fiber over its coset")
 
-    # each fiber must be the principal module B u(s)
-    for s in g.elements():
-        span = orthonormalize([b @ u.mat(s) for b in b_fib.basis_list()],
-                              ambient_dim=d.ambient_dim, tol=cut)
-        fib = d.fiber(q.coset_of[s])
-        if span.dim != fib.dim or not subspace_leq(span, fib, cut):
-            raise FiberNotPrincipal(f"fiber over coset of {s} is not B*u({s})")
-
-    k = b_fib.dim
-    alpha = np.zeros((g.order, k, k), dtype=complex)
-    for s in g.elements():
-        coords, res = b_fib.decompose(u.mat(s) @ b_fib.basis @ dagger(u.mat(s)))
-        if np.any(res > cut):
-            raise MultiplierNotOrderCompatible(f"Ad u({s}) does not preserve the unit fiber")
-        alpha[s] = coords.T
+    alpha = np.stack([b_fib.decompose(u.mat(s) @ b_fib.basis @ dagger(u.mat(s)))[0].T
+                      for s in g.elements()])
     tau = {n: u.mat(n) for n in q.subgroup.members}
     action = TwistedAction(b_fib, g, q.subgroup, alpha, tau)
-    abstract = twisted_semidirect_bundle(action, tol)  # requires the twisted action
-    real = concretize(abstract, tol)
-    images = [b_fib.basis @ u.mat(q.section[c]) for c in qg.elements()]
-    iso = realization_isomorphism_report(abstract, real, d, images, tol)
+    real = concretize(twisted_semidirect_bundle(action, tol), tol)  # requires the twisted action
+    images = [b_fib.decompose(d.fiber(k).basis @ dagger(u.mat(c)))[0]
+              for k, c in enumerate(q.section)]
+    iso = _isomorphism_report(src, [op_norm(f.basis) for f in d.fibers], images, real, tol)
     require(iso, AxiomViolation, "reconstruction map failed: ")
-    report = {"pass": True, "iso": iso, "coefficient_dim": k,
+    report = {"pass": True, "iso": iso, "coefficient_dim": b_fib.dim,
               "twist": {n: tau[n] for n in q.subgroup.members}}
     return action, report
 
@@ -243,15 +235,15 @@ def pullback_quotient_roundtrip(d: GradedBundle, q: Quotient, tol: float = DEFAU
     """Pull d back along G -> G/N, collapse by the canonical family, compare.
 
     The orbit of the generator (d_i, s) meets the section fiber at d_i tensor
-    lambda(c(sN)) / sqrt|G|, so on Hilbert-Schmidt bases the identification
-    with d is the coordinate map scaled by 1/sqrt|G|.
+    lambda(c(sN)) / sqrt|G|, so on Hilbert-Schmidt bases the map from d onto
+    the collapse's realization is sqrt|G| times the identity in coordinates.
     """
     p = pullback(d, q)
     u = canonical_multiplier_family(p, q)
-    quo = quotient_bundle(p, u, q, tol)
-    real = concretize(quo, tol)
-    images = [d.fiber(c).basis / np.sqrt(q.group.order) for c in q.quotient_group.elements()]
-    iso = realization_isomorphism_report(quo, real, d, images, tol)
+    real = concretize(quotient_bundle(p, u, q, tol), tol)
+    images = [np.sqrt(q.group.order) * np.eye(k) for k in d.fiber_dims()]
+    iso = _isomorphism_report(abstract_from_graded(d, tol), [op_norm(f.basis) for f in d.fibers],
+                              images, real, tol)
     return {"pass": iso["pass"], "iso": iso,
             "fiber_dims": {"original": list(d.fiber_dims()),
                            "recovered": list(real.fiber_dims())}}
@@ -262,25 +254,15 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
     """Collapse a along u, concretize, pull back, and compare with a itself.
 
     The comparison map sends a_s to (class of a_s u(n_s)*, s) where n_s moves s
-    to the coset section; it is exactly multiplicative because the collapsed
-    structure constants were read off the very same representatives. It lands
-    in a PulledBack of the concretized grading, so phi returns the small factor
-    of each image.
+    to the coset section: its coordinates are the realignment the collapse
+    applied, so it is exactly multiplicative. It lands in a PulledBack of the
+    collapse's realization, and the one family check and the one read of a are
+    the collapse's.
     """
-    g = a.group
-    if q is None:
-        q = quotient(g, u.domain)
-    quo = quotient_bundle(a, u, q, tol)
+    quo, src, moves, q = _collapse_by_family(a, u, q, tol)
     real = concretize(quo, tol)
-    pb = PulledBack(real.bundle, q)
-
-    def phi(s, mat):
-        c = q.coset_of[s]
-        rep = mat @ dagger(u.mat(q.n_part(s)))
-        coords = a.fiber(q.section[c]).coords(rep)
-        return _image(real, c, coords)
-
-    iso = bundle_isomorphism_report(a, pb, phi, tol)
+    iso = _isomorphism_report(src, [op_norm(f.basis) for f in a.fibers], moves,
+                              PulledBack(real, q), tol)
     return {"pass": iso["pass"], "iso": iso,
             "quotient_fiber_dims": list(real.fiber_dims())}
 

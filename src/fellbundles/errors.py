@@ -88,10 +88,6 @@ class MultiplierNotOrderCompatible(FellBundleError):
     """A multiplier value lies outside the fiber its index requires."""
 
 
-class FiberNotPrincipal(FellBundleError):
-    """A fiber is not generated by the unit fiber times the given multiplier."""
-
-
 # module / section layer
 
 class NotInAlgebra(FellBundleError):

@@ -184,21 +184,25 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
     """HS-orthonormal basis of span(mats); near-dependent directions are dropped.
 
     The cut is at tol times the largest input norm, so scaling the whole input
-    does not change which directions survive.
+    does not change which directions survive. A complex stack (k, n, n) is read
+    in place: besides it, only the SVD's copy and its vh are held.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError as exc:  # a list of matrices of several shapes
+        raise DimensionMismatch(f"matrices of different shapes: {exc}") from exc
     if ambient_dim is None:
-        if not mats:
+        if not len(stack):
             raise DimensionMismatch("empty input needs an explicit ambient_dim")
-        ambient_dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (ambient_dim, ambient_dim):
-            raise DimensionMismatch(f"matrix shape {m.shape} in ambient dim {ambient_dim}")
-        if not np.all(np.isfinite(m)):
-            raise DimensionMismatch("non-finite entries")
-    stack = np.array(mats, dtype=complex).reshape(-1, ambient_dim * ambient_dim)
-    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    basis = vh[sv > _span_cut(stack, tol)]
+        ambient_dim = stack.shape[1]
+    if len(stack) and stack.shape[1:] != (ambient_dim, ambient_dim):
+        raise DimensionMismatch(f"matrix shape {stack.shape[1:]} in ambient dim {ambient_dim}")
+    if not np.all(np.isfinite(stack)):
+        raise DimensionMismatch("non-finite entries")
+    flat = stack.reshape(-1, ambient_dim * ambient_dim)
+    cut = _span_cut(flat, tol)
+    _, sv, vh = np.linalg.svd(flat, full_matrices=False)
+    basis = vh[:int(np.sum(sv > cut))]  # sv is sorted, so the kept rows are a prefix
     return MatrixSubspace(ambient_dim, basis.reshape(-1, ambient_dim, ambient_dim))
 
 
@@ -225,21 +229,17 @@ def span_rank(rows: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 
 
 def span_union(subspaces, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
-    mats: list[np.ndarray] = []
-    for s in subspaces:
-        mats.extend(s.basis_list())
-        ambient_dim = s.ambient_dim
-    return orthonormalize(mats, ambient_dim=ambient_dim, tol=tol)
+    subspaces = list(subspaces)
+    if subspaces:
+        ambient_dim = subspaces[-1].ambient_dim
+    return orthonormalize(np.concatenate([s.basis for s in subspaces]) if subspaces else [],
+                          ambient_dim=ambient_dim, tol=tol)
 
 
 def product_coords(left, right, target: MatrixSubspace) -> tuple[np.ndarray, np.ndarray]:
     """target.decompose of every product left[i] @ right[j]: shapes (i, j, dim) and (i, j)."""
     left, right = np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)
     return target.decompose(left[:, None] @ right[None, :])
-
-
-def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.all(t.decompose(s.basis)[1] <= tol))
 
 
 # algebra structure on a subspace

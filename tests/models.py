@@ -18,7 +18,7 @@ from operator import matmul
 import numpy as np
 
 from fellbundles.approximation import EPWitness, ep_witness
-from fellbundles.bundles import (GradedBundle, _worst, abstract_from_graded,
+from fellbundles.bundles import (GradedBundle, PulledBack, _worst, abstract_from_graded,
                                  homomorphism_residuals, same_bundle, unit_fiber_unit)
 from fellbundles.duality import GSetAction, coset_action
 from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra
@@ -28,7 +28,7 @@ from fellbundles.imprimitivity import _check_base
 from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _commutator_map,
                                   dagger, hs_norm, is_star_closed, multiplication_tensor,
                                   numerical_rank, op_norm, precondition_tol, project_rows,
-                                  subspace_leq, unit_coords)
+                                  unit_coords)
 from fellbundles.sections import SectionAlgebra, slot_realization, slot_realization as _realize
 
 
@@ -153,6 +153,10 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(w[0] >= -tol * max(op_norm(m), 1.0))
 
 
+def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
+    return bool(np.all(t.decompose(s.basis)[1] <= tol))
+
+
 def subspace_equal(s: MatrixSubspace, t: MatrixSubspace, tol: float = DEFAULT_TOL) -> bool:
     return s.dim == t.dim and subspace_leq(s, t, tol) and subspace_leq(t, s, tol)
 
@@ -195,8 +199,9 @@ def action_by_automorphisms(algebra: MatrixSubspace, g: FiniteGroup, maps) -> np
 def dense_isomorphism_report(src, real, b, images_in_target, tol: float = DEFAULT_TOL) -> dict:
     """`realization_isomorphism_report` into a grading b, or a PulledBack of one, on
     its dense route: `homomorphism_residuals` on the images as matrices, with the
-    HS figures scaled by b's hs_factor."""
-    n, f, dims, g = b.ambient_dim, b.hs_factor, b.fiber_dims(), src.group
+    HS figures scaled by a PulledBack's hs_factor."""
+    n, dims, g = b.ambient_dim, b.fiber_dims(), src.group
+    f = b.hs_factor if isinstance(b, PulledBack) else 1.0
     images = [np.asarray(m, dtype=complex).reshape(-1, n, n) for m in images_in_target]
     rep = ResidualReport(tol, "into_fibers", "bijective", "linear", "multiplicative", "star",
                          "isometric")

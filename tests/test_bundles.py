@@ -143,6 +143,17 @@ class TestMultiplierFamilies:
             bundles.quotient_bundle(pauli_pullback, bad, q_z4)
         assert str(info.value) == "{'axiom': 'homomorphism', 'residual': 8.48528137423857}"
 
+    def test_a_quotient_of_another_group_is_rejected(self, pauli_pullback, q_z4):
+        # C4 and the Klein group share the members (0, 2) of N, not the table
+        from fellbundles import duality
+
+        fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+        klein = groups.quotient(groups.dihedral(2), (0, 2))
+        with pytest.raises(GroupMismatch):
+            bundles.quotient_bundle(pauli_pullback, fam, klein)
+        with pytest.raises(GroupMismatch):
+            duality.quotient_pullback_roundtrip(pauli_pullback, fam, klein)
+
     def test_order_compatibility_detected(self, pauli_pullback, q_z4):
         eye = np.eye(8, dtype=complex)
         bad = bundles.UnitaryMultiplierFamily(pauli_pullback, q_z4.subgroup.members,
@@ -433,6 +444,26 @@ def reference_realization_report(abstract, real, target, images_in_target,
     return reference_isomorphism_report(real.bundle, target, phi, tol)
 
 
+def reference_grading_map_report(a, target, images_in_target, tol=matrices.DEFAULT_TOL):
+    """The map from a grading a sending the basis of fiber s to the coordinates
+    images_in_target[s] in a Realization, or a PulledBack of one, on the dense
+    route: the images made matrices through fiber_images, a (x) lambda(s) formed
+    for a PulledBack, and phi decomposing its argument in a on every call."""
+    pulled = isinstance(target, bundles.PulledBack)
+    real = target.base if pulled else target
+    fiber_of = target.q.coset_of if pulled else real.group.elements()
+    lam = groups.left_regular(a.group)
+    dense = [np.tensordot(np.asarray(y, dtype=complex), real.fiber_images(fiber_of[s]),
+                          axes=(-1, 0)) for s, y in enumerate(images_in_target)]
+
+    def phi(s, mat):
+        image = np.tensordot(a.fiber(s).coords(mat), dense[s], axes=(0, 0))
+        return np.kron(image, lam[s]) if pulled else image
+
+    dense_target = bundles.pullback(real.bundle, target.q) if pulled else real.bundle
+    return reference_isomorphism_report(a, dense_target, phi, tol)
+
+
 def assert_same_verdict(new, ref, linear=True):
     """Same pass and failing checks; for a linear map also the same residuals.
     A failing `isometric` maximum may come from the random probes, which the two
@@ -487,22 +518,23 @@ class TestIsomorphismRoutesAgree:
 
     def test_duality_maps(self, monkeypatch, twisted_z4_action, twisted_z4_realized, swap_action,
                           q_z4, q_s3, pauli_bundle, pauli_pullback, s3_quotient_bundle):
+        # Olesen-Pedersen maps a realization; Landstad and the round trips map a
+        # grading, by coordinates into a realization or a PulledBack of one
         from fellbundles import duality
 
-        seen = []
+        realized, from_gradings = [], []
 
-        def spy(check, reference):
+        def spy(check, seen):
             def wrapped(*args):
                 report = check(*args)
-                seen.append((report, reference(*args)))
+                seen.append((report, args))
                 return report
             return wrapped
 
         monkeypatch.setattr(duality, "realization_isomorphism_report",
-                            spy(bundles.realization_isomorphism_report,
-                                reference_realization_report))
-        monkeypatch.setattr(duality, "bundle_isomorphism_report",
-                            spy(bundles.bundle_isomorphism_report, reference_isomorphism_report))
+                            spy(bundles.realization_isomorphism_report, realized))
+        monkeypatch.setattr(duality, "_isomorphism_report",
+                            spy(bundles._isomorphism_report, from_gradings))
 
         u = duality.canonical_landstad_family(twisted_z4_action, twisted_z4_realized)
         duality.landstad_reconstruct(twisted_z4_realized.bundle, q_z4, u)
@@ -516,8 +548,13 @@ class TestIsomorphismRoutesAgree:
         induced = duality.induced_multiplier_family(twisted_z4_action, real)
         duality.quotient_pullback_roundtrip(real.bundle, induced, q_z4)
 
-        assert len(seen) == 7
-        for new, ref in seen:
+        sources = [twisted_z4_realized.bundle, pauli_bundle, s3_quotient_bundle, pauli_pullback,
+                   real.bundle]
+        assert len(realized) == 2 and len(from_gradings) == len(sources)
+        refs = [reference_realization_report(*args) for _, args in realized]
+        refs += [reference_grading_map_report(a, target, images, tol)
+                 for a, (_, (_, _, images, target, tol)) in zip(sources, from_gradings)]
+        for (new, _), ref in zip(realized + from_gradings, refs):
             assert new["pass"]
             assert_same_verdict(new, ref)
 
@@ -583,7 +620,7 @@ class TestPulledBack:
         dense = pb.dense()
         assert pb.fiber_dims() == dense.fiber_dims()
         assert pb.section_dimension() == dense.section_dimension() == 4
-        assert pb.hs_factor == 2.0 and pauli_bundle.hs_factor == 1.0
+        assert pb.hs_factor == 2.0
 
     def test_dense_is_the_kron_pullback(self, pauli_bundle, q_z4):
         lam = groups.left_regular(q_z4.group)

@@ -1132,7 +1132,7 @@ class TestOneTolerancePerRun:
                                                                 tmp_path):
         # the benchmark's landstad.z4 input: the family's guards run at the default
         # tolerance, so tol 0 first fails where the run's tolerance belongs, at the
-        # reconstruction map's round-off
+        # reconstruction map's round-off; in coordinates `into_fibers` is exactly 0.0
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
         ladder = importlib.import_module("perfbench.ladder")
         monkeypatch.chdir(tmp_path)
@@ -1140,7 +1140,7 @@ class TestOneTolerancePerRun:
         rc, out, _ = run(capsys, *rung.argv, "--tol", "0")
         report = json.loads(out)
         assert rc == 1 and report["error"] == "AxiomViolation"
-        assert report["detail"].startswith("reconstruction map failed: {'axiom': 'into_fibers'")
+        assert report["detail"].startswith("reconstruction map failed: {'axiom': 'multiplicative'")
         rc, out, _ = run(capsys, *rung.argv)
         assert rc == 0 and json.loads(out)["isomorphism"] is True
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fellbundles import bundles, duality, groups, matrices, sections
 from fellbundles.errors import (
+    AxiomViolation,
     GroupMismatch,
     InvalidAction,
     InvalidMultiplierFamily,
     InvalidTwist,
-    FiberNotPrincipal,
     MultiplierNotOrderCompatible,
     NonUnitalUnitFiber,
     NotASubgroup,
@@ -31,6 +31,61 @@ def unit_scaled_square_root(fiber, unit):
     v = fiber.basis[0]
     kappa = np.trace(v @ v) / np.trace(unit)
     return 1j * v / np.sqrt(-kappa)
+
+
+def not_principal_inputs(z2, scale=1.0):
+    """d over Z2 in M_3 with odd fiber span{X, Y} on the last two coordinates, which
+    is no grading (XY is not in span{I}), and u = (I, scale * X) over Z2/{0}."""
+    def embed(m):
+        out = np.zeros((3, 3), dtype=complex)
+        out[0, 0] = 1.0
+        out[1:, 1:] = m
+        return out
+
+    q = groups.quotient(z2, (0,))
+    f0 = matrices.orthonormalize([np.eye(3, dtype=complex)])
+    f1 = matrices.orthonormalize([embed(PAULI_X), embed(PAULI_Y)])
+    d = bundles.GradedBundle(q.quotient_group, (f0, f1))
+    return d, q, bundles.UnitaryMultiplierFamily(
+        d, (0, 1), {0: np.eye(3, dtype=complex), 1: scale * embed(PAULI_X)})
+
+
+def pauli_family_inputs(fx, mats):
+    """The Pauli grading over C4 -> C4/{0, 2} with the family u(s) = mats(s)."""
+    d, z4 = fx("pauli_bundle"), fx("z4")
+    return d, fx("q_z4"), bundles.UnitaryMultiplierFamily(
+        d, tuple(z4.elements()), {s: mats(s) for s in z4.elements()})
+
+
+def nil_inputs(fx):
+    """A unit fiber spanned by a nilpotent, over Z2/Z2."""
+    nil = matrices.orthonormalize([np.array([[0, 1], [0, 0]], dtype=complex)])
+    d = bundles.GradedBundle(groups.cyclic(1), (nil,))
+    return d, groups.quotient(fx("z2"), (0, 1)), bundles.UnitaryMultiplierFamily(
+        d, (0, 1), {0: I2, 1: I2})
+
+
+# each input the Landstad guards reject, and the error their order gives; the
+# not-a-grading input raised FiberNotPrincipal, and with a broken family the
+# family's error, when d was read last
+LANDSTAD_CENSUS = {
+    "bundle_not_over_the_quotient": (GroupMismatch, lambda fx: (
+        fx("trivial_z4"), fx("q_z4"), bundles.UnitaryMultiplierFamily(
+            fx("trivial_z4"), (0, 1, 2, 3), {s: np.eye(4, dtype=complex) for s in range(4)}))),
+    "family_not_on_all_of_g": (GroupMismatch, lambda fx: (
+        fx("pauli_bundle"), fx("q_z4"), bundles.UnitaryMultiplierFamily(
+            fx("pauli_bundle"), (0, 2), {0: I2, 2: I2}))),
+    "unit_fiber_without_unit": (NonUnitalUnitFiber, nil_inputs),
+    "not_a_grading": (AxiomViolation, lambda fx: not_principal_inputs(fx("z2"))),
+    "not_a_grading_with_a_broken_family": (
+        AxiomViolation, lambda fx: not_principal_inputs(fx("z2"), scale=2.0)),
+    "not_unitary_on_one_coset": (InvalidMultiplierFamily, lambda fx: pauli_family_inputs(
+        fx, lambda s: 2.0 * PAULI_X if s % 2 else I2)),
+    "unitary_but_no_homomorphism": (InvalidMultiplierFamily, lambda fx: pauli_family_inputs(
+        fx, lambda s: -PAULI_X if s == 1 else np.linalg.matrix_power(PAULI_X, s))),
+    "outside_its_fiber": (MultiplierNotOrderCompatible, lambda fx: pauli_family_inputs(
+        fx, lambda s: I2)),
+}
 
 
 class TestLandstad:
@@ -94,20 +149,9 @@ class TestLandstad:
             duality.landstad_reconstruct(twisted_z4_realized.bundle, q_z4, bad)
 
     def test_fiber_not_principal(self, z2):
-        # odd fiber deliberately too big for B * u: caught before any algebra
-        def embed(m):
-            out = np.zeros((3, 3), dtype=complex)
-            out[0, 0] = 1.0
-            out[1:, 1:] = m
-            return out
-
-        q = groups.quotient(z2, (0,))
-        f0 = matrices.orthonormalize([np.eye(3, dtype=complex)])
-        f1 = matrices.orthonormalize([embed(PAULI_X), embed(PAULI_Y)])
-        d = bundles.GradedBundle(q.quotient_group, (f0, f1))
-        u = bundles.UnitaryMultiplierFamily(
-            d, (0, 1), {0: np.eye(3, dtype=complex), 1: embed(PAULI_X)})
-        with pytest.raises(FiberNotPrincipal):
+        # odd fiber deliberately too big for B * u: no grading, so caught when d is read
+        d, q, u = not_principal_inputs(z2)
+        with pytest.raises(AxiomViolation):
             duality.landstad_reconstruct(d, q, u)
 
     def test_domain_and_group_guards(self, trivial_z4, q_z4, z4):
@@ -125,6 +169,16 @@ class TestLandstad:
         u = bundles.UnitaryMultiplierFamily(d, (0, 1), {0: I2, 1: I2})
         with pytest.raises(NonUnitalUnitFiber):
             duality.landstad_reconstruct(d, q, u)
+
+    @pytest.mark.parametrize("case", sorted(LANDSTAD_CENSUS))
+    def test_guard_census(self, case, request):
+        # the guards in order: d's group, u's domain, d's unit, d's grading axioms,
+        # u as a unitary homomorphism, u(s) in its fiber. A grading with a unitary
+        # family in its fibers needs no principal-fiber or Ad guard, as a family
+        # that is not unitary on a coset fails as a homomorphism
+        error, build = LANDSTAD_CENSUS[case]
+        with pytest.raises(error):
+            duality.landstad_reconstruct(*build(request.getfixturevalue))
 
 
 @pytest.fixture(scope="module")

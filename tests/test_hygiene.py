@@ -42,7 +42,12 @@ formulas; `imprimitivity` defines no `_clean`.
 
 The Olesen-Pedersen map is checked on abstract coordinates, so
 `olesen_pedersen_forward` calls neither `_image` nor `fiber_images`: it forms
-no dense image of either realization.
+no dense image of either realization. Nor do the other duality maps, which go
+from a dense grading into a realization in its coordinates: only the two family
+builders call `_image`, whose unitaries are matrices, and `duality.py` calls no
+`bundle_isomorphism_report`. `landstad_reconstruct` reads D once, as a grading,
+before any guard on its family, and `quotient_pullback_roundtrip` reads its
+bundle once and checks its family once, in the collapse.
 
 A twisted action is read in coordinates, off `TwistedAction.structure`, so
 `_twisted_semidirect`, `verify_twisted_action` and `twisted_normal_form` call
@@ -70,7 +75,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fellbundles import bundles, cli, imprimitivity
+from fellbundles import bundles, cli, duality, imprimitivity
+from fellbundles.errors import AxiomViolation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fellbundles"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -421,6 +427,49 @@ def test_olesen_pedersen_forward_forms_no_dense_image():
     assert calls_inside(source, "olesen_pedersen_forward", DENSE_IMAGES) == []
 
 
+def test_only_the_family_builders_form_dense_images():
+    source = (SRC / "duality.py").read_text(encoding="utf-8")
+    tops = [top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)]
+
+    def callers(names):
+        return [f for f in tops if calls_inside(source, f, names)]
+
+    assert callers({"_image"}) == ["canonical_landstad_family", "induced_multiplier_family"]
+    assert callers({"fiber_images"}) == ["_image"]
+    assert callers({"bundle_isomorphism_report"}) == []
+
+
+def test_landstad_reads_d_once_before_its_family(monkeypatch, pauli_bundle, q_z4, z2):
+    events, read, hom = [], bundles._read_grading, duality._hom_residual
+    monkeypatch.setattr(bundles, "_read_grading", lambda b, tol: events.append(
+        "d" if b is pauli_bundle else "other") or read(b, tol))
+    monkeypatch.setattr(duality, "_hom_residual",
+                        lambda *args: events.append("family") or hom(*args))
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    u = bundles.UnitaryMultiplierFamily(pauli_bundle, (0, 1, 2, 3),
+                                        {s: np.linalg.matrix_power(x, s) for s in range(4)})
+    assert duality.landstad_reconstruct(pauli_bundle, q_z4, u)[1]["pass"]
+    assert events == ["d", "family"]
+    # so a non-grading d is rejected as such, whatever its family
+    from test_duality import not_principal_inputs
+    with pytest.raises(AxiomViolation):
+        duality.landstad_reconstruct(*not_principal_inputs(z2, scale=2.0))
+
+
+def test_the_quotient_round_trip_reads_its_bundle_and_family_once(monkeypatch, pauli_pullback,
+                                                                  q_z4):
+    reads, checks = [], []
+    read, check = bundles._read_grading, bundles._family_check
+    monkeypatch.setattr(bundles, "_read_grading",
+                        lambda b, tol: reads.append(b) or read(b, tol))
+    monkeypatch.setattr(bundles, "_family_check",
+                        lambda u, tol: checks.append(u) or check(u, tol))
+    fam = bundles.canonical_multiplier_family(pauli_pullback, q_z4)
+    assert duality.quotient_pullback_roundtrip(pauli_pullback, fam, q_z4)["pass"]
+    assert len(reads) == 1 and reads[0] is pauli_pullback
+    assert len(checks) == 1
+
+
 @pytest.mark.parametrize("function", ["_twisted_semidirect", "verify_twisted_action",
                                       "twisted_normal_form", "quotient_bundle"])
 def test_twisted_actions_are_read_in_coordinates(function):
@@ -432,7 +481,7 @@ def test_both_collapses_along_n_share_one_realignment():
     # the twisted semidirect bundle and the quotient by a multiplier family are one
     # collapse, which alone assembles their products and adjoints at the sections
     source = (SRC / "bundles.py").read_text(encoding="utf-8")
-    for function in ("_twisted_semidirect", "quotient_bundle"):
+    for function in ("_twisted_semidirect", "_collapse_by_family"):
         assert calls_inside(source, function, {"_collapse"})
         assert calls_inside(source, function, {"AbstractBundle"}) == []
 

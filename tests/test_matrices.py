@@ -5,6 +5,8 @@ deliberately plain elementwise implementation kept independent of the
 library's einsum/SVD path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,33 @@ class TestSpans:
         assert not s.contains(PAULI_Z)
         proj = s.project(PAULI_Z + PAULI_X)
         assert np.allclose(proj, PAULI_X)
+
+    def test_a_stack_is_read_in_place(self):
+        # (96, 48, 48) complex is 3.5 MB: a copy of the input, the SVD's vh and a
+        # boolean-indexed copy of it took the peak to 3.05 times that
+        rng = np.random.default_rng(0)
+        stack = rng.normal(size=(96, 48, 48)) + 1j * rng.normal(size=(96, 48, 48))
+        matrices.orthonormalize(stack[:2])  # first-call allocations
+        tracemalloc.start()
+        try:
+            basis = matrices.orthonormalize(stack).basis
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.shape == stack.shape
+        assert peak <= 2.3 * stack.nbytes
+
+    @pytest.mark.parametrize("rank", [0, 5, 12])
+    def test_same_basis_as_a_copying_svd(self, rank):
+        # the kept rows are a prefix of vh: the boolean-indexed copy, to the bit
+        rng = np.random.default_rng(rank)
+        raw = rng.normal(size=(rank, 4, 4)) + 1j * rng.normal(size=(rank, 4, 4))
+        mats = list(raw) + [2.0 * m for m in raw] + [np.zeros((4, 4))]
+        flat = np.array(mats, dtype=complex).reshape(-1, 16)
+        _, sv, vh = np.linalg.svd(flat, full_matrices=False)
+        want = vh[sv > 1e-9 * np.linalg.norm(flat, axis=1).max()].reshape(-1, 4, 4)
+        assert np.array_equal(matrices.orthonormalize(mats).basis, want)
+        assert np.array_equal(matrices.orthonormalize(np.array(mats)).basis, want)
 
     def test_span_scaling_insensitive(self):
         # the drop threshold follows the largest input, not absolute size

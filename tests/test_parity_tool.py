@@ -76,3 +76,27 @@ def test_the_child_records_max_rss_after_each_rung(tmp_path, monkeypatch, pauli_
     assert [r["code"] for r in records] == [0, 0]
     rss = [r["maxrss_mb"] for r in records]
     assert 0 < rss[0] <= rss[1]
+
+
+def test_tree_results_starts_one_child_per_rung(tmp_path, monkeypatch):
+    # each child's ru_maxrss is then the peak of its one rung
+    class Rung:
+        def __init__(self, rung_id, argv, writes=None):
+            self.id, self.argv, self.writes = rung_id, argv, writes
+
+    rungs = [Rung("pullback", ["pullback", "d.json", "-o", "p.json"], "p.json"),
+             Rung("verify", ["verify", "p.json"])]
+    payloads = []
+
+    def fake_run(cmd, input, **kwargs):  # noqa: A002 - subprocess.run's name
+        job = json.loads(input)
+        payloads.append(job)
+        return parity.subprocess.CompletedProcess(cmd, 0, json.dumps(
+            [{"code": 0, "stdout": "", "written": None, "maxrss_mb": 10.0 * len(payloads)}]), "")
+
+    monkeypatch.setattr(parity.subprocess, "run", fake_run)
+    (tmp_path / "d.json").write_text("{}")
+    records = parity.tree_results(str(SRC), str(tmp_path), rungs)
+    assert [job["rungs"] for job in payloads] == [[[r.argv, r.writes]] for r in rungs]
+    assert payloads[0]["workdir"] == payloads[1]["workdir"]  # the second reads the first's file
+    assert [r["maxrss_mb"] for r in records] == [10.0, 20.0]

@@ -7,18 +7,19 @@ BASE_SRC and NEW_SRC are directories holding a `fellbundles` package, e.g.
 the `src/` of a clean export of the parent commit and `src/` of the working
 tree. The inputs of each workload are built once by `perfbench.ladder.build`,
 importing `fellbundles` from BASE_SRC. Each tree then runs every rung in
-order through `cli.run_command`, in one child process per tree and workload
-whose address space is capped at 3 GiB, the benchmark's budget, in its own
-copy of the inputs. A rung that raises (over the cap, say) records the
-exception's name in place of an exit code.
+order through `cli.run_command`, each rung in its own child process whose
+address space is capped at 3 GiB, the benchmark's budget, in the tree's own
+copy of the inputs (so a rung reads what an earlier rung wrote). A rung that
+raises (over the cap, say) records the exception's name in place of an exit
+code.
 
 Every rung whose exit code, stdout or written file (`pullback -o`) differs
 between the trees is printed with a short diff. When the two texts parse to
 the same JSON apart from float values, the diff is one line instead:
 `floats only, largest |Δ| = x at <path>`. Each child records its max RSS
-(`ru_maxrss`) after every rung, and for each workload one line per tree gives
-the workload's peak and the rung that reached it:
-`frontier: new peak RSS 101.6 MB at verify.m2.symmetric4`. The exit code is 1
+(`ru_maxrss`), which is then its one rung's peak, and for each workload one
+line per tree gives the largest of these and its rung:
+`frontier: new peak RSS 78.1 MB at report.m2.symmetric4`. The exit code is 1
 if any rung differs, else 0. Uses the standard library and numpy only.
 
 This compares command outputs only. To run the tier-1 tests against another
@@ -72,22 +73,26 @@ def run_rungs(src: str, workdir: str, rungs: list) -> list[dict]:
 
 
 def tree_results(src: str, inputs: str, rungs) -> list[dict]:
-    """The rung records of one tree, from a capped child working in a copy of inputs."""
+    """The rung records of one tree, each from its own capped child, all working
+    in one copy of inputs."""
 
     def limit() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = []
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(inputs, work, dirs_exist_ok=True)
-        payload = json.dumps({"src": src, "workdir": work,
-                              "rungs": [[list(r.argv), r.writes] for r in rungs]})
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
-                              input=payload, capture_output=True, text=True,
-                              preexec_fn=limit, env=env, check=False)
-    if proc.returncode:
-        raise SystemExit(f"{src}: the child failed\n{proc.stderr}")
-    return json.loads(proc.stdout)
+        for r in rungs:
+            payload = json.dumps({"src": src, "workdir": work,
+                                  "rungs": [[list(r.argv), r.writes]]})
+            proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                                  input=payload, capture_output=True, text=True,
+                                  preexec_fn=limit, env=env, check=False)
+            if proc.returncode:
+                raise SystemExit(f"{src}: the child failed on {r.id}\n{proc.stderr}")
+            out += json.loads(proc.stdout)
+    return out
 
 
 def float_drift(a: str | None, b: str | None) -> tuple[float, str] | None:
@@ -139,8 +144,8 @@ def describe(a: dict, b: dict) -> list[str]:
 
 
 def peak_line(workload: str, tree: str, ids: list[str], records: list[dict]) -> str:
-    """The peak RSS of one tree's child on a workload and the first rung that
-    reached it: ru_maxrss is a high-water mark, so that rung raised it last."""
+    """The largest peak RSS of one tree's rungs on a workload, and the first rung
+    that reached it."""
     peak = max(r["maxrss_mb"] for r in records)
     rung = next(i for i, r in zip(ids, records) if r["maxrss_mb"] == peak)
     return f"{workload}: {tree} peak RSS {peak:.1f} MB at {rung}"
