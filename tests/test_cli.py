@@ -1040,11 +1040,13 @@ AXIOM_COMMANDS = {
 
 class TestDependentFibersFailTheAxiomCommands:
     """Fibers that are no direct sum fail every command that reads the bundle's own
-    axioms; `pullback` checks the pull-back, whose lambda factors keep it independent."""
+    axioms; `pullback` requires them of its base, since the lambda factors would
+    make the pull-back's fibers independent."""
 
     @pytest.mark.parametrize("case,command", [
         (case, command) for case in sorted(models.dependent_gradings())
-        for command in ("crossed", "gsimple", "report", "verify")] + [("line_z2", "imprimitivity")])
+        for command in ("crossed", "gsimple", "report", "verify")] +
+        [("line_z2", "imprimitivity"), ("line_z2", "pullback")])
     def test_exits_1_on_independence(self, capsys, tmp_path, case, command):
         bundle, desc = models.dependent_gradings()[case]
         spec = write_json(tmp_path / f"{case}.json", cli.bundle_to_spec(bundle, desc))

@@ -535,5 +535,6 @@ def test_one_run_reads_each_dense_grading_once(tmp_path, monkeypatch, pauli_bund
         {"u": {str(s): cli.encode_matrix(np.array(u[s % 2], dtype=complex)) for s in range(4)}}))
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.run_command([argv[0], "pauli.json", *argv[1:]])
-    # the spec, or for pullback the pull-back, is read once
-    assert rc == 0 and len(read) == 1
+    # the spec is read once; pullback also reads the pull-back, once
+    assert rc == 0 and len(read) == (2 if argv[0] == "pullback" else 1)
+    assert len({id(bundle) for bundle in read}) == len(read)

@@ -174,7 +174,8 @@ SPECS = {
 def rescaled(spec: dict, seed: int) -> dict:
     """spec with each spanning matrix multiplied by its own factor in [0.25, 8]."""
     rng = np.random.default_rng(seed)
-    return {**spec, "fibers": {key: [(np.asarray(m) * rng.uniform(0.25, 8.0)).tolist()
+    return {**spec, "fibers": {key: [cli.pack_matrix(cli.decode_matrix(m, key)
+                                                     * rng.uniform(0.25, 8.0))
                                      for m in mats]
                                for key, mats in spec["fibers"].items()}}
 
