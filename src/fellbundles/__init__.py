@@ -1,9 +1,9 @@
 """Gradings of matrix algebras by finite groups, with machine-checked axioms.
 
 The layers build on each other: groups and matrix subspaces, graded bundles
-with their axiom battery, section and crossed-product algebras, the
-imprimitivity bimodule between a pulled-back crossed product and the
-subgroup algebra, reconstruction dualities for twisted actions, and
+with their axiom battery, the crossed product, the imprimitivity bimodule
+between a pulled-back crossed product and the subgroup algebra,
+reconstruction dualities for twisted actions and graded ideals, and
 approximation-property witnesses.  The cli module exposes all of it over
 JSON files.
 """
@@ -44,6 +44,5 @@ from .duality import (
 from .groups import FiniteGroup, NormalSubgroup, Quotient, cyclic, dihedral, quotient, symmetric
 from .imprimitivity import bimodule_check
 from .matrices import MatrixSubspace, orthonormalize
-from .sections import section_algebra
 
 __version__ = "0.1.0"

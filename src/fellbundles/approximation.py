@@ -8,7 +8,9 @@ fixed.  Over a finite group the uniform witness f = 1_e / sqrt|G| is exact
 on every Fell bundle: for a in A_t with p the unit of A_e, aa* and a*a lie
 in A_e, so (pa - a)(pa - a)* = 0 = (ap - a)*(ap - a) and the average is
 pap = a.  Witnesses pull back along quotient maps after multiplication by
-an ell^2 function on the kernel.
+an ell^2 function on the kernel.  The regular representation's kernel is read
+off the singular values of the stacked fiber bases that the grading's sweep
+computes, so no section algebra or tensor product is formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .groups import FiniteGroup, Quotient
 from .matrices import _ZERO_CUT, DEFAULT_TOL, dagger, hs_norm, numerical_rank, op_norm, precondition_tol
-from .sections import SectionAlgebra, section_algebra
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,24 @@ def averaging_map(bundle: GradedBundle, w: EPWitness, a, tol: float = DEFAULT_TO
     """
     if not same_bundle(w.bundle, bundle):
         raise GroupMismatch("witness was built over a different bundle")
-    sa = section_algebra(bundle, tol, check=False)
-    comps = sa.components(a, precondition_tol(tol))
     out = np.zeros((bundle.ambient_dim, bundle.ambient_dim), dtype=complex)
-    for h, ah in enumerate(comps):
+    for h, ah in enumerate(_components(bundle, a, precondition_tol(tol))):
         if hs_norm(ah) > _ZERO_CUT:
             out = _average(w, h, ah, out)
     return out
+
+
+def _components(bundle: GradedBundle, mat, tol: float) -> list[np.ndarray]:
+    """The unique fiberwise decomposition of mat, by a pseudoinverse of the stacked fiber
+    bases (the fibers form a direct, not necessarily HS-orthogonal, sum); NotInAlgebra
+    if it does not rebuild mat."""
+    stack = np.concatenate([f.flat for f in bundle.fibers])
+    vec = np.asarray(mat, dtype=complex).ravel()
+    c = np.linalg.pinv(stack.T) @ vec
+    if np.linalg.norm(stack.T @ c - vec) > tol * max(1.0, float(np.linalg.norm(vec))):
+        raise NotInAlgebra("matrix is not a section of the grading")
+    offsets = np.cumsum((0, *bundle.fiber_dims()))
+    return [f.from_coords(c[offsets[s]:offsets[s + 1]]) for s, f in enumerate(bundle.fibers)]
 
 
 def matrix_coefficient(g: FiniteGroup, gvals: dict, n: int) -> complex:
@@ -175,49 +187,39 @@ def ep_pullback_witness(fd: EPWitness, gvals: dict, q: Quotient,
     return ep_witness(pb, hvals, tol)
 
 
-def _sections(bundle: GradedBundle | SectionAlgebra, tol: float) -> SectionAlgebra:
-    """The bundle's section algebra, unless it is one already built."""
-    if isinstance(bundle, SectionAlgebra):
-        return bundle
-    return section_algebra(bundle, tol, check=False)
-
-
-def regular_representation_kernel(bundle: GradedBundle | SectionAlgebra,
+def regular_representation_kernel(frame_sv: np.ndarray, order: int,
                                   tol: float = DEFAULT_TOL) -> int:
     """dim ker of sections -> sections tensor lambda; zero iff the grading is faithful.
 
-    As <a tensor lambda(s), b tensor lambda(t)>_HS = |G| delta_{s,t} <a, b>_HS, the
-    map's singular values are sqrt|G| times those of C, the fiber coordinates of
-    the components of the section basis (NotInAlgebra if they do not rebuild it).
-    The bundle's section algebra may be passed in its place if already built.
+    Read off the sweep of the grading (`bundles._read_grading`): frame_sv are the
+    singular values sigma of the stacked fiber bases of a group of the given order.
+    An orthonormal basis of the span A keeps the sigma above tol, orthonormalize's
+    cut for unit rows, and its fiber coordinates have singular values 1/sigma there. As
+    <a tensor lambda(s), b tensor lambda(t)>_HS = |G| delta_{s,t} <a, b>_HS, the
+    map's singular values are sqrt|G| / sigma, and no tensor product is formed.
     """
-    sa = _sections(bundle, tol)
-    flat = sa.total.flat
-    coeffs = flat @ sa.solver.T
-    miss = np.linalg.norm(coeffs @ sa.stack - flat, axis=1)
-    if np.any(miss > precondition_tol(tol) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
-        raise NotInAlgebra("matrix is not a section of the grading")
-    sv = np.sqrt(sa.group.order) * np.linalg.svd(coeffs, compute_uv=False)
-    return sa.total.dim - numerical_rank(sv, tol)
+    kept = np.asarray(frame_sv, dtype=float)
+    kept = kept[kept > tol]
+    return len(kept) - numerical_rank(np.sqrt(order) / kept[::-1], tol)
 
 
-def amenability_report(bundle: GradedBundle | SectionAlgebra, tol: float = DEFAULT_TOL) -> dict:
+def amenability_report(bundle: GradedBundle, frame_sv: np.ndarray,
+                       tol: float = DEFAULT_TOL) -> dict:
     """Faithfulness of the regular representation plus the uniform witness's defect.
 
     The kernel dimension is always zero here: fibers are honest subspaces of
     one matrix algebra, so the section map is injective and tensoring with
     the regular representation stays injective.  It is recomputed and
-    checked rather than assumed. The witness is `uniform_witness`, exact by
-    the module docstring; a unit fiber without a unit raises NonUnitalUnitFiber.
-    The bundle's section algebra may be passed in its place if already built.
+    checked rather than assumed, from the singular values frame_sv that the
+    grading's sweep read. The witness is `uniform_witness`, exact by the
+    module docstring; a unit fiber without a unit raises NonUnitalUnitFiber.
     """
-    sa = _sections(bundle, tol)
-    kern = regular_representation_kernel(sa, tol)
+    kern = regular_representation_kernel(frame_sv, bundle.group.order, tol)
     if kern:
         raise AxiomViolation(
             f"regular representation has a {kern}-dimensional kernel; "
             "the grading cannot be a direct sum")
-    rep = ep_defect(sa.bundle, uniform_witness(sa.bundle, tol), tol)
+    rep = ep_defect(bundle, uniform_witness(bundle, tol), tol)
     return {
         "regular_rep_kernel_dim": kern,
         "ep_exact_witness_found": bool(rep["defect"] <= tol),

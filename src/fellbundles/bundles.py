@@ -224,15 +224,16 @@ def abstract_from_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> Abst
     """Read structure constants off a grading; functional = trace. The one guard on a
     dense grading: AxiomViolation with the first violation of verify_fell_axioms'
     report at precondition_tol(tol), from the same sweep."""
-    report, constants = _read_grading(bundle, precondition_tol(tol))
+    report, constants, _ = _read_grading(bundle, precondition_tol(tol))
     require(report, AxiomViolation, "grading axiom failed: ")
     return constants
 
 
-def _read_grading(bundle: GradedBundle, tol: float) -> tuple[dict, AbstractBundle]:
-    """verify_fell_axioms' report and the AbstractBundle of one sweep, which decomposes
-    each fiber product A_s A_t in A_st and each adjoint A_s* in A_{s^-1}. Violations
-    follow the checks: products (s, t) row-major, adjoints by s, then the rest."""
+def _read_grading(bundle: GradedBundle, tol: float) -> tuple[dict, AbstractBundle, np.ndarray]:
+    """verify_fell_axioms' report, the AbstractBundle and the singular values of the
+    stacked fiber bases of one sweep, which decomposes each fiber product A_s A_t in
+    A_st and each adjoint A_s* in A_{s^-1}; independence is the least singular value.
+    Violations follow the checks: products (s, t) row-major, adjoints by s, then the rest."""
     g, f = bundle.group, bundle.fiber
     prods = {(s, t): product_coords(f(s).basis, f(t).basis, f(g.mul(s, t)))
              for s in g.elements() for t in g.elements()}
@@ -248,10 +249,11 @@ def _read_grading(bundle: GradedBundle, tol: float) -> tuple[dict, AbstractBundl
         rep.residuals("adjoint_symmetry", res, s=s, t=None)
 
     stack = np.concatenate([fib.flat for fib in bundle.fibers])
+    frame_sv = np.linalg.svd(stack, compute_uv=False)
     if len(stack) > stack.shape[1]:  # dependent rows, but numpy returns no zero for the excess
         min_sv = 0.0
     else:
-        min_sv = float(np.linalg.svd(stack, compute_uv=False)[-1]) if len(stack) else 1.0
+        min_sv = float(frame_sv[-1]) if len(stack) else 1.0
     rep.entry("independent_grading", min_singular_value=min_sv)
     if min_sv <= tol:
         rep.fail("independent_grading", min_sv, s=None, t=None)
@@ -268,7 +270,7 @@ def _read_grading(bundle: GradedBundle, tol: float) -> tuple[dict, AbstractBundl
     funct = np.array([np.trace(m) for m in f(0).basis_list()], dtype=complex)
     return rep.build(), AbstractBundle(g, bundle.fiber_dims(),
                                        {st: c for st, (c, _) in prods.items()},
-                                       tuple(c for c, _ in adjoints), funct)
+                                       tuple(c for c, _ in adjoints), funct), frame_sv
 
 
 # basic constructions

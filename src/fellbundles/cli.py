@@ -48,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from . import approximation as approx
-from . import bundles, duality, groups, imprimitivity, sections
+from . import bundles, duality, groups, imprimitivity
 from .errors import FellBundleError, ParseError
 from .matrices import DEFAULT_TOL, op_norm, orthonormalize, unit_element
 
@@ -522,14 +522,14 @@ def cmd_olesen_pedersen(args) -> dict:
 def cmd_gsimple(args) -> dict:
     """graded ideals of the section algebra"""
     bundle, tol = _spec(args)
-    sa = sections.section_algebra(bundle, tol)
-    ideals = duality.graded_ideals(sa, tol)
+    constants = bundles.abstract_from_graded(bundle, tol)
+    ideals = duality.graded_ideals(constants, bundle.fiber(0), tol)
     return {
         "command": "gsimple", "pass": True,
-        "section_dimension": sa.total.dim,
-        "ideal_dims": [i.dim for i in ideals],
+        "section_dimension": constants.section_dimension(),
+        "ideal_dims": [len(i) for i in ideals],
         "ideal_count": len(ideals),
-        "is_g_simple": duality.is_g_simple(sa, tol, ideals),
+        "is_g_simple": duality.is_g_simple(constants, bundle.fiber(0), tol, ideals),
     }
 
 
@@ -562,7 +562,7 @@ def cmd_ep(args) -> dict:
 def cmd_report(args) -> dict:
     """combined report: axioms, dimensions, ideals, amenability"""
     bundle, tol = _spec(args)
-    axioms = bundles.verify_fell_axioms(bundle, tol)
+    axioms, constants, frame_sv = bundles._read_grading(bundle, tol)
     report = {
         "command": "report", "pass": axioms["pass"],
         "group_order": bundle.group.order,
@@ -575,11 +575,10 @@ def cmd_report(args) -> dict:
         return report
     dimension = bundle.group.order * bundle.section_dimension()
     report["crossed_dimension"] = report["expected_crossed_dimension"] = dimension
-    sa = sections.section_algebra(bundle, tol, check=False)
-    ideals = duality.graded_ideals(sa, tol)
-    report["ideal_dims"] = [i.dim for i in ideals]
-    report["is_g_simple"] = duality.is_g_simple(sa, tol, ideals)
-    report["amenability"] = approx.amenability_report(sa, tol)
+    ideals = duality.graded_ideals(constants, bundle.fiber(0), tol)
+    report["ideal_dims"] = [len(i) for i in ideals]
+    report["is_g_simple"] = duality.is_g_simple(constants, bundle.fiber(0), tol, ideals)
+    report["amenability"] = approx.amenability_report(bundle, frame_sv, tol)
     return report
 
 

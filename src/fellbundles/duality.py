@@ -6,8 +6,9 @@ reconstructing a twisted action from a bundle over G/N equipped with a
 compatible unitary family; the equivalence between the semidirect bundle of a
 twisted action and the pull-back of its collapsed (twisted semidirect) bundle,
 together with twist extraction from a multiplier family; and the pull-back /
-quotient round trips. The last section handles transformation systems: graded
-ideals of a section algebra, G-simplicity, and the stabilizer obstruction to
+quotient round trips. The last sections handle graded ideals and G-simplicity of
+the cross-sectional algebra, read off the structure constants of the grading's
+one sweep, and transformation systems with the stabilizer obstruction to
 realizing a grading as a pull-back.
 
 Every map is checked into a realization, its images given as coordinates in
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import (
+    AbstractBundle,
     GradedBundle,
     PulledBack,
     Realization,
@@ -44,7 +46,6 @@ from .bundles import (
     quotient_bundle,
     realization_isomorphism_report,
     require_twisted_action,
-    semidirect_bundle,
     twisted_normal_form,
     twisted_semidirect_bundle,
     unit_fiber_unit,
@@ -74,11 +75,9 @@ from .matrices import (
     numerical_rank,
     op_norm,
     precondition_tol,
-    product_coords,
     require,
     unit_coords,
 )
-from .sections import SectionAlgebra, section_algebra
 
 
 def _image(real: Realization, k: int, coords: np.ndarray) -> np.ndarray:
@@ -270,53 +269,55 @@ def quotient_pullback_roundtrip(a: GradedBundle, u: UnitaryMultiplierFamily,
 # graded ideals and G-simplicity
 
 
-def _unit_fiber_center(sa: SectionAlgebra, cut: float) -> tuple[np.ndarray, MatrixSubspace]:
-    """The singular values of z -> (z b - b z) on A_e, b over the fibers, and Z(A) ∩ A_e."""
-    fe = sa.bundle.fiber(0)
-    comm = np.concatenate([(product_coords(fe.basis, ft.basis, ft)[0] - np.swapaxes(
-        product_coords(ft.basis, fe.basis, ft)[0], 0, 1)).reshape(fe.dim, ft.dim ** 2).T
-        for ft in sa.bundle.fibers])
+def _unit_fiber_center(src: AbstractBundle, fe: MatrixSubspace,
+                       cut: float) -> tuple[np.ndarray, MatrixSubspace]:
+    """The singular values of z -> (z b - b z) on A_e, b over the fibers, and Z(A) ∩ A_e,
+    from the sweep's (e, t) and (t, e) products; fe is A_e, in the basis of src."""
+    comm = np.concatenate([(src.prod[(0, t)] - np.swapaxes(src.prod[(t, 0)], 0, 1)).reshape(
+        fe.dim, k * k).T for t, k in enumerate(src.dims)])
     _, sv, vh = np.linalg.svd(comm, full_matrices=False)
     return sv, MatrixSubspace(fe.ambient_dim, fe.from_coords(vh[numerical_rank(sv, cut):].conj()))
 
 
-def graded_ideals(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> list[MatrixSubspace]:
-    """All grading-invariant two-sided ideals of the section algebra A, by dimension.
+def graded_ideals(src: AbstractBundle, fe: MatrixSubspace,
+                  tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """All grading-invariant two-sided ideals of the section algebra A = ⊕ A_s, by
+    dimension, as rows of coordinates on the concatenated fiber bases.
 
     Ideals of a finite-dimensional C*-algebra are pA for central projections p.
     A graded pA has unit p, and the unit of a graded unital algebra has degree
     e; conversely pA is graded when p lies in A_e. So the graded ideals are pA
     for the projections p of Z(A) ∩ A_e: 2^k of them for its k minimal
-    projections, each a direct sum of their HS-orthogonal ideals. Z(A) ∩ A_e is
-    read from the (e, t) and (t, e) products decomposed in A_t of a verified
-    grading: no commutator stack, one (dim A_e, dim A_t, n, n) block at a time.
+    projections, each a direct sum of theirs. Everything is read off the
+    structure constants `src` of a verified grading, and fe is its unit fiber A_e,
+    dense only for `minimal_central_projections`. Z(A) ∩ A_e comes from the (e, t)
+    and (t, e) products. As p lies in A_e, pA = ⊕_t pA_t, and pA_t is the row
+    space of sum_i p_i prod[(e, t)][i], the map a -> pa on A_t's coordinates.
 
     These rank, unit and spectral cuts construct the ideals rather than check
     a residual, so they run at precondition_tol(tol): at tol = 0 an exact rank
     cut would keep no null space, and no unit or eigenvalue grouping would hold.
     """
-    cut, total, minimal = precondition_tol(tol), sa.total, []
-    for p in minimal_central_projections(_unit_fiber_center(sa, cut)[1], cut):
-        rows = p @ total.basis  # conjugated in place: <p b_k, b_l> at row k, column l
-        _, sv, vh = np.linalg.svd(np.conjugate(rows, out=rows).reshape(total.dim, -1) @ total.flat.T)
-        minimal.append(vh[:numerical_rank(sv, cut)].conj())  # pA in A's coordinates
-    del rows  # free the last p·A before the ideals' bases are formed
-    ideals = [MatrixSubspace(total.ambient_dim, total.from_coords(np.concatenate(
-        [np.zeros((0, total.dim))] + [c for i, c in enumerate(minimal) if mask >> i & 1])))
-        for mask in range(1 << len(minimal))]
-    return sorted(ideals, key=lambda i: i.dim)
+    cut, offsets, minimal = precondition_tol(tol), np.cumsum((0, *src.dims)), []
+    for p in minimal_central_projections(_unit_fiber_center(src, fe, cut)[1], cut):
+        coords, blocks = fe.coords(p), []
+        for t, k in enumerate(src.dims):
+            _, sv, vh = np.linalg.svd(np.tensordot(coords, src.prod[(0, t)], axes=1))
+            rows = np.zeros((numerical_rank(sv, cut), offsets[-1]), dtype=complex)
+            rows[:, offsets[t]:offsets[t] + k] = vh[:len(rows)]
+            blocks.append(rows)
+        minimal.append(np.concatenate(blocks))
+    ideals = [np.concatenate([np.zeros((0, offsets[-1]))]
+                             + [c for i, c in enumerate(minimal) if mask >> i & 1])
+              for mask in range(1 << len(minimal))]
+    return sorted(ideals, key=len)
 
 
-def is_g_simple(sa: SectionAlgebra, tol: float = DEFAULT_TOL, ideals: list | None = None) -> bool:
+def is_g_simple(src: AbstractBundle, fe: MatrixSubspace, tol: float = DEFAULT_TOL,
+                ideals: list | None = None) -> bool:
     """True when the only graded ideals (`ideals`, if already computed) are 0 and A."""
-    ideals = graded_ideals(sa, tol) if ideals is None else ideals
-    return len(ideals) == 2 and ideals[0].dim == 0 and ideals[-1].dim == sa.total.dim
-
-
-def crossed_section_algebra(t: TwistedAction, tol: float = DEFAULT_TOL) -> SectionAlgebra:
-    """Section algebra of the concretized semidirect bundle of an action."""
-    real = concretize(semidirect_bundle(t, tol), tol)
-    return section_algebra(real.bundle, tol)
+    ideals = graded_ideals(src, fe, tol) if ideals is None else ideals
+    return len(ideals) == 2 and len(ideals[0]) == 0 and len(ideals[-1]) == src.section_dimension()
 
 
 # transformation systems and the stabilizer obstruction

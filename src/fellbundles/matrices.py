@@ -208,9 +208,12 @@ def orthonormalize(mats, ambient_dim: int | None = None, tol: float = DEFAULT_TO
 
 def project_rows(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For flat rows (k, m) and HS-orthonormal basis rows (dim, m): the coordinates
-    (k, dim), the HS norm of each row's part off the span, and each row's HS norm."""
+    (k, dim), the HS norm of each row's part off the span, and each row's HS norm.
+    The part off the span is formed in place of its projection, so besides rows only
+    one array of their size is held."""
     coords = rows @ basis.conj().T
-    return coords, _row_norms(rows - np.dot(coords, basis)), _row_norms(rows)
+    off = np.dot(coords, basis)
+    return coords, _row_norms(np.subtract(rows, off, out=off)), _row_norms(rows)
 
 
 def _span_cut(rows: np.ndarray, tol: float) -> float:
@@ -226,14 +229,6 @@ def span_rank(rows: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     if rows.size == 0:
         return 0
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > _span_cut(rows, tol)))
-
-
-def span_union(subspaces, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
-    subspaces = list(subspaces)
-    if subspaces:
-        ambient_dim = subspaces[-1].ambient_dim
-    return orthonormalize(np.concatenate([s.basis for s in subspaces]) if subspaces else [],
-                          ambient_dim=ambient_dim, tol=tol)
 
 
 def product_coords(left, right, target: MatrixSubspace) -> tuple[np.ndarray, np.ndarray]:

@@ -1,91 +1,23 @@
-"""Cross-sectional algebras and the crossed product on structure constants.
+"""The crossed product on structure constants, and covariant pairs.
 
-The total span of a grading is a *-subalgebra of the ambient matrix algebra;
-its fiber components give the conditional expectation onto the unit fiber.
 The crossed product is the span of a_s tensor E_{st,t}: `crossed_structure`
 holds its structure constants and `slot_realization` realizes its slots.
 verify_covariant_pair evaluates pi once per basis element and reads its
 homomorphism and integrated-form residuals off the structure constants of
-the bundle and of the crossed product.
+the bundle and of the crossed product. The cross-sectional algebra A = ⊕ A_s
+is never built densely: its dimension, graded ideals and regular-representation
+kernel are read off the constants of the grading's one sweep
+(`duality.graded_ideals`, `approximation.regular_representation_kernel`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bundles import (
-    AbstractBundle,
-    GradedBundle,
-    abstract_from_graded,
-    homomorphism_residuals,
-    map_table,
-)
-from .errors import NotAHomomorphism, NotInAlgebra, ProjectionsNotResolving
+from .bundles import AbstractBundle, GradedBundle, homomorphism_residuals, map_table
+from .errors import NotAHomomorphism, ProjectionsNotResolving
 from .groups import FiniteGroup, left_regular
-from .matrices import (
-    DEFAULT_TOL,
-    MatrixSubspace,
-    ResidualReport,
-    dagger,
-    hs_norm,
-    span_union,
-    unit_element,
-)
-
-
-@dataclass(frozen=True)
-class SectionAlgebra:
-    """Total span of a grading together with its component maps.
-
-    The fibers form a direct (not necessarily HS-orthogonal) sum, so
-    components are recovered with a pseudoinverse prepared once against the
-    stacked fiber bases.
-    """
-
-    bundle: GradedBundle
-    total: MatrixSubspace
-    stack: np.ndarray
-    solver: np.ndarray
-    offsets: tuple[int, ...]
-
-    @property
-    def group(self):
-        return self.bundle.group
-
-    def components(self, mat, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-        """The unique fiberwise decomposition of mat; NotInAlgebra if it escapes."""
-        vec = np.asarray(mat, dtype=complex).ravel()
-        c = self.solver @ vec
-        rebuilt = self.stack.T @ c
-        if np.linalg.norm(rebuilt - vec) > tol * max(1.0, float(np.linalg.norm(vec))):
-            raise NotInAlgebra("matrix is not a section of the grading")
-        out = []
-        for s in self.group.elements():
-            piece = c[self.offsets[s]:self.offsets[s + 1]]
-            out.append(self.bundle.fiber(s).from_coords(piece))
-        return out
-
-    def expectation(self, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Conditional expectation onto the unit fiber: the e-component."""
-        return self.components(mat, tol)[0]
-
-    def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        return unit_element(self.total, tol)
-
-
-def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
-                    check: bool = True) -> SectionAlgebra:
-    """The cross-sectional *-algebra of a verified grading."""
-    if check:
-        abstract_from_graded(bundle, tol)
-    n = bundle.ambient_dim
-    stack = np.concatenate([f.flat for f in bundle.fibers])
-    solver = np.linalg.pinv(stack.T)
-    offsets = tuple(np.concatenate([[0], np.cumsum(bundle.fiber_dims())]).astype(int))
-    total = span_union(bundle.fibers, ambient_dim=n, tol=tol)
-    return SectionAlgebra(bundle, total, stack, solver, offsets)
+from .matrices import DEFAULT_TOL, ResidualReport, dagger, hs_norm, unit_element
 
 
 # the crossed product

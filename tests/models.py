@@ -4,7 +4,9 @@ No command runs these: the group enumerators, brute-force matrix-algebra
 predicates, the crossed product on C^n tensor l^2(G), the Element model of
 the imprimitivity bimodule (X0, B0 and C0 as coefficient dicts, with every
 formula evaluated pair by pair) and its dense realizations, the dense route
-of the bundle isomorphism report and of Z(A) ∩ A_e, and a few small input
+of the bundle isomorphism report, the dense cross-sectional algebra (its
+component maps, Z(A) ∩ A_e, graded ideals and regular-representation kernel,
+which the commands read off the sweep's constants), and a few small input
 builders.
 """
 
@@ -18,18 +20,19 @@ from operator import matmul
 import numpy as np
 
 from fellbundles.approximation import EPWitness, ep_witness
-from fellbundles.bundles import (GradedBundle, PulledBack, _worst, abstract_from_graded,
-                                 homomorphism_residuals, same_bundle, unit_fiber_unit)
+from fellbundles.bundles import (GradedBundle, PulledBack, TwistedAction, _worst,
+                                 abstract_from_graded, concretize, homomorphism_residuals,
+                                 same_bundle, semidirect_bundle, unit_fiber_unit)
 from fellbundles.duality import GSetAction, coset_action
-from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra
+from fellbundles.errors import FellBundleError, GroupMismatch, NotAnAlgebra, NotInAlgebra
 from fellbundles.groups import (FiniteGroup, NormalSubgroup, Quotient, cyclic, dihedral, from_table,
                                left_regular, quotient)
 from fellbundles.imprimitivity import _check_base
 from fellbundles.matrices import (DEFAULT_TOL, MatrixSubspace, ResidualReport, _commutator_map,
-                                  dagger, hs_norm, is_star_closed, multiplication_tensor,
-                                  numerical_rank, op_norm, precondition_tol, project_rows,
-                                  unit_coords)
-from fellbundles.sections import SectionAlgebra, slot_realization, slot_realization as _realize
+                                  dagger, hs_norm, is_star_closed, minimal_central_projections,
+                                  multiplication_tensor, numerical_rank, op_norm, orthonormalize,
+                                  precondition_tol, project_rows, unit_coords, unit_element)
+from fellbundles.sections import slot_realization, slot_realization as _realize
 
 
 class FiberMismatch(FellBundleError):
@@ -231,6 +234,133 @@ def dense_isomorphism_report(src, real, b, images_in_target, tol: float = DEFAUL
 
 
 # sections
+
+
+def span_union(subspaces, ambient_dim: int | None = None,
+               tol: float = DEFAULT_TOL) -> MatrixSubspace:
+    """The HS-orthonormal span of several subspaces."""
+    subspaces = list(subspaces)
+    if subspaces:
+        ambient_dim = subspaces[-1].ambient_dim
+    return orthonormalize(np.concatenate([s.basis for s in subspaces]) if subspaces else [],
+                          ambient_dim=ambient_dim, tol=tol)
+
+
+@dataclass(frozen=True)
+class SectionAlgebra:
+    """The dense route: total span of a grading together with its component maps.
+
+    The fibers form a direct (not necessarily HS-orthogonal) sum, so
+    components are recovered with a pseudoinverse prepared once against the
+    stacked fiber bases.
+    """
+
+    bundle: GradedBundle
+    total: MatrixSubspace
+    stack: np.ndarray
+    solver: np.ndarray
+    offsets: tuple[int, ...]
+
+    @property
+    def group(self):
+        return self.bundle.group
+
+    def components(self, mat, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+        """The unique fiberwise decomposition of mat; NotInAlgebra if it escapes."""
+        vec = np.asarray(mat, dtype=complex).ravel()
+        c = self.solver @ vec
+        rebuilt = self.stack.T @ c
+        if np.linalg.norm(rebuilt - vec) > tol * max(1.0, float(np.linalg.norm(vec))):
+            raise NotInAlgebra("matrix is not a section of the grading")
+        return [self.bundle.fiber(s).from_coords(c[self.offsets[s]:self.offsets[s + 1]])
+                for s in self.group.elements()]
+
+    def expectation(self, mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Conditional expectation onto the unit fiber: the e-component."""
+        return self.components(mat, tol)[0]
+
+    def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        return unit_element(self.total, tol)
+
+
+def section_algebra(bundle: GradedBundle, tol: float = DEFAULT_TOL,
+                    check: bool = True) -> SectionAlgebra:
+    """The cross-sectional *-algebra of a grading, verified first unless check is False."""
+    if check:
+        abstract_from_graded(bundle, tol)
+    stack = np.concatenate([f.flat for f in bundle.fibers])
+    offsets = tuple(np.concatenate([[0], np.cumsum(bundle.fiber_dims())]).astype(int))
+    total = span_union(bundle.fibers, ambient_dim=bundle.ambient_dim, tol=tol)
+    return SectionAlgebra(bundle, total, stack, np.linalg.pinv(stack.T), offsets)
+
+
+def crossed_section_algebra(t: TwistedAction, tol: float = DEFAULT_TOL) -> SectionAlgebra:
+    """Section algebra of the concretized semidirect bundle of an action."""
+    return section_algebra(concretize(semidirect_bundle(t, tol), tol).bundle, tol)
+
+
+def dense_unit_fiber_center(sa: SectionAlgebra,
+                            tol: float = DEFAULT_TOL) -> tuple[np.ndarray, MatrixSubspace]:
+    """Z(A) ∩ A_e on the dense route, with the singular values it is cut at: the null
+    space, in A_e's coordinates, of one stack of the commutators e_i b - b e_i with
+    every fiber basis element b, shape (dim A_e, dim A, n, n), formed as matrices."""
+    fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
+    others = sa.stack.reshape(-1, n, n)
+    comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
+    _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
+    null = vh[numerical_rank(sv, precondition_tol(tol)):].conj()
+    return sv, MatrixSubspace(n, fe.from_coords(null))
+
+
+def dense_graded_ideals(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> list[MatrixSubspace]:
+    """The graded ideals pA, for the projections p of the dense Z(A) ∩ A_e, each
+    the span of p·(basis of A), sorted by dimension."""
+    cut, total, minimal = precondition_tol(tol), sa.total, []
+    for p in minimal_central_projections(dense_unit_fiber_center(sa, tol)[1], cut):
+        gram = np.conjugate(p @ total.basis).reshape(total.dim, -1) @ total.flat.T
+        _, sv, vh = np.linalg.svd(gram)
+        minimal.append(vh[:numerical_rank(sv, cut)].conj())  # pA in A's coordinates
+    ideals = [MatrixSubspace(total.ambient_dim, total.from_coords(np.concatenate(
+        [np.zeros((0, total.dim))] + [c for i, c in enumerate(minimal) if mask >> i & 1])))
+        for mask in range(1 << len(minimal))]
+    return sorted(ideals, key=lambda i: i.dim)
+
+
+def dense_regular_kernel(sa: SectionAlgebra, tol: float = DEFAULT_TOL) -> int:
+    """dim ker of sections -> sections tensor lambda: sqrt|G| times the singular values
+    of the fiber coordinates of the components of A's orthonormal basis."""
+    flat = sa.total.flat
+    coeffs = flat @ sa.solver.T
+    miss = np.linalg.norm(coeffs @ sa.stack - flat, axis=1)
+    if np.any(miss > precondition_tol(tol) * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
+        raise NotInAlgebra("matrix is not a section of the grading")
+    sv = np.sqrt(sa.group.order) * np.linalg.svd(coeffs, compute_uv=False)
+    return sa.total.dim - numerical_rank(sv, tol)
+
+
+def dense_section_figures(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
+    """gsimple's and report's section figures on the dense route."""
+    sa = section_algebra(bundle, tol)
+    ideals = dense_graded_ideals(sa, tol)
+    dims = [i.dim for i in ideals]
+    return {"ideal_dims": dims, "ideal_count": len(ideals),
+            "is_g_simple": len(dims) == 2 and dims[0] == 0 and dims[-1] == sa.total.dim,
+            "section_dimension": sa.total.dim,
+            "regular_rep_kernel_dim": dense_regular_kernel(sa, tol)}
+
+
+def sweep_inputs(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> tuple:
+    """(constants, A_e): what `duality.graded_ideals` and `is_g_simple` read, from the
+    grading's one sweep, which must pass its axioms."""
+    return abstract_from_graded(bundle, tol), bundle.fiber(0)
+
+
+def ideal_subspace(bundle: GradedBundle, rows: np.ndarray) -> MatrixSubspace:
+    """A graded ideal given as rows of coordinates on the concatenated fiber bases,
+    as a subspace of the ambient matrices."""
+    stack = np.concatenate([f.flat for f in bundle.fibers])
+    n = bundle.ambient_dim
+    return orthonormalize((rows @ stack).reshape(-1, n, n), ambient_dim=n)
 
 
 @dataclass(frozen=True)
@@ -590,19 +720,6 @@ def translation_action(g: FiniteGroup) -> GSetAction:
 
 def trivial_gset_action(g: FiniteGroup, size: int) -> GSetAction:
     return GSetAction(g, size, tuple(tuple(range(size)) for _ in g.elements()))
-
-
-def dense_unit_fiber_center(sa: SectionAlgebra,
-                            tol: float = DEFAULT_TOL) -> tuple[np.ndarray, MatrixSubspace]:
-    """Z(A) ∩ A_e on the dense route, with the singular values it is cut at: the null
-    space, in A_e's coordinates, of one stack of the commutators e_i b - b e_i with
-    every fiber basis element b, shape (dim A_e, dim A, n, n), formed as matrices."""
-    fe, n = sa.bundle.fiber(0), sa.bundle.ambient_dim
-    others = sa.stack.reshape(-1, n, n)
-    comm = fe.basis[:, None] @ others[None] - others[None] @ fe.basis[:, None]
-    _, sv, vh = np.linalg.svd(comm.reshape(fe.dim, others.size).T, full_matrices=False)
-    null = vh[numerical_rank(sv, precondition_tol(tol)):].conj()
-    return sv, MatrixSubspace(n, fe.from_coords(null))
 
 
 def even_part_of_z4(bundle: GradedBundle) -> GradedBundle:

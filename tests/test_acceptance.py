@@ -125,9 +125,10 @@ def test_criterion_07_obstruction_and_g_simplicity(s3):
     assert report["kernel"] == (0,)
     assert report["induced_possible"] is False
     assert "not weakly induced" in report["verdict"]
-    sa = duality.crossed_section_algebra(duality.transformation_system(act))
-    assert sa.total.dim == 18
-    assert duality.is_g_simple(sa)
+    action = duality.transformation_system(act)
+    inputs = models.sweep_inputs(bundles.concretize(bundles.semidirect_bundle(action)).bundle)
+    assert inputs[0].section_dimension() == 18
+    assert duality.is_g_simple(*inputs)
 
 
 def test_criterion_08_approximation_witnesses(battery, pauli_bundle,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fellbundles import approximation as ap
-from fellbundles import bundles, groups, matrices, sections
+from fellbundles import bundles, groups, matrices
 from fellbundles.errors import (
     GNormExceeded,
     GroupMismatch,
@@ -347,12 +347,17 @@ class TestPullbackWitness:
 def dense_regular_kernel(bundle, tol=matrices.DEFAULT_TOL):
     """The dense route: the rank of the images sum_h a_h tensor lambda(h), and their
     singular values."""
-    sa = sections.section_algebra(bundle, tol, check=False)
+    sa = models.section_algebra(bundle, tol, check=False)
     lam = groups.left_regular(bundle.group)
     rows = [sum(np.kron(c, lam[h]) for h, c in enumerate(sa.components(b, max(tol, 1e-8))))
             .ravel() for b in sa.total.basis_list()]
     sv = np.linalg.svd(np.stack(rows), compute_uv=False)
     return sa.total.dim - int(np.sum(sv > max(tol, 1e-10) * max(1.0, float(sv[0])))), sv
+
+
+def frame_sv(bundle, tol=matrices.DEFAULT_TOL):
+    """The singular values of the stacked fiber bases, from the grading's sweep."""
+    return bundles._read_grading(bundle, tol)[2]
 
 
 class TestRegularKernelAgainstTheKron:
@@ -363,12 +368,11 @@ class TestRegularKernelAgainstTheKron:
         bundle = request.getfixturevalue(name)
         bundle = getattr(bundle, "bundle", bundle)
         kernel, sv = dense_regular_kernel(bundle)
-        assert ap.regular_representation_kernel(bundle) == kernel == 0
-        # the HS identity: the map's singular values are sqrt|G| times those of
-        # the component coefficients of the section basis
-        sa = sections.section_algebra(bundle)
-        coeffs = sa.total.flat @ sa.solver.T
-        scaled = np.sqrt(bundle.group.order) * np.linalg.svd(coeffs, compute_uv=False)
+        order = bundle.group.order
+        assert ap.regular_representation_kernel(frame_sv(bundle), order) == kernel == 0
+        # the HS identity: the map's singular values are sqrt|G| over those of the
+        # stacked fiber bases, the inverses of the section basis's fiber coordinates
+        scaled = np.sqrt(order) / frame_sv(bundle)[::-1]
         np.testing.assert_allclose(scaled, sv, rtol=0, atol=1e-12)
 
 
@@ -376,7 +380,7 @@ class TestReports:
     def test_regular_representation_faithful(
             self, pauli_bundle, twisted_z4_realized, s3_quotient_bundle):
         for b in (pauli_bundle, twisted_z4_realized.bundle, s3_quotient_bundle):
-            assert ap.regular_representation_kernel(b) == 0
+            assert ap.regular_representation_kernel(frame_sv(b), b.group.order) == 0
 
     @pytest.mark.parametrize("name", ["pauli_bundle", "pauli_pullback", "trivial_z4",
                                       "trivial_s3", "twisted_z4_realized",
@@ -385,7 +389,7 @@ class TestReports:
     def test_report_finds_uniform_witness(self, name, request):
         bundle = request.getfixturevalue(name)
         bundle = getattr(bundle, "bundle", bundle)
-        rep = ap.amenability_report(bundle)
+        rep = ap.amenability_report(bundle, frame_sv(bundle))
         assert rep["regular_rep_kernel_dim"] == 0
         assert rep["ep_exact_witness_found"] is True
         assert rep["witness_defect"] <= 1e-10
@@ -399,15 +403,21 @@ class TestReports:
         nil = matrices.orthonormalize([np.array([[0, 1], [0, 0]], dtype=complex)])
         b = bundles.GradedBundle(groups.cyclic(1), (nil,))
         with pytest.raises(NonUnitalUnitFiber):
-            ap.amenability_report(b)
+            ap.amenability_report(b, frame_sv(b))
 
 
-class TestSectionAlgebraPassedIn:
-    """The report command hands its section algebra on instead of the bundle."""
+class TestSweepPassedIn:
+    """The report command hands the sweep's singular values on instead of the bundle's
+    section algebra: the same kernel as the dense route, and the uniform witness's
+    figures as `ep_defect` reads them."""
 
     @pytest.mark.parametrize("name", ["pauli_bundle", "trivial_s3", "s3_quotient_bundle"])
     def test_same_kernel_and_report(self, name, request):
         bundle = request.getfixturevalue(name)
-        sa = sections.section_algebra(bundle, 1e-8, check=False)
-        assert ap.regular_representation_kernel(sa) == ap.regular_representation_kernel(bundle)
-        assert ap.amenability_report(sa) == ap.amenability_report(bundle)
+        sa = models.section_algebra(bundle, 1e-8, check=False)
+        kern = ap.regular_representation_kernel(frame_sv(bundle), bundle.group.order)
+        assert kern == models.dense_regular_kernel(sa) == 0
+        rep = ap.ep_defect(bundle, ap.uniform_witness(bundle))
+        assert ap.amenability_report(bundle, frame_sv(bundle)) == {
+            "regular_rep_kernel_dim": 0, "ep_exact_witness_found": True,
+            "witness_bound": rep["bound"], "witness_defect": rep["defect"]}

@@ -202,7 +202,7 @@ class TestAbstractBundles:
 
     def test_swap_crossed_section_is_one_block(self, swap_semidirect_realized):
         # C^2 with the coordinate swap integrates to a single 2x2 block
-        total = matrices.span_union(swap_semidirect_realized.bundle.fibers)
+        total = models.span_union(swap_semidirect_realized.bundle.fibers)
         assert total.dim == 4
         assert models.wedderburn_block_count(total) == 1
 
@@ -212,7 +212,7 @@ class TestAbstractBundles:
         assert np.allclose(x @ x, -img[0][0], atol=1e-10)
 
     def test_twisted_two_blocks(self, twisted_z4_realized):
-        total = matrices.span_union(twisted_z4_realized.bundle.fibers)
+        total = models.span_union(twisted_z4_realized.bundle.fibers)
         assert total.dim == 2
         assert models.wedderburn_block_count(total) == 2
 

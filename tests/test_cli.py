@@ -19,7 +19,7 @@ import pytest
 import models
 from conftest import I2, PAULI_X, SQ2, SWAP_SUBGROUP
 from fellbundles import approximation as approx
-from fellbundles import bundles, cli, duality, groups, imprimitivity, matrices, sections
+from fellbundles import bundles, cli, duality, groups, imprimitivity, matrices
 from fellbundles.errors import ParseError
 
 
@@ -837,19 +837,23 @@ def test_s4_olesen_pedersen_fits_three_gib(tmp_path):
     assert report["isomorphism"] is True and report["twist_residual"] <= 1e-9
 
 
-def test_report_builds_the_section_algebra_once(capsys, monkeypatch, pauli_spec):
-    calls = []
-    build = sections.section_algebra
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(sections, "section_algebra", counted)
-    monkeypatch.setattr(approx, "section_algebra", counted)
-    rc, out, _ = run(capsys, "report", pauli_spec)
-    assert rc == 0 and json.loads(out)["amenability"]["regular_rep_kernel_dim"] == 0
-    assert len(calls) == 1
+@pytest.mark.parametrize("command", ["report", "gsimple"])
+def test_report_and_gsimple_read_the_sweep_once(capsys, monkeypatch, pauli_spec, command):
+    # every section figure comes from the one sweep's constants: the dense oracle and
+    # the pseudoinverse of the stacked fibers that it needs are never called
+    reads, oracle, solves = [], [], []
+    read, build, pinv = bundles._read_grading, models.section_algebra, np.linalg.pinv
+    monkeypatch.setattr(bundles, "_read_grading",
+                        lambda bundle, tol: reads.append(bundle) or read(bundle, tol))
+    monkeypatch.setattr(models, "section_algebra",
+                        lambda *args, **kwargs: oracle.append(args) or build(*args, **kwargs))
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda *args, **kwargs: solves.append(args) or pinv(*args, **kwargs))
+    rc, out, _ = run(capsys, command, pauli_spec)
+    report = json.loads(out)
+    assert rc == 0 and report["ideal_dims"] == [0, 2] and report["is_g_simple"] is True
+    assert report.get("amenability", {}).get("regular_rep_kernel_dim", 0) == 0
+    assert len(reads) == 1 and oracle == [] and solves == []
 
 
 class TestMalformedFiberAndToleranceExit2:
@@ -1111,10 +1115,11 @@ class TestOneTolerancePerRun:
         ("pullback", AXIOM_COMMANDS["pullback"], [(bundles, "verify_fell_axioms")]),
         ("imprimitivity", AXIOM_COMMANDS["imprimitivity"],
          [(imprimitivity, "bimodule_check")]),
-        ("gsimple", (), [(duality, "graded_ideals"), (duality, "is_g_simple")]),
+        ("gsimple", (), [(bundles, "abstract_from_graded"), (duality, "graded_ideals"),
+                         (duality, "is_g_simple")]),
         ("ep", (), [(approx, "ep_defect")]),
-        ("report", (), [(bundles, "verify_fell_axioms"), (duality, "graded_ideals"),
-                        (approx, "amenability_report")]),
+        ("report", (), [(bundles, "_read_grading"), (duality, "graded_ideals"),
+                        (duality, "is_g_simple"), (approx, "amenability_report")]),
     ])
     def test_a_tight_tol_reaches_the_reported_checks(self, capsys, monkeypatch, pauli_spec,
                                                      command, extra, checks):

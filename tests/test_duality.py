@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellbundles import bundles, duality, groups, matrices, sections
+from fellbundles import bundles, duality, groups, matrices
 from fellbundles.errors import (
     AxiomViolation,
     GroupMismatch,
@@ -374,35 +374,35 @@ def reference_quotient_bundle(a, u, q):
 
 class TestGradedIdeals:
     def test_group_algebra_of_z2_is_simple(self, z2, scalar_line):
-        sa = sections.section_algebra(bundles.trivial_bundle(z2, scalar_line))
-        ideals = duality.graded_ideals(sa)
-        assert [i.dim for i in ideals] == [0, 2]
-        assert duality.is_g_simple(sa)
+        inputs = models.sweep_inputs(bundles.trivial_bundle(z2, scalar_line))
+        ideals = duality.graded_ideals(*inputs)
+        assert [len(i) for i in ideals] == [0, 2]
+        assert duality.is_g_simple(*inputs)
 
     def test_single_block_total(self, m2_full):
-        sa = sections.section_algebra(
-            bundles.GradedBundle(groups.cyclic(1), (m2_full,)))
-        assert [i.dim for i in duality.graded_ideals(sa)] == [0, 4]
-        assert duality.is_g_simple(sa)
+        inputs = models.sweep_inputs(bundles.GradedBundle(groups.cyclic(1), (m2_full,)))
+        assert [len(i) for i in duality.graded_ideals(*inputs)] == [0, 4]
+        assert duality.is_g_simple(*inputs)
 
     def test_direct_sum_has_factor_ideals(self, z2, diag2):
-        sa = sections.section_algebra(bundles.trivial_bundle(z2, diag2))
-        ideals = duality.graded_ideals(sa)
-        assert [i.dim for i in ideals] == [0, 2, 2, 4]
-        assert not duality.is_g_simple(sa)
+        inputs = models.sweep_inputs(bundles.trivial_bundle(z2, diag2))
+        ideals = duality.graded_ideals(*inputs)
+        assert [len(i) for i in ideals] == [0, 2, 2, 4]
+        assert not duality.is_g_simple(*inputs)
 
     def test_ungraded_sum_is_not_simple(self, z2, diag2):
         empty = matrices.MatrixSubspace(2, np.zeros((0, 2, 2), dtype=complex))
-        sa = sections.section_algebra(bundles.GradedBundle(z2, (diag2, empty)))
-        assert len(duality.graded_ideals(sa)) == 4
-        assert not duality.is_g_simple(sa)
+        inputs = models.sweep_inputs(bundles.GradedBundle(z2, (diag2, empty)))
+        assert len(duality.graded_ideals(*inputs)) == 4
+        assert not duality.is_g_simple(*inputs)
 
     def test_ideals_closed_under_meet_and_join(self, z2, diag2):
-        sa = sections.section_algebra(bundles.trivial_bundle(z2, diag2))
-        ideals = duality.graded_ideals(sa)
+        bundle = bundles.trivial_bundle(z2, diag2)
+        ideals = [models.ideal_subspace(bundle, rows)
+                  for rows in duality.graded_ideals(*models.sweep_inputs(bundle))]
         for a in ideals:
             for b in ideals:
-                join = matrices.span_union([a, b], ambient_dim=a.ambient_dim)
+                join = models.span_union([a, b], ambient_dim=a.ambient_dim)
                 assert any(models.subspace_equal(join, c) for c in ideals)
                 meet_dim = a.dim + b.dim - join.dim
                 assert any(c.dim == meet_dim for c in ideals)
@@ -410,18 +410,19 @@ class TestGradedIdeals:
     def test_peak_memory_is_below_half_a_commutator_stack(self, pauli_bundle, m2_full):
         # trivial M_2 over D6: one dense stack of the commutators of A_e's basis with
         # every fiber basis element, (4, 48, 24, 24) complex, is 1.77 MB; reading
-        # Z(A) ∩ A_e in fiber coordinates holds one (4, 4, 24, 24) block at a time
-        sa = sections.section_algebra(bundles.trivial_bundle(groups.dihedral(6), m2_full))
-        n = sa.bundle.ambient_dim
-        stack_bytes = sa.bundle.fiber(0).dim * sa.bundle.section_dimension() * n * n * 16
-        duality.graded_ideals(sections.section_algebra(pauli_bundle))  # first-call allocations
+        # Z(A) ∩ A_e and each pA off the sweep's constants holds no such block
+        bundle = bundles.trivial_bundle(groups.dihedral(6), m2_full)
+        inputs = models.sweep_inputs(bundle)
+        n = bundle.ambient_dim
+        stack_bytes = bundle.fiber(0).dim * bundle.section_dimension() * n * n * 16
+        duality.graded_ideals(*models.sweep_inputs(pauli_bundle))  # first-call allocations
         tracemalloc.start()
         try:
-            ideals = duality.graded_ideals(sa)
+            ideals = duality.graded_ideals(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [i.dim for i in ideals] == [0, 48]
+        assert [len(i) for i in ideals] == [0, 48]
         assert peak < stack_bytes / 2
 
 
@@ -445,7 +446,7 @@ def sweep_graded_ideals(sa, tol=1e-8):
 def center_meets_unit_fiber(sa):
     """dim of Z(A) ∩ A_e from the centre and the unit fiber: dim Z + dim A_e - dim(Z + A_e)."""
     z, fe = matrices.center_subspace(sa.total), sa.bundle.fiber(0)
-    return z.dim + fe.dim - matrices.span_union([z, fe]).dim
+    return z.dim + fe.dim - models.span_union([z, fe]).dim
 
 
 IDEAL_CASES = [("pauli_bundle", 2), ("pauli_pullback", 2), ("trivial_z4", 2), ("trivial_s3", 2),
@@ -455,10 +456,10 @@ IDEAL_CASES = [("pauli_bundle", 2), ("pauli_pullback", 2), ("trivial_z4", 2), ("
 
 
 @pytest.fixture()
-def section(request, diag2, m2_full):
-    """The section algebra of a conftest bundle, or of one built here: diag(C^2)
-    over Z4 or S3, that over Z4 moved by a Haar unitary, and M_2 over Z2 placed in
-    Z4 at {0, 2} with zero fibers at 1 and 3."""
+def graded(request, diag2, m2_full):
+    """A conftest bundle, or one built here: diag(C^2) over Z4 or S3, that over Z4
+    moved by a Haar unitary, and M_2 over Z2 placed in Z4 at {0, 2} with zero
+    fibers at 1 and 3."""
     name = request.param
     if name.startswith("diag_"):
         bundle = bundles.trivial_bundle(groups.cyclic(4) if name == "diag_z4"
@@ -469,34 +470,38 @@ def section(request, diag2, m2_full):
         bundle = models.even_part_of_z4(bundles.trivial_bundle(groups.cyclic(2), m2_full))
     else:
         bundle = request.getfixturevalue(name)
-    return sections.section_algebra(getattr(bundle, "bundle", bundle))
+    return getattr(bundle, "bundle", bundle)
 
 
 class TestGradedIdealsAgainstTheSweep:
     """graded_ideals builds pA for the projections of Z(A) ∩ A_e; the sweep tries
     every central summand of A and tests its grading."""
 
-    @pytest.mark.parametrize("section, count", IDEAL_CASES, indirect=["section"])
-    def test_same_ideals_as_the_sweep(self, section, count):
-        ideals, swept = duality.graded_ideals(section), sweep_graded_ideals(section)
+    @pytest.mark.parametrize("graded, count", IDEAL_CASES, indirect=["graded"])
+    def test_same_ideals_as_the_sweep(self, graded, count):
+        section, inputs = models.section_algebra(graded), models.sweep_inputs(graded)
+        ideals = [models.ideal_subspace(graded, rows) for rows in duality.graded_ideals(*inputs)]
+        swept = sweep_graded_ideals(section)
         assert [i.dim for i in ideals] == [i.dim for i in swept]
         assert all(any(models.subspace_equal(a, b) for b in swept) for a in ideals)
         assert len(ideals) == count == 2 ** center_meets_unit_fiber(section)
         assert ideals[0].dim == 0 and ideals[-1].dim == section.total.dim
-        assert (duality.is_g_simple(section, ideals=ideals) == duality.is_g_simple(section)
+        rows = duality.graded_ideals(*inputs)
+        assert (duality.is_g_simple(*inputs, ideals=rows) == duality.is_g_simple(*inputs)
                 == (count == 2))
 
 
 class TestUnitFiberCenterAgainstTheDenseRoute:
-    """Z(A) ∩ A_e from the (e, t) and (t, e) products in A_t's coordinates against
-    the null space of the dense commutator stack: the fiber bases are HS-orthonormal
-    and a verified grading keeps each commutator in its fiber, so the two maps have
-    the same Gram, hence the same singular values and null space."""
+    """Z(A) ∩ A_e from the sweep's (e, t) and (t, e) products in A_t's coordinates
+    against the null space of the dense commutator stack: the fiber bases are
+    HS-orthonormal and a verified grading keeps each commutator in its fiber, so the
+    two maps have the same Gram, hence the same singular values and null space."""
 
-    @pytest.mark.parametrize("section", [name for name, _ in IDEAL_CASES], indirect=True)
-    def test_same_center_as_the_dense_route(self, section):
-        sv, center = duality._unit_fiber_center(section, matrices.DEFAULT_TOL)
-        dense_sv, dense = models.dense_unit_fiber_center(section)
+    @pytest.mark.parametrize("graded", [name for name, _ in IDEAL_CASES], indirect=True)
+    def test_same_center_as_the_dense_route(self, graded):
+        sv, center = duality._unit_fiber_center(*models.sweep_inputs(graded),
+                                                 matrices.DEFAULT_TOL)
+        dense_sv, dense = models.dense_unit_fiber_center(models.section_algebra(graded))
         assert center.dim == dense.dim > 0
         assert sv.shape == dense_sv.shape
         assert np.abs(sv - dense_sv).max() <= 1e-12 * max(1.0, dense_sv[0])
@@ -529,9 +534,9 @@ class TestTransformationSystems:
         # transitive action on three cosets: no invariant ideals downstairs,
         # and the dual grading upstairs has only the trivial graded ideals
         act = duality.coset_action(s3, SWAP_SUBGROUP)
-        sa = duality.crossed_section_algebra(duality.transformation_system(act))
+        sa = models.crossed_section_algebra(duality.transformation_system(act))
         assert sa.total.dim == 18
-        assert duality.is_g_simple(sa)
+        assert duality.is_g_simple(*models.sweep_inputs(sa.bundle))
         # the two central blocks match the group algebra of the order-2 stabilizer
         assert len(matrices.minimal_central_projections(sa.total)) == 2
 

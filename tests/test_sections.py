@@ -20,12 +20,12 @@ from conftest import I2, PAULI_X, PAULI_Y
 
 @pytest.fixture(scope="module")
 def pauli_sa(pauli_bundle):
-    return sections.section_algebra(pauli_bundle)
+    return models.section_algebra(pauli_bundle)
 
 
 @pytest.fixture(scope="module")
 def pullback_sa(pauli_pullback):
-    return sections.section_algebra(pauli_pullback)
+    return models.section_algebra(pauli_pullback)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,8 @@ def cp_trivial_z4(trivial_z4):
 
 
 class TestSectionAlgebra:
+    """The dense route, which the tests hold the sweep-read figures to."""
+
     def test_components_recombine(self, pauli_sa):
         x = 1.5 * I2 + 2j * PAULI_X
         comps = pauli_sa.components(x)
@@ -46,7 +48,7 @@ class TestSectionAlgebra:
         assert np.allclose(comps[1], 2j * PAULI_X)
 
     def test_fiber_elements_project_to_themselves(self, swap_semidirect_realized):
-        sa = sections.section_algebra(swap_semidirect_realized.bundle)
+        sa = models.section_algebra(swap_semidirect_realized.bundle)
         for s in sa.group.elements():
             for b in sa.bundle.fiber(s).basis_list():
                 comps = sa.components(b)
@@ -61,7 +63,7 @@ class TestSectionAlgebra:
 
     def test_unit(self, pauli_sa, twisted_z4_realized):
         assert np.allclose(pauli_sa.unit(), I2)
-        sa = sections.section_algebra(twisted_z4_realized.bundle)
+        sa = models.section_algebra(twisted_z4_realized.bundle)
         assert np.allclose(sa.unit(), twisted_z4_realized.images[0][0], atol=1e-9)
 
     def test_expectation_properties(self, pullback_sa):
@@ -83,7 +85,7 @@ class TestSectionAlgebra:
     def test_unverified_grading_rejected(self, z2):
         f = matrices.orthonormalize([I2])
         with pytest.raises(AxiomViolation):
-            sections.section_algebra(bundles.GradedBundle(z2, (f, f)))
+            models.section_algebra(bundles.GradedBundle(z2, (f, f)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
